@@ -1,4 +1,4 @@
-"""Golden stream pin for the Section 6 weak-oracle framework.
+"""Golden stream pin for the Section 5 and Section 6 boosting frameworks.
 
 The parity suites compare engine tiers and repair modes with each other, so
 a driver change that shifts the random stream in *every* tier at once would
@@ -6,6 +6,13 @@ still pass them.  This test pins absolute values instead: for a few small
 seeded runs, the final mates, the full counter bag and a sha256 of the
 framework's RNG state must equal the values recorded in
 ``tests/data/golden_stream.json``.
+
+The Section 6 runs are dynamic churn streams and one cold weak-oracle run;
+the Section 5 runs solve one small Table-1-shaped graph with
+``mpc_boosted_matching`` (whose oracle RNG is pinned too) and with
+``boost_matching`` on the default greedy oracle.  Their counters include
+``oracle_vertices_seen`` and ``oracle_edges_seen``, so the size of every
+derived graph handed to the oracle is pinned along with the stream.
 
 A change that is meant to alter the sampled stream (a deliberate
 re-baseline) rewrites the fixture with
@@ -20,15 +27,19 @@ import hashlib
 import json
 import os
 import sys
+from unittest import mock
 
 import pytest
 
+from repro.core import boosting
 from repro.core.config import ParameterProfile
 from repro.core.dynamic_boosting import WeakOracleBoostingFramework
 from repro.dynamic.fully_dynamic import FullyDynamicMatching
 from repro.dynamic.weak_oracles import GreedyInducedWeakOracle
-from repro.graph.generators import erdos_renyi
+from repro.graph.generators import disjoint_paths, erdos_renyi
+from repro.graph.graph import Graph
 from repro.instrumentation.counters import Counters
+from repro.mpc import boost_mpc
 from repro.workloads import planted_matching_churn
 
 EPS = 0.25
@@ -73,18 +84,69 @@ def cold_run(engine: str = "array") -> dict:
     return _record(matching, counters, framework.rng)
 
 
+def table1_graph() -> Graph:
+    """G(96, p) with average degree 4 plus four disjoint 9-edge paths: the
+    shape of the Table 1 instances, small enough for tier-1."""
+    er = erdos_renyi(96, 4 / 95, seed=0)
+    paths = disjoint_paths(4, 9)
+    graph = Graph(er.n + paths.n)
+    graph.add_edges(er.edges())
+    graph.add_edges((er.n + u, er.n + v) for u, v in paths.edges())
+    return graph
+
+
+class _Recording(boosting.BoostingFramework):
+    """A BoostingFramework that remembers the instances built from it."""
+
+    built: list = []
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        _Recording.built.append(self)
+
+
+def static_run(wrapper: str, engine: str = "array") -> dict:
+    """Solve :func:`table1_graph` with ``mpc_boosted_matching`` (``"mpc"``)
+    or ``boost_matching`` on the greedy oracle (``"greedy"``)."""
+    profile = dataclasses.replace(ParameterProfile.practical(EPS),
+                                  engine=engine)
+    graph = table1_graph()
+    counters = Counters()
+    module = boost_mpc if wrapper == "mpc" else boosting
+    _Recording.built = []
+    with mock.patch.object(module, "BoostingFramework", _Recording):
+        if wrapper == "mpc":
+            matching, _ = boost_mpc.mpc_boosted_matching(
+                graph, EPS, profile=profile, counters=counters, seed=0)
+        else:
+            matching = boosting.boost_matching(
+                graph, EPS, profile=profile, counters=counters, seed=0)
+    (framework,) = _Recording.built
+    record = _record(matching, counters, framework.rng)
+    if wrapper == "mpc":
+        record["oracle_rng_sha256"] = _rng_digest(framework.oracle.inner._rng)
+    return record
+
+
 CHURN_RUNS = [(seed, repair) for seed in (0, 1)
               for repair in ("rebuild", "incremental")]
+STATIC_RUNS = ("mpc", "greedy")
 
 
 def _key(seed: int, repair: str) -> str:
     return f"churn-seed{seed}-{repair}"
 
 
+def _static_key(wrapper: str) -> str:
+    return f"static-{wrapper}-table1"
+
+
 def compute_all() -> dict:
     runs = {_key(seed, repair): churn_run(seed, repair)
             for seed, repair in CHURN_RUNS}
     runs["cold-er40"] = cold_run()
+    for wrapper in STATIC_RUNS:
+        runs[_static_key(wrapper)] = static_run(wrapper)
     return runs
 
 
@@ -105,11 +167,21 @@ def test_cold_run_matches_golden(golden, engine):
     assert cold_run(engine) == golden["cold-er40"]
 
 
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("wrapper", STATIC_RUNS)
+def test_static_run_matches_golden(golden, wrapper, engine):
+    assert static_run(wrapper, engine) == golden[_static_key(wrapper)]
+
+
 def test_fixture_is_not_trivial(golden):
-    """The pinned runs must exercise sampling, overtakes and augmentations."""
+    """The pinned runs must exercise the oracle, overtakes and
+    augmentations."""
+    assert {_static_key(wrapper) for wrapper in STATIC_RUNS} <= set(golden)
     for name, record in golden.items():
         counters = record["counters"]
-        assert counters["weak_oracle_calls"] > 0, name
+        calls = ("oracle_calls" if name.startswith("static-")
+                 else "weak_oracle_calls")
+        assert counters[calls] > 0, name
         assert counters["overtakes"] > 0, name
         assert counters["augmentations"] > 0, name
 

@@ -23,12 +23,8 @@ compares across frameworks.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
-
-try:  # optional: the reference engine works without numpy
-    import numpy as np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    np = None  # type: ignore[assignment]
+from bisect import bisect_left
+from typing import Dict, Optional, Sequence, Tuple
 
 try:  # the packed-bitset kernel tier rides on numpy too
     from repro.core import kernels
@@ -45,9 +41,9 @@ from repro.core.oracles import (
     MatchingOracle,
     ensure_counting,
 )
-from repro.core.operations import apply_augmentations, augment_op, overtake_op
-from repro.core.phase import (_type2_candidates, backtrack_pass,
-                              contract_pass, run_phase)
+from repro.core.eligibility import EligibilityIndex, stage_right_vertices
+from repro.core.operations import apply_augmentations, augment_op
+from repro.core.phase import _type2_candidates, contract_pass, run_phase
 from repro.core.structures import FrozenViews, PhaseState, StructNode
 
 Edge = Tuple[int, int]
@@ -69,7 +65,6 @@ def build_structure_graph(state: PhaseState) -> Tuple[Graph, Dict[Edge, Edge]]:
     """
     structures = state.live_structures()
     index = {id(s): i for i, s in enumerate(structures)}
-    hprime = Graph(len(structures))
     witness: Dict[Edge, Edge] = {}
     if state.engine in ("array", "kernel"):
         eu, ev = state.edge_arrays()
@@ -89,94 +84,76 @@ def build_structure_graph(state: PhaseState) -> Tuple[Graph, Dict[Edge, Edge]]:
             continue
         i, j = index[id(nu.structure)], index[id(nv.structure)]
         key = (i, j) if i < j else (j, i)
-        if hprime.add_edge(*key):
+        if key not in witness:
             witness[key] = (u, v) if i < j else (v, u)
+    hprime = Graph(len(structures))
+    hprime.add_edges(witness)
     return hprime, witness
 
 
-def stage_right_vertices(state: PhaseState, stage: int,
-                         unvisited_only: bool = False) -> List[int]:
-    """Right part of ``H'_s``: matched, not removed, inner-or-unvisited
-    vertices with label > ``stage + 1``, ascending.
-
-    With ``unvisited_only`` the in-structure (inner) vertices are excluded --
-    the sampling driver of Section 6.6 covers those by per-structure sampling
-    and only needs the unvisited remainder in bulk.  The array engine answers
-    with one boolean-mask pass; the reference engine scans ``range(n)`` in
-    the same ascending order.
-    """
-    if state.engine in ("array", "kernel"):
-        mask = (state.matched_arr & ~state.removed_arr
-                & (state.vlabel_arr > stage + 1))
-        if unvisited_only:
-            mask &= state.sid_arr == -1
-        else:
-            mask &= ~state.outer_arr
-        return np.flatnonzero(mask).tolist()
-    out: List[int] = []
-    for v in range(state.graph.n):
-        if state.removed[v] or state.matching.is_free(v):
-            continue
-        node = state.node_of[v]
-        if unvisited_only:
-            if node is not None:
-                continue
-        elif node is not None and node.outer:
-            continue
-        if state.label_of_vertex(v) > stage + 1:
-            out.append(v)
-    return out
-
-
-def build_stage_graph(state: PhaseState, stage: int) -> Tuple[Graph, Dict[Edge, Edge], int]:
+def build_stage_graph(state: PhaseState, stage: int,
+                      left_nodes: Sequence[StructNode]
+                      ) -> Tuple[Graph, Dict[Edge, Edge], int]:
     """Build ``H'_s`` (Definition 5.8) for stage ``s``.
 
-    Left part: working vertices of structures that are active, not on hold and
-    not yet extended, whose distance (label) equals ``s``.  Right part: inner
-    or unvisited matched G-vertices with label > s+1.  Returns
-    ``(H'_s, witness, num_left)`` where the first ``num_left`` vertices of the
-    returned graph are the left part.
+    Left part: ``left_nodes``, the working nodes of the structures eligible
+    at ``s`` (active, not on hold, not yet extended, distance ``s``) in
+    structure order.  Right part: inner or unvisited matched G-vertices with
+    label > s+1, ascending (:func:`stage_right_vertices`).  Returns
+    ``(H'_s, witness, num_left)`` where the first ``num_left`` vertices of
+    the returned graph are the left part.
+
+    Every right vertex stays a vertex of ``H'_s`` although few get an edge:
+    the oracle is charged for the vertex count (``oracle_vertices_seen``),
+    and it sizes the MPC oracle's machines and repetition cap.  The edges
+    are found from the left side alone.  For a working vertex ``x``,
+    ``arc_type(x, y) == 3`` holds exactly when the neighbour ``y`` is on the
+    right side and its node is not an ancestor of ``x``'s node
+    (precondition P2): the eligibility of ``x``'s structure covers every
+    other clause.  A hit is numbered by bisecting the ascending right list,
+    and the first witness of each pair is kept, in the order the pairs are
+    first seen -- the order the edges are inserted in.
     """
-    eligible_stage = state.eligible_stage
-    left_nodes: List[StructNode] = [
-        structure.working for structure in state.structures.values()
-        if eligible_stage(structure) == stage]
     if not left_nodes:
-        # no eligible working vertex at this stage: H'_s has no left part and
-        # therefore no edges; skip the O(n) right-side scan entirely
         return Graph(0), {}, 0
-
-    right_vertices = stage_right_vertices(state, stage)
-
-    left_index = {id(node): i for i, node in enumerate(left_nodes)}
-    right_index = {v: len(left_nodes) + i for i, v in enumerate(right_vertices)}
-    hs = Graph(len(left_nodes) + len(right_vertices))
+    right = stage_right_vertices(state, stage)
+    num_left = len(left_nodes)
     witness: Dict[Edge, Edge] = {}
     # kernel engine: one AND sweep of the packed adjacency row against the
-    # packed right set yields the same ascending candidate list the scalar
-    # membership filter produces, without touching off-right neighbours
+    # packed right set leaves only right-side neighbours, in the ascending
+    # order the scalar walk visits them
     packed = state.packed_adjacency() if state.engine == "kernel" else None
     if packed is not None:
-        right_bits = kernels.int_from_indices(right_vertices)
-    else:
-        right_set = set(right_vertices)
-    for node in left_nodes:
-        i = left_index[id(node)]
+        right_bits = kernels.int_from_indices(right)
+    node_of = state.node_of
+    removed = state.removed
+    vlabel = state.vlabel
+    sorted_neighbors = state.sorted_neighbors
+    beyond = stage + 1
+    for i, node in enumerate(left_nodes):
+        structure = node.structure
         for x in node.vertices:
             if packed is not None:
                 candidates = kernels.bits_of_int(
                     state.packed_int_row(x) & right_bits)
             else:
-                candidates = [y for y in state.sorted_neighbors(x)
-                              if y in right_set]
+                candidates = sorted_neighbors(x)
             for y in candidates:
-                if state.arc_type(x, y) != 3:
+                # the right side, tested in place (a free vertex keeps label
+                # 0, so the label test also rules out unmatched neighbours),
+                # then P2
+                if vlabel[y] <= beyond or removed[y]:
                     continue
-                j = right_index[y]
-                key = (i, j)
-                if hs.add_edge(i, j):
+                ny = node_of[y]
+                if ny is not None and (ny.outer or (
+                        ny.structure is structure and ny.is_ancestor_of(node))):
+                    continue
+                key = (i, num_left + bisect_left(right, y))
+                if key not in witness:
                     witness[key] = (x, y)
-    return hs, witness, len(left_nodes)
+    hs = Graph(num_left + len(right))
+    hs.add_edges(witness)
+    return hs, witness, num_left
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +171,18 @@ class OracleDriver:
 
     # -- Algorithm 5 --------------------------------------------------------
     def extend_active_path(self, state: PhaseState) -> None:
-        for stage in self.profile.stages():
-            state.counters.add("stages")
+        stages = self.profile.stages()
+        state.counters.add("stages", len(stages))
+        index = EligibilityIndex(state)
+        counts = index.counts
+        for stage in stages:
             for _it in range(self.profile.sim_iterations):
-                hs, witness, num_left = build_stage_graph(state, stage)
+                # with no eligible working vertex H'_s has no edge: skip
+                # the stage without building it
+                if not counts.get(stage):
+                    break
+                left = [s.working for s in index.eligible(stage)]
+                hs, witness, num_left = build_stage_graph(state, stage, left)
                 if hs.m == 0:
                     break
                 state.counters.add("iterations")
@@ -213,7 +198,7 @@ class OracleDriver:
                     nu = state.omega(x)
                     if (state.arc_type(x, y) == 3 and nu is not None
                             and state.distance(nu) == stage):
-                        overtake_op(state, x, y, stage + 1)
+                        index.overtake(x, y, stage)
                         performed += 1
                 if performed == 0:
                     break
@@ -242,10 +227,8 @@ class OracleDriver:
                     performed += 1
             if performed == 0:
                 break
-        # Augmentation may expose new type-1 arcs involving fresh working
-        # vertices only in later bundles; a final local contraction keeps the
-        # no-type-1 invariant (Corollary B.5) without extra oracle calls.
-        contract_pass(state)
+        # No closing contract pass: the one above exhausted every type-1 arc,
+        # and Augment only deletes whole structures, which cannot create one.
 
 
 # ---------------------------------------------------------------------------

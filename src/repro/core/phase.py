@@ -190,10 +190,13 @@ def _type2_candidates(state: PhaseState):
     eu, ev = state.edge_arrays()
     if eu.size == 0:
         return np.zeros(0, dtype=np.int64)
-    live = (state.outer_arr[eu] & state.outer_arr[ev]
-            & (state.sid_arr[eu] != state.sid_arr[ev])
-            & (state.mate_arr[eu] != ev))
-    return np.flatnonzero(live)
+    # few vertices are outer: narrow to edges with an outer first endpoint,
+    # then test the other conditions on those alone (same ascending indices)
+    outer = state.outer_arr
+    idx = np.flatnonzero(outer[eu])
+    u, v = eu[idx], ev[idx]
+    sid = state.sid_arr
+    return idx[outer[v] & (sid[u] != sid[v]) & (state.mate_arr[u] != v)]
 
 
 def augment_pass(state: PhaseState) -> int:

@@ -35,8 +35,9 @@ a bare ``ImportError`` mid-algorithm.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from itertools import chain
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Type, Union
+from itertools import chain, compress
+from typing import (AbstractSet, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Set, Tuple, Type, Union)
 
 from repro.utils.contracts import invalidates
 
@@ -231,12 +232,23 @@ class GraphBackend(ABC):
             raise ValueError(f"self-loop ({u}, {v}) not allowed in a simple graph")
 
 
+#: the adjacency row of every vertex without an edge; immutable, so a row
+#: is always replaced by its own set on the vertex's first edge
+_NO_NEIGHBOURS: AbstractSet[int] = frozenset()
+
+
 class AdjacencySetBackend(GraphBackend):
     """The original adjacency-set-per-vertex storage (default backend).
 
     Kept byte-for-byte behaviour compatible with the pre-backend ``Graph``:
     same validation messages, same edge iteration order (per-vertex set
     order), so seeded downstream algorithms are unaffected by the refactor.
+
+    A vertex's set is allocated on its first edge; until then its row is one
+    shared empty ``frozenset``.  The derived graphs of Section 5 have far
+    more vertices than edges, and allocating one set per vertex dominated
+    their construction.  A set emptied by removals is kept, so every row
+    grows and iterates exactly like a set allocated up front.
     """
 
     name = "adjset"
@@ -244,7 +256,7 @@ class AdjacencySetBackend(GraphBackend):
 
     def __init__(self, n: int) -> None:
         self._n = n
-        self._adj: List[Set[int]] = [set() for _ in range(n)]
+        self._adj: List[AbstractSet[int]] = [_NO_NEIGHBOURS] * n
         self._m = 0
 
     @property
@@ -256,13 +268,41 @@ class AdjacencySetBackend(GraphBackend):
         return self._m
 
     def add_edge(self, u: int, v: int) -> bool:
-        self._check_edge(u, v)
-        if v in self._adj[u]:
+        n = self._n
+        if not (0 <= u < n and 0 <= v < n) or u == v:
+            self._check_edge(u, v)  # raises the matching error
+        return self._insert(u, v)
+
+    def _insert(self, u: int, v: int) -> bool:
+        """Insert the validated edge ``{u, v}``; return whether it is new."""
+        adj = self._adj
+        row = adj[u]
+        if v in row:
             return False
-        self._adj[u].add(v)
-        self._adj[v].add(u)
+        if row is _NO_NEIGHBOURS:
+            adj[u] = {v}
+        else:
+            row.add(v)
+        row = adj[v]
+        if row is _NO_NEIGHBOURS:
+            adj[v] = {u}
+        else:
+            row.add(u)
         self._m += 1
         return True
+
+    def add_edges(self, edges: Iterable[Edge]) -> int:
+        """Insert many edges in order; stop at the first invalid one with
+        :meth:`add_edge`'s error, keeping the edges inserted before it."""
+        n = self._n
+        insert = self._insert
+        added = 0
+        for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n) or u == v:
+                self._check_edge(u, v)  # raises the matching error
+            if insert(u, v):
+                added += 1
+        return added
 
     def remove_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
@@ -302,6 +342,13 @@ class AdjacencySetBackend(GraphBackend):
                 if u < v:
                     yield (u, v)
 
+    def edge_list(self) -> List[Edge]:
+        """:meth:`edges` as a list, stepping over edgeless vertices at C
+        speed (``compress`` keeps the rows that are non-empty)."""
+        adj = self._adj
+        return [(u, v) for u, row in compress(enumerate(adj), adj)
+                for v in row if u < v]
+
     def arcs(self) -> Iterator[Edge]:
         for u in range(self._n):
             for v in self._adj[u]:  # repro: allow[set-iteration] -- int keys hash to themselves: order is a pure function of the update sequence, independent of PYTHONHASHSEED (see edges())
@@ -319,7 +366,7 @@ class AdjacencySetBackend(GraphBackend):
     def copy(self) -> "AdjacencySetBackend":
         clone = AdjacencySetBackend.__new__(AdjacencySetBackend)
         clone._n = self._n
-        clone._adj = [set(a) for a in self._adj]
+        clone._adj = [set(a) if a else _NO_NEIGHBOURS for a in self._adj]
         clone._m = self._m
         return clone
 

@@ -40,7 +40,8 @@ def mpc_approx_matching(graph: Graph, simulator: MPCSimulator,
     Returns the matched edges; rounds are charged to the simulator's counters.
     """
     rng = random.Random(seed)
-    simulator.scatter(graph.edge_list())
+    edges = graph.edge_list()
+    simulator.scatter(edges)
 
     matched: Set[int] = set()
     matching: List[Edge] = []
@@ -93,21 +94,14 @@ def mpc_approx_matching(graph: Graph, simulator: MPCSimulator,
             new_edges.append((u, v) if u < v else (v, u))
         simulator.counters.add("mpc_rounds")  # the resolve/settle round
 
-        if not new_edges:
-            # no progress: check whether any edge between free vertices remains
-            remaining = any(u not in matched and v not in matched
-                            for u, v in graph.edges())
-            if not remaining:
-                break
-            continue
         for u, v in new_edges:
             matched.add(u)
             matched.add(v)
             matching.append((u, v))
 
-        remaining = any(u not in matched and v not in matched
-                        for u, v in graph.edges())
-        if not remaining:
+        # stop once no edge between free vertices remains (the scattered
+        # edge list, not a walk over all n vertices of the graph)
+        if not any(u not in matched and v not in matched for u, v in edges):
             break
 
     return matching

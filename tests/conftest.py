@@ -86,6 +86,17 @@ def medium_graph_suite() -> List[Tuple[str, Graph]]:
     return suite
 
 
+def table1_graph(n: int, num_paths: int, seed: int) -> Graph:
+    """G(n, p) with average degree 4 plus ``num_paths`` disjoint 9-edge
+    paths: the shape of the Table 1 instances."""
+    er = erdos_renyi(n, 4 / (n - 1), seed=seed)
+    paths = disjoint_paths(num_paths, 9)
+    graph = Graph(er.n + paths.n)
+    graph.add_edges(er.edges())
+    graph.add_edges((er.n + u, er.n + v) for u, v in paths.edges())
+    return graph
+
+
 @pytest.fixture(scope="session")
 def small_graphs() -> List[Tuple[str, Graph]]:
     return small_graph_suite()

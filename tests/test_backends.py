@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.graph.backends import BACKENDS, CSRBackend, make_backend
+from repro.graph.backends import (BACKENDS, AdjacencySetBackend, CSRBackend,
+                                  make_backend)
 from repro.graph.dynamic_graph import DynamicGraph, Update
 from repro.graph.generators import erdos_renyi, random_edge_list
 from repro.graph.graph import Graph
@@ -192,6 +193,124 @@ class TestBulkParity:
             assert dg.max_edges_seen == ref.max_edges_seen, name
             assert sorted(dg.graph.edges()) == sorted(ref.graph.edges()), name
             assert sorted(dg.replay().edges()) == sorted(ref.replay().edges())
+
+
+# ---------------------------------------------------------------------------
+# adjset: rows allocated on the first edge, bulk insert
+# ---------------------------------------------------------------------------
+
+class EagerAdjacencySets:
+    """The adjacency-set layout with one set per vertex allocated up front
+    and per-edge inserts: the model the lazy rows must reproduce."""
+
+    def __init__(self, n):
+        self.n = n
+        self.adj = [set() for _ in range(n)]
+        self.m = 0
+
+    def add_edge(self, u, v):
+        if v in self.adj[u]:
+            return False
+        self.adj[u].add(v)
+        self.adj[v].add(u)
+        self.m += 1
+        return True
+
+    def remove_edge(self, u, v):
+        if v not in self.adj[u]:
+            return False
+        self.adj[u].discard(v)
+        self.adj[v].discard(u)
+        self.m -= 1
+        return True
+
+    def copy(self):
+        clone = EagerAdjacencySets(self.n)
+        clone.adj = [set(a) for a in self.adj]
+        clone.m = self.m
+        return clone
+
+    def edges(self):
+        return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
+
+    def arcs(self):
+        return [(u, v) for u in range(self.n) for v in self.adj[u]]
+
+
+@st.composite
+def adjset_scripts(draw, max_n=24, max_ops=60):
+    """Single and bulk inserts/removals plus copies.  Up to 24 vertices, so
+    rows grow past a set's first resize and empty out again."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] != p[1])
+    op = st.one_of(
+        st.tuples(st.sampled_from(["add", "remove"]), pair),
+        st.tuples(st.sampled_from(["add_edges", "remove_edges"]),
+                  st.lists(pair, max_size=12)),
+        st.just(("copy", None)))
+    return n, draw(st.lists(op, max_size=max_ops))
+
+
+class TestLazyAdjacencyRows:
+    @given(adjset_scripts())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_eager_sets(self, script):
+        n, ops = script
+        lazy, model = AdjacencySetBackend(n), EagerAdjacencySets(n)
+        for kind, arg in ops:
+            if kind == "copy":
+                lazy, model = lazy.copy(), model.copy()
+            elif kind in ("add", "remove"):
+                method = model.add_edge if kind == "add" else model.remove_edge
+                assert getattr(lazy, kind + "_edge")(*arg) == method(*arg)
+            else:
+                method = model.add_edge if kind == "add_edges" else model.remove_edge
+                expected = sum(1 for u, v in arg if method(u, v))
+                assert getattr(lazy, kind)(arg) == expected
+            assert lazy.m == model.m
+        assert list(lazy.edges()) == model.edges()
+        assert lazy.edge_list() == model.edges()
+        assert list(lazy.arcs()) == model.arcs()
+        assert lazy.max_degree() == max(len(a) for a in model.adj)
+        for v in range(n):
+            assert list(lazy.neighbors(v)) == list(model.adj[v])
+            assert list(lazy.neighbor_list(v)) == list(model.adj[v])
+            assert lazy.degree(v) == len(model.adj[v])
+
+    def test_emptied_row_iterates_like_the_eager_set(self):
+        """A row that grew and emptied keeps its set: re-added neighbours
+        then iterate in the grown table's order, not a fresh set's."""
+        lazy, model = AdjacencySetBackend(12), EagerAdjacencySets(12)
+        for backend in (lazy, model):
+            for v in range(1, 8):
+                backend.add_edge(0, v)
+            for v in range(1, 8):
+                backend.remove_edge(0, v)
+            backend.add_edge(0, 9)
+            backend.add_edge(0, 2)
+        assert list(model.adj[0]) == [2, 9]  # a fresh set gives [9, 2]
+        assert list(lazy.neighbors(0)) == list(model.adj[0])
+        assert list(lazy.edges()) == model.edges()
+
+    def test_isolated_vertex_has_no_neighbours(self):
+        g = Graph(3, [(0, 1)])
+        assert set(g.neighbors(2)) == set() and list(g.neighbor_list(2)) == []
+        assert g.degree(2) == 0 and g.max_degree() == 1
+        clone = g.copy()
+        clone.add_edge(1, 2)
+        assert g.degree(2) == 0 and clone.degree(2) == 1
+
+    @pytest.mark.parametrize("bad", [(1, 1), (0, 5)])
+    def test_bulk_error_keeps_the_edges_before_it(self, bad):
+        with pytest.raises(ValueError) as single:
+            Graph(3).add_edge(*bad)
+        g = Graph(3)
+        with pytest.raises(ValueError) as bulk:
+            g.add_edges([(0, 1), bad])
+        assert str(bulk.value) == str(single.value)
+        assert g.has_edge(0, 1)
+        assert g.m == len(g.edge_list()) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for the static boosting framework (Section 5 / Theorem 1.1)."""
 
+import dataclasses
+
 import pytest
 
 from repro.graph.generators import blossom_gadget, disjoint_paths, erdos_renyi
@@ -8,6 +10,7 @@ from repro.matching.blossom import maximum_matching_size
 from repro.matching.matching import Matching
 from repro.matching.verify import certify_approximation
 from repro.instrumentation.counters import Counters
+from repro.core import boosting
 from repro.core.boosting import (
     BoostingFramework,
     boost_matching,
@@ -15,9 +18,49 @@ from repro.core.boosting import (
     build_structure_graph,
 )
 from repro.core.config import ParameterProfile
+from repro.core.eligibility import EligibilityIndex, stage_right_vertices
 from repro.core.oracles import ExactMatchingOracle, GreedyMatchingOracle, RandomGreedyMatchingOracle
 from repro.core.operations import overtake_op
 from repro.core.structures import PhaseState
+from repro.mpc.boost_mpc import mpc_boosted_matching
+
+from conftest import table1_graph
+
+
+def eligible_working_nodes(state, stage):
+    """The left part of ``H'_s``: eligible working nodes, structure order."""
+    return [structure.working for structure in state.structures.values()
+            if state.eligible_stage(structure) == stage]
+
+
+def reference_stage_graph(state, stage):
+    """Reference ``H'_s`` builder, scalar and index-free.
+
+    It scans every structure for the left part, indexes the whole right
+    side in a dict and a set, and classifies each candidate arc with the
+    full :meth:`PhaseState.arc_type`.
+    """
+    left_nodes = eligible_working_nodes(state, stage)
+    if not left_nodes:
+        return Graph(0), {}, 0
+    right_vertices = stage_right_vertices(state, stage)
+    left_index = {id(node): i for i, node in enumerate(left_nodes)}
+    right_index = {v: len(left_nodes) + i for i, v in enumerate(right_vertices)}
+    hs = Graph(len(left_nodes) + len(right_vertices))
+    witness = {}
+    right_set = set(right_vertices)
+    for node in left_nodes:
+        i = left_index[id(node)]
+        for x in node.vertices:
+            candidates = [y for y in state.sorted_neighbors(x)
+                          if y in right_set]
+            for y in candidates:
+                if state.arc_type(x, y) != 3:
+                    continue
+                j = right_index[y]
+                if hs.add_edge(i, j):
+                    witness[(i, j)] = (x, y)
+    return hs, witness, len(left_nodes)
 
 
 class TestInitialMatching:
@@ -66,7 +109,8 @@ class TestDerivedGraphs:
         m = Matching(4, [(1, 2)])
         state = PhaseState(g, m, ell_max=8)
         state.init_structures()
-        hs, witness, num_left = build_stage_graph(state, stage=0)
+        hs, witness, num_left = build_stage_graph(
+            state, 0, eligible_working_nodes(state, 0))
         # left: the two singleton structures 0 and 3; right: vertices 1 and 2
         assert num_left == 2
         assert hs.m == 2  # (0,1) and (3,2) are both 0-feasible
@@ -75,8 +119,87 @@ class TestDerivedGraphs:
 
     def test_stage_graph_excludes_wrong_stage(self):
         state = self._grown_state()
-        hs, witness, num_left = build_stage_graph(state, stage=5)
+        hs, witness, num_left = build_stage_graph(
+            state, 5, eligible_working_nodes(state, 5))
         assert hs.m == 0
+
+    def test_stage_graph_skips_the_working_nodes_ancestors(self):
+        """P2: an inner ancestor on the right side gets no edge."""
+        # structure 0 - 1 = 2 - 3 = 4 with working vertex 4 at distance 2;
+        # 4 is adjacent to its inner ancestor 1 and to the unvisited
+        # matched vertex 5
+        g = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 4), (4, 5),
+                      (5, 6)])
+        m = Matching(7, [(1, 2), (3, 4), (5, 6)])
+        state = PhaseState(g, m, ell_max=8)
+        state.init_structures()
+        overtake_op(state, 0, 1, 1)
+        overtake_op(state, 2, 3, 2)
+        structure = state.structures[0]
+        structure.reset_marks(limit=100)  # a new pass-bundle
+        assert structure.working.vertices == [4]
+        # relabel the ancestor's matched edge beyond the stage by hand, so
+        # that only P2 keeps vertex 1 out of H'_s
+        state.set_label(1, 2, 5)
+        left = eligible_working_nodes(state, 2)
+        assert left == [structure.working]
+        assert 1 in stage_right_vertices(state, 2)
+        hs, witness, num_left = build_stage_graph(state, 2, left)
+        ref, ref_witness, ref_left = reference_stage_graph(state, 2)
+        assert (hs.n, hs.edge_list(), witness, num_left) == (
+            ref.n, ref.edge_list(), ref_witness, ref_left)
+        assert [y for _, y in witness.values()] == [5]
+
+
+class TestStageGraphReference:
+    """The stage-indexed driver against :func:`reference_stage_graph`.
+
+    At every ``H'_s`` build of seeded Section 5 runs, the new builder (fed
+    by the eligibility index) must return the reference's vertex count,
+    edge insertion order, witness map and left size; after every overtake
+    the index must equal a fresh :meth:`PhaseState.eligible_stage` scan.
+    """
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        tally = {"builds": 0, "edges": 0, "overtakes": 0}
+        build = boosting.build_stage_graph
+        overtake = EligibilityIndex.overtake
+        stages = ParameterProfile.practical(0.25).stages()
+
+        def checked_build(state, stage, left_nodes):
+            hs, witness, num_left = build(state, stage, left_nodes)
+            ref, ref_witness, ref_left = reference_stage_graph(state, stage)
+            assert hs.n == ref.n
+            assert hs.edge_list() == ref.edge_list()
+            assert list(witness.items()) == list(ref_witness.items())
+            assert num_left == ref_left
+            tally["builds"] += 1
+            tally["edges"] += hs.m
+            return hs, witness, num_left
+
+        def checked_overtake(self, x, y, stage):
+            overtake(self, x, y, stage)
+            self.verify(stages)
+            tally["overtakes"] += 1
+
+        monkeypatch.setattr(boosting, "build_stage_graph", checked_build)
+        monkeypatch.setattr(EligibilityIndex, "overtake", checked_overtake)
+        return tally
+
+    @pytest.mark.parametrize("engine", ["array", "reference", "kernel"])
+    def test_seeded_runs(self, checked, engine):
+        profile = dataclasses.replace(ParameterProfile.practical(0.25),
+                                      engine=engine)
+        for seed in range(3):
+            graph = table1_graph(40, 2, seed)
+            boost_matching(graph, 0.25, profile=profile, seed=seed,
+                           check_invariants=True).validate(graph)
+            matching, _ = mpc_boosted_matching(graph, 0.25, profile=profile,
+                                               seed=seed)
+            matching.validate(graph)
+        assert checked["builds"] > 0 and checked["edges"] > 0
+        assert checked["overtakes"] > 0
 
 
 class TestEndToEnd:

@@ -11,6 +11,7 @@ import os
 import textwrap
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bench import registry, runner
 from repro.congest.simulator import (
@@ -18,6 +19,7 @@ from repro.congest.simulator import (
     CongestSimulator,
     MessageTooLarge,
 )
+from repro.exec import words
 from repro.exec import (
     ProcessExecutor,
     SerialExecutor,
@@ -87,6 +89,83 @@ class TestPayloadWords:
         # an unsizable element poisons its container under the strict rule
         assert payload_words((1, Opaque())) is None
         assert payload_words((1, Opaque()), default=1) == 2
+
+
+def generic_words(payload, default=None):
+    """The sizing rule spelled out with no fast path: what
+    :func:`payload_words` must return for every payload."""
+    if isinstance(payload, (int, float, bool, type(None))):
+        return 1
+    if isinstance(payload, (str, bytes, bytearray)):
+        if isinstance(payload, str):
+            nbytes = len(payload.encode("utf-8", "surrogatepass"))
+        else:
+            nbytes = len(payload)
+        return max(1, (nbytes + 7) // 8)
+    if isinstance(payload, (tuple, list, set, frozenset)):
+        total = 0
+        for item in payload:
+            item_words = generic_words(item, default)
+            if item_words is None:
+                return None
+            total += item_words
+        return max(1, total)
+    if isinstance(payload, dict):
+        total = 0
+        for key, value in payload.items():
+            key_words = generic_words(key, default)
+            value_words = generic_words(value, default)
+            if key_words is None or value_words is None:
+                return None
+            total += key_words + value_words
+        return max(1, total)
+    return default
+
+
+class _Unsizable:
+    pass
+
+
+_ASCII = st.characters(max_codepoint=127)
+_LEAVES = st.one_of(
+    st.integers(), st.booleans(), st.floats(), st.none(),
+    st.text(alphabet=_ASCII, max_size=12),
+    # around the 8-byte word boundary, where the fast path stops
+    st.text(alphabet=_ASCII, min_size=7, max_size=10),
+    st.text(min_size=1, max_size=9), st.binary(max_size=20),
+    st.builds(_Unsizable))
+_KEYS = st.one_of(st.integers(), st.booleans(), st.text(max_size=10))
+PAYLOADS = st.recursive(_LEAVES, lambda children: st.one_of(
+    st.lists(children, max_size=5).map(tuple),
+    st.lists(children, max_size=5),
+    st.sets(_KEYS, max_size=5), st.frozensets(_KEYS, max_size=5),
+    st.dictionaries(_KEYS, children, max_size=4)), max_leaves=20)
+
+
+class TestPayloadWordsFastPath:
+    @given(PAYLOADS, st.sampled_from([None, 1, 3]))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_generic_rule(self, payload, default):
+        assert payload_words(payload, default) == generic_words(payload,
+                                                                default)
+
+    def test_paths_taken(self, monkeypatch):
+        seen = []
+        generic = words._generic_words
+
+        def spy(payload, default):
+            seen.append(payload)
+            return generic(payload, default)
+
+        monkeypatch.setattr(words, "_generic_words", spy)
+        # an MPC proposal message and its parts never leave the fast path
+        for payload in (7, (1, 2), ("cand", 3, (4, 5)), "12345678", ""):
+            payload_words(payload)
+        assert seen == []
+        for payload in (True, "123456789", "日", 1.5, None, [1]):
+            seen.clear()
+            payload_words(payload)
+            assert seen == [payload]
 
 
 # ---------------------------------------------------------------- executors

@@ -36,11 +36,12 @@ from repro.core.config import ParameterProfile
 from repro.core.dynamic_boosting import WeakOracleBoostingFramework
 from repro.dynamic.fully_dynamic import FullyDynamicMatching
 from repro.dynamic.weak_oracles import GreedyInducedWeakOracle
-from repro.graph.generators import disjoint_paths, erdos_renyi
-from repro.graph.graph import Graph
+from repro.graph.generators import erdos_renyi
 from repro.instrumentation.counters import Counters
 from repro.mpc import boost_mpc
 from repro.workloads import planted_matching_churn
+
+from conftest import table1_graph
 
 EPS = 0.25
 FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
@@ -84,17 +85,6 @@ def cold_run(engine: str = "array") -> dict:
     return _record(matching, counters, framework.rng)
 
 
-def table1_graph() -> Graph:
-    """G(96, p) with average degree 4 plus four disjoint 9-edge paths: the
-    shape of the Table 1 instances, small enough for tier-1."""
-    er = erdos_renyi(96, 4 / 95, seed=0)
-    paths = disjoint_paths(4, 9)
-    graph = Graph(er.n + paths.n)
-    graph.add_edges(er.edges())
-    graph.add_edges((er.n + u, er.n + v) for u, v in paths.edges())
-    return graph
-
-
 class _Recording(boosting.BoostingFramework):
     """A BoostingFramework that remembers the instances built from it."""
 
@@ -106,11 +96,11 @@ class _Recording(boosting.BoostingFramework):
 
 
 def static_run(wrapper: str, engine: str = "array") -> dict:
-    """Solve :func:`table1_graph` with ``mpc_boosted_matching`` (``"mpc"``)
-    or ``boost_matching`` on the greedy oracle (``"greedy"``)."""
+    """Solve a small Table-1-shaped graph with ``mpc_boosted_matching``
+    (``"mpc"``) or ``boost_matching`` on the greedy oracle (``"greedy"``)."""
     profile = dataclasses.replace(ParameterProfile.practical(EPS),
                                   engine=engine)
-    graph = table1_graph()
+    graph = table1_graph(96, 4, seed=0)
     counters = Counters()
     module = boost_mpc if wrapper == "mpc" else boosting
     _Recording.built = []

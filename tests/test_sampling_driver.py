@@ -1,6 +1,6 @@
 """The Section 6.6 sampling driver's eligibility index and sample tables.
 
-:class:`~repro.core.dynamic_boosting.EligibilityIndex` is built once per
+:class:`~repro.core.eligibility.EligibilityIndex` is built once per
 Extend-Active-Path call and patched after every overtake instead of
 re-scanned.  These tests check, after every single overtake of seeded cold
 runs and churn streams, that the patched index (per-structure stages,
@@ -16,9 +16,9 @@ import random
 import pytest
 
 from repro.core.config import ParameterProfile
-from repro.core.dynamic_boosting import (EligibilityIndex,
-                                         SamplingOracleDriver,
+from repro.core.dynamic_boosting import (SamplingOracleDriver,
                                          WeakOracleBoostingFramework)
+from repro.core.eligibility import EligibilityIndex
 from repro.core.operations import overtake_op
 from repro.core.structures import PhaseState
 from repro.dynamic.fully_dynamic import FullyDynamicMatching

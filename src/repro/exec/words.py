@@ -37,33 +37,27 @@ def payload_words(payload: object, default: Optional[int] = None) -> Optional[in
       caller can reject the payload (CONGEST under ``strict=True``) --
       an unsizable element makes its whole container unsizable.
 
-    Exact ints, tuples and ASCII strings of at most 8 characters -- every
-    message the MPC matching program sends -- take a fast path that returns
-    the same value without the isinstance chain or the UTF-8 encode.
+    Exact ints and ASCII strings of at most 8 characters -- every message
+    the MPC matching program sends is one, or a tuple of them -- are sized
+    before the isinstance chain and without the UTF-8 encode, both at the
+    top and per item of a container.
     """
     kind = type(payload)
-    if kind is int:
+    if kind is int or (kind is str and len(payload) <= 8 and payload.isascii()):
         return 1
-    if kind is tuple:
+    if kind is tuple or isinstance(payload, (tuple, list, set, frozenset)):
         total = 0
         for item in payload:
             item_kind = type(item)
             if item_kind is int or (item_kind is str and len(item) <= 8
                                     and item.isascii()):
                 total += 1
-            else:
-                words = payload_words(item, default)
-                if words is None:
-                    return None
-                total += words
+                continue
+            words = payload_words(item, default)
+            if words is None:
+                return None
+            total += words
         return max(1, total)
-    if kind is str and len(payload) <= 8 and payload.isascii():
-        return 1
-    return _generic_words(payload, default)
-
-
-def _generic_words(payload: object, default: Optional[int]) -> Optional[int]:
-    """:func:`payload_words` without the fast path (the sizing rule itself)."""
     if isinstance(payload, _SCALAR_TYPES):
         return 1
     if isinstance(payload, (str, bytes, bytearray)):
@@ -74,14 +68,6 @@ def _generic_words(payload: object, default: Optional[int]) -> Optional[int]:
         else:
             nbytes = len(payload)
         return max(1, (nbytes + _BYTES_PER_WORD - 1) // _BYTES_PER_WORD)
-    if isinstance(payload, (tuple, list, set, frozenset)):
-        total = 0
-        for item in payload:
-            words = payload_words(item, default)
-            if words is None:
-                return None
-            total += words
-        return max(1, total)
     if isinstance(payload, dict):
         total = 0
         for key, value in payload.items():

@@ -271,38 +271,23 @@ class AdjacencySetBackend(GraphBackend):
         n = self._n
         if not (0 <= u < n and 0 <= v < n) or u == v:
             self._check_edge(u, v)  # raises the matching error
-        return self._insert(u, v)
-
-    def _insert(self, u: int, v: int) -> bool:
-        """Insert the validated edge ``{u, v}``; return whether it is new."""
         adj = self._adj
         row = adj[u]
         if v in row:
             return False
-        if row is _NO_NEIGHBOURS:
+        # the empty row is told apart by type, not identity: pickling or
+        # deep-copying a graph rebuilds it as a new frozenset
+        if type(row) is frozenset:
             adj[u] = {v}
         else:
             row.add(v)
         row = adj[v]
-        if row is _NO_NEIGHBOURS:
+        if type(row) is frozenset:
             adj[v] = {u}
         else:
             row.add(u)
         self._m += 1
         return True
-
-    def add_edges(self, edges: Iterable[Edge]) -> int:
-        """Insert many edges in order; stop at the first invalid one with
-        :meth:`add_edge`'s error, keeping the edges inserted before it."""
-        n = self._n
-        insert = self._insert
-        added = 0
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n) or u == v:
-                self._check_edge(u, v)  # raises the matching error
-            if insert(u, v):
-                added += 1
-        return added
 
     def remove_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
@@ -337,20 +322,14 @@ class AdjacencySetBackend(GraphBackend):
         return max(len(a) for a in self._adj)
 
     def edges(self) -> Iterator[Edge]:
-        for u in range(self._n):
+        # compress steps over edgeless vertices at C speed
+        for u in compress(range(self._n), self._adj):
             for v in self._adj[u]:  # repro: allow[set-iteration] -- int keys hash to themselves: order is a pure function of the update sequence, independent of PYTHONHASHSEED; sorting would slow the baseline's hot path and shift its trace-pinned historical order
                 if u < v:
                     yield (u, v)
 
-    def edge_list(self) -> List[Edge]:
-        """:meth:`edges` as a list, stepping over edgeless vertices at C
-        speed (``compress`` keeps the rows that are non-empty)."""
-        adj = self._adj
-        return [(u, v) for u, row in compress(enumerate(adj), adj)
-                for v in row if u < v]
-
     def arcs(self) -> Iterator[Edge]:
-        for u in range(self._n):
+        for u in compress(range(self._n), self._adj):
             for v in self._adj[u]:  # repro: allow[set-iteration] -- int keys hash to themselves: order is a pure function of the update sequence, independent of PYTHONHASHSEED (see edges())
                 yield (u, v)
 

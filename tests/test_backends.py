@@ -9,7 +9,9 @@ end-to-end checks on the generator workloads and a smoke run of
 
 from __future__ import annotations
 
+import copy
 import os
+import pickle
 import sys
 
 import numpy as np
@@ -300,6 +302,17 @@ class TestLazyAdjacencyRows:
         clone = g.copy()
         clone.add_edge(1, 2)
         assert g.degree(2) == 0 and clone.degree(2) == 1
+
+    @pytest.mark.parametrize("clone", [
+        lambda g: pickle.loads(pickle.dumps(g)), copy.deepcopy],
+        ids=["pickle", "deepcopy"])
+    def test_round_trip_keeps_empty_rows_growable(self, clone):
+        """Both rebuild the shared empty row as a new frozenset; a vertex
+        that was isolated must still take its first edge."""
+        g = clone(Graph(4, [(0, 1)]))
+        assert g.add_edge(2, 3) and g.add_edge(1, 2)
+        assert g.m == 3
+        assert g.edge_list() == [(0, 1), (1, 2), (2, 3)]
 
     @pytest.mark.parametrize("bad", [(1, 1), (0, 5)])
     def test_bulk_error_keeps_the_edges_before_it(self, bad):

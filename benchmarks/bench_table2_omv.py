@@ -17,8 +17,6 @@ substituted by the simulator.
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro.core.config import ParameterProfile
@@ -83,16 +81,12 @@ def test_table2_omv(benchmark):
 # ------------------------------------------------------------ repro.bench
 @register("table2_omv", suite="table2", backends=("adjset", "csr"),
           description="OMv-backed weak oracle inside the dynamic maintainer: "
-                      "query/probe/update counts (kernel engine tier)")
+                      "query/probe/update counts")
 def _table2_omv_scenario(spec, counters):
     eps = spec.resolved_eps()
     pairs, rounds = (8, 2) if spec.smoke else (12, 3)
     updates = planted_matching_churn(pairs, rounds=rounds, seed=spec.seed)
-    # engine="kernel" routes hot passes through the packed-bitset kernels;
-    # byte-identical to "array" (pinned by tests/test_engine_parity.py), so
-    # the counter columns stay comparable against historical records
-    profile = dataclasses.replace(ParameterProfile.practical(eps),
-                                  engine="kernel")
+    profile = ParameterProfile.practical(eps)
     alg = FullyDynamicMatching(
         updates.n, eps, counters=counters, seed=spec.seed,
         backend=spec.backend, profile=profile,

@@ -14,32 +14,34 @@ Top-level convenience re-exports; see the sub-packages for the full API:
 * :mod:`repro.instrumentation` -- counters and benchmark reporting.
 """
 
-from repro.graph import Graph, DynamicGraph
-from repro.matching import Matching, maximum_matching, greedy_maximal_matching
-from repro.core import (
-    ParameterProfile,
-    semi_streaming_matching,
-    boost_matching,
-    boost_matching_weak,
-    BoostingFramework,
-    WeakOracleBoostingFramework,
-)
-from repro.instrumentation import Counters
+from __future__ import annotations
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Graph",
-    "DynamicGraph",
-    "Matching",
-    "maximum_matching",
-    "greedy_maximal_matching",
-    "ParameterProfile",
-    "semi_streaming_matching",
-    "boost_matching",
-    "boost_matching_weak",
-    "BoostingFramework",
-    "WeakOracleBoostingFramework",
-    "Counters",
-    "__version__",
-]
+# Re-exports load on first attribute access, so importing a stdlib-only
+# sub-package (``repro.analysis``) does not pull in NumPy.
+_LAZY = {
+    "Graph": "repro.graph",
+    "DynamicGraph": "repro.graph",
+    "Matching": "repro.matching",
+    "maximum_matching": "repro.matching",
+    "greedy_maximal_matching": "repro.matching",
+    "ParameterProfile": "repro.core",
+    "semi_streaming_matching": "repro.core",
+    "boost_matching": "repro.core",
+    "boost_matching_weak": "repro.core",
+    "BoostingFramework": "repro.core",
+    "WeakOracleBoostingFramework": "repro.core",
+    "Counters": "repro.instrumentation",
+}
+
+__all__ = [*_LAZY, "__version__"]
+
+
+def __getattr__(name: str):
+    target = _LAZY.get(name)
+    if target is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    return getattr(importlib.import_module(target), name)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Set
 
 from repro.analysis import pragmas as pragmas_mod
 from repro.analysis.baseline import Baseline
@@ -53,6 +53,23 @@ class SourceFile:
         col = getattr(node, "col_offset", 0)
         return Finding(rule=rule_id, path=self.rel, line=lineno, col=col,
                        message=message, context=self.line_text(lineno))
+
+    def numpy_names(self) -> Set[str]:
+        """Names the module's imports bind to the ``numpy`` package.
+
+        ``import numpy`` binds ``numpy``, ``import numpy as _np`` binds
+        ``_np``, and ``import numpy.random`` binds the top-level package
+        name -- at any nesting level, so a function-local import counts.
+        """
+        names: Set[str] = set()
+        if self.tree is None:
+            return names
+        for node in ast.walk(self.tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name in ("numpy", "numpy.random"):
+                        names.add(alias.asname or "numpy")
+        return names
 
 
 def module_name_for(path: Path) -> str:

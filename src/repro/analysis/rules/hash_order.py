@@ -364,18 +364,13 @@ def check_unseeded_random(source) -> Iterator[Finding]:
     if source.tree is None or source.module == "repro.utils.seeding":
         return iter(())
     random_names: Set[str] = set()
-    numpy_names: Set[str] = set()
+    numpy_names = source.numpy_names()
     direct_draws: Set[str] = set()
     for node in ast.walk(source.tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name == "random":
                     random_names.add(alias.asname or "random")
-                elif alias.name == "numpy":
-                    numpy_names.add(alias.asname or "numpy")
-                elif alias.name == "numpy.random":
-                    # "import numpy.random" binds the top-level package name
-                    numpy_names.add(alias.asname or "numpy")
         elif isinstance(node, ast.ImportFrom):
             if node.module == "random":
                 for alias in node.names:

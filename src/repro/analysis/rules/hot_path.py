@@ -15,6 +15,9 @@ declared :func:`repro.utils.contracts.hot_path` must not
 * allocate per call via ``np.asarray``/``np.array``/``np.zeros``/
   ``np.ones``/``np.empty``/``np.full``/``np.arange``/``np.fromiter``.
 
+``np`` stands for whatever name the module's imports bind to NumPy
+(``import numpy as _np`` makes ``_np.zeros`` an allocation too).
+
 Only the decorated function's own body is checked (callees are the
 decorated function's responsibility to declare); a justified pragma marks
 the intentional exceptions, e.g. a bounded materialization of an iterable
@@ -25,13 +28,12 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Set
 
 from repro.analysis.findings import Finding
 from repro.analysis.registry import rule
 
 _ARRAY_NAME = re.compile(r"(^|_)(arr|array)s?$")
-_NP_BASES = ("np", "numpy")
 _NP_ALLOCATORS = frozenset({
     "asarray", "array", "zeros", "ones", "empty", "full", "arange",
     "fromiter",
@@ -58,7 +60,7 @@ def _terminal_name(node: ast.AST) -> Optional[str]:
     return None
 
 
-def _looks_like_array(node: ast.AST) -> bool:
+def _looks_like_array(node: ast.AST, np_names: Set[str]) -> bool:
     name = _terminal_name(node)
     if name is not None and _ARRAY_NAME.search(name):
         return True
@@ -66,12 +68,13 @@ def _looks_like_array(node: ast.AST) -> bool:
         func = node.func
         if (isinstance(func, ast.Attribute)
                 and isinstance(func.value, ast.Name)
-                and func.value.id in _NP_BASES):
+                and func.value.id in np_names):
             return True
     return False
 
 
-def _check_body(source, fn: ast.AST, out: List[Finding]) -> None:
+def _check_body(source, fn: ast.AST, np_names: Set[str],
+                out: List[Finding]) -> None:
     label = f"@hot_path {getattr(fn, 'name', '<lambda>')!r}"
     for node in ast.walk(fn):
         if isinstance(node, ast.Call):
@@ -87,13 +90,14 @@ def _check_body(source, fn: ast.AST, out: List[Finding]) -> None:
             elif (isinstance(func, ast.Attribute)
                   and func.attr in _NP_ALLOCATORS
                   and isinstance(func.value, ast.Name)
-                  and func.value.id in _NP_BASES):
+                  and func.value.id in np_names):
                 out.append(source.finding(
                     "hot-path-alloc", node,
                     f"{label} allocates per call via "
                     f"{func.value.id}.{func.attr}(...); hoist the buffer "
                     "out of the update path"))
-        elif isinstance(node, ast.For) and _looks_like_array(node.iter):
+        elif (isinstance(node, ast.For)
+              and _looks_like_array(node.iter, np_names)):
             out.append(source.finding(
                 "hot-path-alloc", node,
                 f"{label} runs a Python-level for loop over a NumPy "
@@ -101,7 +105,7 @@ def _check_body(source, fn: ast.AST, out: List[Finding]) -> None:
         elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
                                ast.GeneratorExp)):
             for comp in node.generators:
-                if _looks_like_array(comp.iter):
+                if _looks_like_array(comp.iter, np_names):
                     out.append(source.finding(
                         "hot-path-alloc", node,
                         f"{label} iterates a NumPy array in a "
@@ -113,9 +117,10 @@ def _check_body(source, fn: ast.AST, out: List[Finding]) -> None:
 def check_hot_path_alloc(source) -> Iterator[Finding]:
     if source.tree is None:
         return iter(())
+    np_names = source.numpy_names()
     out: List[Finding] = []
     for node in ast.walk(source.tree):
         if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                 and _has_hot_path_decorator(node)):
-            _check_body(source, node, out)
+            _check_body(source, node, np_names, out)
     return iter(out)

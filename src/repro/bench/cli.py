@@ -256,13 +256,10 @@ def _print_scenarios(selected) -> int:
     suites = sorted({s.suite for s in selected})
     print(f"\nsuites: {', '.join(suites) or '(none)'}")
     if any("workload" in s.selectors for s in selected):
-        try:
-            from repro.workloads import workload_names
+        from repro.workloads import workload_names
 
-            names = ", ".join(workload_names() + ["trace:<path>"])
-            print(f"workload specs (--workload): {names}")
-        except ImportError:  # pragma: no cover - workloads ships with repro
-            pass
+        names = ", ".join(workload_names() + ["trace:<path>"])
+        print(f"workload specs (--workload): {names}")
     return 0
 
 

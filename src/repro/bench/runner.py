@@ -216,9 +216,8 @@ def profile_specs(work: Iterable[Tuple[Scenario, RunSpec]], out_dir,
         stats.sort_stats("cumulative").print_stats(top)
         kernel_rows = kernels.timing_table()
         if kernel_rows:
-            buffer.write(f"\n# packed-bitset kernels "
-                         f"(backend={kernels.active_backend()}), "
-                         f"descending by total time\n")
+            buffer.write("\n# packed-bitset kernels, "
+                         "descending by total time\n")
             buffer.write(f"{'kernel':<24}{'calls':>10}{'total_ms':>12}"
                          f"{'per_call_us':>14}\n")
             for name, calls, total_ns in kernel_rows:

@@ -32,11 +32,13 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.exec import PicklabilityProbe, contiguous_chunks, payload_words, resolve_executor
 from repro.exec.executor import Executor, ExecutorSpec
 from repro.exec.isolation import resolve_isolation
 from repro.exec.pool import run_vertex_chunk
-from repro.graph.backends import CSRBackend, _np
+from repro.graph.backends import CSRBackend
 from repro.graph.graph import Graph
 from repro.instrumentation.counters import Counters
 from repro.resilience import faults as faults_mod
@@ -173,14 +175,13 @@ class CongestSimulator:
                 dests.append(dest)
                 messages.append(message)
 
-        fast = (_np is not None
-                and len(messages) >= _FAST_PATH_MIN_MESSAGES
+        fast = (len(messages) >= _FAST_PATH_MIN_MESSAGES
                 and isinstance(self.graph.backend, CSRBackend)
                 and all(isinstance(m, (tuple, list)) for m in messages))
         if fast:
             ok = self.graph.edge_mask(senders, dests)
             if not bool(ok.all()):
-                bad = int(_np.argmin(ok))
+                bad = int(np.argmin(ok))
                 raise ValueError(
                     f"vertex {senders[bad]} tried to message non-neighbor "
                     f"{dests[bad]}")

@@ -26,11 +26,6 @@ import random
 from bisect import bisect_left
 from typing import Dict, Optional, Sequence, Tuple
 
-try:  # the packed-bitset kernel tier rides on numpy too
-    from repro.core import kernels
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    kernels = None  # type: ignore[assignment]
-
 from repro.graph.graph import Graph
 from repro.matching.matching import Matching
 from repro.instrumentation.counters import Counters
@@ -66,7 +61,7 @@ def build_structure_graph(state: PhaseState) -> Tuple[Graph, Dict[Edge, Edge]]:
     structures = state.live_structures()
     index = {id(s): i for i, s in enumerate(structures)}
     witness: Dict[Edge, Edge] = {}
-    if state.engine in ("array", "kernel"):
+    if state.engine == "array":
         eu, ev = state.edge_arrays()
         idx = _type2_candidates(state)
         candidates = list(zip(eu[idx].tolist(), ev[idx].tolist()))
@@ -119,12 +114,6 @@ def build_stage_graph(state: PhaseState, stage: int,
     right = stage_right_vertices(state, stage)
     num_left = len(left_nodes)
     witness: Dict[Edge, Edge] = {}
-    # kernel engine: one AND sweep of the packed adjacency row against the
-    # packed right set leaves only right-side neighbours, in the ascending
-    # order the scalar walk visits them
-    packed = state.packed_adjacency() if state.engine == "kernel" else None
-    if packed is not None:
-        right_bits = kernels.int_from_indices(right)
     node_of = state.node_of
     removed = state.removed
     vlabel = state.vlabel
@@ -133,12 +122,7 @@ def build_stage_graph(state: PhaseState, stage: int,
     for i, node in enumerate(left_nodes):
         structure = node.structure
         for x in node.vertices:
-            if packed is not None:
-                candidates = kernels.bits_of_int(
-                    state.packed_int_row(x) & right_bits)
-            else:
-                candidates = sorted_neighbors(x)
-            for y in candidates:
+            for y in sorted_neighbors(x):
                 # the right side, tested in place (a free vertex keeps label
                 # 0, so the label test also rules out unmatched neighbours),
                 # then P2

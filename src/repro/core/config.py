@@ -100,13 +100,10 @@ class ParameterProfile:
     oracle_c: float = 2.0
     backend: Optional[str] = None
     #: phase-engine selector: ``"array"`` (vectorized candidate generation,
-    #: the default), ``"kernel"`` (the array engine plus packed-bitset
-    #: word-parallel sweeps from :mod:`repro.core.kernels` on the hot
-    #: candidate passes; degrades to plain array behaviour when the packed
-    #: adjacency would blow the memory budget) or ``"reference"`` (the
-    #: scalar path, kept byte-identical for the parity suite; also the
-    #: fallback when NumPy is missing).  All three engines are
-    #: byte-identical -- same matchings, same counters, same rng stream.
+    #: the default) or ``"reference"`` (the scalar path, kept as the parity
+    #: oracle).  Both engines are byte-identical -- same matchings, same
+    #: counters, same rng stream; any other name is rejected by
+    #: :class:`~repro.core.structures.PhaseState`.
     engine: str = "array"
     #: epoch-repair selector for the dynamic maintainers: ``"rebuild"`` (the
     #: default -- every epoch boundary reconstructs the per-phase state from

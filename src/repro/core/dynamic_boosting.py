@@ -32,11 +32,6 @@ from typing import List, Optional, Tuple
 
 from repro.graph.graph import Graph
 from repro.matching.matching import Matching
-
-try:  # the packed-bitset kernel tier needs numpy
-    from repro.core import kernels
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    kernels = None  # type: ignore[assignment]
 from repro.instrumentation.counters import Counters
 from repro.core.config import ParameterProfile
 from repro.core.eligibility import EligibilityIndex
@@ -126,14 +121,8 @@ class SamplingOracleDriver:
 
         An in-structure overtake changes only its own structure, so the
         structures eligible when the sweep starts are exactly the ones it
-        must visit.  The kernel engine replaces the per-neighbour membership
-        filter with one AND of the packed adjacency row against the
-        structure's packed member mask; the surviving candidates come out in
-        the same ascending order the scalar walk tests them in, so both
-        engines perform the identical first overtake.
+        must visit.
         """
-        packed = (state.packed_adjacency() if state.engine == "kernel"
-                  else None)
         node_of = state.node_of
         vlabel = state.vlabel
         beyond = stage + 1
@@ -145,17 +134,13 @@ class SamplingOracleDriver:
             for x in list(w.vertices):
                 if done:
                     break
-                if packed is not None:
-                    candidates = kernels.bits_of_int(
-                        state.packed_int_row(x) & structure.member_bits())
-                else:
-                    # inner members labelled beyond the stage: every other
-                    # neighbour fails the arc_type test below anyway
-                    candidates = [y for y in state.sorted_neighbors(x)
-                                  if (node_y := node_of[y]) is not None
-                                  and node_y.structure is structure
-                                  and not node_y.outer
-                                  and vlabel[y] > beyond]
+                # inner members labelled beyond the stage: every other
+                # neighbour fails the arc_type test below anyway
+                candidates = [y for y in state.sorted_neighbors(x)
+                              if (node_y := node_of[y]) is not None
+                              and node_y.structure is structure
+                              and not node_y.outer
+                              and vlabel[y] > beyond]
                 for y in candidates:
                     if state.arc_type(x, y) == 3:
                         index.overtake(x, y, stage)

@@ -14,10 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-try:  # optional: the reference engine works without numpy
-    import numpy as np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.core.operations import overtake_op
 from repro.core.structures import PhaseState, Structure
@@ -34,7 +31,7 @@ def stage_right_vertices(state: PhaseState, stage: int,
     with one boolean-mask pass; the reference engine scans ``range(n)`` in
     the same ascending order.
     """
-    if state.engine in ("array", "kernel"):
+    if state.engine == "array":
         mask = (state.matched_arr & ~state.removed_arr
                 & (state.vlabel_arr > stage + 1))
         if unvisited_only:

@@ -1,42 +1,22 @@
-"""Packed-bitset kernel tier: word-parallel primitives for the hot paths.
+"""Packed-bitset kernels: word-parallel primitives for the OMv substrate.
 
-The OMv substrate proved the payoff of packing Boolean rows into machine
-words ("an honest ~64x constant factor"); this module generalises that trick
-into a reusable kernel library the rest of the stack can build on.  The
-design follows the layout-first mindset of the 2.5D sparse-matmul
-decomposition (PAPERS.md): commit to a data layout -- here little-endian
-uint64 words, bit ``j`` of a length-``n`` set living at word ``j >> 6``,
-offset ``j & 63`` -- and the operations fall out as word-parallel primitives.
+The OMv substrate (:mod:`repro.dynamic.omv`) packs Boolean rows into machine
+words ("an honest ~64x constant factor"); this module holds the primitives
+it runs on.  The design follows the layout-first mindset of the 2.5D
+sparse-matmul decomposition (PAPERS.md): commit to a data layout -- here
+little-endian uint64 words, bit ``j`` of a length-``n`` set living at word
+``j >> 6``, offset ``j & 63`` -- and the operations fall out as word-parallel
+primitives.
 
 Layout contract
 ---------------
 * A *packed set* over a universe of size ``n`` is a 1-D ``uint64`` array of
   ``words_for(n)`` words.  Bits at positions ``>= n`` in the last word are
-  zero (every kernel preserves this, so popcounts never overcount).
+  zero (every kernel preserves this).
 * A *packed matrix* is a 2-D ``uint64`` array, one packed set per row.
 * ``np.packbits``/``np.unpackbits`` (``bitorder="little"``) are used only at
-  the boundaries (:func:`pack_indicator`, :func:`unpack_words`); everything
+  the boundaries (:func:`pack_indicator`, :func:`iter_set_bits`); everything
   between operates on whole words.
-* Popcount goes through a 16-bit lookup table (:data:`POPCOUNT16`) -- the
-  words are viewed as ``uint16`` quads, gathered through the table and
-  summed, which keeps the working set at 64 KiB instead of a 2^64 table or a
-  per-bit loop.
-
-Backend selection
------------------
-``REPRO_KERNEL_BACKEND`` picks the implementation tier:
-
-* ``"numpy"`` -- the vectorized NumPy kernels below (always available);
-* ``"numba"`` -- JIT-compiled versions of the scan kernels, used only when
-  the ``numba`` package imports cleanly; on hosts without it the selection
-  *silently* degrades to ``"numpy"`` (byte-identical results, the bench
-  records which backend actually ran via :func:`active_backend`);
-* ``"auto"`` (default) -- ``"numba"`` if importable, else ``"numpy"``.
-
-Byte-identity across backends is a hard contract: every kernel returns
-bit-for-bit identical outputs under either backend (pinned by
-``tests/test_kernels.py``), so flipping the env var can never change a
-matching, a counter, or an epoch boundary.
 
 Timing registry
 ---------------
@@ -49,9 +29,8 @@ profiler can append a per-kernel table to the hotspot report.  Disabled
 
 from __future__ import annotations
 
-import os
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -60,47 +39,6 @@ from repro.utils.contracts import hot_path
 #: bits per packed word (the layout contract; do not change casually --
 #: checkpoints and fixtures encode it)
 WORD_BITS = 64
-
-#: popcount lookup table: POPCOUNT16[x] = number of set bits in the uint16 x.
-#: Built once at import via unpackbits (boundary use, not a hot path).
-POPCOUNT16: np.ndarray = (
-    np.unpackbits(np.arange(1 << 16, dtype=np.uint16).view(np.uint8))
-    .reshape(-1, 16)
-    .sum(axis=1)
-    .astype(np.uint16)
-)
-
-# --------------------------------------------------------------------------
-# backend selection
-# --------------------------------------------------------------------------
-
-_REQUESTED = os.environ.get("REPRO_KERNEL_BACKEND", "auto").strip().lower()
-if _REQUESTED not in ("auto", "numpy", "numba"):
-    raise ValueError(
-        f"REPRO_KERNEL_BACKEND must be 'auto', 'numpy' or 'numba', "
-        f"got {_REQUESTED!r}")
-
-_numba = None
-if _REQUESTED in ("auto", "numba"):
-    try:  # pragma: no cover - numba is absent on the CI image
-        import numba as _numba  # type: ignore[no-redef]
-    except ImportError:
-        # the silent fallback the tier promises: absent compiler, identical
-        # results, no warning spam on every import
-        _numba = None
-
-_ACTIVE = "numba" if _numba is not None else "numpy"
-
-
-def active_backend() -> str:
-    """The kernel backend actually in use (``"numpy"`` or ``"numba"``)."""
-    return _ACTIVE
-
-
-def requested_backend() -> str:
-    """What ``REPRO_KERNEL_BACKEND`` asked for (before auto-detection)."""
-    return _REQUESTED
-
 
 # --------------------------------------------------------------------------
 # timing registry
@@ -180,12 +118,6 @@ def pack_indicator(mask) -> np.ndarray:
     return packed_bytes.view("<u8")
 
 
-def unpack_words(words: np.ndarray, n: int) -> np.ndarray:
-    """Unpack uint64 words back to an ``n``-long boolean vector (boundary)."""
-    bits = np.unpackbits(words.view("<u1"), bitorder="little")
-    return bits[:n].astype(bool)
-
-
 #: widest universe (in words) the scalar Python-int fast paths cover; below
 #: this, arbitrary-precision int bit tricks beat per-call numpy dispatch by
 #: an order of magnitude (same threshold the OMv extractor uses)
@@ -209,11 +141,6 @@ def pack_indices(indices, n: int) -> np.ndarray:
     return words
 
 
-def set_bit(words: np.ndarray, j: int) -> None:
-    """Set bit ``j`` in a packed set, in place (O(1))."""
-    words[j >> 6] |= np.uint64(1) << np.uint64(j & 63)
-
-
 def clear_bit(words: np.ndarray, j: int) -> None:
     """Clear bit ``j`` in a packed set, in place (O(1))."""
     words[j >> 6] &= ~(np.uint64(1) << np.uint64(j & 63))
@@ -225,19 +152,10 @@ def test_bit(words: np.ndarray, j: int) -> bool:
 
 
 # --------------------------------------------------------------------------
-# word-parallel kernels (numpy backend)
+# word-parallel kernels
 # --------------------------------------------------------------------------
 
-def _popcount_words_np(words: np.ndarray) -> int:
-    quads = words.view("<u2")
-    return int(POPCOUNT16[quads].sum())
-
-
-def _any_and_rows_np(rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    return (rows & mask[None, :]).any(axis=1)
-
-
-def _first_set_bits_np(rows: np.ndarray) -> np.ndarray:
+def _lowest_set_bits(rows: np.ndarray) -> np.ndarray:
     nonzero = rows != 0
     has_any = nonzero.any(axis=1)
     word_idx = nonzero.argmax(axis=1)
@@ -252,60 +170,6 @@ def _first_set_bits_np(rows: np.ndarray) -> np.ndarray:
     return np.where(has_any, first, np.int64(-1))
 
 
-if _numba is not None:  # pragma: no cover - numba absent on the CI image
-    # Compiled scan kernels: identical arithmetic, loop-level fusion.  The
-    # dispatch below guarantees byte-identity because both tiers compute
-    # the same words -> the same integers.
-    @_numba.njit(cache=True)
-    def _popcount_words_nb(words):  # type: ignore[misc]
-        total = 0
-        for w in words:
-            x = np.uint64(w)
-            while x:
-                x &= x - np.uint64(1)
-                total += 1
-        return total
-
-    @_numba.njit(cache=True)
-    def _any_and_rows_nb(rows, mask):  # type: ignore[misc]
-        out = np.zeros(rows.shape[0], dtype=np.bool_)
-        for i in range(rows.shape[0]):
-            for j in range(rows.shape[1]):
-                if rows[i, j] & mask[j]:
-                    out[i] = True
-                    break
-        return out
-
-    @_numba.njit(cache=True)
-    def _first_set_bits_nb(rows):  # type: ignore[misc]
-        out = np.full(rows.shape[0], -1, dtype=np.int64)
-        for i in range(rows.shape[0]):
-            for j in range(rows.shape[1]):
-                w = rows[i, j]
-                if w:
-                    offset = 0
-                    while not (w >> np.uint64(offset)) & np.uint64(1):
-                        offset += 1
-                    out[i] = (j << 6) + offset
-                    break
-        return out
-
-    _popcount_impl = _popcount_words_nb
-    _any_and_impl = _any_and_rows_nb
-    _first_set_impl = _first_set_bits_nb
-else:
-    _popcount_impl = _popcount_words_np
-    _any_and_impl = _any_and_rows_np
-    _first_set_impl = _first_set_bits_np
-
-
-@_timed
-@hot_path
-def popcount_words(words: np.ndarray) -> int:
-    """Total number of set bits in a packed set (16-bit-LUT or compiled)."""
-    return _popcount_impl(words)
-
-
 @_timed
 @hot_path
 def any_and_rows(rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -314,7 +178,7 @@ def any_and_rows(rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
     This is the masked matrix product of the OMv query: row ``i`` of
     ``M v`` is 1 iff the packed row intersects the packed indicator.
     """
-    return _any_and_impl(rows, mask)
+    return (rows & mask[None, :]).any(axis=1)
 
 
 @_timed
@@ -323,10 +187,9 @@ def first_set_bits(rows: np.ndarray) -> np.ndarray:
     """Lowest set bit position per row of a packed matrix; -1 for empty rows.
 
     Because the layout is little-endian, the lowest set bit is the *minimum*
-    element of the set -- exactly the deterministic choice the scalar scans
-    make, which is what keeps the kernel tier byte-identical.
+    element of the set -- the deterministic choice the scalar scans make.
     """
-    return _first_set_impl(rows)
+    return _lowest_set_bits(rows)
 
 
 @_timed
@@ -338,23 +201,7 @@ def first_set_bit(words: np.ndarray) -> int:
         if not as_int:
             return -1
         return (as_int & -as_int).bit_length() - 1
-    return int(_first_set_impl(words.reshape(1, -1))[0])
-
-
-@_timed
-@hot_path
-def and_words(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None
-              ) -> np.ndarray:
-    """Word-parallel intersection ``a & b`` (named kernel for the profiler)."""
-    return np.bitwise_and(a, b, out=out)
-
-
-@_timed
-@hot_path
-def andnot_words(a: np.ndarray, b: np.ndarray,
-                 out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Word-parallel difference ``a & ~b`` (ANDN sweep)."""
-    return np.bitwise_and(a, np.bitwise_not(b), out=out)
+    return int(_lowest_set_bits(words.reshape(1, -1))[0])
 
 
 @_timed
@@ -381,55 +228,6 @@ def iter_set_bits(words: np.ndarray) -> List[int]:
     return out
 
 
-# --------------------------------------------------------------------------
-# int tier: row-at-a-time sweeps on arbitrary-precision ints
-# --------------------------------------------------------------------------
-# CPython bigints are themselves packed word arrays with C-level bitwise
-# ops, but without numpy's per-call dispatch overhead -- for one-row-wide
-# sweeps (the phase engine's candidate scans) they are the faster packed
-# representation at every universe size the budget gate admits.  The
-# uint64 rows stay the storage/batch/patching format; these helpers are
-# the boundary between the two.  They sit below the timing registry's
-# granularity (per-candidate calls), so they are deliberately un-_timed.
-
-def int_from_words(words: np.ndarray) -> int:
-    """The packed set as one int (same little-endian bit numbering)."""
-    return int.from_bytes(words.tobytes(), "little")
-
-
-def int_from_indices(indices) -> int:
-    """Indicator int of an index collection (int-tier ``pack_indices``).
-
-    Small collections fold shifts directly; wide ones (the stage graphs'
-    right sets) scatter into a byte mask and let ``packbits`` do the
-    packing, which amortises the per-index bigint reallocations away.
-    """
-    if len(indices) > 32:
-        arr = np.asarray(indices, dtype=np.int64)
-        mask = np.zeros(int(arr.max()) + 1, dtype=np.uint8)
-        mask[arr] = 1
-        return int.from_bytes(
-            np.packbits(mask, bitorder="little").tobytes(), "little")
-    acc = 0
-    for j in indices:
-        acc |= 1 << int(j)
-    return acc
-
-
-def bits_of_int(as_int: int) -> List[int]:
-    """Ascending bit positions of an indicator int.
-
-    ``x & -x`` isolates the lowest set bit -- the minimum element -- so the
-    output order matches the scalar reference walk's candidate order.
-    """
-    out: List[int] = []
-    while as_int:
-        low = as_int & -as_int
-        out.append(low.bit_length() - 1)
-        as_int ^= low
-    return out
-
-
 @_timed
 def select_bits(words: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """Boolean gather: whether each of ``indices`` is set in the packed set.
@@ -441,46 +239,3 @@ def select_bits(words: np.ndarray, indices: np.ndarray) -> np.ndarray:
     gathered = words[idx >> 6]
     return ((gathered >> (idx & 63).astype(np.uint64)) & np.uint64(1)
             ).astype(bool)
-
-
-def pack_adjacency(indptr: np.ndarray, indices: np.ndarray,
-                   n: int) -> np.ndarray:
-    """Packed adjacency matrix from a CSR view (one-time boundary pack).
-
-    Returns an ``(n, words_for(n))`` uint64 matrix; row ``v`` is the packed
-    neighbour set of ``v``.  O(n^2/64) memory -- callers gate on
-    :func:`packing_budget_ok` before paying it.
-    """
-    nwords = words_for(n)
-    if nwords <= SCALAR_WORDS_MAX:
-        row_bytes = nwords << 3
-        buf = bytearray(n * row_bytes)
-        ptr = np.asarray(indptr).tolist()
-        cols = np.asarray(indices).tolist()
-        for v in range(n):
-            acc = 0
-            for j in cols[ptr[v]:ptr[v + 1]]:
-                acc |= 1 << j
-            if acc:
-                buf[v * row_bytes:(v + 1) * row_bytes] = acc.to_bytes(
-                    row_bytes, "little")
-        return np.frombuffer(bytes(buf),
-                             dtype="<u8").reshape(n, nwords).copy()
-    words = np.zeros((n, nwords), dtype=np.uint64)
-    if indices.size:
-        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-        cols = indices.astype(np.int64, copy=False)
-        np.bitwise_or.at(words, (src, cols >> 6),
-                         np.uint64(1) << (cols & 63).astype(np.uint64))
-    return words
-
-
-#: default ceiling on the packed-adjacency universe: 1 << 14 vertices packs
-#: into 32 MiB of words; beyond that the kernel engine falls back to the
-#: array-tier scan (byte-identical either way)
-PACKED_ADJACENCY_MAX_N = 1 << 14
-
-
-def packing_budget_ok(n: int, limit: int = PACKED_ADJACENCY_MAX_N) -> bool:
-    """Whether an ``n``-vertex packed adjacency fits the memory budget."""
-    return 0 < n <= limit

@@ -20,15 +20,7 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Protocol, Tuple
 
-try:  # optional: PhaseState downgrades to engine="reference" without numpy
-    import numpy as np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    np = None  # type: ignore[assignment]
-
-try:  # the packed-bitset kernel tier rides on numpy too
-    from repro.core import kernels
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    kernels = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.graph.graph import Graph
 from repro.matching.matching import Matching
@@ -109,27 +101,7 @@ def _find_type1_arc(state: PhaseState, structure: Structure) -> Optional[Edge]:
     # working node (the overwhelmingly common case) walks its memoised
     # sorted neighbour list scalar-wise.  All paths scan the identical
     # candidate order, so the engines stay byte-identical either way.
-    if state.engine == "kernel" and not w.is_trivial:
-        if state.packed_adjacency() is not None:
-            # outer vertices of this structure minus the working node itself:
-            # one ANDN sweep replaces the per-candidate node/structure checks
-            mask = (structure.outer_bits()
-                    & ~kernels.int_from_indices(w.vertices))
-            mate = state.matching.mate
-            for x in w.vertices:
-                hit = state.packed_int_row(x) & mask
-                if not hit:
-                    continue
-                y = (hit & -hit).bit_length() - 1
-                if mate(x) == y:
-                    # x has exactly one mate, so at most one bit to skip
-                    hit &= hit - 1
-                    if not hit:
-                        continue
-                    y = (hit & -hit).bit_length() - 1
-                return x, y
-            return None
-    if state.engine in ("array", "kernel") and not w.is_trivial:
+    if state.engine == "array" and not w.is_trivial:
         indptr, indices = state.adjacency()
         verts = w.vertices
         chunks = [indices[indptr[x]:indptr[x + 1]] for x in verts]
@@ -207,7 +179,7 @@ def augment_pass(state: PhaseState) -> int:
     Returns the number of augmentations performed.
     """
     total = 0
-    if state.engine in ("array", "kernel"):
+    if state.engine == "array":
         eu, ev = state.edge_arrays()
         idx = _type2_candidates(state)
         candidates = zip(eu[idx].tolist(), ev[idx].tolist())

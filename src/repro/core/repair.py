@@ -53,21 +53,13 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.graph.backends import compile_csr, require_numpy
+import numpy as np
+
+from repro.graph.backends import compile_csr
 from repro.graph.graph import Graph
 from repro.matching.matching import Matching
 from repro.core.config import ParameterProfile
 from repro.utils.contracts import hot_path
-
-try:  # the packed-bitset kernel tier needs numpy (like the context itself)
-    from repro.core import kernels as _kernels
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _kernels = None  # type: ignore[assignment]
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None  # type: ignore[assignment]
 
 Edge = Tuple[int, int]
 
@@ -115,12 +107,9 @@ class RepairContext:
     the maintained matching with :meth:`bind_matching`, report every
     effective edge change via :meth:`note_update`, and pass the context down
     ``framework.run(...) -> run_phase(...)``; everything else is automatic.
-    Requires NumPy (the maintainers silently fall back to ``"rebuild"``
-    without it, mirroring the phase-engine degradation).
     """
 
     def __init__(self, graph: Graph, profile: ParameterProfile) -> None:
-        np = require_numpy("incremental epoch repair")
         self.graph = graph
         self.n = graph.n
         self.label_default = profile.label_default
@@ -152,7 +141,6 @@ class RepairContext:
         self._indices = None
         self._edge_pairs: Optional[List[Edge]] = None
         self._nbrs: Dict[int, List[int]] = {}
-        self._packed_adj = None    # packed adjacency rows (kernel engine)
         # pending[key] = True (insert) / False (delete) relative to the
         # synced views; a change that toggles an edge back to its synced
         # state removes the entry, so len(_pending) is the true dirty count
@@ -200,7 +188,7 @@ class RepairContext:
 
     def free_vertices(self) -> List[int]:
         """Ascending free vertices (same order as ``Matching.free_vertices``)."""
-        return _np.flatnonzero(self.mate_arr < 0).tolist()
+        return np.flatnonzero(self.mate_arr < 0).tolist()
 
     # ------------------------------------------------------------ dirty edges
     @hot_path
@@ -230,7 +218,6 @@ class RepairContext:
         self._indices = None
         self._edge_pairs = None
         self._nbrs.clear()
-        self._packed_adj = None
         self._pending.clear()
 
     # ------------------------------------------------------------ view syncing
@@ -241,7 +228,6 @@ class RepairContext:
             self._patch_views()
 
     def _compile_views(self) -> None:
-        np = _np
         backend = self.graph.backend
         if hasattr(backend, "edge_arrays"):
             eu, ev = backend.edge_arrays()
@@ -257,12 +243,10 @@ class RepairContext:
         self._indices = None
         self._edge_pairs = None
         self._nbrs.clear()
-        self._packed_adj = None  # repacked lazily on first packed_adjacency()
         self._pending.clear()
         self.stats["wholesale_compiles"] += 1
 
     def _patch_views(self) -> None:
-        np = _np
         pending = self._pending
         ins = sorted(k for k, p in pending.items() if p)
         dele = sorted(k for k, p in pending.items() if not p)
@@ -287,18 +271,6 @@ class RepairContext:
         self._edge_pairs = None
         if self._indptr is not None:
             self._patch_csr(dele, ins)
-        if self._packed_adj is not None:
-            # each pending edge touches exactly two packed rows: O(k) bit
-            # flips keep the kernel view in step with the patched CSR
-            words = self._packed_adj
-            for k in dele:
-                u, v = divmod(k, self.n)
-                _kernels.clear_bit(words[u], v)
-                _kernels.clear_bit(words[v], u)
-            for k in ins:
-                u, v = divmod(k, self.n)
-                _kernels.set_bit(words[u], v)
-                _kernels.set_bit(words[v], u)
         touched = set()
         for k in pending:
             touched.add(k // self.n)
@@ -316,7 +288,6 @@ class RepairContext:
         endpoint's row; the batches are tiny (at most ``patch_cap`` edges),
         so the Python loop over arcs is dwarfed by the two array rewrites.
         """
-        np = _np
         n = self.n
         indptr, indices = self._indptr, self._indices
         if dele:
@@ -381,22 +352,6 @@ class RepairContext:
             nbrs = self._nbrs[v] = indices[indptr[v]:indptr[v + 1]].tolist()
         return nbrs
 
-    def packed_adjacency(self):
-        """Packed uint64 adjacency rows (kernel engine), or ``None``.
-
-        Built once from the synced CSR when the packing budget allows it,
-        then *patched* bit-wise alongside the other frozen views -- a kernel
-        phase after a handful of updates pays O(k) bit flips, not an O(m)
-        repack.
-        """
-        self._sync_views()
-        if self._packed_adj is None:
-            if _kernels is None or not _kernels.packing_budget_ok(self.n):
-                return None
-            indptr, indices = self.adjacency()
-            self._packed_adj = _kernels.pack_adjacency(indptr, indices, self.n)
-        return self._packed_adj
-
     # ------------------------------------------------------------ attach cycle
     def attach(self, state) -> None:
         """Lend the persistent per-vertex state to ``state`` (one phase)."""
@@ -433,7 +388,7 @@ class RepairContext:
             for v in touched:
                 node_of[v] = None
                 removed[v] = False
-            idx = _np.asarray(touched, dtype=_np.int64)
+            idx = np.asarray(touched, dtype=np.int64)
             self.removed_arr[idx] = False
             self.outer_arr[idx] = False
             self.sid_arr[idx] = -1
@@ -457,7 +412,6 @@ class RepairContext:
     # ------------------------------------------------------------- validation
     def verify_views(self) -> None:
         """Test helper: synced views must equal a from-scratch recompute."""
-        np = _np
         self._sync_views()
         pairs = sorted(self.graph.edge_list())
         expect = np.fromiter((u * self.n + v for u, v in pairs),
@@ -474,12 +428,6 @@ class RepairContext:
             for v, nbrs in self._nbrs.items():
                 assert nbrs == indices[indptr[v]:indptr[v + 1]].tolist(), \
                     f"stale neighbour memo for vertex {v}"
-        if self._packed_adj is not None:
-            indptr, indices = self.adjacency()
-            for v in range(self.n):
-                assert (_kernels.iter_set_bits(self._packed_adj[v])
-                        == indices[indptr[v]:indptr[v + 1]].tolist()), \
-                    f"patched packed adjacency row {v} diverged"
 
     def verify_baseline(self) -> None:
         """Test helper: the per-vertex state must be at the clean baseline."""

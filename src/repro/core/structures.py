@@ -32,15 +32,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-try:  # NumPy is optional: without it PhaseState falls back to scalar state
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None  # type: ignore[assignment]
-
-try:  # the packed-bitset kernel tier rides on numpy too
-    from repro.core import kernels as _kernels
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _kernels = None  # type: ignore[assignment]
+import numpy as _np
 
 from repro.graph.backends import compile_csr
 from repro.graph.graph import Graph
@@ -149,8 +141,7 @@ class Structure:
 
     __slots__ = ("alpha", "root", "working", "nodes", "g_vertices",
                  "on_hold", "modified", "extended",
-                 "_outer_cache", "_sorted_cache",
-                 "_outer_bits", "_member_bits")
+                 "_outer_cache", "_sorted_cache")
 
     def __init__(self, alpha: int) -> None:
         self.alpha = alpha
@@ -163,8 +154,6 @@ class Structure:
         self.extended = False
         self._outer_cache: Optional[List[int]] = None
         self._sorted_cache: Optional[List[int]] = None
-        self._outer_bits: Optional[int] = None
-        self._member_bits: Optional[int] = None
 
     @property
     def size(self) -> int:
@@ -208,32 +197,10 @@ class Structure:
             out = self._sorted_cache = sorted(self.g_vertices)
         return out
 
-    def outer_bits(self) -> int:
-        """Indicator int of :meth:`outer_vertices` (kernel engine only).
-
-        Memoised alongside the list view and invalidated by the same
-        :meth:`invalidate_caches` call, so the two can never disagree.
-        """
-        bits = self._outer_bits
-        if bits is None:
-            bits = self._outer_bits = _kernels.int_from_indices(
-                self.outer_vertices())
-        return bits
-
-    def member_bits(self) -> int:
-        """Indicator int of ``g_vertices`` (kernel engine only)."""
-        bits = self._member_bits
-        if bits is None:
-            bits = self._member_bits = _kernels.int_from_indices(
-                self.sorted_vertices())
-        return bits
-
     def invalidate_caches(self) -> None:
         """Drop memoised vertex views (call after membership/flag changes)."""
         self._outer_cache = None
         self._sorted_cache = None
-        self._outer_bits = None
-        self._member_bits = None
 
     def reset_marks(self, limit: int) -> None:
         """Per-pass-bundle initialisation (Algorithm 2, lines 6-9)."""
@@ -259,18 +226,16 @@ class FrozenViews:
 
     ``run_phase`` freezes the graph, and the boosting frameworks run many
     phases over the *same* fixed graph before it next mutates -- so the
-    deterministic derived views (canonical edge pairs, CSR arrays, sorted
-    neighbour lists, packed kernel rows and their int-tier mirrors) can be
-    materialised once per rebuild instead of once per phase.  A framework
-    threads one instance through ``run_phase(..., shared_views=...)``; a
-    standalone phase gets a private instance and behaves exactly as before.
-    Never reuse an instance across graph mutations, and never share one
-    into a context-attached phase (the repair context patches its own
-    packed copy between phases).
+    deterministic derived views (canonical edge pairs, CSR arrays and
+    sorted neighbour lists) can be materialised once per rebuild instead of
+    once per phase.  A framework threads one instance through
+    ``run_phase(..., shared_views=...)``; a standalone phase gets a private
+    instance and behaves exactly as before.  Never reuse an instance across
+    graph mutations, and never share one into a context-attached phase (the
+    repair context patches its own views between phases).
     """
 
-    __slots__ = ("edge_pairs", "eu", "ev", "indptr", "indices", "nbrs",
-                 "packed", "packed_ready", "int_rows")
+    __slots__ = ("edge_pairs", "eu", "ev", "indptr", "indices", "nbrs")
 
     def __init__(self) -> None:
         self.edge_pairs: Optional[List[Edge]] = None
@@ -279,24 +244,21 @@ class FrozenViews:
         self.indptr = None
         self.indices = None
         self.nbrs: Dict[int, List[int]] = {}
-        self.packed = None
-        self.packed_ready = False
-        self.int_rows: Dict[int, int] = {}
 
 
 class PhaseState:
     """Global state of one phase (Algorithm 2) over a graph and matching.
 
-    Array layout (PR 4)
-    -------------------
+    Array layout
+    ------------
     The per-vertex state is kept twice: as the scalar Python structures the
     pointer-chasing code paths read (``node_of``, ``removed``, ``vlabel``)
-    and, when NumPy is available, as flat int/bool array mirrors
-    (``removed_arr``, ``vlabel_arr``, ``outer_arr``, ``sid_arr``,
-    ``nid_arr``) the vectorized passes consume in bulk.  Both views are
-    mutated ONLY through the helpers below (:meth:`register_node`,
-    :meth:`mark_removed`, :meth:`move_to_structure`, :meth:`set_label`), so
-    they can never diverge; :meth:`check_invariants` cross-checks them.
+    and as flat int/bool array mirrors (``removed_arr``, ``vlabel_arr``,
+    ``outer_arr``, ``sid_arr``, ``nid_arr``) the vectorized passes consume
+    in bulk.  Both views are mutated ONLY through the helpers below
+    (:meth:`register_node`, :meth:`mark_removed`, :meth:`move_to_structure`,
+    :meth:`set_label`), so they can never diverge; :meth:`check_invariants`
+    cross-checks them.
 
     Labels are stored per *vertex* rather than per matched edge: the matching
     is frozen for the duration of a phase (augmentations are recorded and
@@ -315,25 +277,21 @@ class PhaseState:
                  counters: Optional[Counters] = None,
                  engine: str = "array", context=None,
                  shared_views: Optional[FrozenViews] = None) -> None:
-        if engine not in ("array", "reference", "kernel"):
+        if engine not in ("array", "reference"):
             raise ValueError(f"unknown phase engine {engine!r}")
         self.graph = graph
         self.matching = matching
         self.ell_max = ell_max
         self.label_default = ell_max + 1
         self.counters = counters if counters is not None else Counters()
-        # the vectorized engine needs numpy; degrade to the scalar reference
-        self.engine = engine if _np is not None else "reference"
-        self._use_arrays = _np is not None
+        self.engine = engine
         self.context = context
         self.structures: Dict[int, Structure] = {}
         self.records: List[AugmentationRecord] = []
-        # frozen-graph derived views (edge pairs, CSR, sorted neighbours,
-        # packed kernel rows + int mirrors), possibly shared across the
-        # phases of one rebuild -- see FrozenViews.  Context-attached phases
-        # always get a private instance: their packed/CSR views delegate to
-        # the context's patched copies, and the int-tier row memo must stay
-        # phase-local so between-phase patches are always observed.
+        # frozen-graph derived views (edge pairs, CSR, sorted neighbours),
+        # possibly shared across the phases of one rebuild -- see
+        # FrozenViews.  Context-attached phases always get a private
+        # instance: their views delegate to the context's patched copies.
         self._views = (shared_views
                        if shared_views is not None and context is None
                        else FrozenViews())
@@ -354,23 +312,14 @@ class PhaseState:
         # per-vertex label of the (unique) incident matched edge; 0 if free
         self.vlabel: List[int] = [0 if m is None else default for m in mate]
 
-        if self._use_arrays:
-            self.mate_arr = _np.fromiter(
-                (-1 if m is None else m for m in mate), dtype=_np.int64, count=n)
-            self.matched_arr = self.mate_arr >= 0
-            self.removed_arr = _np.zeros(n, dtype=bool)
-            self.vlabel_arr = _np.where(self.matched_arr, default, 0).astype(_np.int64)
-            self.outer_arr = _np.zeros(n, dtype=bool)
-            self.sid_arr = _np.full(n, -1, dtype=_np.int64)
-            self.nid_arr = _np.full(n, -1, dtype=_np.int64)
-        else:  # pragma: no cover - exercised only without numpy
-            self.mate_arr = None
-            self.matched_arr = None
-            self.removed_arr = None
-            self.vlabel_arr = None
-            self.outer_arr = None
-            self.sid_arr = None
-            self.nid_arr = None
+        self.mate_arr = _np.fromiter(
+            (-1 if m is None else m for m in mate), dtype=_np.int64, count=n)
+        self.matched_arr = self.mate_arr >= 0
+        self.removed_arr = _np.zeros(n, dtype=bool)
+        self.vlabel_arr = _np.where(self.matched_arr, default, 0).astype(_np.int64)
+        self.outer_arr = _np.zeros(n, dtype=bool)
+        self.sid_arr = _np.full(n, -1, dtype=_np.int64)
+        self.nid_arr = _np.full(n, -1, dtype=_np.int64)
 
     # ----------------------------------------------------------- construction
     def init_structures(self) -> None:
@@ -389,10 +338,9 @@ class PhaseState:
             root_ids.append(root.id)
         # the roots' mirror entries, written the way register_node would
         # write them one by one, in one vectorized pass
-        if self._use_arrays:
-            self.nid_arr[free] = root_ids
-            self.outer_arr[free] = True
-            self.sid_arr[free] = free
+        self.nid_arr[free] = root_ids
+        self.outer_arr[free] = True
+        self.sid_arr[free] = free
         if self.context is not None:
             self.context._touched.extend(free)
 
@@ -405,20 +353,18 @@ class PhaseState:
             # writes: list-indexed NumPy assignment costs ~6x more
             x = verts[0]
             self.node_of[x] = node
-            if self._use_arrays:
-                self.nid_arr[x] = node.id
-                self.outer_arr[x] = node.outer
-                self.sid_arr[x] = node.structure.alpha
+            self.nid_arr[x] = node.id
+            self.outer_arr[x] = node.outer
+            self.sid_arr[x] = node.structure.alpha
             if self.context is not None:
                 self.context._touched.append(x)
             return
         node_of = self.node_of
         for x in verts:
             node_of[x] = node
-        if self._use_arrays:
-            self.nid_arr[verts] = node.id
-            self.outer_arr[verts] = node.outer
-            self.sid_arr[verts] = node.structure.alpha
+        self.nid_arr[verts] = node.id
+        self.outer_arr[verts] = node.outer
+        self.sid_arr[verts] = node.structure.alpha
         if self.context is not None:
             self.context._touched.extend(verts)
 
@@ -429,7 +375,7 @@ class PhaseState:
         structures after :meth:`register_node` put it in one, so it is
         already journalled.
         """
-        if self._use_arrays and len(vertices):
+        if len(vertices):
             self.sid_arr[list(vertices)] = alpha
 
     def mark_removed(self, vertices: Iterable[int]) -> None:
@@ -440,7 +386,7 @@ class PhaseState:
         for x in verts:
             removed[x] = True
             node_of[x] = None
-        if self._use_arrays and verts:
+        if verts:
             self.removed_arr[verts] = True
             self.sid_arr[verts] = -1
             self.nid_arr[verts] = -1
@@ -455,11 +401,8 @@ class PhaseState:
             return self.context.edge_pairs()
         views = self._views
         if views.edge_pairs is None:
-            if self._use_arrays:
-                eu, ev = self.edge_arrays()
-                views.edge_pairs = list(zip(eu.tolist(), ev.tolist()))
-            else:  # pragma: no cover - exercised only without numpy
-                views.edge_pairs = sorted(self.graph.edge_list())
+            eu, ev = self.edge_arrays()
+            views.edge_pairs = list(zip(eu.tolist(), ev.tolist()))
         return views.edge_pairs
 
     def edge_arrays(self):
@@ -500,63 +443,16 @@ class PhaseState:
         cache = self._views.nbrs
         nbrs = cache.get(v)
         if nbrs is None:
-            if self._use_arrays:
-                indptr, indices = self.adjacency()
-                nbrs = indices[indptr[v]:indptr[v + 1]].tolist()
-            else:  # pragma: no cover - exercised only without numpy
-                nbrs = sorted(self.graph.neighbor_list(v))
-            cache[v] = nbrs
+            indptr, indices = self.adjacency()
+            nbrs = cache[v] = indices[indptr[v]:indptr[v + 1]].tolist()
         return nbrs
-
-    def packed_adjacency(self):
-        """Packed uint64 adjacency rows of the frozen phase graph, or ``None``.
-
-        The kernel engine's view: row ``v`` is the packed neighbour set of
-        ``v``, built lazily (once per phase) from the CSR view via
-        :func:`repro.core.kernels.pack_adjacency` and gated by
-        :func:`repro.core.kernels.packing_budget_ok` -- callers must fall
-        back to the array-tier scan on ``None``, which keeps the engines
-        byte-identical either way.  Context-attached phases borrow the
-        context's incrementally patched copy.
-        """
-        if self.context is not None:
-            return self.context.packed_adjacency()
-        views = self._views
-        if not views.packed_ready:
-            views.packed_ready = True
-            n = self.graph.n
-            if _kernels is not None and _kernels.packing_budget_ok(n):
-                indptr, indices = self.adjacency()
-                views.packed = _kernels.pack_adjacency(indptr, indices, n)
-        return views.packed
-
-    def packed_int_row(self, x: int) -> int:
-        """Row ``x`` of :meth:`packed_adjacency` as one indicator int.
-
-        The per-row sweep format (see the kernels module's int-tier notes):
-        callers guard on ``packed_adjacency() is not None`` first.  Each
-        touched row is converted once and memoised for as long as the views
-        live -- one phase, or a whole rebuild under shared views (a
-        context-attached phase always holds a private memo, so between-phase
-        repair patches are always observed).
-        """
-        rows = self._views.int_rows
-        row = rows.get(x)
-        if row is None:
-            row = rows[x] = _kernels.int_from_words(self.packed_adjacency()[x])
-        return row
 
     def arc_pairs(self) -> List[Edge]:
         """Both orientations of every edge, grouped by (ascending) tail."""
-        if self._use_arrays:
-            indptr, indices = self.adjacency()
-            src = _np.repeat(_np.arange(self.graph.n, dtype=_np.int64),
-                             _np.diff(indptr))
-            return list(zip(src.tolist(), indices.tolist()))
-        out: List[Edge] = []  # pragma: no cover - exercised only without numpy
-        for u in range(self.graph.n):
-            out.extend((u, v) for v in self.sorted_neighbors(u))
-        return out
+        indptr, indices = self.adjacency()
+        src = _np.repeat(_np.arange(self.graph.n, dtype=_np.int64),
+                         _np.diff(indptr))
+        return list(zip(src.tolist(), indices.tolist()))
 
     # ------------------------------------------------------------------ views
     def omega(self, v: int) -> Optional[StructNode]:
@@ -596,9 +492,8 @@ class PhaseState:
     def set_label(self, u: int, v: int, value: int) -> None:
         self.vlabel[u] = value
         self.vlabel[v] = value
-        if self._use_arrays:
-            self.vlabel_arr[u] = value
-            self.vlabel_arr[v] = value
+        self.vlabel_arr[u] = value
+        self.vlabel_arr[v] = value
         if self.context is not None:
             self.context._label_touched.append(u)
             self.context._label_touched.append(v)
@@ -742,36 +637,18 @@ class PhaseState:
             if structure._sorted_cache is not None:
                 assert structure._sorted_cache == sorted(structure.g_vertices), \
                     "stale sorted-vertex cache"
-            if structure._outer_bits is not None:
-                assert (_kernels.bits_of_int(structure._outer_bits)
-                        == sorted(structure.outer_vertices())), \
-                    "stale packed outer mask"
-            if structure._member_bits is not None:
-                assert (_kernels.bits_of_int(structure._member_bits)
-                        == sorted(structure.g_vertices)), \
-                    "stale packed member mask"
-
-        # the packed adjacency (kernel engine) must mirror the CSR view
-        packed = self._views.packed if self.context is None else None
-        if packed is not None:
-            indptr, indices = self.adjacency()
-            for v in range(self.graph.n):
-                assert (_kernels.iter_set_bits(packed[v])
-                        == indices[indptr[v]:indptr[v + 1]].tolist()), \
-                    f"packed adjacency row {v} diverged from the CSR view"
 
         # scalar state and array mirrors must never diverge
-        if self._use_arrays:
-            for v in range(self.graph.n):
-                node = self.node_of[v]
-                assert bool(self.removed_arr[v]) == bool(self.removed[v]), \
-                    f"removed mirror diverged at {v}"
-                assert int(self.vlabel_arr[v]) == self.vlabel[v], \
-                    f"label mirror diverged at {v}"
-                if node is None:
-                    assert self.nid_arr[v] == -1 and self.sid_arr[v] == -1
-                    assert not self.outer_arr[v]
-                else:
-                    assert self.nid_arr[v] == node.id, f"nid mirror at {v}"
-                    assert self.sid_arr[v] == node.structure.alpha
-                    assert bool(self.outer_arr[v]) == node.outer
+        for v in range(self.graph.n):
+            node = self.node_of[v]
+            assert bool(self.removed_arr[v]) == bool(self.removed[v]), \
+                f"removed mirror diverged at {v}"
+            assert int(self.vlabel_arr[v]) == self.vlabel[v], \
+                f"label mirror diverged at {v}"
+            if node is None:
+                assert self.nid_arr[v] == -1 and self.sid_arr[v] == -1
+                assert not self.outer_arr[v]
+            else:
+                assert self.nid_arr[v] == node.id, f"nid mirror at {v}"
+                assert self.sid_arr[v] == node.structure.alpha
+                assert bool(self.outer_arr[v]) == node.outer

@@ -35,11 +35,6 @@ from repro.dynamic.interfaces import DynamicMatchingAlgorithm
 from repro.dynamic.weak_oracles import GreedyInducedWeakOracle, OMvWeakOracle
 from repro.utils.contracts import hot_path
 
-try:  # incremental repair needs numpy; fall back to rebuild mode without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None  # type: ignore[assignment]
-
 OracleFactory = Callable[[Graph], WeakOracle]
 
 
@@ -114,7 +109,7 @@ class FullyDynamicMatching(DynamicMatchingAlgorithm):
 
         if self.profile.repair not in ("rebuild", "incremental"):
             raise ValueError(f"unknown repair mode {self.profile.repair!r}")
-        if self.profile.repair == "incremental" and _np is not None:
+        if self.profile.repair == "incremental":
             # persistent per-phase state + patchable frozen views; the
             # mirrored matching keeps the context's baselines fresh so every
             # rebuild costs O(touched) setup instead of O(n) (byte-identical

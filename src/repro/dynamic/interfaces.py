@@ -17,6 +17,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.graph.dynamic_graph import DynamicGraph, Update
 from repro.graph.graph import Graph
 from repro.matching.matching import Matching
@@ -59,11 +61,10 @@ class DynamicMatchingAlgorithm(ABC):
         """Process a whole sequence or lazy stream of updates.
 
         With ``collect_sizes`` (the default) returns the matching size after
-        each update as a packed int64 NumPy array (a plain Python list when
-        NumPy is unavailable) -- 8 bytes per update instead of the ~28-byte
-        ``int`` objects the historical ``List[int]`` accumulated.  With
-        ``collect_sizes=False`` nothing is accumulated at all and ``None``
-        is returned: combined with a lazy
+        each update as a packed int64 NumPy array -- 8 bytes per update
+        instead of the ~28-byte ``int`` objects the historical ``List[int]``
+        accumulated.  With ``collect_sizes=False`` nothing is accumulated at
+        all and ``None`` is returned: combined with a lazy
         :class:`~repro.workloads.streams.UpdateStream` input, a
         million-update replay runs in O(1) extra memory.
         """
@@ -77,10 +78,6 @@ class DynamicMatchingAlgorithm(ABC):
                 self.update(upd)
                 yield self.current_matching().size
 
-        try:
-            import numpy as np
-        except ImportError:
-            return list(sizes())
         return np.fromiter(sizes(), dtype=np.int64)
 
 

@@ -52,11 +52,6 @@ from repro.core.dynamic_boosting import WeakOracleBoostingFramework
 from repro.core.repair import RepairContext
 from repro.dynamic.weak_oracles import GreedyInducedWeakOracle
 
-try:  # incremental repair needs numpy; fall back to rebuild mode without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None  # type: ignore[assignment]
-
 OracleFactory = Callable[[Graph], WeakOracle]
 
 
@@ -135,7 +130,7 @@ class OfflineDynamicMatching:
         if self.profile.repair not in ("rebuild", "incremental"):
             raise ValueError(f"unknown repair mode {self.profile.repair!r}")
         context: Optional[RepairContext] = None
-        if self.profile.repair == "incremental" and _np is not None:
+        if self.profile.repair == "incremental":
             context = RepairContext(dynamic.graph, self.profile)
             matching: Matching = context.bind_matching()
         else:

@@ -27,9 +27,6 @@ The bulk primitives (:meth:`GraphBackend.add_edges`,
 straightforward per-edge reference implementations on the adjacency-set
 backend and vectorized ones on CSR.
 
-NumPy is an optional dependency: the ``"csr"`` backend and the adjacency
-matrix export raise a clear error when it is missing instead of failing with
-a bare ``ImportError`` mid-algorithm.
 """
 
 from __future__ import annotations
@@ -39,23 +36,11 @@ from itertools import chain, compress
 from typing import (AbstractSet, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Set, Tuple, Type, Union)
 
+import numpy as np
+
 from repro.utils.contracts import invalidates
 
-try:  # NumPy is optional; only the CSR backend and matrix export need it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None  # type: ignore[assignment]
-
 Edge = Tuple[int, int]
-
-
-def require_numpy(feature: str):
-    """Return the numpy module or raise a clear error naming ``feature``."""
-    if _np is None:  # pragma: no cover - numpy is present in CI
-        raise RuntimeError(
-            f"{feature} requires NumPy, which is not installed; "
-            "install numpy or use the 'adjset' graph backend")
-    return _np
 
 
 def edge_endpoint_arrays(edges: Iterable[Edge]):
@@ -67,7 +52,6 @@ def edge_endpoint_arrays(edges: Iterable[Edge]):
     ``np.asarray`` on the list of tuples; array-likes pass through
     ``asarray`` with a shape check.
     """
-    np = require_numpy("bulk edge conversion")
     if hasattr(edges, "__array__"):
         pairs = np.asarray(edges, dtype=np.int64)
         if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
@@ -88,7 +72,6 @@ def compile_csr(eu, ev, n: int):
     ascending order per vertex.  Shared by :class:`CSRBackend` and the phase
     engine's backend-independent adjacency view, so the two can never drift.
     """
-    np = require_numpy("CSR compilation")
     if n == 0 or eu.size == 0:
         return np.zeros(n + 1, dtype=np.int64), np.zeros(0, dtype=np.int64)
     src = np.concatenate([eu, ev])
@@ -189,7 +172,7 @@ class GraphBackend(ABC):
         it once)."""
 
     def edge_mask(self, u, v):
-        """Vectorized :meth:`has_edge` over endpoint arrays (requires NumPy).
+        """Vectorized :meth:`has_edge` over endpoint arrays.
 
         ``u``/``v`` are equal-length int sequences; returns a boolean array
         with ``False`` (never an exception) for out-of-range endpoints and
@@ -197,7 +180,6 @@ class GraphBackend(ABC):
         loops; CSR answers whole batches with a few array passes -- this is
         the hook the CONGEST message-exchange fast path validates against.
         """
-        np = require_numpy("GraphBackend.edge_mask")
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
         if u.shape != v.shape:
@@ -208,8 +190,7 @@ class GraphBackend(ABC):
 
     # --------------------------------------------------------------- numerics
     def adjacency_matrix(self):
-        """Dense boolean adjacency matrix (requires NumPy)."""
-        np = require_numpy("Graph.adjacency_matrix")
+        """Dense boolean adjacency matrix."""
         mat = np.zeros((self.n, self.n), dtype=bool)
         for u, v in self.edges():
             mat[u, v] = True
@@ -371,7 +352,6 @@ class CSRBackend(GraphBackend):
                  "_nbr_cache")
 
     def __init__(self, n: int) -> None:
-        require_numpy("the 'csr' graph backend")
         self._n = n
         self._keys: Set[int] = set()
         self._dirty = True
@@ -396,7 +376,7 @@ class CSRBackend(GraphBackend):
     def _compile_keys(self):
         """Sorted canonical-key array (cheap; no CSR build)."""
         if self._dirty or self._sorted_keys is None:
-            keys = _np.fromiter(self._keys, dtype=_np.int64, count=len(self._keys))
+            keys = np.fromiter(self._keys, dtype=np.int64, count=len(self._keys))
             keys.sort()
             self._sorted_keys = keys
             self._indptr = None  # CSR view is stale; rebuilt on demand
@@ -412,8 +392,8 @@ class CSRBackend(GraphBackend):
             return
         n = self._n
         if n == 0 or keys.size == 0:
-            self._indptr = _np.zeros(n + 1, dtype=_np.int64)
-            self._indices = _np.zeros(0, dtype=_np.int64)
+            self._indptr = np.zeros(n + 1, dtype=np.int64)
+            self._indices = np.zeros(0, dtype=np.int64)
             return
         self._indptr, self._indices = compile_csr(keys // n, keys % n, n)
 
@@ -421,7 +401,7 @@ class CSRBackend(GraphBackend):
         """Canonical ``(u, v)`` arrays with ``u < v``, sorted by key."""
         keys = self._compile_keys()
         if self._n == 0 or keys.size == 0:
-            empty = _np.zeros(0, dtype=_np.int64)
+            empty = np.zeros(0, dtype=np.int64)
             return empty, empty
         return keys // self._n, keys % self._n
 
@@ -457,7 +437,6 @@ class CSRBackend(GraphBackend):
     # ------------------------------------------------------------------- bulk
     def _canonical_keys(self, edges: Iterable[Edge]):
         """Validate and canonicalise an edge iterable into an int64 key array."""
-        np = _np
         u, v = edge_endpoint_arrays(edges)
         if u.size == 0:
             return np.zeros(0, dtype=np.int64)
@@ -481,7 +460,7 @@ class CSRBackend(GraphBackend):
         if keys.size == 0:
             return 0
         before = len(self._keys)
-        self._keys.update(_np.unique(keys).tolist())
+        self._keys.update(np.unique(keys).tolist())
         added = len(self._keys) - before
         if added:
             self._dirty = True
@@ -493,7 +472,7 @@ class CSRBackend(GraphBackend):
         if keys.size == 0:
             return 0
         before = len(self._keys)
-        self._keys.difference_update(_np.unique(keys).tolist())
+        self._keys.difference_update(np.unique(keys).tolist())
         removed = before - len(self._keys)
         if removed:
             self._dirty = True
@@ -527,7 +506,7 @@ class CSRBackend(GraphBackend):
     def degree_array(self):
         """All degrees as an int64 array (CSR-only vectorized read)."""
         self._compile()
-        return _np.diff(self._indptr)
+        return np.diff(self._indptr)
 
     def csr_arrays(self):
         """The compiled ``(indptr, indices)`` view (treat as read-only).
@@ -562,15 +541,15 @@ class CSRBackend(GraphBackend):
 
     def arc_list(self) -> List[Edge]:
         self._compile()
-        src = _np.repeat(_np.arange(self._n, dtype=_np.int64),
-                         _np.diff(self._indptr))
+        src = np.repeat(np.arange(self._n, dtype=np.int64),
+                        np.diff(self._indptr))
         return list(zip(src.tolist(), self._indices.tolist()))
 
     def induced_edges(self, vertices) -> List[Edge]:
         u, v = self._edge_arrays()
         if u.size == 0:
             return []
-        mask = _np.zeros(self._n, dtype=bool)
+        mask = np.zeros(self._n, dtype=bool)
         mask[list(vertices)] = True
         sel = mask[u] & mask[v]
         return list(zip(u[sel].tolist(), v[sel].tolist()))
@@ -583,7 +562,6 @@ class CSRBackend(GraphBackend):
         masked ``False`` before the search so their keys never alias a real
         edge's key.
         """
-        np = _np
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
         if u.shape != v.shape:
@@ -604,7 +582,6 @@ class CSRBackend(GraphBackend):
 
     # --------------------------------------------------------------- numerics
     def adjacency_matrix(self):
-        np = require_numpy("Graph.adjacency_matrix")
         mat = np.zeros((self._n, self._n), dtype=bool)
         u, v = self._edge_arrays()
         mat[u, v] = True

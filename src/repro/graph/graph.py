@@ -131,7 +131,7 @@ class Graph:
         return self._backend.has_edge(u, v)
 
     def edge_mask(self, u, v):
-        """Vectorized :meth:`has_edge` over endpoint arrays (requires NumPy).
+        """Vectorized :meth:`has_edge` over endpoint arrays.
 
         Returns a boolean array; invalid pairs are ``False``, never an
         exception.  O(1)-per-pair array passes on CSR, a reference loop on
@@ -271,11 +271,7 @@ class Graph:
 
     # ---------------------------------------------------------------- numerics
     def adjacency_matrix(self):
-        """Dense boolean adjacency matrix (NumPy), used by the OMv substrate.
-
-        NumPy handling lives in the backend layer; a clear ``RuntimeError`` is
-        raised when NumPy is unavailable instead of an import error mid-call.
-        """
+        """Dense boolean adjacency matrix (NumPy), used by the OMv substrate."""
         return self._backend.adjacency_matrix()
 
     @classmethod

@@ -13,11 +13,11 @@ Determinism and the fast path
   ``rng`` through every call so whole benchmark runs replay bit-for-bit.
   The edge list is sorted canonically before shuffling, so a fixed seed
   produces the *same* matching on every graph backend.
-* When NumPy is available and the edge list is large, the sequential scan is
-  replaced by a vectorized round-based selection that provably returns the
-  exact same matching (an edge is greedy-selected iff it is the
-  earliest-remaining edge at both endpoints; repeatedly selecting all such
-  edges at once reproduces the sequential order).  A round cap guards the
+* When the edge list is large, the sequential scan is replaced by a
+  vectorized round-based selection that provably returns the exact same
+  matching (an edge is greedy-selected iff it is the earliest-remaining
+  edge at both endpoints; repeatedly selecting all such edges at once
+  reproduces the sequential order).  A round cap guards the
   adversarial case (e.g. a path scanned end-to-end needs Theta(n) rounds);
   leftovers fall back to the sequential scan.
 """
@@ -27,7 +27,9 @@ from __future__ import annotations
 import random
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.graph.backends import _np, edge_endpoint_arrays
+import numpy as np
+
+from repro.graph.backends import edge_endpoint_arrays
 from repro.graph.graph import Graph
 from repro.matching.matching import Matching
 
@@ -55,7 +57,6 @@ def _greedy_select_arrays(orig_u, orig_v, n: int,
     edge), drops everything touching a matched vertex, and repeats.
     Returns the picked edges in sequential pick order.
     """
-    np = _np
     us, vs = orig_u, orig_v
     pos = np.arange(us.size, dtype=np.int64)
     if blocked:
@@ -122,7 +123,7 @@ def greedy_maximal_matching(graph: Graph,
     blocked = set(forbidden) if forbidden is not None else None
     if edge_order is None:
         backend = graph.backend
-        if (_np is not None and graph.m >= _VECTORIZE_MIN_EDGES
+        if (graph.m >= _VECTORIZE_MIN_EDGES
                 and hasattr(backend, "_edge_arrays")):
             # CSR fast path: feed the backend's endpoint arrays straight into
             # the vectorized selection, skipping the tuple round-trip.
@@ -136,7 +137,7 @@ def greedy_maximal_matching(graph: Graph,
     else:
         edges = list(edge_order)
 
-    if _np is not None and len(edges) >= _VECTORIZE_MIN_EDGES:
+    if len(edges) >= _VECTORIZE_MIN_EDGES:
         matching.add_disjoint_edges(
             _greedy_select_vectorized(edges, graph.n, blocked))
         return matching
@@ -180,7 +181,7 @@ def greedy_on_vertex_subset(graph: Graph, subset: Sequence[int],
     s = set(subset)
     sub_edges = sorted(graph.subgraph_edges(s))
     rng.shuffle(sub_edges)
-    if _np is not None and len(sub_edges) >= _VECTORIZE_MIN_EDGES:
+    if len(sub_edges) >= _VECTORIZE_MIN_EDGES:
         return _greedy_select_vectorized(sub_edges, graph.n, None)
     used = set()
     out: List[Edge] = []

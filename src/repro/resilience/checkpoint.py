@@ -38,6 +38,8 @@ import zipfile
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+import numpy as np
+
 from repro.dynamic.fully_dynamic import FullyDynamicMatching, OracleFactory
 from repro.instrumentation.counters import Counters
 
@@ -72,18 +74,8 @@ class CheckpointError(ValueError):
         self.found_version = found_version
 
 
-def _numpy():
-    try:
-        import numpy
-    except ImportError as exc:  # pragma: no cover - numpy is baked into CI
-        raise RuntimeError(
-            "maintainer checkpoints require NumPy") from exc
-    return numpy
-
-
 def _pack_rng(state):
     """``random.Random.getstate()`` -> (int64 vector, gauss float pair)."""
-    np = _numpy()
     version, internal, gauss = state
     words = np.array([version, *internal], dtype=np.int64)
     carry = (np.array([0.0, 0.0]) if gauss is None
@@ -130,7 +122,6 @@ class MaintainerCheckpoint:
     def save(self, path) -> str:
         """Write the checkpoint to ``path`` (``.npz``); returns the path
         actually written (NumPy appends ``.npz`` when missing)."""
-        np = _numpy()
         state = self.state
         edges = state["edges"]
         edge_u = np.array([e[0] for e in edges], dtype=np.int64)
@@ -177,7 +168,6 @@ class MaintainerCheckpoint:
         """Read a checkpoint; every failure mode raises
         :class:`CheckpointError` (except a simply missing file, which stays
         a :class:`FileNotFoundError`)."""
-        np = _numpy()
         try:
             with np.load(str(path)) as payload:
                 missing = _REQUIRED_KEYS - set(payload.files)
@@ -242,7 +232,6 @@ class MaintainerCheckpoint:
 
 def _npy_bytes(value) -> bytes:
     """Serialize one array to the ``.npy`` bytes ``np.savez`` would write."""
-    np = _numpy()
     buf = io.BytesIO()
     np.lib.format.write_array(buf, np.asarray(value), allow_pickle=False)
     return buf.getvalue()
@@ -263,7 +252,7 @@ def _int64_npy_bytes(value: int) -> bytes:
     """
     global _INT64_HEADER
     if _INT64_HEADER is None:
-        _INT64_HEADER = _npy_bytes(_numpy().int64(0))[:-8]
+        _INT64_HEADER = _npy_bytes(np.int64(0))[:-8]
     return _INT64_HEADER + struct.pack("<q", value)
 
 
@@ -365,7 +354,6 @@ class DeltaCheckpointWriter:
         A checkpoint this writer did not produce last has no reuse contract
         and is delegated to the stateless :meth:`MaintainerCheckpoint.save`.
         """
-        np = _numpy()
         state = checkpoint.state
         if state is not self._state:
             return checkpoint.save(path)

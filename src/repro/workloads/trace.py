@@ -24,6 +24,8 @@ from __future__ import annotations
 from array import array
 from typing import Iterable, Iterator, List, Optional
 
+import numpy as np
+
 from repro.graph.dynamic_graph import Update
 from repro.workloads.streams import UpdateStream
 
@@ -60,21 +62,10 @@ class TraceFormatError(ValueError):
         super().__init__(detail)
 
 
-def _numpy():
-    try:
-        import numpy
-    except ImportError as exc:  # pragma: no cover - numpy is baked into CI
-        raise RuntimeError(
-            "trace recording/persistence requires NumPy; replay plain "
-            "UpdateStreams instead when it is unavailable") from exc
-    return numpy
-
-
 class Trace:
     """An update sequence as packed int64 ``(kind, u, v)`` columns."""
 
     def __init__(self, n: int, kind, u, v) -> None:
-        np = _numpy()
         self.n = int(n)
         self.kind = np.ascontiguousarray(kind, dtype=np.int64)
         self.u = np.ascontiguousarray(u, dtype=np.int64)
@@ -99,7 +90,6 @@ class Trace:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Trace):
             return NotImplemented
-        np = _numpy()
         return (self.n == other.n
                 and np.array_equal(self.kind, other.kind)
                 and np.array_equal(self.u, other.u)
@@ -124,7 +114,6 @@ class Trace:
             if n is None:
                 raise ValueError("recording a plain iterable needs an "
                                  "explicit n")
-        np = _numpy()
         kinds, us, vs = array("q"), array("q"), array("q")
         for upd in stream:
             kinds.append(_KIND_TO_CODE[upd.kind])
@@ -142,7 +131,6 @@ class Trace:
     def save(self, path) -> str:
         """Write the trace to ``path`` (a ``.npz`` container); returns the
         path actually written (NumPy appends ``.npz`` when missing)."""
-        np = _numpy()
         path = str(path)
         np.savez(path,
                  version=np.int64(FORMAT_VERSION),
@@ -163,7 +151,6 @@ class Trace:
         """
         import zipfile
 
-        np = _numpy()
         try:
             with np.load(str(path)) as payload:
                 missing = ({"version", "n", "kind", "u", "v"}

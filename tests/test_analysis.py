@@ -515,6 +515,19 @@ class TestHotPathAllocFamily:
         """)
         assert "hot-path-alloc" in new_rules(lint(tmp_path))
 
+    def test_aliased_numpy_allocation_detected(self, tmp_path):
+        # the alias comes from the module's imports, not a fixed name list
+        plant(tmp_path, "core/fx.py", """\
+            import numpy as _np
+
+            from repro.utils.contracts import hot_path
+
+            @hot_path
+            def note_update(self, n):
+                return _np.zeros(n)
+        """)
+        assert "hot-path-alloc" in new_rules(lint(tmp_path))
+
     def test_python_loop_over_array_detected(self, tmp_path):
         plant(tmp_path, "core/fx.py", """\
             from repro.utils.contracts import hot_path

@@ -489,10 +489,8 @@ def test_smoke_gate_all_scenarios(tmp_path):
         assert record["counters"]["chaos_checkpoint_overhead_s"] > 0
         assert record["counters"]["chaos_ckpt_sections_reused"] > 0
 
-    # the OMv scenario runs its kernel-engine profile on both backends;
-    # engine="kernel" is pinned byte-identical to "array" by the parity
-    # suite, so every algorithm counter must agree across backends here
-    # too (acceptance criterion)
+    # the OMv scenario runs on both backends, and every algorithm counter
+    # must agree across them (acceptance criterion)
     omv_records = [record for record in records
                    if record["scenario"] == "table2_omv"]
     assert {r["params"]["backend"] for r in omv_records} == \

@@ -187,7 +187,7 @@ class TestStageGraphReference:
         monkeypatch.setattr(EligibilityIndex, "overtake", checked_overtake)
         return tally
 
-    @pytest.mark.parametrize("engine", ["array", "reference", "kernel"])
+    @pytest.mark.parametrize("engine", ["array", "reference"])
     def test_seeded_runs(self, checked, engine):
         profile = dataclasses.replace(ParameterProfile.practical(0.25),
                                       engine=engine)

@@ -1,19 +1,15 @@
-"""Parity suite: the three phase-engine tiers against each other.
+"""Parity suite: the two phase engines against each other.
 
-The phase-engine hot core has three implementations behind the
-``ParameterProfile.engine`` seam: ``"reference"`` (scalar loops),
-``"array"`` (vectorized candidate generation over the PhaseState array
-mirrors, the default) and ``"kernel"`` (the array tier with packed-bitset
-word-parallel sweeps from :mod:`repro.core.kernels` where a packed
-adjacency is available).  All walk candidates in the same deterministic
-key-sorted order -- a packed AND/ANDN sweep reads survivors in ascending
-bit order, exactly the order the scalar walk tests them -- so seeded runs
-must be *byte-identical*: same matchings, same counters, same epoch
-boundaries.  These property-style tests pin that equivalence on seeded
-random graphs and update streams, and for the kernel tier across the full
-graph-backend x repair-mode grid; any divergence means the array mirrors
-went stale, a mask dropped/added a candidate, or a packed view drifted
-from the structure lists it shadows.
+The phase-engine hot core has two implementations behind the
+``ParameterProfile.engine`` seam: ``"reference"`` (scalar loops, the parity
+oracle) and ``"array"`` (vectorized candidate generation over the
+PhaseState array mirrors, the default).  Both walk candidates in the same
+deterministic key-sorted order, so seeded runs must be *byte-identical*:
+same matchings, same counters, same epoch boundaries.  These property-style
+tests pin that equivalence on seeded random graphs and update streams; any
+divergence means the array mirrors went stale or a mask dropped/added a
+candidate.  Any other engine name is rejected, never mapped to one of the
+two.
 """
 
 import dataclasses
@@ -21,11 +17,12 @@ import random
 
 import pytest
 
-from repro.core.boosting import BoostingFramework
+from repro.core.boosting import BoostingFramework, boost_matching
 from repro.core.config import ParameterProfile
 from repro.core.dynamic_boosting import WeakOracleBoostingFramework
 from repro.core.operations import apply_augmentations
 from repro.core.phase import DirectDriver, run_phase
+from repro.core.structures import PhaseState
 from repro.dynamic.fully_dynamic import FullyDynamicMatching
 from repro.dynamic.offline import OfflineDynamicMatching
 from repro.dynamic.weak_oracles import GreedyInducedWeakOracle
@@ -33,13 +30,13 @@ from repro.graph.generators import erdos_renyi
 from repro.workloads import planted_matching_churn, sliding_window
 from repro.instrumentation.counters import Counters
 from repro.matching.greedy import greedy_maximal_matching
+from repro.matching.matching import Matching
 
 EPS = 0.25
 
 ARRAY = ParameterProfile.practical(EPS)
 REFERENCE = dataclasses.replace(ARRAY, engine="reference")
-KERNEL = dataclasses.replace(ARRAY, engine="kernel")
-PROFILES = (ARRAY, REFERENCE, KERNEL)
+PROFILES = (ARRAY, REFERENCE)
 
 
 def mates(matching):
@@ -123,36 +120,21 @@ class TestDynamicParity:
             assert other == results[0]
 
 
-class TestKernelTierGrid:
-    """engine="kernel" vs "array" across graph backends and repair modes.
+class TestEngineValidation:
+    """Only ``"array"`` and ``"reference"`` name a phase engine."""
 
-    The maintainer path is where the packed views earn their keep -- the
-    incremental repair context patches packed adjacency rows in place while
-    the rebuild mode recompiles them wholesale -- so the full backend x
-    repair grid is pinned here, comparing the complete checkpoint state
-    (mates, canonical edges, counters, RNG streams, rebuild schedule).
-    """
+    @pytest.mark.parametrize("engine", ["kernel", "vectorised"])
+    def test_phase_state_rejects_unknown_engine(self, engine):
+        graph = erdos_renyi(12, 0.3, seed=0)
+        with pytest.raises(ValueError, match="unknown phase engine"):
+            PhaseState(graph, Matching(graph.n), ell_max=4, engine=engine)
 
-    @pytest.mark.parametrize("backend", ["adjset", "csr"])
-    @pytest.mark.parametrize("repair", ["rebuild", "incremental"])
-    @pytest.mark.parametrize("seed", range(2))
-    def test_fully_dynamic_state_identical(self, backend, repair, seed):
-        stream = planted_matching_churn(8, rounds=2, seed=seed)
-        n, updates = stream.n, stream
-        states = []
-        for engine in ("array", "kernel"):
-            profile = dataclasses.replace(ARRAY, engine=engine,
-                                          repair=repair)
-            alg = FullyDynamicMatching(n, EPS, profile=profile,
-                                       counters=Counters(), seed=seed,
-                                       backend=backend)
-            for upd in updates:
-                alg.update(upd)
-            state = alg.checkpoint_state()
-            # the engine name itself is the only field allowed to differ
-            state.pop("profile")
-            states.append(state)
-        assert states[0] == states[1]
+    @pytest.mark.parametrize("engine", ["kernel", "vectorised"])
+    def test_boost_matching_rejects_unknown_engine(self, engine):
+        graph = erdos_renyi(12, 0.3, seed=0)
+        profile = dataclasses.replace(ARRAY, engine=engine)
+        with pytest.raises(ValueError, match="unknown phase engine"):
+            boost_matching(graph, EPS, profile=profile, seed=0)
 
 
 class TestWarmStart:

@@ -10,6 +10,7 @@ merges, and per-scenario crash isolation.
 import os
 import textwrap
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -388,7 +389,6 @@ class TestCongestFastPath:
             sim.round(program)
 
     def test_edge_mask_parity(self):
-        np = pytest.importorskip("numpy")
         base = erdos_renyi(25, 0.25, seed=5)
         adj = base.with_backend("adjset")
         csr = base.with_backend("csr")

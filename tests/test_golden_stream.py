@@ -46,7 +46,7 @@ from conftest import table1_graph
 EPS = 0.25
 FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
                        "golden_stream.json")
-ENGINES = ("array", "reference", "kernel")
+ENGINES = ("array", "reference")
 
 
 def _rng_digest(rng) -> str:

@@ -1,17 +1,16 @@
 """Property tests (hypothesis) for the packed-bitset kernel library.
 
 Every kernel in :mod:`repro.core.kernels` is checked against the obvious
-set/int model: a packed set is just ``{j : bit j set}``, so intersections,
-popcounts, first-set-bits and gathers must agree with plain Python sets and
-``bin(x).count("1")`` on arbitrary universes -- including the word-boundary
-sizes (63, 64, 65, 128, 129) where packing bugs live.  The uint8 fixture
-test replays query/probe/matching results recorded from the byte-packed
-OMv implementation this library replaced, pinning the uint64 migration to
-the old outputs bit for bit.
+set model: a packed set is just ``{j : bit j set}``, so row intersections,
+first-set-bits, gathers and bit mutations must agree with plain Python sets
+on arbitrary universes -- including the word-boundary sizes (63, 64, 65,
+128, 129) where packing bugs live.  The uint8 fixture test replays
+query/probe/matching results recorded from the byte-packed OMv
+implementation this library replaced, pinning the uint64 migration to the
+old outputs bit for bit.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import kernels
@@ -40,9 +39,10 @@ def test_pack_unpack_round_trip(case):
     n, members, words = case
     assert words.dtype == np.uint64
     assert words.shape == (kernels.words_for(n),)
-    mask = kernels.unpack_words(words, n)
-    assert mask.shape == (n,)
-    assert sorted(np.flatnonzero(mask).tolist()) == members
+    bits = np.unpackbits(words.view("<u1"), bitorder="little")
+    # padding bits past n stay zero
+    assert np.flatnonzero(bits).tolist() == members
+    mask = bits[:n].astype(bool)
     # the indicator pack of the same mask is word-identical
     assert np.array_equal(kernels.pack_indicator(mask), words)
 
@@ -54,30 +54,7 @@ def test_iter_set_bits_is_sorted_membership(case):
     assert kernels.iter_set_bits(words) == members
 
 
-@given(packed_sets())
-@settings(max_examples=200, deadline=None)
-def test_popcount_matches_bit_count(case):
-    n, members, words = case
-    assert kernels.popcount_words(words) == len(members)
-    # cross-check against the int model
-    as_int = int.from_bytes(words.tobytes(), "little")
-    assert kernels.popcount_words(words) == bin(as_int).count("1")
-
-
-# ------------------------------------------------------------ word algebra
-@given(st.data())
-@settings(max_examples=150, deadline=None)
-def test_and_andnot_match_set_model(data):
-    n = data.draw(UNIVERSES)
-    _, a_members, a = data.draw(packed_sets(n=n))
-    _, b_members, b = data.draw(packed_sets(n=n))
-    a_set, b_set = set(a_members), set(b_members)
-    assert kernels.iter_set_bits(kernels.and_words(a, b)) == \
-        sorted(a_set & b_set)
-    assert kernels.iter_set_bits(kernels.andnot_words(a, b)) == \
-        sorted(a_set - b_set)
-
-
+# ------------------------------------------------------------ row kernels
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_first_set_bit_is_minimum(data):
@@ -120,59 +97,14 @@ def test_bit_mutators_track_model_set(data):
     n = data.draw(UNIVERSES)
     _, members, words = data.draw(packed_sets(n=n))
     model = set(members)
-    words = words.copy()
     for _ in range(data.draw(st.integers(min_value=1, max_value=15))):
         j = data.draw(st.integers(min_value=0, max_value=n - 1))
-        if data.draw(st.booleans()):
-            kernels.set_bit(words, j)
-            model.add(j)
-        else:
-            kernels.clear_bit(words, j)
-            model.discard(j)
-        assert kernels.test_bit(words, j) == (j in model)
+        kernels.clear_bit(words, j)
+        model.discard(j)
+        assert not kernels.test_bit(words, j)
+    assert [kernels.test_bit(words, j) for j in range(n)] == \
+        [j in model for j in range(n)]
     assert kernels.iter_set_bits(words) == sorted(model)
-
-
-@given(st.data())
-@settings(max_examples=80, deadline=None)
-def test_pack_adjacency_matches_csr_rows(data):
-    n = data.draw(st.integers(min_value=1, max_value=60))
-    neighbors = [sorted(data.draw(st.lists(
-        st.integers(min_value=0, max_value=n - 1), unique=True,
-        max_size=8))) for _ in range(n)]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    indptr[1:] = np.cumsum([len(adj) for adj in neighbors])
-    indices = np.asarray([j for adj in neighbors for j in adj],
-                         dtype=np.int64)
-    packed = kernels.pack_adjacency(indptr, indices, n)
-    assert packed.shape == (n, kernels.words_for(n))
-    for v in range(n):
-        assert kernels.iter_set_bits(packed[v]) == neighbors[v]
-
-
-@given(packed_sets())
-@settings(max_examples=200, deadline=None)
-def test_int_tier_agrees_with_word_tier(case):
-    """int_from_words / int_from_indices / bits_of_int vs the int model.
-
-    Universes up to 200 exercise both ``int_from_indices`` branches (the
-    shift fold and the ``packbits`` scatter at > 32 indices).
-    """
-    n, members, words = case
-    as_int = int.from_bytes(words.tobytes(), "little")
-    assert kernels.int_from_words(words) == as_int
-    assert kernels.int_from_indices(members) == as_int
-    assert kernels.bits_of_int(as_int) == members
-    assert kernels.bits_of_int(0) == []
-
-
-def test_packing_budget_gate():
-    assert kernels.packing_budget_ok(1)
-    assert kernels.packing_budget_ok(kernels.PACKED_ADJACENCY_MAX_N)
-    assert not kernels.packing_budget_ok(kernels.PACKED_ADJACENCY_MAX_N + 1)
-    assert not kernels.packing_budget_ok(0)
-    assert kernels.packing_budget_ok(100, limit=100)
-    assert not kernels.packing_budget_ok(101, limit=100)
 
 
 # ----------------------------------------------------- uint8 -> uint64 pin
@@ -213,27 +145,16 @@ def test_uint8_fixture_migration():
         assert [list(edge) for edge in got] == field("matching").tolist()
 
 
-# ------------------------------------------------------- backend reporting
-def test_backend_selection_reports_numpy_without_numba():
-    """Without numba installed the silent fallback must be active."""
-    assert kernels.active_backend() in ("numpy", "numba")
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        assert kernels.active_backend() == "numpy"
-
-
 def test_timing_registry_round_trip():
     kernels.reset_timings()
     kernels.enable_timing(True)
     try:
         words = kernels.pack_indices([1, 5], 70)
-        kernels.popcount_words(words)
         kernels.first_set_bit(words)
     finally:
         kernels.enable_timing(False)
     names = {row[0] for row in kernels.timing_table()}
-    assert "popcount_words" in names
+    assert "first_set_bit" in names
     for name, calls, total_ns in kernels.timing_table():
         assert calls > 0 and total_ns >= 0
     kernels.reset_timings()

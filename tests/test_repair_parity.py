@@ -14,9 +14,8 @@ fallback at tiny ``repair_patch_cap``.
 import dataclasses
 import random
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.core.config import ParameterProfile
 from repro.core.repair import RepairContext

@@ -1,9 +1,10 @@
-"""Rule family ``parallel-safety``: code that diverges under a process pool.
+"""Rule family ``parallel-safety``: code that diverges across a process boundary.
 
-The sharded-execution roadmap item will run today's serially-executed
-machine/vertex programs in worker processes.  Three bug classes behave fine
-under :class:`~repro.exec.SerialExecutor` and silently diverge (or crash)
-once a :class:`~repro.exec.ProcessExecutor` is plugged in:
+The bench runner ships each scenario to a process pool
+(``pool.submit(run_spec_task, task)``), and the MPC/CONGEST simulators model
+a network whose messages are copies, not shared objects.  Three bug classes
+behave fine in one process and silently diverge (or crash) once work or
+messages cross a pickling boundary:
 
 * ``exec-escape`` -- a callable shipped through an executor seam
   (``executor.map(fn, tasks)`` / ``pool.submit(fn, task)``) that cannot
@@ -13,9 +14,9 @@ once a :class:`~repro.exec.ProcessExecutor` is plugged in:
   instances) pickle the reference but re-create divergent state per worker.
 * ``send-aliasing`` -- an MPC/CONGEST program (``program(vertex, state,
   inbox) -> {neighbor: message}``) returning a mutable payload it retains a
-  reference to.  Serial exchange shares objects, so a later mutation
-  rewrites the "delivered" message; process exchange pickles at the
-  barrier, so the same code delivers the pre-mutation value.  Flagged:
+  reference to.  The in-process exchange shares objects, so a later
+  mutation rewrites the "delivered" message, where a real send would have
+  delivered the pre-mutation value.  Flagged:
   returning ``state``/``inbox`` themselves, outbox values subscripting
   ``state``/``inbox``, and locals stored into an outbox then mutated in
   place after the send point (by source position; the runtime isolation

@@ -14,30 +14,23 @@ dicts/sets/strings are sized by content, and payload types the model cannot
 size are rejected under ``strict=True`` instead of slipping past the
 O(log n)-bit limit as "one word".
 
-Within a round the vertex programs are independent, so :meth:`round` has a
-chunked execution path mirroring the MPC simulator's: vertex ids are
-partitioned into contiguous chunks run via a pluggable
-:class:`~repro.exec.Executor` (serial by default, process pool when the
-program pickles; state dicts are shipped back explicitly), with outboxes
-merged at the barrier in vertex order.  The message exchange itself has a
-NumPy fast path over the CSR graph backend: when a round's messages are the
-small int tuples the matching programs actually send, edge validation runs
-as one whole-round array pass
+A round runs the vertex programs one after another in vertex order in this
+process and merges their outboxes at the barrier in that same order.  The
+message exchange has a NumPy fast path over the CSR graph backend: when a
+round's messages are the small int tuples the matching programs actually
+send, edge validation runs as one whole-round array pass
 (:meth:`~repro.graph.backends.CSRBackend.edge_mask`) instead of per-message
-``has_edge`` calls (sizing stays :func:`~repro.exec.payload_words`-exact).
+``has_edge`` calls; the checks still run in message order, so both paths
+raise the same error first (sizing stays
+:func:`~repro.exec.payload_words`-exact).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Callable, Dict, List, Optional, Tuple
 
-import numpy as np
-
-from repro.exec import PicklabilityProbe, contiguous_chunks, payload_words, resolve_executor
-from repro.exec.executor import Executor, ExecutorSpec
+from repro.exec import payload_words
 from repro.exec.isolation import resolve_isolation
-from repro.exec.pool import run_vertex_chunk
 from repro.graph.backends import CSRBackend
 from repro.graph.graph import Graph
 from repro.instrumentation.counters import Counters
@@ -63,20 +56,13 @@ class MessageTooLarge(RuntimeError):
 class CongestSimulator:
     """Synchronous message passing on the edges of a fixed graph.
 
-    ``executor`` / ``chunks`` mirror :class:`~repro.mpc.simulator.MPCSimulator`:
-    ``None`` keeps the sequential in-process loop, an int worker count /
-    ``"process"`` / an :class:`~repro.exec.Executor` enables chunked rounds.
-    A process pool is only used when the program pickles (closures fall back
-    to the sequential loop); per-vertex ``state`` keeps working either way
-    because chunk results carry the state dicts back across the boundary.
-
-    ``isolation`` enables the serial-executor isolation sanitizer
-    (:mod:`repro.exec.isolation`): in-process outboxes are deep-copied at
-    the exchange barrier and the sender-side originals checksummed at the
-    next round / :meth:`close`, so a program mutating an already-sent
-    payload raises :class:`~repro.exec.isolation.IsolationViolation`
-    instead of silently diverging between serial and pooled rounds.
-    ``None`` (default) reads the ``REPRO_EXEC_ISOLATION`` environment flag.
+    ``isolation`` enables the isolation sanitizer
+    (:mod:`repro.exec.isolation`): outboxes are deep-copied at the exchange
+    barrier and the sender-side originals checksummed at the next round /
+    :meth:`close`, so a program mutating an already-sent payload raises
+    :class:`~repro.exec.isolation.IsolationViolation` instead of silently
+    rewriting the delivered message.  ``None`` (default) reads the
+    ``REPRO_EXEC_ISOLATION`` environment flag.
 
     ``fault_plan`` injects deterministic message faults at the exchange
     barrier (:class:`~repro.resilience.faults.FaultPlan`): a validated
@@ -95,20 +81,12 @@ class CongestSimulator:
     """
 
     def __init__(self, graph: Graph, counters: Optional[Counters] = None,
-                 strict: bool = True, executor: ExecutorSpec = None,
-                 chunks: Optional[int] = None,
+                 strict: bool = True,
                  isolation: Optional[bool] = None,
                  fault_plan: Optional["FaultPlan"] = None) -> None:
         self.graph = graph
         self.counters = counters if counters is not None else Counters()
         self.strict = strict
-        self._executor: Optional[Executor] = (
-            None if executor is None else resolve_executor(executor))
-        # close() must not tear down a pool the caller owns and may share
-        self._owns_executor = (self._executor is not None
-                               and not isinstance(executor, Executor))
-        self._chunks = chunks
-        self._picklable = PicklabilityProbe()
         self._guard = resolve_isolation(isolation, "congest")
         self._faults = fault_plan
         self._fault_round = 0
@@ -119,52 +97,17 @@ class CongestSimulator:
         self._inboxes: List[Inbox] = [dict() for _ in range(graph.n)]
 
     # ----------------------------------------------------------------- rounds
-    def _execute_programs(self, program: VertexProgram) -> List[Outbox]:
-        """Run the program on every vertex; outboxes in vertex order."""
-        executor = self._executor
-        if executor is not None and executor.parallelism > 1 \
-                and not self._picklable(program):
-            executor = None  # closures can't cross a process boundary
-        n = self.graph.n
-        guard = self._guard
-        if executor is None:
-            outboxes = []
-            for v in range(n):
-                out = program(v, self.state[v], self._inboxes[v]) or {}
-                if guard is not None:
-                    # capture at program return -- exactly where process
-                    # mode would pickle -- so a later vertex of the same
-                    # round cannot rewrite an already-submitted outbox
-                    out = guard.capture_outbox(v, out)
-                outboxes.append(out)
-            return outboxes
-        spans = contiguous_chunks(
-            n, self._chunks or executor.chunks_for(n))
-        tasks = [(program, start, self.state[start:stop],
-                  self._inboxes[start:stop])
-                 for start, stop in spans]
-        outboxes: List[Outbox] = []  # repro: allow[word-accounting-bypass] -- collection only: the calling round sizes every message via _validate_outboxes before delivery
-        for (start, stop), (chunk_out, chunk_state) in zip(
-                spans, executor.map(run_vertex_chunk, tasks)):
-            outboxes.extend(chunk_out)
-            # mutated state must travel back explicitly (process mode); in
-            # serial mode these are the same dict objects, so this is a no-op
-            self.state[start:stop] = chunk_state
-        if guard is not None and executor.parallelism == 1:
-            # a chunked-but-serial executor still shares objects; process
-            # pools isolate physically, so only parallelism == 1 needs this
-            outboxes = [guard.capture_outbox(v, out)
-                        for v, out in enumerate(outboxes)]
-        return outboxes
-
     def _validate_outboxes(self, outboxes: List[Outbox]) -> int:
         """Edge-validate and size-check every message; returns message count.
 
-        Edge validation uses one whole-round ``edge_mask`` array pass on the
-        CSR backend when every message is a tuple/list (the int-tuple
-        encoding the matching programs use); otherwise it falls back to
-        per-message ``has_edge`` calls.  Size checks are always the exact
-        recursive :func:`~repro.exec.payload_words` rule.
+        Each message is checked in order -- edge first, then size -- so the
+        first offending message decides what is raised and what is charged.
+        On the CSR backend, when every message is a tuple/list (the
+        int-tuple encoding the matching programs use), one whole-round
+        ``edge_mask`` array pass stands in for the per-message ``has_edge``
+        calls.  Size checks are always the exact recursive
+        :func:`~repro.exec.payload_words` rule, so nesting cannot smuggle
+        data past the limit on either path.
         """
         senders: List[int] = []
         dests: List[int] = []
@@ -175,35 +118,35 @@ class CongestSimulator:
                 dests.append(dest)
                 messages.append(message)
 
-        fast = (len(messages) >= _FAST_PATH_MIN_MESSAGES
+        if (len(messages) >= _FAST_PATH_MIN_MESSAGES
                 and isinstance(self.graph.backend, CSRBackend)
-                and all(isinstance(m, (tuple, list)) for m in messages))
-        if fast:
-            ok = self.graph.edge_mask(senders, dests)
-            if not bool(ok.all()):
-                bad = int(np.argmin(ok))
-                raise ValueError(
-                    f"vertex {senders[bad]} tried to message non-neighbor "
-                    f"{dests[bad]}")
-            # sizing stays payload_words-exact (recursive): nesting must not
-            # smuggle data past the limit on the fast path either
-            for message in messages:
-                self._check_size(message)
+                and all(isinstance(m, (tuple, list)) for m in messages)):
+            is_edge = self.graph.edge_mask(senders, dests).tolist()
         else:
-            for v, dest, message in zip(senders, dests, messages):
-                if not self.graph.has_edge(v, dest):
-                    raise ValueError(
-                        f"vertex {v} tried to message non-neighbor {dest}")
-                self._check_size(message)
+            is_edge = map(self.graph.has_edge, senders, dests)
+        for v, dest, message, ok in zip(senders, dests, messages, is_edge):
+            if not ok:
+                raise ValueError(
+                    f"vertex {v} tried to message non-neighbor {dest}")
+            self._check_size(message)
         return len(messages)
 
     def round(self, program: VertexProgram) -> None:
         """Run one synchronous round of ``program`` on every vertex."""
-        if self._guard is not None:
+        guard = self._guard
+        if guard is not None:
             # payloads of the previous barrier must still digest identically:
             # any divergence is a mutation-after-send
-            self._guard.verify()
-        outboxes = self._execute_programs(program)
+            guard.verify()
+        # run every vertex's program in vertex order
+        outboxes: List[Outbox] = []
+        for v in range(self.graph.n):
+            out = program(v, self.state[v], self._inboxes[v]) or {}
+            if guard is not None:
+                # capture at program return, so a later vertex of the same
+                # round cannot rewrite an already-submitted outbox
+                out = guard.capture_outbox(v, out)
+            outboxes.append(out)
         total = self._validate_outboxes(outboxes)
 
         new_inboxes: List[Inbox] = [dict() for _ in range(self.graph.n)]
@@ -298,12 +241,11 @@ class CongestSimulator:
                     f"message of {words} words exceeds the O(log n)-bit limit")
 
     def close(self) -> None:
-        """Release executor workers this simulator created.
+        """End the simulation.
 
-        A caller-supplied :class:`~repro.exec.Executor` instance is left
-        running -- it may be shared with other simulators.  Under isolation
-        the last round's retained payloads are verified here, so mutations
-        after the final round still fail loudly.
+        Under isolation the last round's retained payloads are verified
+        here, so mutations after the final round still fail loudly, and
+        duplicates still in flight are tallied as expired.
         """
         if self._guard is not None:
             self._guard.verify()
@@ -312,8 +254,6 @@ class CongestSimulator:
             # network never delivered them (a fault in the final round)
             self.counters.add("congest_faults_expired", len(self._delayed))
             self._delayed = []
-        if self._executor is not None and self._owns_executor:
-            self._executor.close()
 
     @property
     def rounds(self) -> int:

@@ -277,10 +277,6 @@ class BoostingFramework:
     # -- Theorem 1.1 ---------------------------------------------------------
     def run(self, graph: Graph, initial: Optional[Matching] = None) -> Matching:
         """Boost to a (1+eps)-approximate maximum matching of ``graph``."""
-        # Honour the profile's backend selector (no-op when backend=None or
-        # the input already matches; matchings transfer between
-        # representations because vertex ids are preserved).
-        graph = self.profile.resolve_graph(graph)
         matching = initial.copy() if initial is not None else self.initial_matching(graph)
         driver = OracleDriver(self.oracle, self.profile, rng=self.rng)
         # the graph is fixed for the whole run: share the frozen derived

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 
 def _next_power_of_two_inverse(eps: float) -> float:
@@ -72,18 +72,6 @@ class ParameterProfile:
         unproductive phase would repeat forever).
     max_phase_cap, max_bundle_cap:
         Hard caps to keep practical runs bounded.
-    backend:
-        Graph storage backend the static frameworks should run on (a name
-        from :data:`repro.graph.backends.BACKENDS`), or ``None`` (default) to
-        keep whatever backend the input graph already uses.  When set,
-        :func:`~repro.core.streaming.semi_streaming_matching` and
-        :class:`~repro.core.boosting.BoostingFramework` convert their input
-        once at entry (via :meth:`resolve_graph`); ``"csr"`` enables the
-        vectorized NumPy fast paths regardless of how the input was built.
-        The weak-oracle/dynamic frameworks ignore this field: their oracles
-        are *bound* to a live graph object that is mutated in place, so the
-        backend must be chosen when that graph (or :class:`DynamicGraph`) is
-        constructed.
     """
 
     eps: float
@@ -98,7 +86,6 @@ class ParameterProfile:
     max_phase_cap: int = 10 ** 9
     max_bundle_cap: int = 10 ** 9
     oracle_c: float = 2.0
-    backend: Optional[str] = None
     #: phase-engine selector: ``"array"`` (vectorized candidate generation,
     #: the default) or ``"reference"`` (the scalar path, kept as the parity
     #: oracle).  Both engines are byte-identical -- same matchings, same
@@ -123,8 +110,7 @@ class ParameterProfile:
 
     # ------------------------------------------------------------ constructors
     @classmethod
-    def paper(cls, eps: float, c: float = 2.0,
-              backend: Optional[str] = None) -> "ParameterProfile":
+    def paper(cls, eps: float, c: float = 2.0) -> "ParameterProfile":
         """The literal schedule of the paper (use for accounting, not running)."""
         eps = _next_power_of_two_inverse(eps)
         ell_max = max(1, int(round(3.0 / eps)))
@@ -141,13 +127,12 @@ class ParameterProfile:
             delta=eps ** 107,
             early_exit=False,
             oracle_c=c,
-            backend=backend,
         )
 
     @classmethod
     def practical(cls, eps: float, c: float = 2.0,
-                  max_phase_cap: int = 64, max_bundle_cap: int = 256,
-                  backend: Optional[str] = None) -> "ParameterProfile":
+                  max_phase_cap: int = 64,
+                  max_bundle_cap: int = 256) -> "ParameterProfile":
         """Same schedule shape with small constants and early exit (default)."""
         eps = _next_power_of_two_inverse(eps)
         ell_max = max(3, int(round(3.0 / eps)))
@@ -166,22 +151,7 @@ class ParameterProfile:
             max_phase_cap=max_phase_cap,
             max_bundle_cap=max_bundle_cap,
             oracle_c=c,
-            backend=backend,
         )
-
-    # ------------------------------------------------------------ backend
-    def resolve_graph(self, graph):
-        """Return ``graph`` on this profile's backend (converted iff needed).
-
-        The single entry-point helper every framework that honours
-        ``backend`` should call: ``backend=None`` returns the graph
-        unchanged, otherwise a one-time O(m) conversion happens only when the
-        backends actually differ (vertex ids are preserved, so matchings
-        computed on the result fit the original graph).
-        """
-        if self.backend is not None and graph.backend_name != self.backend:
-            return graph.with_backend(self.backend)
-        return graph
 
     # ------------------------------------------------------------ schedule API
     @staticmethod

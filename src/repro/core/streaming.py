@@ -57,10 +57,6 @@ def semi_streaming_matching(graph: Graph, eps: float,
     counters = counters if counters is not None else Counters()
     rng = random.Random(seed)
 
-    # Run on the backend the profile asks for (no-op when backend=None or
-    # the input already matches; the returned matching fits the original).
-    graph = profile.resolve_graph(graph)
-
     # Line 1 of Algorithm 1: a 2-approximate (maximal) initial matching.
     matching = greedy_maximal_matching(graph)
     counters.add("passes")

@@ -122,12 +122,6 @@ class FullyDynamicMatching(DynamicMatchingAlgorithm):
             self._matching = Matching(n)
         self._updates_since_rebuild = 0
         self._size_at_rebuild = 0
-        # monotone checkpoint revisions: bumped whenever the corresponding
-        # checkpointed section *may* have changed (over-bumping is safe --
-        # it only costs a delta writer one re-serialization; under-bumping
-        # would silently persist stale state, so every mutation path bumps)
-        self._graph_rev = 0
-        self._matching_rev = 0
         self._profile_dict: Optional[dict] = None
 
     # ------------------------------------------------------------------ state
@@ -142,11 +136,9 @@ class FullyDynamicMatching(DynamicMatchingAlgorithm):
     @hot_path
     def update(self, update: Update) -> None:
         changed = self.dynamic_graph.apply(update)  # logs EMPTY padding too
-        if changed:
-            self._graph_rev += 1
-            if self.repair_context is not None:
-                self.repair_context.note_update(update.u, update.v,
-                                               update.kind == Update.INSERT)
+        if changed and self.repair_context is not None:
+            self.repair_context.note_update(update.u, update.v,
+                                           update.kind == Update.INSERT)
         if not self.charge_update(update):
             return
         self.counters.add("update_work", 1)
@@ -159,13 +151,11 @@ class FullyDynamicMatching(DynamicMatchingAlgorithm):
             # a deleted matched edge leaves the matching immediately
             if self._matching.contains_edge(update.u, update.v):
                 self._matching.remove(update.u, update.v)
-                self._matching_rev += 1
                 self.counters.add("matched_edge_deletions")
         elif update.kind == Update.INSERT and changed:
             # opportunistic O(1) improvement: match the new edge if both free
             if self._matching.is_free(update.u) and self._matching.is_free(update.v):
                 self._matching.add(update.u, update.v)
-                self._matching_rev += 1
 
         self._updates_since_rebuild += 1
         if self._needs_rebuild():
@@ -207,21 +197,8 @@ class FullyDynamicMatching(DynamicMatchingAlgorithm):
         self.counters.add("update_work", graph.n)  # the n*poly(1/eps) term
         self._updates_since_rebuild = 0
         self._size_at_rebuild = self._matching.size
-        self._matching_rev += 1  # the framework augments in place
 
     # ------------------------------------------------------------- checkpoint
-    def checkpoint_revisions(self) -> dict:
-        """Monotone per-section revision counters for delta checkpointing.
-
-        A section whose revision did not move since the previous snapshot is
-        guaranteed byte-identical, so a
-        :class:`~repro.resilience.checkpoint.DeltaCheckpointWriter` may reuse
-        the previous snapshot's copy instead of re-capturing and re-encoding
-        it.  Revisions may over-bump (that only costs a re-serialization)
-        but never under-bump.
-        """
-        return {"graph": self._graph_rev, "matching": self._matching_rev}
-
     def _sorted_edges(self) -> list:
         """Canonically sorted live edges (the checkpointed edge section).
 
@@ -233,8 +210,7 @@ class FullyDynamicMatching(DynamicMatchingAlgorithm):
             return list(self.repair_context.edge_pairs())
         return sorted(self.dynamic_graph.graph.edge_list())
 
-    def checkpoint_state(self, _reuse_edges: Optional[list] = None,
-                         _reuse_mate: Optional[list] = None) -> dict:
+    def checkpoint_state(self) -> dict:
         """Everything a byte-identical resume needs, as plain Python values.
 
         The packed form (``repro.resilience.checkpoint``) round-trips this
@@ -251,22 +227,10 @@ class FullyDynamicMatching(DynamicMatchingAlgorithm):
         views are deliberately *not* captured: they are a cache over the
         graph that the next rebuild recompiles wholesale, with byte-identical
         results (see ``repro.core.repair``).
-
-        ``_reuse_edges``/``_reuse_mate`` are the delta-writer's fast path:
-        a previous snapshot's section handed back verbatim because the
-        corresponding :meth:`checkpoint_revisions` counter has not moved.
-        Callers other than :class:`~repro.resilience.checkpoint.DeltaCheckpointWriter`
-        should leave them unset.
         """
         import dataclasses as _dc
 
-        matching = self._matching
-        if _reuse_mate is not None:
-            mate = _reuse_mate
-        else:
-            mate = [(-1 if m is None else m) for m in matching.mate_list()]
-        edges = (_reuse_edges if _reuse_edges is not None
-                 else self._sorted_edges())
+        mate = [(-1 if m is None else m) for m in self._matching.mate_list()]
         oracle_rng = getattr(self.oracle, "_rng", None)
         # the profile is a frozen dataclass; flatten it once per maintainer
         # (asdict deep-copies every field and dominates frequent-snapshot
@@ -282,7 +246,7 @@ class FullyDynamicMatching(DynamicMatchingAlgorithm):
             "profile": profile_dict,
             "rebuild_slack": self.rebuild_slack,
             "min_rebuild_gap": self.min_rebuild_gap,
-            "edges": edges,
+            "edges": self._sorted_edges(),
             "mate": mate,
             "counters": self.counters.as_dict(),
             "updates_since_rebuild": self._updates_since_rebuild,

@@ -1,53 +1,30 @@
-"""Execution layer: executors, chunk partitioning and payload sizing.
+"""Execution layer: payload sizing, the isolation sanitizer and the bench pool.
 
-The MPC model is embarrassingly parallel *within* a round (independent
-machine programs exchanging messages at superstep barriers), and the
-benchmark suite is embarrassingly parallel *across* scenarios.  This package
-provides the shared machinery both exploit:
+The MPC and CONGEST simulators run every round as a plain in-process loop;
+the paper needs both models only as cost models, so what this package
+shares with them is accounting, not scheduling:
 
-* :class:`~repro.exec.executor.Executor` -- the minimal ordered-``map``
-  protocol, with :class:`~repro.exec.executor.SerialExecutor` (inline, zero
-  overhead, the default everywhere) and
-  :class:`~repro.exec.executor.ProcessExecutor` (a ``ProcessPoolExecutor``
-  wrapper) implementations, plus :func:`~repro.exec.executor.resolve_executor`
-  to turn user-facing specs (``None`` / int / name / instance) into one.
-* :func:`~repro.exec.chunking.contiguous_chunks` -- partition ``range(count)``
-  into contiguous ``(start, stop)`` slices, the unit of work a simulator
-  round hands to an executor.
 * :func:`~repro.exec.words.payload_words` -- the word-size convention shared
   by the MPC budget/counter accounting and the CONGEST per-edge message
   limit.
+* :class:`~repro.exec.isolation.IsolationGuard` -- the runtime sanitizer
+  that delivers deep copies at a simulator's exchange barrier and raises
+  :class:`~repro.exec.isolation.IsolationViolation` when a program mutates
+  a payload it already sent.
 * :func:`~repro.exec.pool.run_spec_task` -- the picklable worker the bench
   runner's ``--jobs N`` process pool executes.
 
-Determinism contract: executors only change *where* work runs, never its
-result order.  ``Executor.map`` returns results in submission order, chunks
-are contiguous and ordered, and every merge step (bench records, simulator
-outboxes) iterates in that order -- so a parallel run is indistinguishable
-from a serial one except for wall-clock time.
+Determinism contract: the bench pool only changes *where* a scenario runs,
+never its record.  The runner merges records back in spec order, so a
+parallel suite is indistinguishable from a serial one except for wall-clock
+time.
 """
 
-from repro.exec.chunking import contiguous_chunks
-from repro.exec.executor import (
-    Executor,
-    PicklabilityProbe,
-    ProcessExecutor,
-    SerialExecutor,
-    is_picklable,
-    resolve_executor,
-)
 from repro.exec.isolation import IsolationGuard, IsolationViolation
 from repro.exec.words import payload_words
 
 __all__ = [
-    "Executor",
     "IsolationGuard",
     "IsolationViolation",
-    "PicklabilityProbe",
-    "ProcessExecutor",
-    "SerialExecutor",
-    "contiguous_chunks",
-    "is_picklable",
     "payload_words",
-    "resolve_executor",
 ]

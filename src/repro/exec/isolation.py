@@ -1,16 +1,16 @@
-"""Serial-executor isolation sanitizer: make mutation-after-send fail loudly.
+"""Simulator isolation sanitizer: make mutation-after-send fail loudly.
 
-Serial simulator rounds share message objects between sender and receiver;
-a process pool pickles them at the chunk boundary.  A program that mutates
-a payload *after* placing it in its outbox therefore behaves differently in
-the two modes -- the classic sharding heisenbug, invisible in every serial
+Simulator rounds run in one process, so the exchange shares message objects
+between sender and receiver.  A program that mutates a payload *after*
+placing it in its outbox therefore rewrites the message its receiver sees
+-- something no real network delivery allows, and invisible in every plain
 test.  The static rule ``send-aliasing`` catches the patterns; this module
 checks the property at runtime:
 
-* at the exchange barrier, every in-process outbox payload is replaced by a
-  :func:`copy.deepcopy` before delivery (matching process-mode pickling
-  semantics exactly), while the sender-side original is retained together
-  with a content digest;
+* at the exchange barrier, every outbox payload is replaced by a
+  :func:`copy.deepcopy` before delivery (what a real send's serialization
+  would hand the receiver), while the sender-side original is retained
+  together with a content digest;
 * at the next round (and at :meth:`IsolationGuard.verify` / simulator
   ``close()``), the retained originals are re-digested -- any divergence
   means the sender mutated a payload it had already sent, and raises
@@ -61,8 +61,7 @@ class IsolationGuard:
 
     The simulator calls :meth:`capture_messages` (MPC outbox shape: a list
     of ``(dest, payload)``) or :meth:`capture_outbox` (CONGEST shape:
-    ``{dest: payload}``) on each in-process outbox as it crosses the
-    barrier, delivers the returned copies, and calls :meth:`verify` at the
+    ``{dest: payload}``) on each outbox as it crosses the barrier, delivers the returned copies, and calls :meth:`verify` at the
     start of the next round and on ``close()``.
     """
 
@@ -103,9 +102,9 @@ class IsolationGuard:
                 raise IsolationViolation(
                     f"{self.model} isolation sanitizer: sender {sender} "
                     f"mutated a payload after sending it to {dest} in "
-                    f"round {rnd} -- serial exchange would deliver the "
-                    "mutated object, a process pool the original; send an "
-                    "immutable tuple or an explicit copy "
+                    f"round {rnd} -- without isolation the receiver would "
+                    "see the mutated object; send an immutable tuple or an "
+                    "explicit copy "
                     f"(payload now: {payload!r})")
         self._pending.clear()
         self.round_index += 1

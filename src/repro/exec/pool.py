@@ -1,18 +1,13 @@
-"""Process-pool workers: the picklable task bodies executed in child processes.
+"""Process-pool worker: the picklable task body the bench runner executes.
 
-Two kinds of worker live here, at module top level so they pickle by
-reference under every start method (fork *and* spawn):
-
-* :func:`run_spec_task` -- one benchmark :class:`~repro.bench.registry.RunSpec`
-  executed in a pool worker.  The worker re-populates the scenario registry
-  itself (``discovery.load_benchmark_modules``), resolves the scenario by
-  name, and returns either ``("ok", record)`` or ``("error", traceback_text)``
-  -- scenario failures are *data*, not exceptions, so one crashing scenario
-  never aborts the suite.
-* :func:`run_machine_chunk` / :func:`run_vertex_chunk` -- one contiguous
-  chunk of an MPC / CONGEST round.  Chunk inputs are slices of the per-id
-  state; outputs are returned (never mutated in place) so the same functions
-  work inline and across a process boundary.
+:func:`run_spec_task` lives at module top level so it pickles by reference
+under every start method (fork *and* spawn).  It runs one benchmark
+:class:`~repro.bench.registry.RunSpec` in a pool worker: the worker
+re-populates the scenario registry itself
+(``discovery.load_benchmark_modules``), resolves the scenario by name, and
+returns either ``("ok", record)`` or ``("error", traceback_text)`` --
+scenario failures are *data*, not exceptions, so one crashing scenario never
+aborts the suite.
 """
 
 from __future__ import annotations
@@ -20,7 +15,7 @@ from __future__ import annotations
 import os
 import time
 import traceback
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Tuple
 
 #: result tags of :func:`run_spec_task`
 OK, ERROR, TIMEOUT = "ok", "error", "timeout"
@@ -80,31 +75,3 @@ def run_spec_task(task) -> Tuple[str, object]:
         # the pool instead of becoming a per-scenario failure entry
         return (ERROR, traceback.format_exc())
 
-
-def run_machine_chunk(task) -> List[List[Tuple[int, object]]]:
-    """Run one contiguous chunk of MPC machine programs.
-
-    ``task`` is ``(program, start, storages)`` where ``storages`` are the
-    local item lists of machines ``start .. start+len(storages)-1``.  Returns
-    one outbox (list of ``(dest, payload)`` messages) per machine, in machine
-    order.  Storage is treated as read-only: chunked rounds communicate only
-    through returned messages.
-    """
-    program, start, storages = task
-    return [list(program(machine_id, storage))
-            for machine_id, storage in enumerate(storages, start)]
-
-
-def run_vertex_chunk(task) -> Tuple[List[Dict[int, object]], List[dict]]:
-    """Run one contiguous chunk of CONGEST vertex programs.
-
-    ``task`` is ``(program, start, states, inboxes)``.  Returns the outboxes
-    *and* the (possibly mutated) state dicts, in vertex order -- state must
-    travel back explicitly because in-place mutation does not cross a
-    process boundary.
-    """
-    program, start, states, inboxes = task
-    outboxes: List[Dict[int, object]] = []
-    for v, (state, inbox) in enumerate(zip(states, inboxes), start):
-        outboxes.append(program(v, state, inbox) or {})
-    return outboxes, states

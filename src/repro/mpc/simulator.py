@@ -9,15 +9,11 @@ the Theta(1)-approximate matching oracle and the clean-up steps take.
 :class:`MPCSimulator` therefore simulates the round structure and accounts for
 memory and communication, executing "machine programs" written as Python
 callables.  It mirrors the message-passing style of the mpi4py guide
-(synchronous supersteps, explicit exchanged messages).
-
-Within a round the machine programs are independent -- exactly the structure
-one-sided-MPI supersteps exploit -- so :meth:`MPCSimulator.round` has a
-chunked execution path: machine ids are partitioned into contiguous chunks
-handed to a pluggable :class:`~repro.exec.Executor` (serial by default, a
-process pool when the program pickles), and the outboxes are merged at the
-superstep barrier in machine order, so counters and delivery order are
-identical to the sequential loop.
+(synchronous supersteps, explicit exchanged messages).  A round runs the
+machine programs one after another in machine order in this process and
+merges their outboxes at the superstep barrier in that same order; how the
+programs are scheduled would change wall time only, never a count the
+reproduction reports.
 
 Word accounting: the budget ``S`` and the ``mpc_messages`` counter are in
 *words*, so every payload is sized via :func:`~repro.exec.payload_words`
@@ -29,12 +25,10 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.exec import PicklabilityProbe, contiguous_chunks, payload_words, resolve_executor
-from repro.exec.executor import Executor, ExecutorSpec
+from repro.exec import payload_words
 from repro.exec.isolation import resolve_isolation
-from repro.exec.pool import run_machine_chunk
 from repro.instrumentation.counters import Counters
 from repro.resilience import faults as faults_mod
 from repro.resilience.faults import FaultPlan
@@ -62,26 +56,14 @@ class MPCSimulator:
     strict:
         When true, exceeding ``S`` raises :class:`MemoryExceeded`; otherwise
         the violation is only recorded in ``mpc_memory_violations``.
-    executor:
-        Where the machine programs of a round run: ``None`` (default) keeps
-        the sequential in-process loop; an int worker count, ``"process"`` or
-        an :class:`~repro.exec.Executor` instance enables the chunked path.
-        A process pool is only used when the round's program pickles --
-        closures fall back to the sequential loop transparently.  Chunked
-        programs must treat machine storage as read-only during the round
-        (communicate through messages); counters stay exact either way.
-    chunks:
-        Override how many contiguous machine chunks a round is split into
-        (default: the executor's own sizing).
     isolation:
-        Run the serial-executor isolation sanitizer
-        (:mod:`repro.exec.isolation`): in-process outboxes are deep-copied
-        at the exchange barrier (matching process-mode pickling semantics)
-        and the sender-side originals are checksummed at the next round /
-        ``close()``, so mutation-after-send raises
+        Run the isolation sanitizer (:mod:`repro.exec.isolation`): outboxes
+        are deep-copied at the exchange barrier and the sender-side
+        originals are checksummed at the next round / ``close()``, so a
+        program mutating a payload it already sent raises
         :class:`~repro.exec.isolation.IsolationViolation` instead of
-        silently diverging once rounds run in a pool.  ``None`` (default)
-        reads the ``REPRO_EXEC_ISOLATION`` environment flag.
+        silently rewriting the delivered message.  ``None`` (default) reads
+        the ``REPRO_EXEC_ISOLATION`` environment flag.
     fault_plan:
         Optional :class:`~repro.resilience.faults.FaultPlan` injecting
         deterministic message faults at the exchange barrier: a produced
@@ -95,8 +77,6 @@ class MPCSimulator:
 
     def __init__(self, num_machines: int, memory_per_machine: Optional[int] = None,
                  counters: Optional[Counters] = None, strict: bool = True,
-                 executor: ExecutorSpec = None,
-                 chunks: Optional[int] = None,
                  isolation: Optional[bool] = None,
                  fault_plan: Optional["FaultPlan"] = None) -> None:
         if num_machines <= 0:
@@ -105,13 +85,6 @@ class MPCSimulator:
         self.memory_per_machine = memory_per_machine
         self.counters = counters if counters is not None else Counters()
         self.strict = strict
-        self._executor: Optional[Executor] = (
-            None if executor is None else resolve_executor(executor))
-        # close() must not tear down a pool the caller owns and may share
-        self._owns_executor = (self._executor is not None
-                               and not isinstance(executor, Executor))
-        self._chunks = chunks
-        self._picklable = PicklabilityProbe()
         self._guard = resolve_isolation(isolation, "mpc")
         self._faults = fault_plan
         self._fault_round = 0
@@ -133,41 +106,6 @@ class MPCSimulator:
         return v % self.num_machines
 
     # ----------------------------------------------------------------- rounds
-    def _execute_programs(
-            self, program: Callable[[int, List[object]], Iterable[Message]]
-    ) -> List[List[Message]]:
-        """Run the program on every machine; outboxes in machine order."""
-        executor = self._executor
-        if executor is not None and executor.parallelism > 1 \
-                and not self._picklable(program):
-            executor = None  # closures can't cross a process boundary
-        guard = self._guard
-        if executor is None:
-            outboxes = []
-            for machine_id in range(self.num_machines):
-                out = list(program(machine_id, self.storage[machine_id]))
-                if guard is not None:
-                    # capture at program return -- exactly where process
-                    # mode would pickle -- so a later program of the same
-                    # round cannot rewrite an already-submitted outbox
-                    out = guard.capture_messages(machine_id, out)
-                outboxes.append(out)
-            return outboxes
-        spans = contiguous_chunks(
-            self.num_machines,
-            self._chunks or executor.chunks_for(self.num_machines))
-        tasks = [(program, start, self.storage[start:stop])
-                 for start, stop in spans]
-        outboxes: List[List[Message]] = []  # repro: allow[word-accounting-bypass] -- collection only: round() sizes every payload via payload_words at the barrier before delivery
-        for chunk_result in executor.map(run_machine_chunk, tasks):
-            outboxes.extend(chunk_result)
-        if guard is not None and executor.parallelism == 1:
-            # a chunked-but-serial executor still shares objects; process
-            # pools isolate physically, so only parallelism == 1 needs this
-            outboxes = [guard.capture_messages(machine_id, out)
-                        for machine_id, out in enumerate(outboxes)]
-        return outboxes
-
     def round(self,
               program: Callable[[int, List[object]], Iterable[Message]]) -> None:
         """Execute one synchronous round.
@@ -179,17 +117,25 @@ class MPCSimulator:
         (:func:`~repro.exec.payload_words`; unknown objects count 1) against
         the budget ``S``, and their total is charged to ``mpc_messages``.
         """
-        if self._guard is not None:
+        guard = self._guard
+        if guard is not None:
             # payloads of the previous barrier must still digest identically:
             # any divergence is a mutation-after-send
-            self._guard.verify()
-        outboxes = self._execute_programs(program)
+            guard.verify()
+        # run every machine's program in machine order
+        outboxes: List[List[Message]] = []
+        for machine_id in range(self.num_machines):
+            out = list(program(machine_id, self.storage[machine_id]))
+            if guard is not None:
+                # capture at program return, so a later program of the same
+                # round cannot rewrite an already-submitted outbox
+                out = guard.capture_messages(machine_id, out)
+            outboxes.append(out)
         if self._faults is not None:
             outboxes = self._apply_message_faults(outboxes)
         self._fault_round += 1
 
-        # barrier: merge outboxes in machine order (deterministic regardless
-        # of how the programs were executed), sizing each payload once
+        # barrier: merge outboxes in machine order, sizing each payload once
         inboxes: Dict[int, List[Tuple[object, int]]] = defaultdict(list)
         total_words = 0
         for machine_id, msgs in enumerate(outboxes):
@@ -308,17 +254,13 @@ class MPCSimulator:
                 self._violation(machine_id, words)
 
     def close(self) -> None:
-        """Release executor workers this simulator created.
+        """End the simulation.
 
-        A caller-supplied :class:`~repro.exec.Executor` instance is left
-        running -- it may be shared with other simulators.  Under isolation
-        the last round's retained payloads are verified here, so mutations
-        after the final round still fail loudly.
+        Under isolation the last round's retained payloads are verified
+        here, so mutations after the final round still fail loudly.
         """
         if self._guard is not None:
             self._guard.verify()
-        if self._executor is not None and self._owns_executor:
-            self._executor.close()
 
     # ------------------------------------------------------------------ stats
     @property

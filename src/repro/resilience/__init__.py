@@ -4,9 +4,10 @@ The package splits into two layers:
 
 * **stdlib-only primitives** (:mod:`repro.resilience.faults`,
   :mod:`repro.resilience.retry`, :mod:`repro.resilience.timeouts`) that the
-  executors and simulators import directly -- they pull in nothing beyond
-  ``hashlib``/``signal``, so threading a :class:`FaultPlan` through
-  ``repro.exec`` or the simulators creates no import cycles;
+  bench runner, its pool worker and the simulators import directly -- they
+  pull in nothing beyond ``hashlib``/``signal``, so threading a
+  :class:`FaultPlan` through ``repro.exec`` or the simulators creates no
+  import cycles;
 * **maintainer checkpointing** (:mod:`repro.resilience.checkpoint`,
   :mod:`repro.resilience.harness`) which depends on ``repro.dynamic`` and
   NumPy and is therefore loaded lazily through module ``__getattr__``.

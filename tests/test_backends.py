@@ -431,21 +431,10 @@ class TestBackendSelection:
         assert back.backend_name == "adjset"
         assert sorted(back.edges()) == sorted(g.edges())
 
-    def test_profile_backend_selector_end_to_end(self):
-        from repro.core.config import ParameterProfile
-        from repro.core.streaming import semi_streaming_matching
-
-        g = erdos_renyi(30, 0.15, seed=11)
-        profile = ParameterProfile.practical(0.25, backend="csr")
-        m = semi_streaming_matching(g, 0.25, profile=profile, seed=0)
-        m.validate(g)
-
     def test_default_profile_keeps_input_backend(self):
-        # profile.backend defaults to None = "keep the input graph's
-        # backend": an explicitly CSR-built graph must not be silently
-        # converted back to adjset by the framework entry points
-        from repro.core.config import ParameterProfile
-        assert ParameterProfile.practical(0.25).backend is None
+        # the frameworks run on the input graph's backend: an explicitly
+        # CSR-built graph must not be silently converted back to adjset by
+        # the framework entry points
         from repro.core.streaming import semi_streaming_matching
 
         g = erdos_renyi(25, 0.15, seed=13, backend="csr")

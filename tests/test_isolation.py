@@ -1,20 +1,18 @@
-"""Tests for the serial-executor isolation sanitizer (``repro.exec.isolation``).
+"""Tests for the simulator isolation sanitizer (``repro.exec.isolation``).
 
 The sanitizer's contract: under ``isolation=True`` the simulators deliver
-deep copies at the exchange barrier (matching process-mode pickling
-semantics) and checksum the sender-side originals, so a program mutating a
-payload it already sent -- the exact bug class the static ``send-aliasing``
-rule hunts, invisible in every plain serial test -- raises
+deep copies at the exchange barrier and checksum the sender-side originals,
+so a program mutating a payload it already sent -- the exact bug class the
+static ``send-aliasing`` rule hunts, invisible in every plain test -- raises
 :class:`~repro.exec.isolation.IsolationViolation` at the next round or at
-``close()``.  Also pinned: the flag's env default, the chunked-serial path,
-and counter parity with isolation off (the sanitizer must observe, never
-perturb).
+``close()``.  Also pinned: the flag's env default and counter parity with
+isolation off (the sanitizer must observe, never perturb).
 """
 
 import pytest
 
 from repro.congest.simulator import CongestSimulator
-from repro.exec import IsolationViolation, SerialExecutor
+from repro.exec import IsolationViolation
 from repro.exec.isolation import IsolationGuard, isolation_default, payload_digest
 from repro.graph.graph import Graph
 from repro.instrumentation.counters import Counters
@@ -101,18 +99,6 @@ class TestCongestIsolation:
         sent[0][1] = 99
         sim.round(self._mutating_program(sent))  # silently tolerated
         sim.close()
-
-    def test_chunked_serial_path_is_guarded(self):
-        # a chunked-but-serial executor still shares objects in-process, so
-        # the guard must capture there too (module-level programs would
-        # normally take the pool path; SerialExecutor keeps it in-process)
-        sim = CongestSimulator(path_graph(3), isolation=True,
-                               executor=SerialExecutor(), chunks=2)
-        sent = []
-        sim.round(self._mutating_program(sent))
-        sent[0][1] = 99
-        with pytest.raises(IsolationViolation):
-            sim.round(self._mutating_program(sent))
 
     def test_counters_identical_with_and_without_isolation(self):
         def program(v, state, inbox):

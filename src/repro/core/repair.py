@@ -55,7 +55,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.graph.backends import compile_csr
+from repro.graph.backends import canonical_edges_error, compile_csr
 from repro.graph.graph import Graph
 from repro.matching.matching import Matching
 from repro.core.config import ParameterProfile
@@ -98,6 +98,11 @@ class MirroredMatching(Matching):
     def remove(self, u: int, v: int) -> None:
         super().remove(u, v)
         self._ctx._on_unmatch(u, v)
+
+    def load_mate_array(self, mate) -> None:
+        mate = np.asarray(mate, dtype=np.int64)
+        super().load_mate_array(mate)
+        self._ctx._on_load(mate)
 
 
 class RepairContext:
@@ -186,6 +191,16 @@ class RepairContext:
         self.vlabel_arr[u] = 0
         self.vlabel_arr[v] = 0
 
+    def _on_load(self, mate) -> None:
+        """Reset every mate/label baseline from a whole mate array at once."""
+        assert not self._attached, "the matching is frozen while a phase runs"
+        matched = mate >= 0
+        labels = np.where(matched, self.label_default, 0)
+        self.mate_arr[:] = mate
+        self.matched_arr[:] = matched
+        self.vlabel_arr[:] = labels
+        self.vlabel[:] = labels.tolist()
+
     def free_vertices(self) -> List[int]:
         """Ascending free vertices (same order as ``Matching.free_vertices``)."""
         return np.flatnonzero(self.mate_arr < 0).tolist()
@@ -219,6 +234,26 @@ class RepairContext:
         self._edge_pairs = None
         self._nbrs.clear()
         self._pending.clear()
+
+    def seed_views(self, eu, ev) -> None:
+        """Start the views synced from the graph's canonical edge arrays.
+
+        ``eu``/``ev`` must be what a wholesale compile reads: every live
+        edge once, ``u < v``, in ascending ``u * n + v`` order (a
+        checkpoint's edge section is exactly that).  A restored maintainer
+        seeds its fresh context this way, so its first sync patches these
+        views instead of sorting the whole edge list.  Raises
+        ``ValueError`` on arrays of another shape or order.
+        """
+        eu = np.ascontiguousarray(eu, dtype=np.int64)
+        ev = np.ascontiguousarray(ev, dtype=np.int64)
+        problem = canonical_edges_error(eu, ev, self.n)
+        if problem is None and eu.size != self.graph.m:
+            problem = f"{eu.size} edges for a graph with {self.graph.m}"
+        if problem is not None:
+            raise ValueError(f"seed_views: {problem}")
+        self._drop_views()
+        self._eu, self._ev, self._keys = eu, ev, eu * self.n + ev
 
     # ------------------------------------------------------------ view syncing
     def _sync_views(self) -> None:

@@ -324,10 +324,11 @@ class PhaseState:
     # ----------------------------------------------------------- construction
     def init_structures(self) -> None:
         """Create the single-vertex structure of every free vertex (Alg. 2, l.3)."""
+        if self.graph.n - 2 * self.matching.size == 0:
+            # a perfect matching leaves no free vertex: skip the O(n) scan
+            return
         free = (self.context.free_vertices() if self.context is not None
                 else self.matching.free_vertices())
-        if not free:
-            return
         structures = self.structures
         node_of = self.node_of
         root_ids = []

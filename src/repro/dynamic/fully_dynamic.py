@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from typing import Callable, List, Optional, Tuple
 
-from repro.graph.backends import BackendSpec
+from repro.graph.backends import BackendSpec, edge_endpoint_arrays
 from repro.graph.dynamic_graph import DynamicGraph, Update
 from repro.graph.graph import Graph
 from repro.matching.matching import Matching
@@ -225,8 +225,8 @@ class FullyDynamicMatching(DynamicMatchingAlgorithm):
         maintainer's, the boosting framework's, and the weak oracle's when it
         has one), and the rebuild schedule.  The repair context's patchable
         views are deliberately *not* captured: they are a cache over the
-        graph that the next rebuild recompiles wholesale, with byte-identical
-        results (see ``repro.core.repair``).
+        graph, and a restore seeds them from the edge section, which is
+        exactly what a wholesale compile produces (see ``repro.core.repair``).
         """
         import dataclasses as _dc
 
@@ -279,18 +279,21 @@ class FullyDynamicMatching(DynamicMatchingAlgorithm):
                   min_rebuild_gap=int(state["min_rebuild_gap"]),
                   counters=counters, seed=state["seed"],
                   backend=state["backend"])
-        # Live edges, in canonical order.  A fresh repair context compiles
-        # its views at the next rebuild, so no note_update calls are needed;
-        # an OMv-style oracle is refreshed wholesale afterwards instead of
-        # being notified per edge.
-        alg.dynamic_graph.insert_edges(state["edges"])
+        # Live edges, in canonical order, in one bulk insert (each adjset
+        # row receives its neighbours in ascending order).  An OMv-style
+        # oracle is refreshed wholesale afterwards instead of being notified
+        # per edge.
+        edges = state["edges"]
+        alg.dynamic_graph.insert_edges(edges)
         if hasattr(alg.oracle, "rebuild"):
             alg.oracle.rebuild()
-        # Matched pairs go through Matching.add so a mirrored matching keeps
-        # the repair baselines fresh, exactly as the original run did.
-        for u, v in enumerate(state["mate"]):
-            if v > u:
-                alg._matching.add(u, v)
+        # one vectorized load; a mirrored matching resets the repair
+        # baselines with it
+        alg._matching.load_mate_array(state["mate"])
+        if alg.repair_context is not None:
+            # the edge section is canonical and key-sorted, which is exactly
+            # what the context's first sync would compile
+            alg.repair_context.seed_views(*edge_endpoint_arrays(edges))
         # Counters last: reconstruction above may have charged the bag.
         alg.counters.reset()
         alg.counters.merge(state["counters"])

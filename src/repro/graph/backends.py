@@ -65,6 +65,25 @@ def edge_endpoint_arrays(edges: Iterable[Edge]):
     return flat[0::2], flat[1::2]
 
 
+def canonical_edges_error(eu, ev, n: int) -> Optional[str]:
+    """Why ``eu``/``ev`` are not canonical key-sorted edge arrays, or ``None``.
+
+    Canonical means what :meth:`CSRBackend.edge_arrays` returns:
+    equal-length 1-D int arrays, ``0 <= u < v < n`` for every edge, and
+    strictly increasing keys ``u * n + v`` (so no edge twice).  The
+    checkpoint loader and the repair context's view seeding check it.
+    """
+    if eu.ndim != 1 or eu.shape != ev.shape:
+        return (f"edge arrays are not 1-D of equal length "
+                f"({eu.shape} vs {ev.shape})")
+    if not ((eu >= 0) & (eu < ev) & (ev < n)).all():
+        return "an edge is out of range or not canonical (need 0 <= u < v < n)"
+    keys = eu * n + ev
+    if not (keys[1:] > keys[:-1]).all():
+        return "edges are not in strictly increasing key order"
+    return None
+
+
 def compile_csr(eu, ev, n: int):
     """Build CSR ``(indptr, indices)`` over both orientations of an edge set.
 

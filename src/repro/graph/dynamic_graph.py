@@ -15,7 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.graph.backends import BackendSpec
+import numpy as np
+
+from repro.graph.backends import BackendSpec, edge_endpoint_arrays
 from repro.graph.graph import Graph, normalize_edge
 from repro.utils.contracts import invalidates
 
@@ -225,8 +227,31 @@ class DynamicGraph:
 
     @invalidates("_num_updates", "_max_edges")
     def insert_edges(self, edges: Iterable[Edge]) -> int:
-        """Batched insert: log one :class:`Update` per edge, mutate in bulk."""
-        return self.apply_all(Update.insert(u, v) for u, v in edges)
+        """Batched insert: every edge counts as one insert update.
+
+        With the update log on, one :class:`Update` per edge is logged
+        through :meth:`apply_all`.  Without it no ``Update`` is built: the
+        whole batch is validated up front (a bad edge raises before anything
+        changes) and handed to the backend's bulk ``add_edges`` in one call,
+        in the given order.
+        """
+        if self._log is not None:
+            return self.apply_all(Update.insert(u, v) for u, v in edges)
+        if not isinstance(edges, (list, tuple)):
+            edges = list(edges)
+        us, vs = edge_endpoint_arrays(edges)
+        n = self.n
+        bad = (us < 0) | (us >= n) | (vs < 0) | (vs >= n)
+        if bad.any():
+            i = int(np.argmax(bad))
+            w = int(us[i]) if not 0 <= us[i] < n else int(vs[i])
+            raise ValueError(f"vertex {w} out of range [0, {n})")
+        if (us == vs).any():
+            raise ValueError("self-loop updates are not allowed")
+        changed = self._graph.add_edges(edges)
+        self._num_updates += len(edges)
+        self._max_edges = max(self._max_edges, self._graph.m)
+        return changed
 
     @invalidates("_num_updates", "_max_edges")
     def delete_edges(self, edges: Iterable[Edge]) -> int:

@@ -10,9 +10,32 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.graph.graph import Graph, normalize_edge
 
 Edge = Tuple[int, int]
+
+
+def mate_array_error(mate, n: int) -> Optional[str]:
+    """Why ``mate`` does not describe a matching on ``n`` vertices, or ``None``.
+
+    ``mate`` is a 1-D int64 array with ``mate[v]`` the partner of ``v`` and
+    ``-1`` for a free vertex (the checkpoint layout).  Checked vectorized:
+    the length is ``n``, every entry is ``-1`` or a vertex, no vertex is
+    matched to itself, and ``mate[mate[u]] == u`` for every matched ``u``.
+    """
+    if mate.shape != (n,):
+        return f"mate array has shape {mate.shape}, expected ({n},)"
+    if ((mate < -1) | (mate >= n)).any():
+        return "mate entry out of range"
+    matched = np.flatnonzero(mate >= 0)
+    partners = mate[matched]
+    if (partners == matched).any():
+        return "a vertex is matched to itself"
+    if (mate[partners] != matched).any():
+        return "mate array is not symmetric (mate[mate[u]] != u)"
+    return None
 
 
 class Matching:
@@ -129,6 +152,25 @@ class Matching:
             count += 1
         self._size += count
         return count
+
+    def load_mate_array(self, mate) -> None:
+        """Replace the matching with the one ``mate`` describes, in one pass.
+
+        ``mate`` holds ``n`` ints (a list or an int64 array), ``-1`` marking a
+        free vertex; it is validated by :func:`mate_array_error` first, and a
+        bad array raises ``ValueError`` leaving the matching unchanged.  The
+        bulk counterpart of one :meth:`add` per pair (checkpoint restore).
+        """
+        arr = np.asarray(mate, dtype=np.int64)
+        problem = mate_array_error(arr, self._n)
+        if problem is not None:
+            raise ValueError(problem)
+        table: List[Optional[int]] = arr.tolist()
+        free = np.flatnonzero(arr < 0)
+        for v in free.tolist():
+            table[v] = None
+        self._mate = table
+        self._size = (self._n - free.size) // 2
 
     def remove(self, u: int, v: int) -> None:
         """Remove matched edge ``{u, v}``."""

@@ -9,8 +9,9 @@ states (``random.Random.getstate()`` packed as an int64 vector plus a
 gauss-carry float pair).
 
 The format is versioned (:data:`CHECKPOINT_VERSION`) and every load failure
--- missing keys, wrong magic, version skew, a truncated or corrupt container
--- surfaces as :class:`CheckpointError` carrying the path and, for version
+-- missing keys, wrong magic, version skew, a truncated or corrupt container,
+edge and mate arrays that do not describe a graph and a matching in it --
+surfaces as :class:`CheckpointError` carrying the path and, for version
 skew, the expected vs found version.  Nothing in this module swallows a
 load error into a half-restored maintainer.
 """
@@ -26,7 +27,9 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.dynamic.fully_dynamic import FullyDynamicMatching, OracleFactory
+from repro.graph.backends import canonical_edges_error, edge_endpoint_arrays
 from repro.instrumentation.counters import Counters
+from repro.matching.matching import mate_array_error
 
 #: on-disk format version; v2 dropped the profile's ``backend`` field from
 #: ``profile_json``, so a v1 file fails :meth:`MaintainerCheckpoint.load`
@@ -79,9 +82,29 @@ def _pack_rng(state):
 
 def _unpack_rng(words, carry):
     version = int(words[0])
-    internal = tuple(int(w) for w in words[1:])
+    internal = tuple(words[1:].tolist())
     gauss = None if float(carry[0]) == 0.0 else float(carry[1])
     return (version, internal, gauss)
+
+
+def _graph_error(n: int, edge_u, edge_v, mate) -> Optional[str]:
+    """Why the edge and mate sections are not a graph on ``n`` vertices in
+    capture order plus a matching of it, or ``None``."""
+    for name, arr in (("edge_u", edge_u), ("edge_v", edge_v), ("mate", mate)):
+        if arr.ndim != 1 or arr.dtype.kind not in "iu":
+            return f"{name} is not a 1-D integer array"
+    edge_u = edge_u.astype(np.int64, copy=False)
+    edge_v = edge_v.astype(np.int64, copy=False)
+    mate = mate.astype(np.int64, copy=False)
+    problem = (canonical_edges_error(edge_u, edge_v, n)
+               or mate_array_error(mate, n))
+    if problem is not None:
+        return problem
+    lo = np.flatnonzero(mate > np.arange(n))
+    if not np.isin(lo * n + mate[lo], edge_u * n + edge_v,
+                   assume_unique=True).all():
+        return "a matched pair is not an edge"
+    return None
 
 
 @dataclass
@@ -117,9 +140,7 @@ class MaintainerCheckpoint:
         """Write the checkpoint to ``path`` (``.npz`` is appended when
         missing); returns the path actually written."""
         state = self.state
-        edges = state["edges"]
-        edge_u = np.array([e[0] for e in edges], dtype=np.int64)
-        edge_v = np.array([e[1] for e in edges], dtype=np.int64)
+        edge_u, edge_v = edge_endpoint_arrays(state["edges"])
         rng_main, rng_main_g = _pack_rng(state["rng"])
         rng_fw, rng_fw_g = _pack_rng(state["framework_rng"])
         if state["oracle_rng"] is None:
@@ -155,7 +176,8 @@ class MaintainerCheckpoint:
             size_at_rebuild=np.int64(state["size_at_rebuild"]),
             num_updates=np.int64(state["num_updates"]),
             max_edges_seen=np.int64(state["max_edges_seen"]),
-            edge_u=edge_u, edge_v=edge_v,
+            edge_u=np.ascontiguousarray(edge_u),
+            edge_v=np.ascontiguousarray(edge_v),
             mate=np.array(state["mate"], dtype=np.int64),
             rng_main=rng_main, rng_main_g=rng_main_g,
             rng_framework=rng_fw, rng_framework_g=rng_fw_g,
@@ -169,7 +191,14 @@ class MaintainerCheckpoint:
     def load(path) -> "MaintainerCheckpoint":
         """Read a checkpoint; every failure mode raises
         :class:`CheckpointError` (except a simply missing file, which stays
-        a :class:`FileNotFoundError`)."""
+        a :class:`FileNotFoundError`).
+
+        Besides the container and version checks, the edge and mate
+        sections must be what :meth:`capture` writes: equal-length 1-D int
+        edge arrays with ``0 <= u < v < n`` in strictly increasing
+        ``u * n + v`` order, and a length-``n`` mate array describing a
+        matching whose pairs are all edges.
+        """
         try:
             with np.load(str(path)) as payload:
                 missing = _REQUIRED_KEYS - set(payload.files)
@@ -187,11 +216,15 @@ class MaintainerCheckpoint:
                         path, "checkpoint format version mismatch",
                         expected_version=CHECKPOINT_VERSION,
                         found_version=version)
-                edges = [(int(u), int(v)) for u, v in
-                         zip(payload["edge_u"], payload["edge_v"])]
+                n = int(payload["n"])
+                edge_u, edge_v = payload["edge_u"], payload["edge_v"]
+                mate = payload["mate"]
+                problem = _graph_error(n, edge_u, edge_v, mate)
+                if problem is not None:
+                    raise CheckpointError(path, problem)
                 oracle_words = payload["rng_oracle"]
                 state: Dict[str, object] = {
-                    "n": int(payload["n"]),
+                    "n": n,
                     "eps": float(payload["eps"]),
                     "seed": (int(payload["seed"])
                              if int(payload["has_seed"]) else None),
@@ -205,8 +238,8 @@ class MaintainerCheckpoint:
                     "size_at_rebuild": int(payload["size_at_rebuild"]),
                     "num_updates": int(payload["num_updates"]),
                     "max_edges_seen": int(payload["max_edges_seen"]),
-                    "edges": edges,
-                    "mate": [int(m) for m in payload["mate"]],
+                    "edges": list(zip(edge_u.tolist(), edge_v.tolist())),
+                    "mate": mate.tolist(),
                     "rng": _unpack_rng(payload["rng_main"],
                                        payload["rng_main_g"]),
                     "framework_rng": _unpack_rng(payload["rng_framework"],

@@ -41,6 +41,8 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+from repro.utils.contracts import hot_path
+
 #: message-fault decisions
 DELIVER, DROP, DUPLICATE = "deliver", "drop", "duplicate"
 
@@ -108,13 +110,20 @@ class FaultPlan:
         return 0.0
 
     # ------------------------------------------------------------ maintainers
+    @hot_path
     def crashes_update(self, index: int, attempt: int = 0) -> bool:
         """Whether the maintainer crashes just before applying update
-        ``index`` for the ``attempt``-th time at that position."""
+        ``index`` for the ``attempt``-th time at that position.
+
+        The chaos harness asks before every update, so a zero rate answers
+        without hashing: a draw in ``[0, 1)`` is never below 0.
+        """
         if attempt >= self.max_crashes_per_site:
             return False
         if index in self.crash_updates:
             return attempt == 0
+        if self.update_crash_rate <= 0:
+            return False
         return self._draw("update-crash", index, attempt) < self.update_crash_rate
 
     # --------------------------------------------------------------- messages

@@ -80,6 +80,10 @@ def test_resume_parity_across_configurations(backend, engine, repair,
         checkpoint_path=str(tmp_path / "ckpt.npz"))
     assert stats.crashes >= 1
     assert _end_state(survivor) == _end_state(reference)
+    if repair == "incremental":
+        # the restore seeded the context's views from the checkpoint's edges
+        survivor.repair_context.verify_views()
+        survivor.repair_context.verify_baseline()
 
 
 def test_in_memory_and_disk_restores_agree(tmp_path):
@@ -280,3 +284,74 @@ def test_load_version_skew_reports_both_versions(tmp_path):
     assert err.found_version == CHECKPOINT_VERSION + 41
     assert err.path == skewed
     assert "version" in str(err)
+
+
+def _path_checkpoint(tmp_path):
+    """A saved 10-vertex path with its perfect matching (0,1), ..., (8,9)."""
+    alg = FullyDynamicMatching(10, EPS, profile=_profile("array", "rebuild"),
+                               counters=Counters(), seed=0)
+    for u in range(9):
+        alg.insert(u, u + 1)
+    assert alg.current_matching().edge_list() == [
+        (0, 1), (2, 3), (4, 5), (6, 7), (8, 9)]
+    path = MaintainerCheckpoint.capture(alg, 9).save(
+        str(tmp_path / "path.npz"))
+    with np.load(path) as payload:
+        return {name: payload[name] for name in payload.files}
+
+
+def _one_sided(a):
+    a["mate"][1] = -1
+
+
+def _non_edge_pair(a):
+    # match 0 with 9 (no such edge), freeing their old mates 1 and 8
+    a["mate"][[0, 9, 1, 8]] = [9, 0, -1, -1]
+
+
+_CORRUPTIONS = {
+    "edge_v-shorter": (lambda a: a.update(edge_v=a["edge_v"][:-2]),
+                       "equal length"),
+    "float-edges": (lambda a: a.update(edge_u=a["edge_u"] + 0.0),
+                    "edge_u is not a 1-D integer array"),
+    "2-d-mate": (lambda a: a.update(mate=a["mate"].reshape(2, 5)),
+                 "mate is not a 1-D integer array"),
+    "edge-out-of-range": (lambda a: a["edge_v"].__setitem__(-1, 10),
+                          "out of range"),
+    "negative-endpoint": (lambda a: a["edge_u"].__setitem__(0, -1),
+                          "out of range"),
+    "non-canonical-edge": (lambda a: a.update(edge_u=a["edge_v"].copy(),
+                                              edge_v=a["edge_u"].copy()),
+                           "not canonical"),
+    "unsorted-edges": (lambda a: a.update(edge_u=a["edge_u"][::-1].copy(),
+                                          edge_v=a["edge_v"][::-1].copy()),
+                       "increasing key order"),
+    "duplicate-edge": (lambda a: a.update(
+        edge_u=np.append(a["edge_u"], a["edge_u"][-1]),
+        edge_v=np.append(a["edge_v"], a["edge_v"][-1])),
+        "increasing key order"),
+    "mate-shorter": (lambda a: a.update(mate=a["mate"][:5]), "shape"),
+    "mate-longer": (lambda a: a.update(mate=np.append(a["mate"], -1)),
+                    "shape"),
+    "mate-out-of-range": (lambda a: a["mate"].__setitem__(3, 10),
+                          "out of range"),
+    "self-matched": (lambda a: a["mate"].__setitem__(0, 0),
+                     "matched to itself"),
+    "one-sided-mate": (_one_sided, "not symmetric"),
+    "pair-not-an-edge": (_non_edge_pair, "not an edge"),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(_CORRUPTIONS))
+def test_load_rejects_inconsistent_graph_sections(tmp_path, corruption):
+    """Edge and mate sections that are not a graph plus a matching of it,
+    in capture order, fail at load with the typed error, never at (or
+    silently through) restore."""
+    arrays = _path_checkpoint(tmp_path)
+    corrupt, reason = _CORRUPTIONS[corruption]
+    corrupt(arrays)
+    bad = str(tmp_path / "bad.npz")
+    np.savez(bad, **arrays)
+    with pytest.raises(CheckpointError, match=reason) as excinfo:
+        MaintainerCheckpoint.load(bad)
+    assert excinfo.value.path == bad

@@ -56,6 +56,21 @@ class TestBasics:
         m = Matching.from_mate_array([1, 0, None, None])
         assert m.size == 1 and m.contains_edge(0, 1)
 
+    def test_load_mate_array_equals_adding_each_pair(self):
+        m = Matching(6, [(4, 5)])
+        m.load_mate_array([3, -1, -1, 0, 5, 4])
+        assert m == Matching(6, [(0, 3), (4, 5)]) and m.size == 2
+        m.validate()
+
+    @pytest.mark.parametrize("mate", [
+        [1, 0, -1], [1, 0, -1, -1, -1], [1, 0, -1, 4], [1, 0, 2, -1],
+        [1, -1, -1, -1], [-2, -1, -1, -1]])
+    def test_load_mate_array_rejects_inconsistent_arrays(self, mate):
+        m = Matching(4, [(2, 3)])
+        with pytest.raises(ValueError):
+            m.load_mate_array(mate)
+        assert m == Matching(4, [(2, 3)])
+
 
 class TestAugmentation:
     def test_augment_length_one(self):

@@ -1,14 +1,21 @@
 """Tests for Alg-Phase: passes, drivers, backtracking (repro.core.phase)."""
 
+import dataclasses
 import random
 
-from repro.graph.generators import disjoint_paths, erdos_renyi, path_graph
+from repro.graph.generators import (
+    cycle_graph,
+    disjoint_paths,
+    erdos_renyi,
+    path_graph,
+)
 from repro.graph.graph import Graph
 from repro.matching.greedy import greedy_maximal_matching
 from repro.matching.matching import Matching
 from repro.instrumentation.counters import Counters
 from repro.core.config import ParameterProfile
 from repro.core.operations import apply_augmentations, overtake_op
+from repro.core.repair import RepairContext
 from repro.core.phase import (
     DirectDriver,
     augment_pass,
@@ -134,6 +141,49 @@ class TestRunPhase:
         records = run_phase(g, m, profile, 0.5, DirectDriver(random.Random(2)),
                             check_invariants=True)
         assert records == []
+
+        class RootRecorder(DirectDriver):
+            """Records the structure roots the first pass sees."""
+
+            roots = None
+
+            def extend_active_path(self, state):
+                if self.roots is None:
+                    self.roots = sorted(state.structures)
+                super().extend_active_path(state)
+
+        # a perfect matching has no free vertex: the phase returns before
+        # any pass and charges nothing; an odd path's maximum matching leaves
+        # one vertex free, whose structure is still built
+        for g, free in ((cycle_graph(20), []), (path_graph(9), [8])):
+            for engine in ("array", "reference"):
+                for incremental in (False, True):
+                    profile = dataclasses.replace(
+                        ParameterProfile.practical(0.25), engine=engine)
+                    m = maximum_matching(g)
+                    ctx = None
+                    if incremental:
+                        ctx = RepairContext(g, profile)
+                        mirrored = ctx.bind_matching()
+                        mirrored.load_mate_array(
+                            [-1 if x is None else x for x in m.mate_list()])
+                        m = mirrored
+                    assert m.free_vertices() == free
+                    counters = Counters()
+                    driver = RootRecorder(random.Random(2))
+                    records = run_phase(g, m, profile, 0.5, driver,
+                                        counters=counters,
+                                        check_invariants=True, context=ctx)
+                    case = (g.n, engine, incremental)
+                    assert records == [], case
+                    if free:
+                        assert driver.roots == free, case
+                        assert counters.get("pass_bundles") >= 1, case
+                    else:
+                        assert driver.roots is None, case
+                        assert counters.as_dict() == {}, case
+                    if ctx is not None:
+                        ctx.verify_baseline()
 
     def test_counters_progress(self):
         g = disjoint_paths(2, 5)

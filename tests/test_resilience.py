@@ -71,6 +71,31 @@ class TestFaultPlan:
         assert not plan.crashes_update(5, 1)
         assert not plan.crashes_update(4, 0)
 
+    def test_zero_update_rate_fires_pinned_indices_only(self, monkeypatch):
+        plan = FaultPlan(seed=7, crash_updates=(3, 40))
+
+        def no_hashing(self, *site):
+            raise AssertionError(f"rate 0 hashed site {site}")
+
+        monkeypatch.setattr(FaultPlan, "_draw", no_hashing)
+        for index in range(200):
+            for attempt in range(plan.max_crashes_per_site + 2):
+                assert plan.crashes_update(index, attempt) == (
+                    index in (3, 40) and attempt == 0), (index, attempt)
+
+    def test_update_decisions_follow_the_draw(self):
+        for rate in (0.05, 0.5, 0.95):
+            plan = FaultPlan(seed=5, update_crash_rate=rate,
+                             max_crashes_per_site=4)
+            decisions = []
+            for index in range(200):
+                for attempt in range(plan.max_crashes_per_site):
+                    decision = plan.crashes_update(index, attempt)
+                    assert decision == (
+                        plan._draw("update-crash", index, attempt) < rate)
+                    decisions.append(decision)
+            assert any(decisions) and not all(decisions)
+
     def test_rates_partition_decisions(self):
         drop_all = FaultPlan(seed=0, drop_rate=1.0)
         dup_all = FaultPlan(seed=0, duplicate_rate=1.0)

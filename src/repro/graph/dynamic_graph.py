@@ -229,14 +229,11 @@ class DynamicGraph:
     def insert_edges(self, edges: Iterable[Edge]) -> int:
         """Batched insert: every edge counts as one insert update.
 
-        With the update log on, one :class:`Update` per edge is logged
-        through :meth:`apply_all`.  Without it no ``Update`` is built: the
-        whole batch is validated up front (a bad edge raises before anything
-        changes) and handed to the backend's bulk ``add_edges`` in one call,
-        in the given order.
+        The whole batch is validated up front (a bad edge raises before
+        anything changes) and handed to the backend's bulk ``add_edges`` in
+        one call, in the given order; the log, when kept, records one
+        :class:`Update` per edge.
         """
-        if self._log is not None:
-            return self.apply_all(Update.insert(u, v) for u, v in edges)
         if not isinstance(edges, (list, tuple)):
             edges = list(edges)
         us, vs = edge_endpoint_arrays(edges)
@@ -249,6 +246,8 @@ class DynamicGraph:
         if (us == vs).any():
             raise ValueError("self-loop updates are not allowed")
         changed = self._graph.add_edges(edges)
+        if self._log is not None:
+            self._log.extend(Update.insert(u, v) for u, v in edges)
         self._num_updates += len(edges)
         self._max_edges = max(self._max_edges, self._graph.m)
         return changed

@@ -139,8 +139,9 @@ def _mate_list(matching: Optional[Matching], n: int) -> List[int]:
 def maximum_matching(graph: Graph, initial: Optional[Matching] = None) -> Matching:
     """Exact maximum matching of ``graph`` (optionally warm-started)."""
     solver = _BlossomSolver(graph, _mate_list(initial, graph.n))
-    mate = solver.solve()
-    return Matching.from_mate_array([v if v != _NONE else None for v in mate])
+    matching = Matching(graph.n)
+    matching.load_mate_array(solver.solve())  # _NONE is load_mate_array's -1
+    return matching
 
 
 def maximum_matching_size(graph: Graph) -> int:

@@ -159,7 +159,8 @@ class Matching:
         ``mate`` holds ``n`` ints (a list or an int64 array), ``-1`` marking a
         free vertex; it is validated by :func:`mate_array_error` first, and a
         bad array raises ``ValueError`` leaving the matching unchanged.  The
-        bulk counterpart of one :meth:`add` per pair (checkpoint restore).
+        bulk counterpart of one :meth:`add` per pair, used by checkpoint
+        restore and the exact matchers.
         """
         arr = np.asarray(mate, dtype=np.int64)
         problem = mate_array_error(arr, self._n)
@@ -261,9 +262,10 @@ class Matching:
 
     @classmethod
     def from_mate_array(cls, mate: Sequence[Optional[int]]) -> "Matching":
-        """Build a matching from a ``mate`` array (used by the exact matchers)."""
+        """Build a matching from a ``mate`` array, ``None`` marking a free vertex.
+
+        A thin wrapper over :meth:`load_mate_array` (which takes ``-1``).
+        """
         m = cls(len(mate))
-        for u, v in enumerate(mate):
-            if v is not None and v >= 0 and u < v:
-                m.add(u, v)
+        m.load_mate_array([-1 if v is None else v for v in mate])
         return m

@@ -533,8 +533,9 @@ class TestCSRMemoInvalidation:
 
         assert set(declared_mutators(CSRBackend)) == {
             "add_edge", "remove_edge", "add_edges", "remove_edges"}
-        # the script drives apply_all; insert/delete/insert_edges/
-        # delete_edges are declared delegates of apply/apply_all
+        # the script drives apply_all; insert/delete/delete_edges are
+        # declared delegates of apply/apply_all, and insert_edges hands its
+        # batch to the backend's add_edges, which the script drives
         dg_declared = set(declared_mutators(DynamicGraph))
         assert {"apply", "apply_all"} <= dg_declared
         # restore_accounting guards the update/edge bookkeeping scalars, not

@@ -110,23 +110,30 @@ class TestLogFreeMode:
             eager.apply_all(bad)  # eager: validated up front, nothing applied
         assert eager.m == 0 and eager.num_updates == 0
 
-    def test_insert_edges_without_log_matches_logged_path(self):
-        edges = [(0, 3), (1, 2), (0, 1), (3, 5), (1, 2), (2, 4)]
-        logged = DynamicGraph(6)
-        bulk = DynamicGraph(6, log_updates=False)
-        assert bulk.insert_edges(iter(edges)) == logged.insert_edges(edges) == 5
-        assert bulk.num_updates == logged.num_updates == 6
-        assert bulk.max_edges_seen == logged.max_edges_seen == 5
+    @pytest.mark.parametrize("log_updates", [True, False])
+    def test_insert_edges_matches_one_insert_update_per_edge(self, log_updates):
+        edges = [(0, 3), (2, 1), (0, 1), (3, 5), (1, 2), (2, 4)]
+        per_edge = DynamicGraph(6, log_updates=log_updates)
+        bulk = DynamicGraph(6, log_updates=log_updates)
+        assert bulk.insert_edges(iter(edges)) == 5
+        assert per_edge.apply_all([Update.insert(u, v) for u, v in edges]) == 5
+        assert bulk.num_updates == per_edge.num_updates == 6
+        assert bulk.max_edges_seen == per_edge.max_edges_seen == 5
+        if log_updates:
+            assert bulk.log() == per_edge.log()
         # same insertion order, so every adjset row iterates the same way
         assert [list(bulk.graph.neighbors(v)) for v in range(6)] == \
-            [list(logged.graph.neighbors(v)) for v in range(6)]
+            [list(per_edge.graph.neighbors(v)) for v in range(6)]
 
+    @pytest.mark.parametrize("log_updates", [True, False])
     @pytest.mark.parametrize("bad, reason", [
         ((2, 9), "out of range"), ((-1, 2), "out of range"),
         ((3, 3), "self-loop")])
-    def test_insert_edges_without_log_validates_before_inserting(
-            self, bad, reason):
-        dg = DynamicGraph(4, log_updates=False)
+    def test_insert_edges_validates_before_inserting(
+            self, bad, reason, log_updates):
+        dg = DynamicGraph(4, log_updates=log_updates)
         with pytest.raises(ValueError, match=reason):
             dg.insert_edges([(0, 1), bad, (1, 2)])
         assert dg.m == 0 and dg.num_updates == 0
+        if log_updates:
+            assert dg.log() == ()

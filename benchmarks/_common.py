@@ -4,8 +4,8 @@ Every benchmark module regenerates one table or figure of the paper: it
 sweeps the relevant parameter, prints the resulting rows/series, and persists
 them as text under ``benchmarks/results/``.  Each module also registers its
 sweep as a ``repro.bench`` scenario (see the "Benchmark harness" section of
-ARCHITECTURE.md), which is what gives every suite ``--smoke``, backend
-selection, seed control and JSON emission through the single
+ARCHITECTURE.md), which is what gives every suite ``--smoke``, seed
+control and JSON emission through the single
 ``python -m repro.bench`` CLI; the text tables are a rendering of the same
 measured quantities.  The pytest-benchmark fixture times one representative
 unit of work per module so that ``pytest benchmarks/ --benchmark-only`` also
@@ -35,7 +35,7 @@ def scenario_main(name: str, argv: Optional[Sequence[str]] = None) -> int:
     """Run one registered scenario through the unified CLI.
 
     Every ``bench_*.py`` module's ``main()`` delegates here, so
-    ``python benchmarks/bench_x.py --smoke --backend csr --seed 1`` is the
+    ``python benchmarks/bench_x.py --smoke --seed 1`` is the
     same run as ``python -m repro.bench run --scenario x ...``.
     """
     from repro.bench.cli import main as bench_main
@@ -45,21 +45,17 @@ def scenario_main(name: str, argv: Optional[Sequence[str]] = None) -> int:
 
 
 def boosting_workload(seed: int = 0, er_n: int = 80, er_p: float = 0.05,
-                      num_paths: int = 4, path_len: int = 9,
-                      backend: str = "adjset"):
+                      num_paths: int = 4, path_len: int = 9):
     """The standard Table 1 workload: a sparse random graph plus disjoint long
     paths (the paths force augmenting paths of length up to ``path_len``, the
     regime where boosting beyond a maximal matching actually matters).
-
-    ``backend`` selects the graph storage backend (``"adjset"`` / ``"csr"``);
-    the edge set is identical on every backend for a given seed.
     """
     from repro.graph.generators import disjoint_paths, erdos_renyi
     from repro.graph.graph import Graph
 
     er = erdos_renyi(er_n, er_p, seed=seed)
     paths = disjoint_paths(num_paths, path_len)
-    g = Graph(er.n + paths.n, backend=backend)
+    g = Graph(er.n + paths.n)
     g.add_edges(er.edges())
     g.add_edges((er.n + u, er.n + v) for u, v in paths.edges())
     return g

@@ -71,17 +71,17 @@ def test_ablation_schedule(benchmark):
 
 
 # ------------------------------------------------------------ repro.bench
-@register("ablation_schedule", suite="ablation", backends=("adjset", "csr"),
+@register("ablation_schedule", suite="ablation",
           description="refined schedule vs FMU22-style driver: oracle calls "
                       "and quality on the same workload/oracle/seed")
 def _ablation_scenario(spec, counters):
     eps = spec.resolved_eps()
     if spec.smoke:
         g = boosting_workload(spec.seed, er_n=40, er_p=0.06, num_paths=3,
-                              path_len=7, backend=spec.backend)
+                              path_len=7)
     else:
         g = boosting_workload(spec.seed, er_n=80, er_p=0.05, num_paths=5,
-                              path_len=9, backend=spec.backend)
+                              path_len=9)
     opt = maximum_matching_size(g)
     ours = boost_matching(g, eps, oracle=RandomGreedyMatchingOracle(seed=spec.seed),
                           counters=counters, seed=spec.seed)

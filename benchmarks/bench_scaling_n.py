@@ -61,13 +61,13 @@ def test_scaling_n(benchmark):
 
 
 # ------------------------------------------------------------ repro.bench
-@register("scaling_n", suite="scaling", backends=("adjset", "csr"),
+@register("scaling_n", suite="scaling",
           description="static boosting at the largest sweep size: wall-clock "
                       "and oracle work vs n")
 def _scaling_scenario(spec, counters):
     eps = spec.resolved_eps()
     n = 80 if spec.smoke else SIZES[-1]
-    g = erdos_renyi(n, 4.0 / n, seed=spec.seed, backend=spec.backend)
+    g = erdos_renyi(n, 4.0 / n, seed=spec.seed)
     matching = boost_matching(g, eps, counters=counters, seed=spec.seed)
     opt = maximum_matching_size(g)
     return {"n": n, "m": g.m, "size_over_opt": matching.size / max(1, opt)}

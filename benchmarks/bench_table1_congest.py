@@ -65,7 +65,7 @@ def test_table1_congest(benchmark):
 
 
 # ------------------------------------------------------------ repro.bench
-@register("table1_congest", suite="table1", backends=("adjset", "csr"),
+@register("table1_congest", suite="table1",
           description="CONGEST boosting: oracle calls, rounds and "
                       "aggregation share at one eps")
 def _table1_congest_scenario(spec, counters):
@@ -73,8 +73,7 @@ def _table1_congest_scenario(spec, counters):
     er_n = 36 if spec.smoke else 60
     g = boosting_workload(spec.seed, er_n=er_n, er_p=0.06,
                           num_paths=2 if spec.smoke else 4,
-                          path_len=5 if spec.smoke else 9,
-                          backend=spec.backend)
+                          path_len=5 if spec.smoke else 9)
     matching, _ = congest_boosted_matching(g, eps, counters=counters,
                                            seed=spec.seed)
     opt = maximum_matching_size(g)

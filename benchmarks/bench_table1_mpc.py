@@ -12,10 +12,18 @@ This benchmark regenerates the comparison on executable instances: for each
 eps it runs (a) this paper's framework and (b) the FMU22-style schedule on the
 same workload with the same greedy oracle, and reports measured oracle calls,
 measured MPC rounds of the full Corollary A.1 instantiation, and the paper's
-scheduled bounds (the quantities the table actually states).  The expectation
-is on the *shape*: the scheduled-bound columns separate by dozens of orders of
-magnitude, and the measured columns show this work never issuing more calls
-than the FMU22-style schedule while both reach the same (1+eps) quality.
+scheduled bounds (the quantities the table actually states).  The scheduled
+columns separate by dozens of orders of magnitude.
+
+The measured columns do not: on seeds 0-1 this work issues 1-2% *more*
+oracle calls than the FMU22-style schedule (145.5 vs 142.5, 186.5 vs 185.5
+and 230.5 vs 228.5 at eps = 1/2, 1/4, 1/8), and both reach size/opt 1.000.
+Both run with early exit on: a procedure stops at its first oracle
+iteration that changes nothing and a scale at its first phase that gains
+nothing, so neither schedule comes near its iteration cap.  What the
+measured calls compare is therefore the stage split -- one oracle call per
+label-class stage here, one over all type-3 arcs in the FMU22-style driver
+-- not the bounds of Table 1.
 """
 
 from __future__ import annotations
@@ -85,16 +93,16 @@ def test_table1_mpc(benchmark):
 
 
 # ------------------------------------------------------------ repro.bench
-@register("table1_mpc", suite="table1", backends=("adjset", "csr"),
+@register("table1_mpc", suite="table1",
           description="MPC boosting: oracle calls, rounds and quality at one "
                       "eps on the Table 1 workload")
 def _table1_mpc_scenario(spec, counters):
     eps = spec.resolved_eps()
     if spec.smoke:
         g = boosting_workload(spec.seed, er_n=40, er_p=0.06, num_paths=2,
-                              path_len=5, backend=spec.backend)
+                              path_len=5)
     else:
-        g = boosting_workload(spec.seed, backend=spec.backend)
+        g = boosting_workload(spec.seed)
     matching, _ = mpc_boosted_matching(g, eps, counters=counters, seed=spec.seed)
     opt = maximum_matching_size(g)
     return {"size_over_opt": matching.size / max(1, opt)}

@@ -3,7 +3,7 @@
 The other Table 2 rows measure the maintainer's *cost*; this row measures
 whether those numbers survive the maintainer being killed.  A planted-
 matching churn workload is recorded to a :class:`~repro.workloads.trace.Trace`
-and replayed twice on the same seed and backend:
+and replayed twice on the same seed:
 
 * **fault-free**: every update applied in order -- the reference end state;
 * **chaos**: :func:`~repro.resilience.harness.run_with_recovery` drives the
@@ -51,13 +51,12 @@ SMOKE = {"pairs": 64, "rounds": 2, "checkpoint_every": 40,
 
 
 def _build(n: int, eps: float, profile: ParameterProfile, seed: int,
-           backend: str, counters: Counters) -> FullyDynamicMatching:
+           counters: Counters) -> FullyDynamicMatching:
     return FullyDynamicMatching(n, eps, profile=profile, counters=counters,
-                                seed=seed, backend=backend)
+                                seed=seed)
 
 
-def _run_chaos(cfg: dict, eps: float, seed: int, backend: str,
-               counters: Counters):
+def _run_chaos(cfg: dict, eps: float, seed: int, counters: Counters):
     """Record the trace, run fault-free and chaotic replays, compare."""
     profile = dataclasses.replace(ParameterProfile.practical(eps),
                                   repair="incremental")
@@ -66,11 +65,11 @@ def _run_chaos(cfg: dict, eps: float, seed: int, backend: str,
                                                 seed=seed))
 
     baseline = Counters()
-    reference = _build(trace.n, eps, profile, seed, backend, baseline)
+    reference = _build(trace.n, eps, profile, seed, baseline)
     for upd in trace.stream():
         reference.update(upd)
 
-    survivor = _build(trace.n, eps, profile, seed, backend, counters)
+    survivor = _build(trace.n, eps, profile, seed, counters)
     plan = FaultPlan(seed=seed, update_crash_rate=cfg["crash_rate"],
                      crash_updates=(len(trace) // 3, 2 * len(trace) // 3))
     recorder = LatencyRecorder()
@@ -91,7 +90,7 @@ def _run_chaos(cfg: dict, eps: float, seed: int, backend: str,
     return trace, stats, recorder, mates_equal, counters_equal
 
 
-@register("table2_chaos", suite="table2", backends=("adjset", "csr"),
+@register("table2_chaos", suite="table2",
           description="crash/recovery drill for the dynamic maintainer: "
                       "replay a recorded churn trace under injected crashes "
                       "with periodic on-disk checkpoints, assert the "
@@ -100,7 +99,7 @@ def _run_chaos(cfg: dict, eps: float, seed: int, backend: str,
 def _table2_chaos_scenario(spec, counters):
     cfg = SMOKE if spec.smoke else FULL
     trace, stats, recorder, mates_equal, counters_equal = _run_chaos(
-        cfg, spec.resolved_eps(), spec.seed, spec.backend, counters)
+        cfg, spec.resolved_eps(), spec.seed, counters)
 
     # equality is the whole point of the drill: a divergent end state is a
     # scenario failure, not a measurement
@@ -121,7 +120,7 @@ def test_table2_chaos(benchmark):
 
     def run():
         _, stats, _, mates_equal, counters_equal = _run_chaos(
-            SMOKE, 0.25, seed=0, backend="adjset", counters=Counters())
+            SMOKE, 0.25, seed=0, counters=Counters())
         assert mates_equal and counters_equal
         return stats.crashes
 

@@ -127,7 +127,6 @@ def test_table2_dynamic(benchmark):
 
 # ------------------------------------------------------------ repro.bench
 @register("table2_dynamic", suite="table2", selectors=("workload",),
-          backends=("adjset", "csr"),
           description="fully dynamic maintainer on a selectable workload "
                       "(default: planted churn): amortized work, rebuilds, "
                       "oracle calls")
@@ -141,7 +140,7 @@ def _table2_dynamic_scenario(spec, counters):
         stream = resolve_workload(spec.workload, smoke=spec.smoke,
                                   seed=spec.seed)
     alg = FullyDynamicMatching(stream.n, eps, counters=counters,
-                               seed=spec.seed, backend=spec.backend)
+                               seed=spec.seed)
     alg.process(stream, collect_sizes=False)
     opt = maximum_matching_size(alg.graph)
     return {"amortized_update_work": alg.amortized_update_work(),

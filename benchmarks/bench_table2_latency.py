@@ -55,7 +55,7 @@ def _churn_sequence(pairs: int, timed: int, seed: int):
     return updates
 
 
-def _run_mode(profile: ParameterProfile, cfg: dict, seed: int, backend: str,
+def _run_mode(profile: ParameterProfile, cfg: dict, seed: int,
               counters: Counters):
     """Load the planted matching, pin the epoch schedule, time the churn."""
     pairs, timed, gap = cfg["pairs"], cfg["timed"], cfg["gap"]
@@ -63,8 +63,7 @@ def _run_mode(profile: ParameterProfile, cfg: dict, seed: int, backend: str,
     eps = profile.eps
     # load phase: huge slack so no rebuild fires while the matching fills up
     alg = FullyDynamicMatching(n, eps, profile=profile, counters=counters,
-                               seed=seed, backend=backend,
-                               rebuild_slack=1e9)
+                               seed=seed, rebuild_slack=1e9)
     for i in range(pairs):
         alg.insert(2 * i, 2 * i + 1)
     assert alg.current_matching().size == pairs, "load phase must match all"
@@ -79,7 +78,7 @@ def _run_mode(profile: ParameterProfile, cfg: dict, seed: int, backend: str,
     return alg, recorder
 
 
-@register("table2_latency", suite="table2", backends=("adjset", "csr"),
+@register("table2_latency", suite="table2",
           description="per-update latency distribution (p50/p99/max) of the "
                       "dynamic maintainer on a planted-matching churn "
                       "workload: incremental epoch repair vs the warm-start "
@@ -92,10 +91,9 @@ def _table2_latency_scenario(spec, counters):
                                               repair="incremental")
 
     baseline = Counters()
-    reb_alg, reb_rec = _run_mode(rebuild_profile, cfg, spec.seed,
-                                 spec.backend, baseline)
+    reb_alg, reb_rec = _run_mode(rebuild_profile, cfg, spec.seed, baseline)
     inc_alg, inc_rec = _run_mode(incremental_profile, cfg, spec.seed,
-                                 spec.backend, counters)
+                                 counters)
 
     # the two repair modes are pinned byte-identical (see the repair parity
     # suite); a cheap end-state check keeps this scenario honest about it
@@ -125,8 +123,7 @@ def test_table2_latency(benchmark):
                                   repair="incremental")
 
     def run():
-        _, recorder = _run_mode(profile, cfg, seed=0, backend="adjset",
-                                counters=Counters())
+        _, recorder = _run_mode(profile, cfg, seed=0, counters=Counters())
         return recorder.summary()["p99"]
 
     benchmark(run)

@@ -78,7 +78,6 @@ def test_table2_offline(benchmark):
 
 # ------------------------------------------------------------ repro.bench
 @register("table2_offline", suite="table2", selectors=("workload",),
-          backends=("adjset", "csr"),
           description="offline dynamic matching on a selectable workload "
                       "(default: sliding window): amortized work and epochs")
 def _table2_offline_scenario(spec, counters):
@@ -92,7 +91,7 @@ def _table2_offline_scenario(spec, counters):
     n = stream.n
     updates = stream.materialize()  # run() and opt both need it; once
     offline = OfflineDynamicMatching(n, eps, counters=counters,
-                                     seed=spec.seed, backend=spec.backend)
+                                     seed=spec.seed)
     sizes = offline.run(updates)
     final_graph = DynamicGraph(n, log_updates=False)
     final_graph.apply_all(updates)

@@ -79,7 +79,7 @@ def test_table2_omv(benchmark):
 
 
 # ------------------------------------------------------------ repro.bench
-@register("table2_omv", suite="table2", backends=("adjset", "csr"),
+@register("table2_omv", suite="table2",
           description="OMv-backed weak oracle inside the dynamic maintainer: "
                       "query/probe/update counts")
 def _table2_omv_scenario(spec, counters):
@@ -88,8 +88,7 @@ def _table2_omv_scenario(spec, counters):
     updates = planted_matching_churn(pairs, rounds=rounds, seed=spec.seed)
     profile = ParameterProfile.practical(eps)
     alg = FullyDynamicMatching(
-        updates.n, eps, counters=counters, seed=spec.seed,
-        backend=spec.backend, profile=profile,
+        updates.n, eps, counters=counters, seed=spec.seed, profile=profile,
         oracle_factory=lambda g: OMvWeakOracle(g, counters=counters))
     alg.process(updates, collect_sizes=False)
     opt = maximum_matching_size(alg.graph)

@@ -9,7 +9,7 @@ network) is replayed in arrival order with sliding-window expiry
 maintainer must survive genuine deletions, not just churn it chose itself.
 
 The workload ships as a committed trace (``benchmarks/data/karate_w40.npz``)
-so every run -- any host, any backend, any ``--jobs`` -- replays the exact
+so every run -- any host, any ``--jobs`` -- replays the exact
 same update sequence.  The scenario first *re-records* the stream from the
 raw edge list and verifies it matches the committed trace byte-for-byte
 (record/replay parity: drift in the ingestion code or the fixture fails the
@@ -123,14 +123,13 @@ def test_table2_realgraph(benchmark):
 
 
 # ------------------------------------------------------------ repro.bench
-@register("table2_realgraph", suite="table2", backends=("adjset", "csr"),
+@register("table2_realgraph", suite="table2",
           description="dynamic maintainer replaying the committed "
                       "karate-club trace; record/replay parity enforced")
 def _table2_realgraph_scenario(spec, counters):
     trace = check_trace_parity()
     alg = FullyDynamicMatching(trace.n, spec.resolved_eps(),
-                               counters=counters, seed=spec.seed,
-                               backend=spec.backend)
+                               counters=counters, seed=spec.seed)
     alg.process(trace.stream(), collect_sizes=False)
     opt = maximum_matching_size(alg.graph)
     return {"amortized_update_work": alg.amortized_update_work(),

@@ -5,8 +5,7 @@ Walks the record-once/replay-forever path of ``repro.workloads``:
 
 1. build a *lazy* update stream (no list is ever materialized),
 2. record it to a packed int64 trace and round-trip it through disk,
-3. replay the trace through the fully dynamic maintainer on both storage
-   backends and check the runs are byte-identical,
+3. replay the trace through the fully dynamic maintainer,
 4. ingest a real graph (Zachary's karate club) and replay it with
    sliding-window expiry.
 
@@ -30,10 +29,9 @@ from repro.workloads import (
 DATA = os.path.join(os.path.dirname(__file__), "..", "benchmarks", "data")
 
 
-def replay(trace, backend):
+def replay(trace):
     counters = Counters()
-    alg = FullyDynamicMatching(trace.n, eps=0.25, counters=counters, seed=0,
-                               backend=backend)
+    alg = FullyDynamicMatching(trace.n, eps=0.25, counters=counters, seed=0)
     alg.process(trace.stream(), collect_sizes=False)
     return alg, counters
 
@@ -57,20 +55,17 @@ def main() -> None:
     print(f"  recorded {len(trace)} updates, round-trips byte-identically: "
           f"{loaded == trace}")
 
-    # 3. replay through the maintainer on both backends
-    runs = {backend: replay(loaded, backend) for backend in ("adjset", "csr")}
-    for backend, (alg, counters) in runs.items():
-        print(f"  [{backend}] final matching {alg.current_matching().size}, "
-              f"rebuilds {int(counters['dyn_rebuilds'])}, "
-              f"amortized work/update {alg.amortized_update_work():.1f}")
-    identical = (runs["adjset"][1].as_dict() == runs["csr"][1].as_dict())
-    print(f"  backend runs byte-identical: {identical}")
+    # 3. replay through the maintainer
+    alg, counters = replay(loaded)
+    print(f"  final matching {alg.current_matching().size}, "
+          f"rebuilds {int(counters['dyn_rebuilds'])}, "
+          f"amortized work/update {alg.amortized_update_work():.1f}")
 
     # 4. real-graph ingestion: karate club, replayed with expiry so edges
     #    age out and the maintainer faces real deletions.
     data = load_edge_list(os.path.join(DATA, "karate.txt"))
     real = Trace.record(temporal_sliding_window(data, window=40))
-    alg, counters = replay(real, "adjset")
+    alg, counters = replay(real)
     print(f"\nreal graph: karate club (n={data.n}, {data.m} arrivals, "
           f"window 40 -> {len(real)} updates)")
     print(f"  final matching {alg.current_matching().size}, "

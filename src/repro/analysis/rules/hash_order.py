@@ -3,9 +3,9 @@
 Three shipped bugs motivate this family: ``Structure.nodes`` iterated a set
 of ``StructNode`` objects (address hashes -> per-process order), Contract's
 absorbed-path set did the same, and ``WeakOracle.query_bipartite`` scanned
-``neighbor_list`` in backend-dependent order.  All three produced seeded runs
-that diverged between processes / backends; all three were found by hand,
-after the fact.
+``neighbor_list`` in storage-dependent order.  All three produced seeded runs
+that diverged between processes or storage layouts; all three were found by
+hand, after the fact.
 
 The checker flags *order-sensitive consumption* of values that are
 statically known to be ``set``/``frozenset``:

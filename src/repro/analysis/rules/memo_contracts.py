@@ -1,10 +1,10 @@
 """Rule family ``memo-contract``: declared memo invalidation on mutators.
 
-Backends and graph containers memoise compiled views (``neighbor_list``
-slices, ``csr_arrays``, frozen edge arrays); a mutator that forgets to mark
-them stale serves stale reads -- the PR 4 smoke regression, later pinned at
-runtime by a hypothesis property test (PR 6).  The runtime test is the
-completeness oracle; this rule is the mechanical gate.
+Containers memoise derived state (packed OMv row caches, update/edge
+accounting); a mutator that forgets to mark it stale serves stale reads --
+the bug class a graph storage layout's neighbour-list memo shipped twice.
+Runtime tests check the declarations against behaviour; this rule is the
+mechanical gate.
 
 Classes opt in by decorating mutators with
 :func:`repro.utils.contracts.invalidates`, naming the guard attributes the

@@ -26,9 +26,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.engine import find_repo_root
 
-#: scenario exercised by default: sweeps both graph backends and the full
-#: dynamic stack (maintainer, epochs, oracle), so it covers the most code
-#: per second of smoke budget
+#: scenario exercised by default: runs the full dynamic stack (maintainer,
+#: epochs, oracle), so it covers the most code per second of smoke budget
 DEFAULT_SCENARIO = "table2_dynamic"
 
 #: top-level record fields that honestly differ between runs

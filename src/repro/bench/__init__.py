@@ -23,7 +23,7 @@ from repro.bench.registry import (
 )
 from repro.bench.runner import (
     expand_all,
-    expand_specs,
+    make_spec,
     run_scenario,
     run_scenarios,
 )
@@ -45,11 +45,11 @@ __all__ = [
     "Scenario",
     "compare_records",
     "expand_all",
-    "expand_specs",
     "find_repo_root",
     "get_scenario",
     "load_benchmark_modules",
     "load_records",
+    "make_spec",
     "register",
     "regressions",
     "run_scenario",

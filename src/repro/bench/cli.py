@@ -3,7 +3,7 @@
 Subcommands::
 
     run      execute registered scenarios and emit JSON (+ a summary table)
-             e.g. ``python -m repro.bench run --suite table1 --smoke --backend csr``
+             e.g. ``python -m repro.bench run --suite table1 --smoke``
              ``--jobs N`` fans independent runs out over N worker processes
              (deterministic record order; exit 1 if any scenario failed);
              ``--list`` prints the selected scenarios (params, suites,
@@ -41,8 +41,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--list", action="store_true", dest="list_only",
                        help="list the selected scenarios (all registered "
                             "ones when nothing is selected) with their "
-                            "suites, backends and selectors, then exit "
-                            "without running anything")
+                            "suites and selectors, then exit without "
+                            "running anything")
     run_p.add_argument("--suite", help="run every scenario of one suite")
     run_p.add_argument("--all", action="store_true",
                        help="run every registered scenario")
@@ -51,9 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--smoke", action="store_true",
                        help="seconds-scale configuration "
                             "(also REPRO_BENCH_SMOKE=1)")
-    run_p.add_argument("--backend",
-                       help="restrict the backend sweep (adjset / csr); "
-                            "default sweeps every backend a scenario declares")
     run_p.add_argument("--eps", type=float, default=None,
                        help="pin the approximation parameter")
     run_p.add_argument("--seed", type=int, default=0)
@@ -89,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--profile", action="store_true",
                        help="after the timed runs, cProfile one execution "
                             "per spec and write top-N cumulative hotspots to "
-                            "results/profile_<scenario>_<backend>.txt")
+                            "results/profile_<scenario>.txt")
     run_p.add_argument("--no-files", action="store_true",
                        help="skip JSON emission (print records only)")
 
@@ -149,17 +146,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.list_only:
         return _print_scenarios(selected)
 
-    if args.backend is not None:
-        known = {b for scenario in selected for b in scenario.backends}
-        if args.backend not in known:
-            print(f"error: unknown backend {args.backend!r}; backends "
-                  f"declared by the selected scenarios: {sorted(known)}",
-                  file=sys.stderr)
-            return 2
-        # a backend-restricted run is a partial record set; suffix the label
-        # so it never overwrites the full-sweep BENCH_<label>.json trajectory
-        suite_label = f"{suite_label}_{args.backend}"
-
     smoke = args.smoke or registry.smoke_mode()
     if args.jobs < 1:
         print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
@@ -178,7 +164,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     def progress(record):
         params = record["params"]
         print(f"[{params['suite']}] {record['scenario']} "
-              f"backend={params['backend']} wall_s={record['wall_s']:.4f}")
+              f"wall_s={record['wall_s']:.4f}")
 
     failures = []
     resilience = {}
@@ -187,10 +173,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         records = runner.run_scenarios(
             selected, progress=progress, jobs=args.jobs, failures=failures,
             timeout_s=args.timeout_s, retry=retry, faults=faults,
-            resilience=resilience,
-            backend=args.backend, eps=args.eps,
-            seed=args.seed, repeats=args.repeats, warmup=args.warmup,
-            smoke=smoke, workload=args.workload, algorithm=args.algorithm)
+            resilience=resilience, eps=args.eps, seed=args.seed,
+            repeats=args.repeats, warmup=args.warmup, smoke=smoke,
+            workload=args.workload, algorithm=args.algorithm)
     except ValueError as exc:
         # scenarios reject unknown workload/algorithm selectors rather than
         # silently running (and mislabeling) something else
@@ -219,7 +204,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # profile separately from the timed repeats (never pollutes wall_s);
         # reports land next to the per-scenario JSONs
         work = runner.expand_all(
-            selected, backend=args.backend, eps=args.eps, seed=args.seed,
+            selected, eps=args.eps, seed=args.seed,
             smoke=smoke, workload=args.workload, algorithm=args.algorithm)
         paths = runner.profile_specs(work, results.output_root() / "results")
         for p in paths:
@@ -227,7 +212,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     elif args.profile:
         print("skipping --profile: scenario failures above", file=sys.stderr)
     for failure in failures:
-        print(f"FAILED [{failure['backend']}] {failure['scenario']}: "
+        print(f"FAILED {failure['scenario']}: "
               f"{failure['error'].strip().splitlines()[-1]}", file=sys.stderr)
     if failures:
         print(f"\n{len(failures)} scenario run(s) failed "
@@ -239,17 +224,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _print_scenarios(selected) -> int:
     """Render a scenario inspection table (``run --list`` / ``list``).
 
-    Shows everything a ``RunSpec`` can vary per scenario: the suite, the
-    declared backend sweep, and which free-form selectors (``workload`` /
+    Shows everything a ``RunSpec`` can vary per scenario: the suite and
+    which free-form selectors (``workload`` /
     ``algorithm``) the scenario interprets -- including the registered
     workload names a ``--workload`` selector accepts.
     """
     table = Table("Registered benchmark scenarios",
-                  ["scenario", "suite", "backends", "selectors",
-                   "description"])
+                  ["scenario", "suite", "selectors", "description"])
     for scenario in selected:
         table.add_row(scenario.name, scenario.suite,
-                      ",".join(scenario.backends),
                       ",".join(scenario.selectors) or "-",
                       scenario.description)
     print(table.render())
@@ -275,14 +258,17 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    rows = compare_mod.compare_records(old, new, fail_over=args.fail_over,
-                                       metric=args.metric)
+    try:
+        rows = compare_mod.compare_records(old, new, fail_over=args.fail_over,
+                                           metric=args.metric)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     table = Table(f"Benchmark diff ({args.metric}, fail over "
                   f"{args.fail_over:g}x)",
-                  ["scenario", "backend", "status", "old", "new", "ratio",
-                   "regressed"])
+                  ["scenario", "status", "old", "new", "ratio", "regressed"])
     for row in rows:
-        table.add_row(row["scenario"], row["backend"], row["status"],
+        table.add_row(row["scenario"], row["status"],
                       "-" if row["old"] is None else row["old"],
                       "-" if row["new"] is None else row["new"],
                       "-" if row["ratio"] is None else row["ratio"],

@@ -1,7 +1,7 @@
 """Baseline diffing: flag perf regressions between two suite JSON files.
 
 ``python -m repro.bench compare old.json new.json --fail-over 1.2`` matches
-records by (scenario, backend, eps, workload, algorithm, smoke), computes the
+records by (scenario, eps, workload, algorithm, smoke), computes the
 ``new / old`` ratio of the chosen metric (wall-clock by default, any counter
 via ``--metric``) and fails when any ratio exceeds the threshold.
 """
@@ -16,9 +16,23 @@ Key = Tuple[object, ...]
 
 def record_key(record: Mapping[str, object]) -> Key:
     params = record.get("params", {})
-    return (record.get("scenario"), params.get("backend"), params.get("eps"),
+    return (record.get("scenario"), params.get("eps"),
             params.get("workload"), params.get("algorithm"),
             params.get("smoke"))
+
+
+def _by_key(records: Sequence[Mapping[str, object]],
+            side: str) -> Dict[Key, Mapping[str, object]]:
+    """Index one side's records by :func:`record_key`; a key that occurs
+    twice raises instead of silently keeping only its last record."""
+    by_key: Dict[Key, Mapping[str, object]] = {}
+    for record in records:
+        key = record_key(record)
+        if key in by_key:
+            raise ValueError(f"{side} records share the key {key}; each "
+                             "key must name exactly one record")
+        by_key[key] = record
+    return by_key
 
 
 def metric_value(record: Mapping[str, object], metric: str):
@@ -44,39 +58,39 @@ def compare_records(old: Sequence[Mapping[str, object]],
     Records present on only one side are reported with status ``"added"`` /
     ``"removed"`` and never count as regressions (a missing baseline is not a
     slowdown).  Records where either side lacks the metric are skipped the
-    same way.
+    same way.  Raises :class:`ValueError` when a record key occurs twice on
+    either side.
     """
-    old_by_key = {record_key(r): r for r in old}
-    new_by_key = {record_key(r): r for r in new}
+    old_by_key = _by_key(old, "old")
+    new_by_key = _by_key(new, "new")
     rows: List[Dict[str, object]] = []
     for key in sorted(set(old_by_key) | set(new_by_key),
                       key=lambda k: tuple(str(part) for part in k)):
-        scenario, backend = key[0], key[1]
+        scenario = key[0]
         if key not in old_by_key:
-            rows.append({"scenario": scenario, "backend": backend,
-                         "status": "added", "old": None, "new": None,
-                         "ratio": None, "regressed": False})
+            rows.append({"scenario": scenario, "status": "added",
+                         "old": None, "new": None, "ratio": None,
+                         "regressed": False})
             continue
         if key not in new_by_key:
-            rows.append({"scenario": scenario, "backend": backend,
-                         "status": "removed", "old": None, "new": None,
-                         "ratio": None, "regressed": False})
+            rows.append({"scenario": scenario, "status": "removed",
+                         "old": None, "new": None, "ratio": None,
+                         "regressed": False})
             continue
         old_v = metric_value(old_by_key[key], metric)
         new_v = metric_value(new_by_key[key], metric)
         if old_v is None or new_v is None:
-            rows.append({"scenario": scenario, "backend": backend,
-                         "status": "no-metric", "old": old_v, "new": new_v,
-                         "ratio": None, "regressed": False})
+            rows.append({"scenario": scenario, "status": "no-metric",
+                         "old": old_v, "new": new_v, "ratio": None,
+                         "regressed": False})
             continue
         if old_v <= 0:
             ratio = 1.0 if new_v <= 0 else math.inf
         else:
             ratio = new_v / old_v
-        rows.append({"scenario": scenario, "backend": backend,
-                     "status": "compared", "old": float(old_v),
-                     "new": float(new_v), "ratio": ratio,
-                     "regressed": ratio > fail_over})
+        rows.append({"scenario": scenario, "status": "compared",
+                     "old": float(old_v), "new": float(new_v),
+                     "ratio": ratio, "regressed": ratio > fail_over})
     return rows
 
 

@@ -2,7 +2,7 @@
 
 A *scenario* is one registered sweep of a benchmark module (``benchmarks/
 bench_*.py``); a :class:`RunSpec` pins one concrete execution of it
-(workload x algorithm x eps x backend x seed x repeats).  The runner
+(workload x algorithm x eps x seed x repeats).  The runner
 (:mod:`repro.bench.runner`) times scenario executions and turns them into the
 JSON records that ``python -m repro.bench`` emits.
 
@@ -40,7 +40,6 @@ class RunSpec:
     workload: str = "default"
     algorithm: str = "default"
     eps: Optional[float] = None
-    backend: str = "adjset"
     seed: int = 0
     repeats: int = 1
     warmup: int = 0
@@ -56,7 +55,6 @@ class RunSpec:
             "workload": self.workload,
             "algorithm": self.algorithm,
             "eps": self.eps,
-            "backend": self.backend,
             "seed": self.seed,
             "repeats": max(1, self.repeats),
             "warmup": max(0, self.warmup),
@@ -78,9 +76,6 @@ class Scenario:
     suite: str
     fn: ScenarioFn
     description: str = ""
-    #: backends the scenario can meaningfully sweep; a plain run executes all
-    #: of them, ``--backend`` restricts to one.
-    backends: Tuple[str, ...] = ("adjset",)
     #: which free-form RunSpec selectors ("workload", "algorithm") the
     #: scenario interprets; passing a non-default value for an undeclared
     #: selector is rejected by the runner, because the emitted record carries
@@ -92,7 +87,6 @@ _REGISTRY: Dict[str, Scenario] = {}
 
 
 def register(name: str, suite: str, description: str = "",
-             backends: Tuple[str, ...] = ("adjset",),
              selectors: Tuple[str, ...] = ()):
     """Decorator registering ``fn`` as scenario ``name`` in ``suite``.
 
@@ -104,7 +98,6 @@ def register(name: str, suite: str, description: str = "",
     def decorator(fn: ScenarioFn) -> ScenarioFn:
         _REGISTRY[name] = Scenario(name=name, suite=suite, fn=fn,
                                    description=description,
-                                   backends=tuple(backends),
                                    selectors=tuple(selectors))
         return fn
 

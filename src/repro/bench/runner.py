@@ -30,7 +30,7 @@ import traceback
 from datetime import datetime, timezone
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.exec.pool import ERROR, OK, TIMEOUT, fault_site, run_spec_task
+from repro.exec.pool import ERROR, OK, TIMEOUT, run_spec_task
 from repro.instrumentation.counters import Counters
 from repro.bench.registry import RunSpec, Scenario
 from repro.resilience.faults import FaultPlan
@@ -54,17 +54,14 @@ class InjectedCrash(RuntimeError):
 
 
 
-def expand_specs(scenario: Scenario, *, backend: Optional[str] = None,
-                 eps: Optional[float] = None, seed: int = 0, repeats: int = 1,
-                 warmup: int = 0, smoke: bool = False,
-                 workload: str = "default",
-                 algorithm: str = "default") -> List[RunSpec]:
-    """One :class:`RunSpec` per backend the scenario will run on.
+def make_spec(scenario: Scenario, *, eps: Optional[float] = None,
+              seed: int = 0, repeats: int = 1, warmup: int = 0,
+              smoke: bool = False, workload: str = "default",
+              algorithm: str = "default") -> RunSpec:
+    """The :class:`RunSpec` of one scenario run.
 
-    Without ``backend`` the scenario's full declared backend sweep runs; with
-    it, the sweep is restricted to that backend when the scenario supports it
-    and falls back to the scenario's native (first declared) backend when it
-    does not -- the emitted record always names the backend actually used.
+    Raises :class:`ValueError` for a non-default selector the scenario does
+    not interpret.
     """
     for selector, value in (("workload", workload), ("algorithm", algorithm)):
         if value != "default" and selector not in scenario.selectors:
@@ -72,17 +69,9 @@ def expand_specs(scenario: Scenario, *, backend: Optional[str] = None,
                 f"scenario {scenario.name!r} does not interpret the "
                 f"{selector} selector (got {value!r}); the emitted record "
                 "would mislabel what actually ran")
-    if backend is None:
-        backends: Iterable[str] = scenario.backends
-    elif backend in scenario.backends:
-        backends = (backend,)
-    else:
-        backends = (scenario.backends[0],)
-    return [RunSpec(scenario=scenario.name, suite=scenario.suite,
-                    workload=workload, algorithm=algorithm, eps=eps,
-                    backend=b, seed=seed, repeats=repeats, warmup=warmup,
-                    smoke=smoke)
-            for b in backends]
+    return RunSpec(scenario=scenario.name, suite=scenario.suite,
+                   workload=workload, algorithm=algorithm, eps=eps,
+                   seed=seed, repeats=repeats, warmup=warmup, smoke=smoke)
 
 
 _runtime_primed = False
@@ -94,8 +83,7 @@ def _prime_runtime() -> None:
     The first NumPy bulk call a process makes (``fromiter``/``unique``/ufunc
     dispatch set-up) costs tens of milliseconds.  Untamed, that one-time cost
     lands inside whichever spec a (pooled or serial) run happens to execute
-    first and skews its ``wall_s`` -- the committed baseline's CSR rows
-    carried exactly that artefact.  Priming is cheap (<2 ms warm), uniform
+    first and skews its ``wall_s``.  Priming is cheap (<2 ms warm), uniform
     across jobs settings, and keeps records measuring the algorithm rather
     than library initialisation.
     """
@@ -106,12 +94,11 @@ def _prime_runtime() -> None:
     try:
         from repro.graph.graph import Graph
 
-        for backend in ("adjset", "csr"):
-            g = Graph(4, [(0, 1), (1, 2), (2, 3)], backend=backend)
-            g.edge_list()
-            g.arc_list()
-            g.adjacency_matrix()
-            g.induced_subgraph([0, 1, 2])
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        g.edge_list()
+        g.arc_list()
+        g.adjacency_matrix()
+        g.induced_subgraph([0, 1, 2])
     except Exception:  # pragma: no cover  # repro: allow[swallowed-exception] -- best-effort cache warmup: a priming failure must not fail the run, and the real scenario will surface any genuine breakage
         pass
 
@@ -165,20 +152,15 @@ def expand_all(scens: Iterable[Scenario],
     This order is the merge order of every run mode: serial execution walks
     it directly, and a pooled run reassembles worker results back into it.
     """
-    return [(scenario, spec) for scenario in scens
-            for spec in expand_specs(scenario, **spec_kwargs)]
-
-
-def _failure(scenario: Scenario, spec: RunSpec, error: str) -> Dict[str, str]:
-    return {"scenario": scenario.name, "backend": spec.backend,
-            "error": error}
+    return [(scenario, make_spec(scenario, **spec_kwargs))
+            for scenario in scens]
 
 
 def profile_specs(work: Iterable[Tuple[Scenario, RunSpec]], out_dir,
                   top: int = 30, echo_top: int = 10) -> List[str]:
     """cProfile one execution of each (scenario, spec); write text reports.
 
-    One ``profile_<scenario>_<backend>.txt`` per spec lands in ``out_dir``
+    One ``profile_<scenario>.txt`` per spec lands in ``out_dir``
     (created on demand), holding the top-``top`` cumulative-time rows --
     the artefact future perf PRs cite instead of guessing at hotspots.
     The top-``echo_top`` rows are also echoed to stdout so a CI log shows
@@ -223,10 +205,10 @@ def profile_specs(work: Iterable[Tuple[Scenario, RunSpec]], out_dir,
             for name, calls, total_ns in kernel_rows:
                 buffer.write(f"{name:<24}{calls:>10}{total_ns / 1e6:>12.3f}"
                              f"{total_ns / max(1, calls) / 1e3:>14.3f}\n")
-        path = out / f"profile_{scenario.name}_{spec.backend}.txt"
+        path = out / f"profile_{scenario.name}.txt"
         path.write_text(
             f"# cProfile of scenario {scenario.name!r} "
-            f"(backend={spec.backend}, smoke={spec.smoke}, seed={spec.seed}); "
+            f"(smoke={spec.smoke}, seed={spec.seed}); "
             f"top {top} by cumulative time\n" + buffer.getvalue(),
             encoding="utf-8")
         paths.append(str(path))
@@ -234,7 +216,7 @@ def profile_specs(work: Iterable[Tuple[Scenario, RunSpec]], out_dir,
             echo = io.StringIO()
             pstats.Stats(profiler, stream=echo).sort_stats(
                 "cumulative").print_stats(echo_top)
-            print(f"-- hotspots: {scenario.name} (backend={spec.backend}), "
+            print(f"-- hotspots: {scenario.name}, "
                   f"top {echo_top} by cumulative time --")
             print(echo.getvalue().rstrip())
     return paths
@@ -262,7 +244,7 @@ def _run_serial_spec(scenario: Scenario, spec: RunSpec,
                      timeout_s: Optional[float], faults: Optional[FaultPlan],
                      policy: RetryPolicy, bump) -> Tuple[str, object]:
     """One spec through the serial path's fault/timeout/retry pipeline."""
-    site = fault_site(scenario.name, spec)
+    site = scenario.name  # the fault-plan site, as in pooled workers
     failures_seen = 0
     while True:
         try:
@@ -309,7 +291,7 @@ def run_scenarios(scens: Iterable[Scenario], progress=None, jobs: int = 1,
     counters into one suite-level bag.
 
     Failure handling: pass ``failures`` (a list) to isolate a spec whose
-    execution raises into an entry (``{"scenario", "backend", "error"}``)
+    execution raises into an entry (``{"scenario", "error"}``)
     while the rest of the suite completes.  Without it, the first failure
     raises -- the historical contract; scenarios must never go missing from
     the result silently.  Spec *expansion* errors (unknown selectors)
@@ -348,13 +330,13 @@ def run_scenarios(scens: Iterable[Scenario], progress=None, jobs: int = 1,
     def bump(key: str, amount: int = 1) -> None:
         stats[key] = stats.get(key, 0) + amount
 
-    def handle(scenario: Scenario, spec: RunSpec, tag: str, payload) -> None:
+    def handle(scenario: Scenario, tag: str, payload) -> None:
         if tag != OK:
             if failures is None:
                 raise RuntimeError(
-                    f"scenario {scenario.name!r} (backend {spec.backend}) "
-                    f"failed:\n{payload}")
-            failures.append(_failure(scenario, spec, str(payload)))
+                    f"scenario {scenario.name!r} failed:\n{payload}")
+            failures.append({"scenario": scenario.name,
+                             "error": str(payload)})
             return
         if totals is not None:
             totals.merge(payload["counters"])
@@ -366,7 +348,7 @@ def run_scenarios(scens: Iterable[Scenario], progress=None, jobs: int = 1,
         for scenario, spec in work:
             if failures is None and faults is None and timeout_s is None:
                 # historical raise-on-error contract: let it propagate as-is
-                handle(scenario, spec, OK, run_scenario(scenario, spec))
+                handle(scenario, OK, run_scenario(scenario, spec))
                 continue
             try:
                 outcome = _run_serial_spec(scenario, spec, timeout_s, faults,
@@ -377,7 +359,7 @@ def run_scenarios(scens: Iterable[Scenario], progress=None, jobs: int = 1,
                     raise
                 # full traceback, matching what pooled workers ship back
                 outcome = (ERROR, traceback.format_exc())
-            handle(scenario, spec, *outcome)
+            handle(scenario, *outcome)
         return records
 
     from concurrent.futures import ProcessPoolExecutor
@@ -393,10 +375,10 @@ def run_scenarios(scens: Iterable[Scenario], progress=None, jobs: int = 1,
         # stream results to handle() in spec order as they become available
         nonlocal emitted
         while emitted < len(work) and emitted in completed:
-            scenario, spec = work[emitted]
+            scenario = work[emitted][0]
             outcome = completed[emitted]
             emitted += 1
-            handle(scenario, spec, *outcome)
+            handle(scenario, *outcome)
 
     failures_seen = [0] * len(work)
 
@@ -430,7 +412,7 @@ def run_scenarios(scens: Iterable[Scenario], progress=None, jobs: int = 1,
 
         def walk_one(position: int, i: int) -> bool:
             """Resolve one future; returns whether the pool broke under it."""
-            scenario, spec = work[i]
+            scenario = work[i][0]
             if broken:
                 # the pool is gone; harvest finished results, requeue the rest
                 if futures[i].done():
@@ -454,17 +436,16 @@ def run_scenarios(scens: Iterable[Scenario], progress=None, jobs: int = 1,
                 # the worker's own SIGALRM never fired: it is wedged beyond
                 # signals; only killing the pool reclaims the worker
                 note_failure(i, "hung_workers",
-                             f"scenario {scenario.name!r} (backend "
-                             f"{spec.backend}) exceeded the {timeout_s:g}s "
-                             "timeout and its worker had to be terminated")
+                             f"scenario {scenario.name!r} exceeded the "
+                             f"{timeout_s:g}s timeout and its worker had to "
+                             "be terminated")
                 return True
             except Exception as exc:  # noqa: BLE001 - BrokenProcessPool
                 if isolate:
                     # this spec was alone in the pool: definitively guilty
                     note_failure(
                         i, "worker_crashes",
-                        f"worker died running scenario {scenario.name!r} "
-                        f"(backend {spec.backend}): "
+                        f"worker died running scenario {scenario.name!r}: "
                         f"{type(exc).__name__}: {exc}")
                 else:
                     # breakage in a shared pool implicates every unfinished

@@ -16,13 +16,9 @@ O(log n)-bit limit as "one word".
 
 A round runs the vertex programs one after another in vertex order in this
 process and merges their outboxes at the barrier in that same order.  The
-message exchange has a NumPy fast path over the CSR graph backend: when a
-round's messages are the small int tuples the matching programs actually
-send, edge validation runs as one whole-round array pass
-(:meth:`~repro.graph.backends.CSRBackend.edge_mask`) instead of per-message
-``has_edge`` calls; the checks still run in message order, so both paths
-raise the same error first (sizing stays
-:func:`~repro.exec.payload_words`-exact).
+exchange validates every message in that order -- edge first (``has_edge``),
+then size (:func:`~repro.exec.payload_words`) -- so the first offending
+message decides what is raised.
 """
 
 from __future__ import annotations
@@ -31,7 +27,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.exec import payload_words
 from repro.exec.isolation import resolve_isolation
-from repro.graph.backends import CSRBackend
 from repro.graph.graph import Graph
 from repro.instrumentation.counters import Counters
 from repro.resilience import faults as faults_mod
@@ -43,10 +38,6 @@ VertexProgram = Callable[[int, dict, Inbox], Outbox]
 
 #: messages are limited to this many machine words (= O(log n) bits each)
 MAX_MESSAGE_WORDS = 4
-
-#: minimum number of messages in a round before the vectorized exchange
-#: validation pays for its array setup
-_FAST_PATH_MIN_MESSAGES = 32
 
 
 class MessageTooLarge(RuntimeError):
@@ -102,34 +93,19 @@ class CongestSimulator:
 
         Each message is checked in order -- edge first, then size -- so the
         first offending message decides what is raised and what is charged.
-        On the CSR backend, when every message is a tuple/list (the
-        int-tuple encoding the matching programs use), one whole-round
-        ``edge_mask`` array pass stands in for the per-message ``has_edge``
-        calls.  Size checks are always the exact recursive
-        :func:`~repro.exec.payload_words` rule, so nesting cannot smuggle
-        data past the limit on either path.
+        Size checks are the exact recursive :func:`~repro.exec.payload_words`
+        rule, so nesting cannot smuggle data past the limit.
         """
-        senders: List[int] = []
-        dests: List[int] = []
-        messages: List[object] = []
+        has_edge = self.graph.has_edge
+        count = 0
         for v, out in enumerate(outboxes):
             for dest, message in out.items():
-                senders.append(v)
-                dests.append(dest)
-                messages.append(message)
-
-        if (len(messages) >= _FAST_PATH_MIN_MESSAGES
-                and isinstance(self.graph.backend, CSRBackend)
-                and all(isinstance(m, (tuple, list)) for m in messages)):
-            is_edge = self.graph.edge_mask(senders, dests).tolist()
-        else:
-            is_edge = map(self.graph.has_edge, senders, dests)
-        for v, dest, message, ok in zip(senders, dests, messages, is_edge):
-            if not ok:
-                raise ValueError(
-                    f"vertex {v} tried to message non-neighbor {dest}")
-            self._check_size(message)
-        return len(messages)
+                if not has_edge(v, dest):
+                    raise ValueError(
+                        f"vertex {v} tried to message non-neighbor {dest}")
+                self._check_size(message)
+            count += len(out)
+        return count
 
     def round(self, program: VertexProgram) -> None:
         """Run one synchronous round of ``program`` on every vertex."""

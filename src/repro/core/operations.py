@@ -62,9 +62,9 @@ def augment_op(state: PhaseState, u: int, v: int) -> AugmentationRecord:
     if not state.graph.has_edge(u, v):
         raise ValueError(f"({u}, {v}) is not an edge of G")
 
-    # Subgraph induction goes through the graph backend's bulk
-    # ``induced_edges`` primitive (vectorized on CSR); structures are small
-    # (O(1/h) vertices) but Augment fires often enough for this to matter.
+    # Subgraph induction goes through the graph storage's bulk
+    # ``induced_edges`` primitive; structures are small (O(1/h) vertices)
+    # but Augment fires often enough for this to matter.
     vertices = sorted(sa.g_vertices | sb.g_vertices)
     sub, back = state.graph.induced_subgraph(vertices)
     fwd = {old: new for new, old in back.items()}

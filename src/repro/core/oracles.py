@@ -156,12 +156,11 @@ class WeakOracle(ABC):
         # (e.g. the OMv-backed oracle) override this.
         #
         # The scan runs in canonical (sorted) order on both axes: neighbor
-        # iteration order is backend-dependent (hash order on "adjset", index
-        # order on "csr"), so an order-sensitive greedy here would make
-        # seeded runs diverge between backends -- the same determinism
-        # contract violation as iterating in address-hash order (see
-        # "Execution layer" in ARCHITECTURE.md); cross-backend trace-replay
-        # parity is pinned by tests/test_trace.py.
+        # iteration follows each adjacency set's internal order, which
+        # depends on the graph's update history, so an order-sensitive greedy
+        # here would tie seeded runs to how the graph was built -- the same
+        # kind of determinism contract violation as iterating in
+        # address-hash order (see "Execution layer" in ARCHITECTURE.md).
         left_set = set(left)
         right_set = set(right) - left_set
         matched_left = set()

@@ -263,15 +263,11 @@ class RepairContext:
             self._patch_views()
 
     def _compile_views(self) -> None:
-        backend = self.graph.backend
-        if hasattr(backend, "edge_arrays"):
-            eu, ev = backend.edge_arrays()
-        else:
-            pairs = sorted(self.graph.edge_list())
-            eu = np.fromiter((u for u, _ in pairs), dtype=np.int64,
-                             count=len(pairs))
-            ev = np.fromiter((v for _, v in pairs), dtype=np.int64,
-                             count=len(pairs))
+        pairs = sorted(self.graph.edge_list())
+        eu = np.fromiter((u for u, _ in pairs), dtype=np.int64,
+                         count=len(pairs))
+        ev = np.fromiter((v for _, v in pairs), dtype=np.int64,
+                         count=len(pairs))
         self._eu, self._ev = eu, ev
         self._keys = eu * self.n + ev
         self._indptr = None  # CSR recompiled lazily on first adjacency() use

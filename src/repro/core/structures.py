@@ -270,7 +270,7 @@ class PhaseState:
     The phase also freezes the graph, so canonical edge/arc/adjacency views
     are materialised lazily once per phase (:meth:`edge_pairs`,
     :meth:`edge_arrays`, :meth:`adjacency`, :meth:`sorted_neighbors`) in a
-    deterministic key-sorted order shared by every backend and both engines.
+    deterministic key-sorted order shared by both engines.
     """
 
     def __init__(self, graph: Graph, matching: Matching, ell_max: int,
@@ -412,15 +412,11 @@ class PhaseState:
             return self.context.edge_arrays()
         views = self._views
         if views.eu is None:
-            backend = self.graph.backend
-            if hasattr(backend, "edge_arrays"):
-                views.eu, views.ev = backend.edge_arrays()
-            else:
-                pairs = sorted(self.graph.edge_list())
-                views.eu = _np.fromiter((u for u, _ in pairs), dtype=_np.int64,
-                                        count=len(pairs))
-                views.ev = _np.fromiter((v for _, v in pairs), dtype=_np.int64,
-                                        count=len(pairs))
+            pairs = sorted(self.graph.edge_list())
+            views.eu = _np.fromiter((u for u, _ in pairs), dtype=_np.int64,
+                                    count=len(pairs))
+            views.ev = _np.fromiter((v for _, v in pairs), dtype=_np.int64,
+                                    count=len(pairs))
         return views.eu, views.ev
 
     def adjacency(self):
@@ -429,12 +425,8 @@ class PhaseState:
             return self.context.adjacency()
         views = self._views
         if views.indptr is None:
-            backend = self.graph.backend
-            if hasattr(backend, "csr_arrays"):
-                views.indptr, views.indices = backend.csr_arrays()
-            else:
-                eu, ev = self.edge_arrays()
-                views.indptr, views.indices = compile_csr(eu, ev, self.graph.n)
+            eu, ev = self.edge_arrays()
+            views.indptr, views.indices = compile_csr(eu, ev, self.graph.n)
         return views.indptr, views.indices
 
     def sorted_neighbors(self, v: int) -> List[int]:

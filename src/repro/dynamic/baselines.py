@@ -2,8 +2,7 @@
 
 Like :class:`~repro.dynamic.fully_dynamic.FullyDynamicMatching`, every
 baseline builds its :class:`DynamicGraph` log-free by default (pass
-``log_updates=True`` to keep ``dynamic_graph.log()``/``replay()`` usable)
-and takes ``backend=`` to select the snapshot's storage.
+``log_updates=True`` to keep ``dynamic_graph.log()``/``replay()`` usable).
 
 * :class:`RecomputeFromScratchDynamic` -- exact blossom recomputation after
   every update: the (1)-approximation gold standard with Theta(m * n) update
@@ -25,7 +24,6 @@ from __future__ import annotations
 import random
 from typing import List, Optional
 
-from repro.graph.backends import BackendSpec
 from repro.graph.dynamic_graph import DynamicGraph, Update
 from repro.graph.graph import Graph
 from repro.matching.matching import Matching
@@ -40,10 +38,8 @@ class RecomputeFromScratchDynamic(DynamicMatchingAlgorithm):
     """Exact maximum matching recomputed after every update."""
 
     def __init__(self, n: int, counters: Optional[Counters] = None,
-                 backend: BackendSpec = None,
                  log_updates: bool = False) -> None:
-        self.dynamic_graph = DynamicGraph(n, backend=backend,
-                                          log_updates=log_updates)
+        self.dynamic_graph = DynamicGraph(n, log_updates=log_updates)
         self.counters = counters if counters is not None else Counters()
         self._matching = Matching(n)
 
@@ -64,10 +60,8 @@ class LazyGreedyDynamic(DynamicMatchingAlgorithm):
     """Maintain a maximal matching with O(degree) work per update (2-approx)."""
 
     def __init__(self, n: int, counters: Optional[Counters] = None,
-                 backend: BackendSpec = None,
                  log_updates: bool = False) -> None:
-        self.dynamic_graph = DynamicGraph(n, backend=backend,
-                                          log_updates=log_updates)
+        self.dynamic_graph = DynamicGraph(n, log_updates=log_updates)
         self.counters = counters if counters is not None else Counters()
         self._matching = Matching(n)
 
@@ -109,12 +103,10 @@ class ExponentialBoostingDynamic(DynamicMatchingAlgorithm):
                  rebuild_slack: float = 0.125,
                  counters: Optional[Counters] = None,
                  seed: Optional[int] = None,
-                 backend: BackendSpec = None,
                  log_updates: bool = False) -> None:
         self.eps = eps
         self.counters = counters if counters is not None else Counters()
-        self.dynamic_graph = DynamicGraph(n, backend=backend,
-                                          log_updates=log_updates)
+        self.dynamic_graph = DynamicGraph(n, log_updates=log_updates)
         self.rebuild_slack = rebuild_slack
         self.rng = random.Random(seed)
         self._matching = Matching(n)

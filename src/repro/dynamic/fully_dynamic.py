@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from typing import Callable, List, Optional, Tuple
 
-from repro.graph.backends import BackendSpec, edge_endpoint_arrays
+from repro.graph.backends import edge_endpoint_arrays
 from repro.graph.dynamic_graph import DynamicGraph, Update
 from repro.graph.graph import Graph
 from repro.matching.matching import Matching
@@ -60,7 +60,8 @@ class FullyDynamicMatching(DynamicMatchingAlgorithm):
         (the amortized-update-time proxy: vertices touched per update),
         plus everything the rebuild framework charges (``weak_oracle_calls``...).
     backend:
-        Storage backend of the maintained snapshot (``"adjset"`` / ``"csr"``).
+        ``None`` or ``"adjset"``, the one graph storage layout; anything
+        else raises :class:`ValueError`.
     log_updates:
         Whether the underlying :class:`DynamicGraph` keeps its append-only
         update log.  Off by default: the maintainer never reads the log, and
@@ -85,7 +86,7 @@ class FullyDynamicMatching(DynamicMatchingAlgorithm):
                  min_rebuild_gap: int = 1,
                  counters: Optional[Counters] = None,
                  seed: Optional[int] = None,
-                 backend: BackendSpec = None,
+                 backend: Optional[str] = None,
                  log_updates: bool = False) -> None:
         self.eps = eps
         self._seed = seed
@@ -242,7 +243,6 @@ class FullyDynamicMatching(DynamicMatchingAlgorithm):
             "n": self.dynamic_graph.n,
             "eps": self.eps,
             "seed": self._seed,
-            "backend": self.dynamic_graph.graph.backend_name,
             "profile": profile_dict,
             "rebuild_slack": self.rebuild_slack,
             "min_rebuild_gap": self.min_rebuild_gap,
@@ -277,8 +277,7 @@ class FullyDynamicMatching(DynamicMatchingAlgorithm):
                   oracle_factory=oracle_factory, profile=profile,
                   rebuild_slack=float(state["rebuild_slack"]),
                   min_rebuild_gap=int(state["min_rebuild_gap"]),
-                  counters=counters, seed=state["seed"],
-                  backend=state["backend"])
+                  counters=counters, seed=state["seed"])
         # Live edges, in canonical order, in one bulk insert (each adjset
         # row receives its neighbours in ascending order).  An OMv-style
         # oracle is refreshed wholesale afterwards instead of being notified

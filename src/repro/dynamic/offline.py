@@ -41,7 +41,6 @@ from __future__ import annotations
 import random
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from repro.graph.backends import BackendSpec
 from repro.graph.dynamic_graph import DynamicGraph, Update
 from repro.graph.graph import Graph
 from repro.matching.matching import Matching
@@ -71,11 +70,9 @@ class OfflineDynamicMatching:
                  oracle_factory: Optional[OracleFactory] = None,
                  profile: Optional[ParameterProfile] = None,
                  counters: Optional[Counters] = None,
-                 seed: Optional[int] = None,
-                 backend: BackendSpec = None) -> None:
+                 seed: Optional[int] = None) -> None:
         self.n = n
         self.eps = eps
-        self.backend = backend
         self.profile = profile if profile is not None else ParameterProfile.practical(eps)
         self.counters = counters if counters is not None else Counters()
         self.oracle_factory = oracle_factory if oracle_factory is not None else (
@@ -125,8 +122,7 @@ class OfflineDynamicMatching:
         if not isinstance(updates, Sequence):
             updates = list(updates)
         boundaries = self.plan_epochs(updates)
-        dynamic = DynamicGraph(self.n, backend=self.backend,
-                               log_updates=False)
+        dynamic = DynamicGraph(self.n, log_updates=False)
         if self.profile.repair not in ("rebuild", "incremental"):
             raise ValueError(f"unknown repair mode {self.profile.repair!r}")
         context: Optional[RepairContext] = None

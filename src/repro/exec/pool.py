@@ -21,13 +21,6 @@ from typing import Tuple
 OK, ERROR, TIMEOUT = "ok", "error", "timeout"
 
 
-def fault_site(scenario_name: str, spec) -> str:
-    """The :class:`~repro.resilience.faults.FaultPlan` site key of one bench
-    spec: ``scenario:backend`` -- stable across runs and across ``--jobs``
-    settings, so a plan injects the same faults serially and pooled."""
-    return f"{scenario_name}:{getattr(spec, 'backend', '')}"
-
-
 def run_spec_task(task) -> Tuple[str, object]:
     """Execute one ``(scenario_name, spec, root[, timeout_s, faults, attempt])``
     bench task.
@@ -56,11 +49,13 @@ def run_spec_task(task) -> Tuple[str, object]:
         from repro.bench import discovery, registry, runner
         from repro.resilience.timeouts import TaskTimeout, deadline
 
-        site = fault_site(scenario_name, spec)
         if faults is not None:
-            if faults.crashes_task(site, attempt):
+            # the fault-plan site is the scenario name: stable across runs
+            # and --jobs settings, so a plan injects the same faults
+            # serially and pooled
+            if faults.crashes_task(scenario_name, attempt):
                 os._exit(1)  # injected hard crash: no teardown, no result
-            delay = faults.task_delay(site)
+            delay = faults.task_delay(scenario_name)
             if delay > 0:
                 time.sleep(delay)
         discovery.load_benchmark_modules(Path(root) if root else None)

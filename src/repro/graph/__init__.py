@@ -13,19 +13,11 @@ substrates operate on:
 * :mod:`~repro.graph.generators` -- synthetic workload generators (random
   graphs, planted matchings, paths/cycles, blossom gadgets, ORS-style layered
   induced matchings).
-* :mod:`~repro.graph.backends` -- pluggable storage backends behind
-  :class:`Graph`: the default adjacency-set layout (``"adjset"``) and a
-  NumPy/CSR layout (``"csr"``) with vectorized bulk operations.
+* :mod:`~repro.graph.backends` -- the storage behind :class:`Graph` (one
+  adjacency set per vertex) and the edge-array helpers the array code shares.
 """
 
-from repro.graph.backends import (
-    BACKENDS,
-    DEFAULT_BACKEND,
-    AdjacencySetBackend,
-    CSRBackend,
-    GraphBackend,
-    make_backend,
-)
+from repro.graph.backends import AdjacencySetBackend
 from repro.graph.graph import Graph
 from repro.graph.dynamic_graph import DynamicGraph, Update
 from repro.graph.bipartite import BipartiteDoubleCover, is_bipartite, bipartition
@@ -37,10 +29,5 @@ __all__ = [
     "BipartiteDoubleCover",
     "is_bipartite",
     "bipartition",
-    "GraphBackend",
     "AdjacencySetBackend",
-    "CSRBackend",
-    "BACKENDS",
-    "DEFAULT_BACKEND",
-    "make_backend",
 ]

@@ -117,7 +117,7 @@ class BipartiteDoubleCover:
         """
         uniq = list(dict.fromkeys(b_vertices))
         index = {b: i for i, b in enumerate(uniq)}
-        sub = Graph(len(uniq), backend=self._graph.backend_name)
+        sub = Graph(len(uniq))
         outer = [b for b in uniq if self.is_outer_copy(b)]
         inner_set: Set[int] = {b for b in uniq if not self.is_outer_copy(b)}
         sub_edges = []

@@ -13,11 +13,11 @@ when chunk sizes must be padded) are represented by :data:`Update.EMPTY`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.graph.backends import BackendSpec, edge_endpoint_arrays
+from repro.graph.backends import edge_endpoint_arrays
 from repro.graph.graph import Graph, normalize_edge
 from repro.utils.contracts import invalidates
 
@@ -70,11 +70,8 @@ class DynamicGraph:
     records the update; ``max_edges_seen`` tracks the parameter ``m`` of the
     paper (the maximum number of edges ever present).
 
-    ``backend`` selects the snapshot's storage backend (``"adjset"`` /
-    ``"csr"``); batched entry points (:meth:`apply_all`, :meth:`insert_edges`,
-    :meth:`delete_edges`) group consecutive same-kind updates and hand each
-    run to the backend's bulk primitive in one call, so array-backed backends
-    do not pay per-edge Python overhead for workload replay.
+    ``backend`` is handed to :class:`Graph`, which accepts only ``None`` or
+    ``"adjset"``.
 
     ``log_updates=False`` disables the append-only log: ``num_updates`` and
     ``max_edges_seen`` stay exact, but :meth:`log` and :meth:`replay` raise.
@@ -85,11 +82,7 @@ class DynamicGraph:
     the sequence itself must be kept).
     """
 
-    #: bulk runs are applied in slices of at most this many updates, so a
-    #: lazy million-insert stream never materializes as one giant run
-    BULK_RUN_CAP = 4096
-
-    def __init__(self, n: int, backend: BackendSpec = None,
+    def __init__(self, n: int, backend: Optional[str] = None,
                  log_updates: bool = True) -> None:
         self._graph = Graph(n, backend=backend)
         self._log: Optional[List[Update]] = [] if log_updates else None
@@ -156,29 +149,9 @@ class DynamicGraph:
     def delete(self, u: int, v: int) -> bool:
         return self.apply(Update.delete(u, v))
 
-    @classmethod
-    def _grouped_runs(cls, updates: Iterable[Update]) -> Iterator[Tuple[str, List[Update]]]:
-        """Yield runs of consecutive same-kind updates, lazily.
-
-        Consumes any iterable one update at a time; a run is cut at a kind
-        change or at :data:`BULK_RUN_CAP` updates, so peak buffering is
-        O(cap) no matter how long the input stream is.
-        """
-        run: List[Update] = []
-        kind: Optional[str] = None
-        for upd in updates:
-            if run and (upd.kind != kind or len(run) >= cls.BULK_RUN_CAP):
-                yield kind, run
-                run = []
-            kind = upd.kind
-            run.append(upd)
-        if run:
-            yield kind, run
-
     def _check_updates(self, updates: Sequence[Update]) -> None:
-        """Validate every endpoint up front so a bad update cannot leave the
-        snapshot, log and ``max_edges_seen`` mutually inconsistent after a
-        partially applied bulk run."""
+        """Validate every endpoint up front, so a bad update in a sequence
+        raises before any update of it is applied."""
         n = self.n
         for upd in updates:
             if upd.kind != Update.EMPTY and not (0 <= upd.u < n and 0 <= upd.v < n):
@@ -189,40 +162,19 @@ class DynamicGraph:
     def apply_all(self, updates: Iterable[Update]) -> int:
         """Apply a sequence/stream of updates; returns how many changed the graph.
 
-        Consecutive updates of the same kind are applied through the
-        backend's bulk ``add_edges`` / ``remove_edges`` (in slices of at most
-        :data:`BULK_RUN_CAP`).  ``max_edges_seen`` is still tracked exactly:
-        within a run of insertions the edge count is maximal at the end of
-        the run, and within a run of deletions at its start, so checking
-        after each run observes every intermediate maximum.
-
-        Lazy inputs (:class:`~repro.workloads.streams.UpdateStream`,
-        generators) are consumed one run at a time -- peak extra memory is
-        O(``BULK_RUN_CAP``), independent of the stream length.  Validation
-        matches the input shape: a materialized ``Sequence`` is validated in
-        full before anything is applied (a malformed update raises without
-        mutating the snapshot or the log, the historical contract); for a
-        lazy stream each run is validated before *that run* is applied, so
-        a malformed update can leave earlier runs applied but never a
-        half-applied run or an inconsistent log/``max_edges_seen``.
+        Each update goes through :meth:`apply`.  A materialized ``Sequence``
+        is validated in full first, so a malformed update raises without
+        mutating the snapshot or the log.  Lazy inputs
+        (:class:`~repro.workloads.streams.UpdateStream`, generators) are
+        consumed one update at a time in O(1) extra memory; a malformed
+        update raises before it is applied, leaving the earlier ones applied
+        and the log and ``max_edges_seen`` consistent with them.
         """
         if isinstance(updates, Sequence):
             self._check_updates(updates)
-            pre_validated = True
-        else:
-            pre_validated = False
         changed = 0
-        for kind, run in self._grouped_runs(updates):
-            if not pre_validated:
-                self._check_updates(run)
-            if kind == Update.INSERT:
-                changed += self._graph.add_edges((upd.u, upd.v) for upd in run)
-            elif kind == Update.DELETE:
-                changed += self._graph.remove_edges((upd.u, upd.v) for upd in run)
-            if self._log is not None:
-                self._log.extend(run)
-            self._num_updates += len(run)
-            self._max_edges = max(self._max_edges, self._graph.m)
+        for upd in updates:
+            changed += self.apply(upd)
         return changed
 
     @invalidates("_num_updates", "_max_edges")
@@ -230,7 +182,7 @@ class DynamicGraph:
         """Batched insert: every edge counts as one insert update.
 
         The whole batch is validated up front (a bad edge raises before
-        anything changes) and handed to the backend's bulk ``add_edges`` in
+        anything changes) and handed to the graph's bulk ``add_edges`` in
         one call, in the given order; the log, when kept, records one
         :class:`Update` per edge.
         """
@@ -254,7 +206,7 @@ class DynamicGraph:
 
     @invalidates("_num_updates", "_max_edges")
     def delete_edges(self, edges: Iterable[Edge]) -> int:
-        """Batched delete: log one :class:`Update` per edge, mutate in bulk."""
+        """Batched delete: one :class:`Update` per edge through :meth:`apply_all`."""
         return self.apply_all(Update.delete(u, v) for u, v in edges)
 
     @invalidates("_num_updates", "_max_edges")
@@ -296,19 +248,17 @@ class DynamicGraph:
     def replay(self, upto: Optional[int] = None) -> Graph:
         """Rebuild the snapshot after the first ``upto`` updates (offline use).
 
-        Replays run-by-run through the bulk mutation API on the same backend
-        as the live snapshot.  Requires the update log
-        (``log_updates=True``).
+        Requires the update log (``log_updates=True``).
         """
         if self._log is None:
             raise RuntimeError(
                 "update log disabled (log_updates=False); replay from a "
                 "recorded repro.workloads.Trace instead")
         upto = len(self._log) if upto is None else upto
-        g = Graph(self.n, backend=self._graph.backend_name)
-        for kind, run in self._grouped_runs(self._log[:upto]):
-            if kind == Update.INSERT:
-                g.add_edges((upd.u, upd.v) for upd in run)
-            elif kind == Update.DELETE:
-                g.remove_edges((upd.u, upd.v) for upd in run)
+        g = Graph(self.n)
+        for upd in self._log[:upto]:
+            if upd.kind == Update.INSERT:
+                g.add_edge(upd.u, upd.v)
+            elif upd.kind == Update.DELETE:
+                g.remove_edge(upd.u, upd.v)
         return g

@@ -12,19 +12,15 @@ the relevant behaviours:
 * blossom gadgets (odd cycles hanging off paths; stress the Contract logic),
 * ORS-style layered induced-matching graphs (Definition 7.2 workloads).
 
-All generators take an explicit seed and return plain :class:`Graph` objects.
-The main families accept a ``backend=`` selector (``"adjset"`` / ``"csr"``)
-and build the graph through the bulk :meth:`Graph.add_edges` API, so
-array-backed backends construct large workloads without per-edge Python
-overhead.  RNG draw sequences are independent of the backend: a given seed
-produces the same edge set on every backend.
+All generators take an explicit seed and return plain :class:`Graph` objects;
+the main families build the graph through the bulk :meth:`Graph.add_edges`
+API in one call.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.graph.backends import BackendSpec
 from repro.graph.graph import Graph
 # the single repo-wide seed convention (named substreams live there too)
 from repro.utils.seeding import rng as _rng
@@ -34,27 +30,25 @@ from repro.utils.seeding import rng as _rng
 # classic random families
 # ---------------------------------------------------------------------------
 
-def erdos_renyi(n: int, p: float, seed: Optional[int] = None,
-                backend: BackendSpec = None) -> Graph:
+def erdos_renyi(n: int, p: float, seed: Optional[int] = None) -> Graph:
     """G(n, p) random graph."""
     rng = _rng(seed)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
              if rng.random() < p]
-    return Graph(n, edges, backend=backend)
+    return Graph(n, edges)
 
 
-def random_graph_m(n: int, m: int, seed: Optional[int] = None,
-                   backend: BackendSpec = None) -> Graph:
+def random_graph_m(n: int, m: int, seed: Optional[int] = None) -> Graph:
     """Uniform random graph with exactly ``min(m, n choose 2)`` edges."""
-    return Graph(n, random_edge_list(n, m, seed=seed), backend=backend)
+    return Graph(n, random_edge_list(n, m, seed=seed))
 
 
 def random_edge_list(n: int, m: int, seed: Optional[int] = None) -> List[Tuple[int, int]]:
     """``m`` distinct random edges on ``n`` vertices as a plain list.
 
     The bulk-construction workload: feed the result to :meth:`Graph.add_edges`
-    (or ``Graph(n, edges, backend=...)``) to benchmark backend construction
-    without entangling generation cost.
+    (or ``Graph(n, edges)``) to time graph construction without entangling
+    generation cost.
     """
     rng = _rng(seed)
     max_m = n * (n - 1) // 2
@@ -75,19 +69,17 @@ def random_edge_list(n: int, m: int, seed: Optional[int] = None) -> List[Tuple[i
 
 
 def random_bipartite(n_left: int, n_right: int, p: float,
-                     seed: Optional[int] = None,
-                     backend: BackendSpec = None) -> Tuple[Graph, List[int], List[int]]:
+                     seed: Optional[int] = None) -> Tuple[Graph, List[int], List[int]]:
     """Random bipartite graph; returns ``(graph, left_ids, right_ids)``."""
     rng = _rng(seed)
     n = n_left + n_right
     left = list(range(n_left))
     right = list(range(n_left, n))
     edges = [(u, v) for u in left for v in right if rng.random() < p]
-    return Graph(n, edges, backend=backend), left, right
+    return Graph(n, edges), left, right
 
 
-def random_regular_like(n: int, d: int, seed: Optional[int] = None,
-                        backend: BackendSpec = None) -> Graph:
+def random_regular_like(n: int, d: int, seed: Optional[int] = None) -> Graph:
     """Approximately d-regular graph via d random perfect-matching overlays."""
     rng = _rng(seed)
     edges: List[Tuple[int, int]] = []
@@ -98,7 +90,7 @@ def random_regular_like(n: int, d: int, seed: Optional[int] = None,
             u, v = perm[i], perm[i + 1]
             if u != v:
                 edges.append((u, v))
-    return Graph(n, edges, backend=backend)
+    return Graph(n, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +98,7 @@ def random_regular_like(n: int, d: int, seed: Optional[int] = None,
 # ---------------------------------------------------------------------------
 
 def planted_matching(n_pairs: int, extra_edge_prob: float = 0.0,
-                     seed: Optional[int] = None,
-                     backend: BackendSpec = None) -> Tuple[Graph, List[Tuple[int, int]]]:
+                     seed: Optional[int] = None) -> Tuple[Graph, List[Tuple[int, int]]]:
     """Graph on ``2 * n_pairs`` vertices containing a planted perfect matching.
 
     Returns the graph and the planted matching, which certifies
@@ -127,7 +118,7 @@ def planted_matching(n_pairs: int, extra_edge_prob: float = 0.0,
             for v in range(u + 1, n):
                 if rng.random() < extra_edge_prob:
                     edges.append((u, v))
-    return Graph(n, edges, backend=backend), planted
+    return Graph(n, edges), planted
 
 
 def path_graph(n: int) -> Graph:

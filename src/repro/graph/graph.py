@@ -7,25 +7,23 @@ substrates and the baselines -- operate on instances of :class:`Graph`.
 
 Design notes
 ------------
-* Storage is delegated to a pluggable :class:`~repro.graph.backends.GraphBackend`
-  selected by name: ``"adjset"`` (adjacency-set per vertex, the default; O(1)
-  membership tests which dominate the pointer-chasing access pattern of the
-  combinatorial algorithms) or ``"csr"`` (NumPy CSR arrays with vectorized
-  bulk insertion, neighbour iteration and matrix export; wins on bulk
-  construction and whole-graph scans).  See ARCHITECTURE.md for guidance.
+* Storage is one adjacency set per vertex
+  (:class:`~repro.graph.backends.AdjacencySetBackend`): O(1) membership
+  tests, which dominate the pointer-chasing access pattern of the
+  combinatorial algorithms.  See "Graph storage" in ARCHITECTURE.md.
 * Vertices are dense integers ``0..n-1``.  Induced subgraphs relabel to a dense
   range and keep a mapping back to the parent graph, because the exact blossom
   matcher and the oracles expect dense vertex ids.
 * Hot paths should prefer the bulk APIs (:meth:`Graph.add_edges`,
   :meth:`Graph.edge_list`, :meth:`Graph.subgraph_edges`,
-  :meth:`Graph.neighbor_list`) which backends may vectorize.
+  :meth:`Graph.neighbor_list`): one call through the container per batch.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.graph.backends import BackendSpec, GraphBackend, make_backend
+from repro.graph.backends import AdjacencySetBackend
 
 Edge = Tuple[int, int]
 
@@ -47,37 +45,22 @@ class Graph:
         rejected; parallel edges are silently deduplicated (the graph is
         simple).
     backend:
-        Storage backend: a name from :data:`repro.graph.backends.BACKENDS`
-        (``"adjset"`` or ``"csr"``), a :class:`GraphBackend` instance, or
-        ``None`` for the default (``"adjset"``).
+        ``None`` or ``"adjset"``, the one storage layout; anything else
+        raises :class:`ValueError`.
     """
 
     __slots__ = ("_backend",)
 
     def __init__(self, n: int, edges: Optional[Iterable[Edge]] = None,
-                 backend: BackendSpec = None) -> None:
+                 backend: Optional[str] = None) -> None:
         if n < 0:
             raise ValueError(f"number of vertices must be non-negative, got {n}")
-        self._backend = make_backend(backend, n)
+        if backend not in (None, "adjset"):
+            raise ValueError(f"unknown graph backend {backend!r}; "
+                             "the only one is 'adjset'")
+        self._backend = AdjacencySetBackend(n)
         if edges is not None:
             self._backend.add_edges(edges)
-
-    # ---------------------------------------------------------------- backend
-    @property
-    def backend(self) -> GraphBackend:
-        """The storage backend (for backend-aware fast paths)."""
-        return self._backend
-
-    @property
-    def backend_name(self) -> str:
-        """Registry name of the storage backend (``"adjset"`` / ``"csr"``)."""
-        return self._backend.name
-
-    def with_backend(self, backend: BackendSpec) -> "Graph":
-        """A copy of this graph stored on a (possibly different) backend."""
-        g = Graph(self.n, backend=backend)
-        g._backend.add_edges(self.edge_list())
-        return g
 
     # ------------------------------------------------------------------ basic
     @property
@@ -102,7 +85,7 @@ class Graph:
         return self._backend.has_edge(u, v)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"Graph(n={self.n}, m={self.m}, backend={self.backend_name!r})"
+        return f"Graph(n={self.n}, m={self.m})"
 
     # ------------------------------------------------------------------ edges
     def add_edge(self, u: int, v: int) -> bool:
@@ -114,12 +97,7 @@ class Graph:
         return self._backend.remove_edge(u, v)
 
     def add_edges(self, edges: Iterable[Edge]) -> int:
-        """Insert many edges in one call; returns how many were new.
-
-        This is the batched-update fast path: array-backed backends validate,
-        canonicalise and deduplicate the whole batch vectorized instead of
-        paying per-edge Python overhead.
-        """
+        """Insert many edges in one call; returns how many were new."""
         return self._backend.add_edges(edges)
 
     def remove_edges(self, edges: Iterable[Edge]) -> int:
@@ -130,16 +108,6 @@ class Graph:
         """Whether edge ``{u, v}`` is present."""
         return self._backend.has_edge(u, v)
 
-    def edge_mask(self, u, v):
-        """Vectorized :meth:`has_edge` over endpoint arrays.
-
-        Returns a boolean array; invalid pairs are ``False``, never an
-        exception.  O(1)-per-pair array passes on CSR, a reference loop on
-        other backends -- the CONGEST simulator uses it to validate a whole
-        round's messages at once.
-        """
-        return self._backend.edge_mask(u, v)
-
     def neighbors(self, v: int) -> Set[int]:
         """The adjacency set of ``v`` (do not mutate)."""
         return self._backend.neighbors(v)
@@ -147,9 +115,7 @@ class Graph:
     def neighbor_list(self, v: int) -> Sequence[int]:
         """Neighbours of ``v`` as a cheap-to-iterate sequence.
 
-        Prefer this over :meth:`neighbors` in iteration-only hot loops: the
-        CSR backend answers from its contiguous index array without building
-        a set.
+        Prefer this over :meth:`neighbors` in iteration-only hot loops.
         """
         return self._backend.neighbor_list(v)
 
@@ -166,7 +132,7 @@ class Graph:
         return self._backend.edges()
 
     def edge_list(self) -> List[Edge]:
-        """Materialise :meth:`edges` into a list (vectorized on CSR)."""
+        """Materialise :meth:`edges` into a list."""
         return self._backend.edge_list()
 
     def arcs(self) -> Iterator[Edge]:
@@ -174,12 +140,12 @@ class Graph:
         return self._backend.arcs()
 
     def arc_list(self) -> List[Edge]:
-        """Materialise :meth:`arcs` into a list (vectorized on CSR)."""
+        """Materialise :meth:`arcs` into a list."""
         return self._backend.arc_list()
 
     # ----------------------------------------------------------------- derived
     def copy(self) -> "Graph":
-        """Deep copy of the graph (same backend)."""
+        """Deep copy of the graph."""
         g = Graph.__new__(Graph)
         g._backend = self._backend.copy()
         return g
@@ -187,9 +153,9 @@ class Graph:
     def induced_subgraph(self, vertices: Sequence[int]) -> Tuple["Graph", Dict[int, int]]:
         """Return ``G[S]`` relabelled to ``0..|S|-1`` plus the new->old map.
 
-        The subgraph is materialised through the backend's bulk
-        :meth:`~repro.graph.backends.GraphBackend.induced_edges` primitive and
-        lives on the same backend as the parent.
+        The subgraph is materialised through the storage's bulk
+        :meth:`~repro.graph.backends.AdjacencySetBackend.induced_edges`
+        primitive.
 
         Parameters
         ----------
@@ -206,7 +172,7 @@ class Graph:
             if not 0 <= v < self.n:
                 raise ValueError(f"vertex {v} out of range [0, {self.n})")
         index = {old: new for new, old in enumerate(uniq)}
-        sub = Graph(len(uniq), backend=self.backend_name)
+        sub = Graph(len(uniq))
         sub._backend.add_edges(
             (index[u], index[v]) for u, v in self._backend.induced_edges(uniq))
         return sub, {new: old for old, new in index.items()}
@@ -275,7 +241,6 @@ class Graph:
         return self._backend.adjacency_matrix()
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[Edge],
-                   backend: BackendSpec = None) -> "Graph":
+    def from_edges(cls, n: int, edges: Iterable[Edge]) -> "Graph":
         """Construct a graph from an edge iterable (convenience alias)."""
-        return cls(n, edges, backend=backend)
+        return cls(n, edges)

@@ -67,13 +67,12 @@ def records_table(records: Sequence[Dict[str, object]],
                   max_counters: int = 4) -> Table:
     """Render ``repro.bench`` runner records as a text table.
 
-    One row per record: scenario, backend, eps, smoke flag, wall-clock, and a
+    One row per record: scenario, eps, smoke flag, wall-clock, and a
     compact ``name=value`` digest of up to ``max_counters`` counters (the
     full set lives in the JSON emission; the table is the human rendering of
     the same records).
     """
-    table = Table(title, ["scenario", "backend", "eps", "smoke", "wall_s",
-                          "counters"])
+    table = Table(title, ["scenario", "eps", "smoke", "wall_s", "counters"])
     for record in records:
         params = record.get("params", {})
         counters = record.get("counters", {})
@@ -82,8 +81,7 @@ def records_table(records: Sequence[Dict[str, object]],
         if len(counters) > max_counters:
             digest += ", ..."
         eps = params.get("eps")
-        table.add_row(record.get("scenario"), params.get("backend"),
-                      "-" if eps is None else eps,
+        table.add_row(record.get("scenario"), "-" if eps is None else eps,
                       bool(params.get("smoke")), record.get("wall_s"), digest)
     return table
 

@@ -12,7 +12,7 @@ Determinism and the fast path
   ``random.Random`` instance (``rng=``); callers that run sweeps thread one
   ``rng`` through every call so whole benchmark runs replay bit-for-bit.
   The edge list is sorted canonically before shuffling, so a fixed seed
-  produces the *same* matching on every graph backend.
+  produces the *same* matching whatever order the graph stores its edges in.
 * When the edge list is large, the sequential scan is replaced by a
   vectorized round-based selection that provably returns the exact same
   matching (an edge is greedy-selected iff it is the earliest-remaining
@@ -47,9 +47,9 @@ def _resolve_rng(rng: Optional[random.Random], seed: Optional[int]) -> random.Ra
     return rng if rng is not None else random.Random(seed)
 
 
-def _greedy_select_arrays(orig_u, orig_v, n: int,
-                          blocked: Optional[set]) -> List[Edge]:
-    """The edges sequential greedy would pick, given endpoint arrays.
+def _greedy_select_vectorized(edges: Sequence[Edge], n: int,
+                              blocked: Optional[set]) -> List[Edge]:
+    """The edges sequential greedy would pick from ``edges``, in that order.
 
     Round-based equivalent of the sequential scan: every round selects the
     edges that are the earliest remaining edge at both endpoints (those are
@@ -57,6 +57,7 @@ def _greedy_select_arrays(orig_u, orig_v, n: int,
     edge), drops everything touching a matched vertex, and repeats.
     Returns the picked edges in sequential pick order.
     """
+    orig_u, orig_v = edge_endpoint_arrays(edges)
     us, vs = orig_u, orig_v
     pos = np.arange(us.size, dtype=np.int64)
     if blocked:
@@ -97,13 +98,6 @@ def _greedy_select_arrays(orig_u, orig_v, n: int,
     return out
 
 
-def _greedy_select_vectorized(edges: Sequence[Edge], n: int,
-                              blocked: Optional[set]) -> List[Edge]:
-    """Array-dispatch wrapper of :func:`_greedy_select_arrays` for edge lists."""
-    us, vs = edge_endpoint_arrays(edges)
-    return _greedy_select_arrays(us, vs, n, blocked)
-
-
 def greedy_maximal_matching(graph: Graph,
                             edge_order: Optional[Sequence[Edge]] = None,
                             forbidden: Optional[Iterable[int]] = None) -> Matching:
@@ -122,15 +116,6 @@ def greedy_maximal_matching(graph: Graph,
     matching = Matching(graph.n)
     blocked = set(forbidden) if forbidden is not None else None
     if edge_order is None:
-        backend = graph.backend
-        if (graph.m >= _VECTORIZE_MIN_EDGES
-                and hasattr(backend, "_edge_arrays")):
-            # CSR fast path: feed the backend's endpoint arrays straight into
-            # the vectorized selection, skipping the tuple round-trip.
-            u_arr, v_arr = backend._edge_arrays()
-            matching.add_disjoint_edges(
-                _greedy_select_arrays(u_arr, v_arr, graph.n, blocked))
-            return matching
         edges: Sequence[Edge] = graph.edge_list()
     elif isinstance(edge_order, (list, tuple)):
         edges = edge_order
@@ -159,7 +144,7 @@ def random_greedy_matching(graph: Graph, seed: Optional[int] = None,
     Pass ``rng`` to thread one explicit :class:`random.Random` through a whole
     run (reproducible benchmarks); ``seed`` builds a private generator.  The
     edge list is canonically sorted before shuffling, so the result for a
-    fixed seed is backend-independent.
+    fixed seed does not depend on the graph's edge storage order.
     """
     rng = _resolve_rng(rng, seed)
     edges = sorted(graph.edge_list())
@@ -175,7 +160,7 @@ def greedy_on_vertex_subset(graph: Graph, subset: Sequence[int],
     Returns the matched edges in the *original* labelling.  This is the
     work-horse behind several ``Aweak`` implementations (Definition 6.1): it
     touches only edges with both endpoints in ``S`` (fetched in one bulk
-    ``subgraph_edges`` call, which array backends vectorize).
+    ``subgraph_edges`` call).
     """
     rng = _resolve_rng(rng, seed)
     s = set(subset)

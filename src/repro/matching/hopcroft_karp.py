@@ -41,9 +41,8 @@ def hopcroft_karp(graph: Graph,
     left_set = set(left)
 
     # Materialise left-side adjacency once: the BFS/DFS layers below touch
-    # these lists many times per phase, and fetching them through the backend
-    # fast path (contiguous CSR slices / direct set references) beats a
-    # per-visit neighbors() call.
+    # these rows many times per phase, and holding direct references to the
+    # adjacency sets beats a per-visit neighbors() call.
     adj: Dict[int, Sequence[int]] = {u: graph.neighbor_list(u) for u in left}
 
     pair_u: Dict[int, Optional[int]] = {u: None for u in left}

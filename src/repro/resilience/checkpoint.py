@@ -31,10 +31,11 @@ from repro.graph.backends import canonical_edges_error, edge_endpoint_arrays
 from repro.instrumentation.counters import Counters
 from repro.matching.matching import mate_array_error
 
-#: on-disk format version; v2 dropped the profile's ``backend`` field from
-#: ``profile_json``, so a v1 file fails :meth:`MaintainerCheckpoint.load`
-#: with the typed version error instead of failing at restore
-CHECKPOINT_VERSION = 2
+#: on-disk format version; v3 dropped the ``backend`` member (v2 had dropped
+#: the profile's ``backend`` field), so an older file fails
+#: :meth:`MaintainerCheckpoint.load` with the typed version error instead of
+#: failing at restore
+CHECKPOINT_VERSION = 3
 
 #: magic string distinguishing checkpoints from other ``.npz`` payloads
 _KIND = "repro-maintainer-checkpoint"
@@ -47,7 +48,7 @@ _KIND = "repro-maintainer-checkpoint"
 DeltaCheckpointWriter = None
 
 _REQUIRED_KEYS = frozenset({
-    "version", "kind", "position", "n", "eps", "has_seed", "seed", "backend",
+    "version", "kind", "position", "n", "eps", "has_seed", "seed",
     "profile_json", "counters_json", "rebuild_slack", "min_rebuild_gap",
     "updates_since_rebuild", "size_at_rebuild", "num_updates",
     "max_edges_seen", "edge_u", "edge_v", "mate", "rng_main", "rng_main_g",
@@ -165,7 +166,6 @@ class MaintainerCheckpoint:
             eps=np.float64(state["eps"]),
             has_seed=np.int64(0 if seed is None else 1),
             seed=np.int64(0 if seed is None else seed),
-            backend=np.array(state["backend"]),
             profile_json=np.array(json.dumps(state["profile"],
                                              sort_keys=True)),
             counters_json=np.array(json.dumps(state["counters"],
@@ -228,7 +228,6 @@ class MaintainerCheckpoint:
                     "eps": float(payload["eps"]),
                     "seed": (int(payload["seed"])
                              if int(payload["has_seed"]) else None),
-                    "backend": str(payload["backend"]),
                     "profile": json.loads(str(payload["profile_json"])),
                     "counters": json.loads(str(payload["counters_json"])),
                     "rebuild_slack": float(payload["rebuild_slack"]),

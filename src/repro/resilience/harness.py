@@ -10,8 +10,8 @@ through a full disk round-trip) and replays the updates since it.
 Because the checkpoint captures every RNG substream and the counters bag,
 the recovered run is *byte-identical* to the fault-free one: same mates,
 same counters, same epoch boundaries.  That equality is asserted by the
-``table2_chaos`` scenario and pinned across backends x engines x repair
-modes in the checkpoint test suite; the harness itself only guarantees
+``table2_chaos`` scenario and pinned across engines x repair modes in the
+checkpoint test suite; the harness itself only guarantees
 determinism and reports what happened in :class:`RecoveryStats`.
 """
 

@@ -1,11 +1,11 @@
 """Declared runtime contracts that the static analyzer reads.
 
 The memo-invalidation bug class (a mutating method that forgets to mark a
-compiled/cached view stale) has been caught twice at runtime: the PR 4 smoke
-regression (``CSRBackend.neighbor_list`` memo) and the PR 6 hypothesis
-property test over every CSR mutation API.  The hypothesis test is a good
-*oracle* but a bad *gate*: it only exercises the mutators someone remembered
-to list in its script.
+compiled/cached view stale) was caught twice at runtime, both times in a
+graph storage layout's memoised neighbour lists: once as a smoke-benchmark
+regression and once by a hypothesis property test over every mutation API.
+A property test is a good *oracle* but a bad *gate*: it only exercises the
+mutators someone remembered to list in its script.
 
 This module turns that knowledge into a declaration the static checker can
 enforce: a mutating method is decorated with :func:`invalidates`, naming the
@@ -22,7 +22,7 @@ checks, purely from the AST, that
 
 The decorator is zero-cost at runtime (it only tags the function); the
 runtime registry below exists so tests can assert the declarations are
-*complete* against behaviour (the hypothesis test remains the oracle).
+*complete* against behaviour.
 """
 
 from __future__ import annotations

@@ -15,8 +15,9 @@ Design rules:
 * **Re-iterable.**  A stream wraps a factory, not an iterator: every
   ``iter(stream)`` restarts the producer from scratch (fresh RNG state
   derived from the same seed), so a stream can be recorded to a
-  :class:`~repro.workloads.trace.Trace`, replayed through two backends and
-  benchmarked with warmup repeats, all yielding identical sequences.
+  :class:`~repro.workloads.trace.Trace`, replayed through several
+  maintainers and benchmarked with warmup repeats, all yielding identical
+  sequences.
 * **Known ``n``.**  Algorithms need the vertex count before the first
   update; ``stream.n`` carries it (generators used to smuggle it through
   ``(n, updates)`` tuples).

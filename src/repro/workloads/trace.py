@@ -11,8 +11,8 @@ format the bench suite uses for stable, shareable workloads:
   NumPy ``.npz`` container (column arrays stored verbatim, so a loaded
   trace compares equal to the recorded one array-for-array);
 * **replay**: :meth:`Trace.stream` is an :class:`UpdateStream` over the
-  columns -- iterate it as many times as needed, through any backend, and
-  the update sequence (hence every seeded maintainer's counters and
+  columns -- iterate it as many times as needed, through any maintainer,
+  and the update sequence (hence every seeded maintainer's counters and
   matchings) is identical on every replay.
 
 Kind codes are part of the on-disk format and must never change:

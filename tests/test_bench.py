@@ -17,7 +17,6 @@ from repro.bench import (
     RECORD_KEYS,
     RunSpec,
     compare_records,
-    expand_specs,
     get_scenario,
     load_benchmark_modules,
     load_records,
@@ -36,7 +35,7 @@ from repro.instrumentation.counters import Counters
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 
 ALL_SCENARIOS = (
-    "ablation_schedule", "backends", "fig1_structures", "fig2_overtake",
+    "ablation_schedule", "fig1_structures", "fig2_overtake",
     "fig3_hprime_decay", "fig4_sampling", "lemma53_initial_matching",
     "quality_vs_eps", "scaling_n", "table1_congest", "table1_mpc",
     "table2_chaos", "table2_dynamic", "table2_latency", "table2_offline",
@@ -48,8 +47,7 @@ ALL_SCENARIOS = (
 def toy_scenario():
     calls = []
 
-    @register("_toy", suite="_toysuite", description="test-only",
-              backends=("adjset", "csr"))
+    @register("_toy", suite="_toysuite", description="test-only")
     def _toy(spec, counters):
         calls.append(spec)
         counters.add("work", 3)
@@ -81,15 +79,14 @@ class TestRegistry:
 class TestRunner:
     def test_record_schema_and_counter_merge(self, toy_scenario):
         scenario, _ = toy_scenario
-        spec = RunSpec(scenario="_toy", suite="_toysuite", backend="csr",
-                       eps=0.5, seed=7, smoke=True)
+        spec = RunSpec(scenario="_toy", suite="_toysuite", eps=0.5, seed=7,
+                       smoke=True)
         record = validate_record(run_scenario(scenario, spec))
         assert set(RECORD_KEYS) <= set(record)
         assert record["scenario"] == "_toy"
         assert record["wall_s"] >= 0
         assert record["counters"] == {"work": 3.0, "derived": 1.5}
         params = record["params"]
-        assert params["backend"] == "csr"
         assert params["eps"] == 0.5
         assert params["seed"] == 7
         assert params["smoke"] is True
@@ -99,16 +96,6 @@ class TestRunner:
         spec = RunSpec(scenario="_toy", suite="_toysuite", repeats=3, warmup=2)
         run_scenario(scenario, spec)
         assert len(calls) == 5  # 2 warmup + 3 timed
-
-    def test_expand_specs_sweeps_declared_backends(self, toy_scenario):
-        scenario, _ = toy_scenario
-        specs = expand_specs(scenario)
-        assert [s.backend for s in specs] == ["adjset", "csr"]
-        only = expand_specs(scenario, backend="csr")
-        assert [s.backend for s in only] == ["csr"]
-        # unsupported backend falls back to the scenario's native one
-        fallback = expand_specs(scenario, backend="gpu")
-        assert [s.backend for s in fallback] == ["adjset"]
 
     def test_resolved_eps_default(self):
         assert RunSpec(scenario="x", suite="y").resolved_eps() == 0.25
@@ -174,7 +161,7 @@ class TestLatency:
             validate_record(record)
 
     def _record_with_latency(self, p99):
-        return [{"scenario": "s", "params": {"backend": "adjset"},
+        return [{"scenario": "s", "params": {},
                  "wall_s": 1.0, "counters": {"p99": 123.0},
                  "latency": {"p50": p99 / 2, "p99": p99},
                  "python": "3", "timestamp": "t"}]
@@ -199,17 +186,17 @@ class TestLatency:
 
 
 class TestResults:
-    def _record(self, scenario="s1", backend="adjset", wall=0.5):
+    def _record(self, scenario="s1", wall=0.5):
         return {"scenario": scenario,
                 "params": {"suite": "t", "workload": "default",
                            "algorithm": "default", "eps": None,
-                           "backend": backend, "seed": 0, "repeats": 1,
-                           "warmup": 0, "smoke": True},
+                           "seed": 0, "repeats": 1, "warmup": 0,
+                           "smoke": True},
                 "wall_s": wall, "counters": {"work": 1.0},
                 "python": "3", "timestamp": "2026-07-29T00:00:00+00:00"}
 
     def test_json_round_trip(self, tmp_path):
-        records = [self._record("s1"), self._record("s2", backend="csr")]
+        records = [self._record("s1"), self._record("s2")]
         path = write_suite(records, "tsuite", root=tmp_path)
         assert path == tmp_path / "BENCH_tsuite.json"
         loaded = load_records(path)
@@ -233,7 +220,7 @@ class TestResults:
 
 class TestCompare:
     def _records(self, wall):
-        return [{"scenario": "s", "params": {"backend": "adjset"},
+        return [{"scenario": "s", "params": {"eps": None},
                  "wall_s": wall, "counters": {"oracle_calls": 10.0},
                  "python": "3", "timestamp": "t"}]
 
@@ -254,12 +241,25 @@ class TestCompare:
         assert regressions(rows) and rows[0]["ratio"] == pytest.approx(3.0)
 
     def test_unmatched_records_never_regress(self):
-        extra = {"scenario": "other", "params": {"backend": "adjset"},
+        extra = {"scenario": "other", "params": {"eps": None},
                  "wall_s": 9.0, "counters": {}, "python": "3", "timestamp": "t"}
         rows = compare_records(self._records(1.0),
                                self._records(1.0) + [extra])
         assert not regressions(rows)
         assert {"compared", "added"} == {row["status"] for row in rows}
+
+    def test_duplicate_keys_are_rejected(self, tmp_path, capsys):
+        # a key occurring twice would keep only its last record and compare
+        # against that one silently; both sides must be one record per key
+        twice = self._records(1.0) + self._records(5.0)
+        for old, new, side in ((twice, self._records(1.0), "old"),
+                               (self._records(1.0), twice, "new")):
+            with pytest.raises(ValueError, match=f"{side} records share"):
+                compare_records(old, new)
+        old = write_suite(self._records(1.0), "old", root=tmp_path / "a")
+        new = write_suite(twice, "new", root=tmp_path / "b")
+        assert cli.main(["compare", str(old), str(new)]) == 2
+        assert "share the key" in capsys.readouterr().err
 
     def test_cli_exit_codes(self, tmp_path, capsys):
         old = write_suite(self._records(1.0), "old", root=tmp_path / "a")
@@ -279,7 +279,7 @@ class TestDiscovery:
         registered = {s.name for s in scenarios()}
         missing = set(ALL_SCENARIOS) - registered
         assert not missing, f"scenarios not registered: {sorted(missing)}"
-        assert {"backends", "table1", "table2", "figures"} <= set(suite_names())
+        assert {"table1", "table2", "figures"} <= set(suite_names())
 
     def test_run_cli_requires_a_selection(self, capsys):
         assert cli.main(["run"]) == 2
@@ -299,11 +299,6 @@ class TestDiscovery:
         assert "_toy" in out and "table2_dynamic" not in out
         assert not calls  # nothing was executed
 
-    def test_run_cli_rejects_unknown_backend(self, toy_scenario, capsys):
-        assert cli.main(["run", "--scenario", "_toy",
-                         "--backend", "czr"]) == 2  # typo of "csr"
-        assert "unknown backend" in capsys.readouterr().err
-
     def test_single_scenario_run_does_not_clobber_suite_file(
             self, toy_scenario, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_BENCH_OUT", str(tmp_path))
@@ -321,10 +316,10 @@ class TestDiscovery:
         monkeypatch.setenv("REPRO_BENCH_OUT", str(tmp_path))
         # the scenario itself raises on the unknown value; that is an
         # isolated per-scenario failure (exit 1), and nothing gets written
-        assert cli.main(["run", "--scenario", "backends", "--smoke",
-                         "--workload", "uniform-100K"]) == 1  # wrong case
-        assert "unknown backends workload" in capsys.readouterr().err
-        assert not (tmp_path / "BENCH_backends.json").exists()
+        assert cli.main(["run", "--scenario", "table2_dynamic", "--smoke",
+                         "--workload", "Churn"]) == 1  # wrong case
+        assert "unknown workload" in capsys.readouterr().err
+        assert not (tmp_path / "BENCH_table2_dynamic.json").exists()
 
     def test_run_cli_rejects_undeclared_selectors(self, toy_scenario,
                                                   tmp_path, monkeypatch,
@@ -347,26 +342,14 @@ class TestDiscovery:
                         "--profile"]) == 0
         reports = sorted(p.name for p in (tmp_path / "results").glob(
             "profile_*.txt"))
-        assert reports == ["profile__toy_adjset.txt", "profile__toy_csr.txt"]
-        text = (tmp_path / "results" / "profile__toy_adjset.txt").read_text()
+        assert reports == ["profile__toy.txt"]
+        text = (tmp_path / "results" / "profile__toy.txt").read_text()
         assert "cumulative" in text  # pstats output, sorted by cumtime
         # the top hotspots are also echoed to stdout so CI logs show them
         # without fishing the report files out of the artefacts
         out = capsys.readouterr().out
-        assert "-- hotspots: _toy (backend=adjset), top 10 by cumulative " \
-               "time --" in out
-        assert "-- hotspots: _toy (backend=csr)" in out
+        assert "-- hotspots: _toy, top 10 by cumulative time --" in out
         assert "cumulative" in out
-
-    def test_backend_restricted_run_gets_suffixed_label(
-            self, toy_scenario, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_BENCH_OUT", str(tmp_path))
-        assert cli.main(["run", "--scenario", "_toy", "--smoke",
-                         "--backend", "csr"]) == 0
-        # the csr-only record set must not overwrite BENCH__toy.json
-        assert (tmp_path / "BENCH__toy_csr.json").exists()
-        assert not (tmp_path / "BENCH__toy.json").exists()
-        capsys.readouterr()
 
     def test_run_cli_resilience_flags_land_in_meta(
             self, toy_scenario, tmp_path, monkeypatch, capsys):
@@ -418,9 +401,9 @@ def test_smoke_gate_all_scenarios(tmp_path):
     env = dict(os.environ)
     env["REPRO_BENCH_SMOKE"] = "1"
     env["REPRO_BENCH_OUT"] = str(tmp_path)
-    # pin the hash seed: the gate asserts cross-backend record equality, and
-    # an unpinned subprocess would silently retest under whatever seed the
-    # host chose -- determinism failures must reproduce byte-for-byte
+    # pin the hash seed: the gate compares records against the committed
+    # baseline, and an unpinned subprocess would silently retest under
+    # whatever seed the host chose -- failures must reproduce byte-for-byte
     env["PYTHONHASHSEED"] = "0"
     # run every MPC/CONGEST round under the isolation sanitizer
     # (deep-copied deliveries + sender-side checksums), so a program
@@ -440,62 +423,35 @@ def test_smoke_gate_all_scenarios(tmp_path):
     for record in records:
         assert record["params"]["smoke"] is True
         assert record["wall_s"] >= 0
-    # the backends scenario must cover both backends (acceptance criterion)
-    backends = {record["params"]["backend"] for record in records
-                if record["scenario"] == "backends"}
-    assert backends == {"adjset", "csr"}
+    by_name = {record["scenario"]: record for record in records}
+    assert len(by_name) == len(records)  # one record per scenario
 
     # trace record/replay parity: table2_realgraph re-records the karate
     # stream from the raw edge list and fails if it drifts from the
-    # committed trace fixture (benchmarks/data/karate_w40.npz); its records
-    # replaying that one trace must agree between the two backends on every
-    # algorithm counter (wall_s/timestamp are the only host-dependent
-    # fields).
-    realgraph = [record for record in records
-                 if record["scenario"] == "table2_realgraph"]
-    assert {r["params"]["backend"] for r in realgraph} == {"adjset", "csr"}
-    by_backend = {r["params"]["backend"]: r["counters"] for r in realgraph}
-    assert by_backend["adjset"] == by_backend["csr"]
-    assert by_backend["adjset"]["trace_updates"] == 116.0
+    # committed trace fixture (benchmarks/data/karate_w40.npz) before
+    # replaying it
+    assert by_name["table2_realgraph"]["counters"]["trace_updates"] == 116.0
 
-    # the latency scenario must emit its per-update latency section on both
-    # backends, with a sane tail ordering (acceptance criterion)
-    latency_records = [record for record in records
-                       if record["scenario"] == "table2_latency"]
-    assert {r["params"]["backend"] for r in latency_records} == \
-        {"adjset", "csr"}
-    for record in latency_records:
-        latency = record["latency"]
-        assert {"p50", "p99", "max"} <= set(latency)
-        assert 0 < latency["p50"] <= latency["p99"] <= latency["max"]
-        assert record["counters"]["p99_speedup_vs_rebuild"] >= 5.0
+    # the latency scenario must emit its per-update latency section, with a
+    # sane tail ordering (acceptance criterion)
+    latency = by_name["table2_latency"]["latency"]
+    assert {"p50", "p99", "max"} <= set(latency)
+    assert 0 < latency["p50"] <= latency["p99"] <= latency["max"]
+    assert by_name["table2_latency"]["counters"][
+        "p99_speedup_vs_rebuild"] >= 5.0
 
-    # the chaos drill must recover to a byte-identical end state on both
-    # backends under its fixed fault plan, and report recovery latency
-    # percentiles (acceptance criterion)
-    chaos_records = [record for record in records
-                     if record["scenario"] == "table2_chaos"]
-    assert {r["params"]["backend"] for r in chaos_records} == \
-        {"adjset", "csr"}
-    for record in chaos_records:
-        assert record["counters"]["end_state_equal"] == 1.0
-        assert record["counters"]["chaos_crashes"] >= 2.0
-        assert record["counters"]["chaos_restores"] >= 2.0
-        latency = record["latency"]
-        assert {"p50", "p99", "max"} <= set(latency)
-        assert 0 < latency["p50"] <= latency["p99"] <= latency["max"]
-        # snapshot overhead must be reported (acceptance criterion)
-        assert record["counters"]["chaos_checkpoint_overhead_s"] > 0
-
-    # the OMv scenario runs on both backends, and every algorithm counter
-    # must agree across them (acceptance criterion)
-    omv_records = [record for record in records
-                   if record["scenario"] == "table2_omv"]
-    assert {r["params"]["backend"] for r in omv_records} == \
-        {"adjset", "csr"}
-    omv_by_backend = {r["params"]["backend"]: r["counters"]
-                      for r in omv_records}
-    assert omv_by_backend["adjset"] == omv_by_backend["csr"]
+    # the chaos drill must recover to a byte-identical end state under its
+    # fixed fault plan, and report recovery latency percentiles (acceptance
+    # criterion)
+    chaos = by_name["table2_chaos"]
+    assert chaos["counters"]["end_state_equal"] == 1.0
+    assert chaos["counters"]["chaos_crashes"] >= 2.0
+    assert chaos["counters"]["chaos_restores"] >= 2.0
+    latency = chaos["latency"]
+    assert {"p50", "p99", "max"} <= set(latency)
+    assert 0 < latency["p50"] <= latency["p99"] <= latency["max"]
+    # snapshot overhead must be reported (acceptance criterion)
+    assert chaos["counters"]["chaos_checkpoint_overhead_s"] > 0
 
     # ---- perf gate: wall-time regressions vs the committed baseline fail
     # loudly.  The threshold is generous (hosts differ, smoke runs are
@@ -507,6 +463,13 @@ def test_smoke_gate_all_scenarios(tmp_path):
     if fail_over > 0:
         baseline = load_records(os.path.join(REPO_ROOT, "BENCH_all.json"))
         rows = compare_records(baseline, records, fail_over=fail_over)
+        # every baseline row must find its record: an unmatched baseline
+        # row is reported "removed" and never counts as a regression, so a
+        # key mismatch would pass this gate without comparing anything
+        unmatched = [r["scenario"] for r in rows if r["status"] == "removed"]
+        assert not unmatched, (
+            f"committed BENCH_all.json rows with no smoke record: "
+            f"{unmatched}")
         # ratio alone drowns in noise on milliseconds-scale rows (a 10ms
         # scenario jitters 3x under jobs=2 contention); require the
         # regression to also be absolutely large before failing
@@ -516,7 +479,7 @@ def test_smoke_gate_all_scenarios(tmp_path):
         assert not bad, (
             f"wall-time regression(s) vs committed BENCH_all.json "
             f"(fail-over {fail_over:g}x): "
-            + ", ".join(f"{r['scenario']}[{r['backend']}] "
+            + ", ".join(f"{r['scenario']} "
                         f"{r['old']:.3f}s -> {r['new']:.3f}s "
                         f"({r['ratio']:.2f}x)" for r in bad))
 
@@ -535,7 +498,7 @@ def test_smoke_gate_all_scenarios(tmp_path):
         assert not bad_latency, (
             f"latency.p99 regression(s) vs committed BENCH_all.json "
             f"(fail-over {fail_over:g}x): "
-            + ", ".join(f"{r['scenario']}[{r['backend']}] "
+            + ", ".join(f"{r['scenario']} "
                         f"{r['old'] * 1e3:.3f}ms -> {r['new'] * 1e3:.3f}ms "
                         f"({r['ratio']:.2f}x)" for r in bad_latency))
 
@@ -555,7 +518,7 @@ def test_smoke_gate_all_scenarios(tmp_path):
         assert not bad_ckpt, (
             f"chaos checkpoint-overhead regression(s) vs committed "
             f"BENCH_all.json (fail-over {fail_over:g}x): "
-            + ", ".join(f"{r['scenario']}[{r['backend']}] "
+            + ", ".join(f"{r['scenario']} "
                         f"{r['old'] * 1e3:.3f}ms -> {r['new'] * 1e3:.3f}ms "
                         f"({r['ratio']:.2f}x)" for r in bad_ckpt))
 

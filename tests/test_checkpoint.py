@@ -4,8 +4,8 @@ The contract under test: a maintainer restored from a
 :class:`~repro.resilience.checkpoint.MaintainerCheckpoint` and replayed over
 the remaining updates is *byte-identical* to one that never crashed -- same
 mates, same counters, same RNG substreams, same epoch/rebuild schedule.
-That parity is pinned across the full configuration matrix (graph backends
-x phase engines x repair modes), through full ``.npz`` disk round-trips,
+That parity is pinned across the full configuration matrix (phase engines x
+repair modes), through full ``.npz`` disk round-trips,
 and at the awkward positions: the zeroth checkpoint, a checkpoint on a
 rebuild boundary, and a crash on the final update.  Loader hardening
 (truncated, corrupt, wrong-version, non-checkpoint files) raises the typed
@@ -44,9 +44,9 @@ def _workload(pairs=24, rounds=2, seed=0):
                                                seed=seed))
 
 
-def _maintainer(trace, profile, backend, counters, seed=0):
+def _maintainer(trace, profile, counters, seed=0):
     return FullyDynamicMatching(trace.n, EPS, profile=profile,
-                                counters=counters, seed=seed, backend=backend)
+                                counters=counters, seed=seed)
 
 
 def _end_state(alg):
@@ -54,25 +54,23 @@ def _end_state(alg):
     return alg.checkpoint_state()
 
 
-def _run_fault_free(trace, profile, backend):
-    alg = _maintainer(trace, profile, backend, Counters())
+def _run_fault_free(trace, profile):
+    alg = _maintainer(trace, profile, Counters())
     for upd in trace.stream():
         alg.update(upd)
     return alg
 
 
 # ------------------------------------------------------------ parity matrix
-@pytest.mark.parametrize("backend", ["adjset", "csr"])
 @pytest.mark.parametrize("engine", ["array", "reference"])
 @pytest.mark.parametrize("repair", ["rebuild", "incremental"])
-def test_resume_parity_across_configurations(backend, engine, repair,
-                                             tmp_path):
+def test_resume_parity_across_configurations(engine, repair, tmp_path):
     """Crash + restore-from-disk + replay lands byte-identical end state."""
     trace = _workload()
     profile = _profile(engine, repair)
-    reference = _run_fault_free(trace, profile, backend)
+    reference = _run_fault_free(trace, profile)
 
-    chaotic = _maintainer(trace, profile, backend, Counters())
+    chaotic = _maintainer(trace, profile, Counters())
     plan = FaultPlan(seed=11, update_crash_rate=0.03,
                      crash_updates=(len(trace) // 2,))
     survivor, stats = run_with_recovery(
@@ -92,13 +90,13 @@ def test_in_memory_and_disk_restores_agree(tmp_path):
     plan = FaultPlan(seed=2, crash_updates=(7, len(trace) // 2))
 
     in_memory, _ = run_with_recovery(
-        _maintainer(trace, profile, "adjset", Counters()), trace, plan=plan,
+        _maintainer(trace, profile, Counters()), trace, plan=plan,
         checkpoint_every=5)
     # a path without the suffix: save() appends ``.npz``, and recovery must
     # reload the file save() actually wrote
     for name in ("c.npz", "bare"):
         on_disk, _ = run_with_recovery(
-            _maintainer(trace, profile, "adjset", Counters()), trace,
+            _maintainer(trace, profile, Counters()), trace,
             plan=plan, checkpoint_every=5,
             checkpoint_path=str(tmp_path / name))
         assert _end_state(on_disk) == _end_state(in_memory), name
@@ -109,10 +107,10 @@ def test_resume_from_zeroth_checkpoint_replays_everything(tmp_path):
     """A crash before any periodic snapshot restores the empty prefix."""
     trace = _workload()
     profile = _profile("array", "incremental")
-    reference = _run_fault_free(trace, profile, "adjset")
+    reference = _run_fault_free(trace, profile)
 
     survivor, stats = run_with_recovery(
-        _maintainer(trace, profile, "adjset", Counters()), trace,
+        _maintainer(trace, profile, Counters()), trace,
         plan=FaultPlan(seed=0, crash_updates=(0,)), checkpoint_every=0,
         checkpoint_path=str(tmp_path / "c.npz"))
     assert stats.crashes == 1 and stats.restores == 1
@@ -123,10 +121,10 @@ def test_resume_from_zeroth_checkpoint_replays_everything(tmp_path):
 def test_crash_on_final_update_recovers(tmp_path):
     trace = _workload()
     profile = _profile("array", "rebuild")
-    reference = _run_fault_free(trace, profile, "adjset")
+    reference = _run_fault_free(trace, profile)
 
     survivor, stats = run_with_recovery(
-        _maintainer(trace, profile, "adjset", Counters()), trace,
+        _maintainer(trace, profile, Counters()), trace,
         plan=FaultPlan(seed=0, crash_updates=(len(trace) - 1,)),
         checkpoint_every=16, checkpoint_path=str(tmp_path / "c.npz"))
     assert stats.crashes == 1
@@ -139,10 +137,10 @@ def test_checkpoint_every_update_hits_rebuild_boundaries(tmp_path):
     restores land exactly there."""
     trace = _workload(pairs=16, rounds=2)
     profile = _profile("array", "incremental")
-    reference = _run_fault_free(trace, profile, "adjset")
+    reference = _run_fault_free(trace, profile)
 
     survivor, stats = run_with_recovery(
-        _maintainer(trace, profile, "adjset", Counters()), trace,
+        _maintainer(trace, profile, Counters()), trace,
         plan=FaultPlan(seed=5, update_crash_rate=0.08),
         checkpoint_every=1, checkpoint_path=str(tmp_path / "c.npz"))
     # every crash restores the immediately preceding update's snapshot
@@ -154,7 +152,7 @@ def test_stats_bookkeeping_and_counter_projection():
     trace = _workload(pairs=16, rounds=1)
     profile = _profile("array", "rebuild")
     survivor, stats = run_with_recovery(
-        _maintainer(trace, profile, "adjset", Counters()), trace,
+        _maintainer(trace, profile, Counters()), trace,
         plan=FaultPlan(seed=0, crash_updates=(3, 9)), checkpoint_every=4)
     assert stats.crashes == 2
     assert stats.crash_positions == [3, 9]
@@ -166,8 +164,7 @@ def test_stats_bookkeeping_and_counter_projection():
 
 def test_run_with_recovery_rejects_negative_period():
     trace = _workload(pairs=4, rounds=1)
-    alg = _maintainer(trace, _profile("array", "rebuild"), "adjset",
-                      Counters())
+    alg = _maintainer(trace, _profile("array", "rebuild"), Counters())
     with pytest.raises(ValueError, match="checkpoint_every"):
         run_with_recovery(alg, trace, checkpoint_every=-1)
 
@@ -175,9 +172,9 @@ def test_run_with_recovery_rejects_negative_period():
 def test_recovery_stats_default_clean_run():
     trace = _workload(pairs=8, rounds=1)
     profile = _profile("array", "rebuild")
-    reference = _run_fault_free(trace, profile, "adjset")
+    reference = _run_fault_free(trace, profile)
     survivor, stats = run_with_recovery(
-        _maintainer(trace, profile, "adjset", Counters()), trace)
+        _maintainer(trace, profile, Counters()), trace)
     # the timing field is nondeterministic; zero it out
     comparable = dataclasses.replace(stats, checkpoint_ns=0)
     assert comparable == RecoveryStats(crashes=0, restores=0, checkpoints=1,
@@ -189,8 +186,7 @@ def test_recovery_stats_default_clean_run():
 # ----------------------------------------------------------- capture/restore
 def test_capture_rejects_negative_position():
     trace = _workload(pairs=4, rounds=1)
-    alg = _maintainer(trace, _profile("array", "rebuild"), "adjset",
-                      Counters())
+    alg = _maintainer(trace, _profile("array", "rebuild"), Counters())
     with pytest.raises(ValueError, match="position"):
         MaintainerCheckpoint.capture(alg, -1)
 
@@ -198,8 +194,7 @@ def test_capture_rejects_negative_position():
 def test_snapshot_is_isolated_from_live_maintainer():
     trace = _workload(pairs=8, rounds=1)
     updates = trace.updates()
-    alg = _maintainer(trace, _profile("array", "rebuild"), "adjset",
-                      Counters())
+    alg = _maintainer(trace, _profile("array", "rebuild"), Counters())
     for upd in updates[: len(updates) // 2]:
         alg.update(upd)
     snapshot = MaintainerCheckpoint.capture(alg, len(updates) // 2)
@@ -214,8 +209,7 @@ def test_snapshot_is_isolated_from_live_maintainer():
 # ------------------------------------------------------------ loader errors
 def _saved_checkpoint(tmp_path):
     trace = _workload(pairs=8, rounds=1)
-    alg = _maintainer(trace, _profile("array", "rebuild"), "adjset",
-                      Counters())
+    alg = _maintainer(trace, _profile("array", "rebuild"), Counters())
     for upd in trace.stream():
         alg.update(upd)
     snapshot = MaintainerCheckpoint.capture(alg, len(trace))

@@ -32,7 +32,6 @@ def test_trace_replay_quickstart_runs():
         capture_output=True, text=True, timeout=240)
     assert result.returncode == 0, result.stderr
     assert "round-trips byte-identically: True" in result.stdout
-    assert "backend runs byte-identical: True" in result.stdout
     assert "karate club" in result.stdout
 
 

@@ -1,23 +1,18 @@
 """Tests for the execution layer (``repro.exec``) and its integrations.
 
-Covers the word-size convention, the CONGEST CSR message-exchange fast path,
-and the bench runner's ``--jobs`` path: deterministic records, exact counter
-merges, and per-scenario crash isolation.
+Covers the word-size convention, CONGEST message validation, and the bench
+runner's ``--jobs`` path: deterministic records, exact counter merges, and
+per-scenario crash isolation.
 """
 
 import os
 import textwrap
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bench import registry, runner
-from repro.congest.simulator import (
-    _FAST_PATH_MIN_MESSAGES,
-    CongestSimulator,
-    MessageTooLarge,
-)
+from repro.congest.simulator import CongestSimulator, MessageTooLarge
 from repro.exec import payload_words
 from repro.graph.generators import erdos_renyi
 from repro.graph.graph import Graph
@@ -120,37 +115,20 @@ class TestPayloadWordsFastPath:
                                                                 default)
 
 
-# -------------------------------------------------- CSR exchange fast path
-class TestCongestFastPath:
+# ------------------------------------------------ CONGEST message validation
+class TestCongestValidation:
     def _flood_program(self, g):
         def program(v, state, inbox):
             return {w: (v, w) for w in g.neighbors(v)}
         return program
 
-    def _run_round(self, g):
-        counters = Counters()
-        sim = CongestSimulator(g, counters=counters)
-        sim.round(self._flood_program(g))
-        return sim, counters
-
-    def test_fast_path_parity_with_adjset(self):
-        base = erdos_renyi(40, 0.2, seed=3)
-        assert 2 * base.m >= _FAST_PATH_MIN_MESSAGES
-        g_slow = base.with_backend("adjset")
-        g_fast = base.with_backend("csr")
-        sim_slow, c_slow = self._run_round(g_slow)
-        sim_fast, c_fast = self._run_round(g_fast)
-        assert c_slow.as_dict() == c_fast.as_dict()
-        assert sim_slow._inboxes == sim_fast._inboxes
-
-    def test_fast_path_rejects_non_neighbor(self):
-        g = erdos_renyi(40, 0.2, seed=3).with_backend("csr")
+    def test_rejects_non_neighbor(self):
+        g = erdos_renyi(40, 0.2, seed=3)
         flood = self._flood_program(g)
 
         def program(v, state, inbox):
             out = flood(v, state, inbox)
             if v == 0:
-                # vertex 1000 % n: guaranteed-bogus partner
                 non_neighbors = [w for w in range(g.n)
                                  if w != v and not g.has_edge(v, w)]
                 out[non_neighbors[0]] = ("bad",)
@@ -160,8 +138,8 @@ class TestCongestFastPath:
         with pytest.raises(ValueError, match="non-neighbor"):
             sim.round(program)
 
-    def test_fast_path_rejects_oversized(self):
-        g = erdos_renyi(40, 0.2, seed=3).with_backend("csr")
+    def test_rejects_oversized(self):
+        g = erdos_renyi(40, 0.2, seed=3)
         flood = self._flood_program(g)
 
         def program(v, state, inbox):
@@ -175,13 +153,11 @@ class TestCongestFastPath:
             sim.round(program)
 
     @pytest.mark.parametrize("strict", [True, False])
-    @pytest.mark.parametrize("backend", ["adjset", "csr"])
-    def test_checks_run_in_message_order(self, backend, strict):
+    def test_checks_run_in_message_order(self, strict):
         # vertex 0 sends an oversized message before vertex 10 messages a
-        # non-neighbour: the first offending message decides the error on
-        # both paths (non-strict counts the size violation, then the edge
-        # raises)
-        g = Graph(40, backend=backend)
+        # non-neighbour: the first offending message decides the error
+        # (non-strict counts the size violation, then the edge raises)
+        g = Graph(40)
         g.add_edges((v, v + 1) for v in range(39))
 
         def program(v, state, inbox):
@@ -197,18 +173,6 @@ class TestCongestFastPath:
         with pytest.raises(MessageTooLarge if strict else ValueError):
             sim.round(program)
         assert counters.as_dict() == {"congest_message_violations": 1.0}
-
-    def test_edge_mask_parity(self):
-        base = erdos_renyi(25, 0.25, seed=5)
-        adj = base.with_backend("adjset")
-        csr = base.with_backend("csr")
-        rng_pairs = [(u, v) for u in range(-2, 27) for v in range(-2, 27)]
-        us = np.array([p[0] for p in rng_pairs])
-        vs = np.array([p[1] for p in rng_pairs])
-        assert (adj.edge_mask(us, vs) == csr.edge_mask(us, vs)).all()
-        expected = [base.has_edge(u, v) if 0 <= u < 25 and 0 <= v < 25
-                    else False for u, v in rng_pairs]
-        assert csr.edge_mask(us, vs).tolist() == expected
 
 
 # ---------------------------------------------------- CONGEST size sizing
@@ -320,7 +284,10 @@ EXTRA_MODULE = textwrap.dedent(
     """
     from repro.bench import register
 
-    @register("_px_ok", suite="_pxsuite", backends=("adjset", "csr"))
+    # two scenarios sharing one body, so a suite run puts two specs in the
+    # pool
+    @register("_px_ok2", suite="_pxsuite")
+    @register("_px_ok", suite="_pxsuite")
     def _ok(spec, counters):
         counters.add("px_work", 2 + spec.seed)
         counters.add("px_runs")
@@ -371,7 +338,8 @@ def test_extra_modules_execute_once_per_process(tmp_path, monkeypatch):
 
 @pytest.fixture
 def parallel_scenarios(tmp_path, monkeypatch):
-    """Register two scenarios from an extra-modules file (worker-visible)."""
+    """Register the test scenarios from an extra-modules file
+    (worker-visible)."""
     module_path = tmp_path / "extra_scenarios.py"
     module_path.write_text(EXTRA_MODULE)
     monkeypatch.setenv("REPRO_BENCH_EXTRA_MODULES", str(module_path))
@@ -380,7 +348,7 @@ def parallel_scenarios(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_BENCH_ROOT", str(tmp_path))
     exec(compile(EXTRA_MODULE, str(module_path), "exec"), {})
     yield
-    for name in ("_px_ok", "_px_boom", "_px_exit", "_px_hang"):
+    for name in ("_px_ok", "_px_ok2", "_px_boom", "_px_exit", "_px_hang"):
         registry.unregister(name)
 
 
@@ -396,7 +364,8 @@ def _strip_timing(records):
 
 class TestParallelRunner:
     def test_jobs_records_and_counters_match_serial(self, parallel_scenarios):
-        scens = [registry.get_scenario("_px_ok")]
+        scens = [registry.get_scenario("_px_ok"),
+                 registry.get_scenario("_px_ok2")]
         results = {}
         for jobs in (1, 4):
             totals = Counters()
@@ -408,24 +377,26 @@ class TestParallelRunner:
         assert results[1][0] == results[4][0]
         # counters merge exactly: one bag per worker, summed in the parent
         assert results[1][1] == results[4][1]
-        assert results[1][1].get("px_runs") == 2  # one per backend
+        assert results[1][1].get("px_runs") == 2  # one per scenario
 
     def test_worker_crash_fails_only_its_scenario(self, parallel_scenarios):
         scens = [registry.get_scenario("_px_boom"),
-                 registry.get_scenario("_px_ok")]
+                 registry.get_scenario("_px_ok"),
+                 registry.get_scenario("_px_ok2")]
         failures = []
         records = runner.run_scenarios(scens, jobs=2, failures=failures)
-        assert [r["scenario"] for r in records] == ["_px_ok", "_px_ok"]
+        assert [r["scenario"] for r in records] == ["_px_ok", "_px_ok2"]
         assert len(failures) == 1
         assert failures[0]["scenario"] == "_px_boom"
         assert "intentional scenario crash" in failures[0]["error"]
 
     def test_serial_path_isolates_failures_too(self, parallel_scenarios):
         scens = [registry.get_scenario("_px_boom"),
-                 registry.get_scenario("_px_ok")]
+                 registry.get_scenario("_px_ok"),
+                 registry.get_scenario("_px_ok2")]
         failures = []
         records = runner.run_scenarios(scens, jobs=1, failures=failures)
-        assert [r["scenario"] for r in records] == ["_px_ok", "_px_ok"]
+        assert [r["scenario"] for r in records] == ["_px_ok", "_px_ok2"]
         assert len(failures) == 1 and failures[0]["scenario"] == "_px_boom"
 
     def test_without_failures_list_the_first_failure_raises(
@@ -442,10 +413,9 @@ class TestParallelRunner:
         scens = registry.scenarios("_pxsuite")
         seen = []
         runner.run_scenarios(scens, jobs=3,
-                             progress=lambda r: seen.append(
-                                 (r["scenario"], r["params"]["backend"])),
+                             progress=lambda r: seen.append(r["scenario"]),
                              failures=[])
-        assert seen == [("_px_ok", "adjset"), ("_px_ok", "csr")]
+        assert seen == ["_px_ok", "_px_ok2"]
 
 
 class TestResilientRunner:
@@ -456,13 +426,14 @@ class TestResilientRunner:
         # regression: a worker os._exit(1) used to surface as
         # BrokenProcessPool and kill every remaining spec in the pool
         scens = [registry.get_scenario("_px_exit"),
-                 registry.get_scenario("_px_ok")]
+                 registry.get_scenario("_px_ok"),
+                 registry.get_scenario("_px_ok2")]
         failures = []
         stats = {}
         records = runner.run_scenarios(scens, jobs=2, failures=failures,
                                        resilience=stats)
-        # both _px_ok specs still produced records, in spec order
-        assert [r["scenario"] for r in records] == ["_px_ok", "_px_ok"]
+        # both _px_ok scenarios still produced records, in spec order
+        assert [r["scenario"] for r in records] == ["_px_ok", "_px_ok2"]
         assert len(failures) == 1
         assert failures[0]["scenario"] == "_px_exit"
         assert "worker died" in failures[0]["error"]
@@ -472,12 +443,13 @@ class TestResilientRunner:
     def test_timeout_under_pool_records_precise_failure(
             self, parallel_scenarios):
         scens = [registry.get_scenario("_px_hang"),
-                 registry.get_scenario("_px_ok")]
+                 registry.get_scenario("_px_ok"),
+                 registry.get_scenario("_px_ok2")]
         failures = []
         stats = {}
         records = runner.run_scenarios(scens, jobs=2, failures=failures,
                                        timeout_s=1.0, resilience=stats)
-        assert [r["scenario"] for r in records] == ["_px_ok", "_px_ok"]
+        assert [r["scenario"] for r in records] == ["_px_ok", "_px_ok2"]
         assert len(failures) == 1
         assert failures[0]["scenario"] == "_px_hang"
         assert "deadline" in failures[0]["error"] \
@@ -486,12 +458,13 @@ class TestResilientRunner:
 
     def test_timeout_under_serial_path(self, parallel_scenarios):
         scens = [registry.get_scenario("_px_hang"),
-                 registry.get_scenario("_px_ok")]
+                 registry.get_scenario("_px_ok"),
+                 registry.get_scenario("_px_ok2")]
         failures = []
         stats = {}
         records = runner.run_scenarios(scens, jobs=1, failures=failures,
                                        timeout_s=0.5, resilience=stats)
-        assert [r["scenario"] for r in records] == ["_px_ok", "_px_ok"]
+        assert [r["scenario"] for r in records] == ["_px_ok", "_px_ok2"]
         assert len(failures) == 1
         assert failures[0]["scenario"] == "_px_hang"
         assert stats["timeouts"] == 1
@@ -503,7 +476,8 @@ class TestResilientRunner:
 
         # the plan crashes every attempt up to max_crashes_per_site; with
         # enough retries every spec eventually lands a record
-        scens = [registry.get_scenario("_px_ok")]
+        scens = [registry.get_scenario("_px_ok"),
+                 registry.get_scenario("_px_ok2")]
         failures = []
         stats = {}
         records = runner.run_scenarios(
@@ -512,9 +486,9 @@ class TestResilientRunner:
                              max_crashes_per_site=2),
             retry=RetryPolicy(max_retries=3), resilience=stats)
         assert not failures
-        assert [r["scenario"] for r in records] == ["_px_ok", "_px_ok"]
+        assert [r["scenario"] for r in records] == ["_px_ok", "_px_ok2"]
         if jobs == 1:
-            # serial injection is exact: 2 crashes per backend site
+            # serial injection is exact: 2 crashes per scenario site
             assert stats["worker_crashes"] == 4
             assert stats["retries"] == 4
         else:
@@ -530,10 +504,11 @@ class TestResilientRunner:
 
         failures = []
         records = runner.run_scenarios(
-            [registry.get_scenario("_px_ok")], jobs=1, failures=failures,
+            [registry.get_scenario("_px_ok"),
+             registry.get_scenario("_px_ok2")], jobs=1, failures=failures,
             faults=FaultPlan(seed=3, task_crash_rate=1.0))
         assert not records
-        assert len(failures) == 2  # one per backend
+        assert len(failures) == 2  # one per scenario
         assert all("fault plan crashed" in f["error"] for f in failures)
 
     def test_fault_injection_is_deterministic_across_jobs(
@@ -547,7 +522,8 @@ class TestResilientRunner:
         for jobs in (1, 2):
             failures = []
             records = runner.run_scenarios(
-                [registry.get_scenario("_px_ok")], jobs=jobs,
+                [registry.get_scenario("_px_ok"),
+                 registry.get_scenario("_px_ok2")], jobs=jobs,
                 failures=failures,
                 faults=FaultPlan(seed=5, task_crash_rate=0.6,
                                  max_crashes_per_site=2),

@@ -4,7 +4,7 @@
 state, patched frozen views, in-place warm starts) must be *byte-identical*
 to ``repair="rebuild"``: same matchings, same counters, same epoch
 boundaries, same rng stream.  These tests pin that equivalence across both
-graph backends and both phase engines on the Table 2 workload families,
+phase engines on the Table 2 workload families,
 mirroring ``tests/test_engine_parity.py`` (the seam this one is modelled
 on).  The view-patching property tests drive :meth:`RepairContext.verify_views`
 through randomized insert/delete mixes, including the wholesale-recompile
@@ -31,7 +31,6 @@ REBUILD = ParameterProfile.practical(EPS)
 INCREMENTAL = dataclasses.replace(REBUILD, repair="incremental")
 PROFILES = (REBUILD, INCREMENTAL)
 
-BACKENDS = ("adjset", "csr")
 ENGINES = ("array", "reference")
 
 
@@ -39,10 +38,10 @@ def mates(matching):
     return [matching.mate(v) for v in range(matching.n)]
 
 
-def run_fully_dynamic(profile, stream, seed, backend, check_invariants=False):
+def run_fully_dynamic(profile, stream, seed, check_invariants=False):
     counters = Counters()
     alg = FullyDynamicMatching(stream.n, EPS, profile=profile,
-                               counters=counters, seed=seed, backend=backend)
+                               counters=counters, seed=seed)
     if check_invariants:
         alg._framework.check_invariants = True
     for upd in stream:
@@ -51,13 +50,12 @@ def run_fully_dynamic(profile, stream, seed, backend, check_invariants=False):
 
 
 class TestFullyDynamicParity:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("seed", range(3))
-    def test_churn_stream(self, backend, seed):
+    def test_churn_stream(self, seed):
         stream = planted_matching_churn(8, rounds=2, seed=seed)
         results = []
         for profile in PROFILES:
-            alg, result = run_fully_dynamic(profile, stream, seed, backend)
+            alg, result = run_fully_dynamic(profile, stream, seed)
             results.append(result)
         assert results[0] == results[1]
         assert alg.repair_context is not None
@@ -71,17 +69,16 @@ class TestFullyDynamicParity:
         results = []
         for profile in PROFILES:
             profile = dataclasses.replace(profile, engine=engine)
-            _, result = run_fully_dynamic(profile, stream, 1, "adjset")
+            _, result = run_fully_dynamic(profile, stream, 1)
             results.append(result)
         assert results[0] == results[1]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_sliding_window_with_invariants(self, backend):
+    def test_sliding_window_with_invariants(self):
         """Cross-checked state (scalar vs mirrors) stays clean every bundle."""
         stream = sliding_window(18, 60, window=16, seed=2)
         results = []
         for profile in PROFILES:
-            _, result = run_fully_dynamic(profile, stream, 2, backend,
+            _, result = run_fully_dynamic(profile, stream, 2,
                                           check_invariants=True)
             results.append(result)
         assert results[0] == results[1]
@@ -90,23 +87,21 @@ class TestFullyDynamicParity:
         """A tiny cap forces the wholesale view recompile; results unchanged."""
         stream = planted_matching_churn(8, rounds=2, seed=0)
         tiny = dataclasses.replace(INCREMENTAL, repair_patch_cap=1)
-        _, reference = run_fully_dynamic(REBUILD, stream, 0, "csr")
-        alg, result = run_fully_dynamic(tiny, stream, 0, "csr")
+        _, reference = run_fully_dynamic(REBUILD, stream, 0)
+        alg, result = run_fully_dynamic(tiny, stream, 0)
         assert result == reference
         alg.repair_context.verify_views()
 
 
 class TestOfflineParity:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("seed", range(3))
-    def test_sizes_and_epochs(self, backend, seed):
+    def test_sizes_and_epochs(self, seed):
         updates = sliding_window(18, 60, window=16, seed=seed)
         results = []
         for profile in PROFILES:
             counters = Counters()
             alg = OfflineDynamicMatching(18, EPS, profile=profile,
-                                         counters=counters, seed=seed,
-                                         backend=backend)
+                                         counters=counters, seed=seed)
             sizes = alg.run(updates)
             results.append((sizes, alg.plan_epochs(updates),
                             counters.as_dict()))
@@ -150,12 +145,11 @@ class TestViewPatching:
         ctx.bind_matching()
         return ctx
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("seed", range(5))
-    def test_random_mutation_mix(self, backend, seed):
+    def test_random_mutation_mix(self, seed):
         rng = random.Random(seed)
         n = 14
-        graph = Graph(n, backend=backend)
+        graph = Graph(n)
         ctx = self._context(graph)
         # compile the views once so note_update has something to patch
         ctx.edge_arrays()
@@ -175,7 +169,7 @@ class TestViewPatching:
         ctx.verify_views()
 
     def test_toggle_back_cancels_pending(self):
-        graph = Graph(6, [(0, 1), (2, 3)], backend="csr")
+        graph = Graph(6, [(0, 1), (2, 3)])
         ctx = self._context(graph)
         ctx.edge_arrays()
         graph.add_edge(4, 5)
@@ -187,7 +181,7 @@ class TestViewPatching:
         ctx.verify_views()
 
     def test_patch_cap_overflow_drops_views(self):
-        graph = Graph(20, [(0, 1)], backend="csr")
+        graph = Graph(20, [(0, 1)])
         ctx = self._context(graph, patch_cap=2)
         ctx.edge_arrays()
         for i in range(3):
@@ -198,7 +192,7 @@ class TestViewPatching:
         assert ctx.stats["wholesale_compiles"] >= 2
 
     def test_empty_graph_views(self):
-        graph = Graph(5, backend="csr")
+        graph = Graph(5)
         ctx = self._context(graph)
         eu, ev = ctx.edge_arrays()
         assert eu.size == 0 and ev.size == 0

@@ -31,7 +31,7 @@ class TestFaultPlan:
                       duplicate_rate=0.3, reorder_rate=0.5)
         b = FaultPlan(seed=7, task_crash_rate=0.5, drop_rate=0.3,
                       duplicate_rate=0.3, reorder_rate=0.5)
-        for site in ("s1:adjset", "s1:csr", "s2:adjset"):
+        for site in ("s1", "s2", "s3"):
             for attempt in range(3):
                 assert a.crashes_task(site, attempt) == \
                     b.crashes_task(site, attempt)
@@ -266,7 +266,7 @@ class TestDeadline:
 
 # ------------------------------------------------------- MPC message faults
 def _ring_graph(n):
-    g = Graph(n, backend="adjset")
+    g = Graph(n)
     for v in range(n):
         g.add_edge(v, (v + 1) % n)
     return g

@@ -186,11 +186,3 @@ class TestSourceLaziness:
         assert sorted(lazy.graph.edges()) == sorted(eager.graph.edges())
         assert lazy.max_edges_seen == eager.max_edges_seen
         assert lazy.num_updates == eager.num_updates
-
-    def test_grouped_runs_cap_bounds_buffering(self):
-        updates = [Update.insert(i % 50, (i % 50) + 1 + (i // 50) % 40)
-                   for i in range(10)]
-        runs = list(DynamicGraph._grouped_runs(iter(updates * 1000)))
-        assert all(len(run) <= DynamicGraph.BULK_RUN_CAP
-                   for _, run in runs)
-        assert sum(len(run) for _, run in runs) == 10000

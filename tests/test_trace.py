@@ -4,9 +4,8 @@ The load-bearing guarantees:
 
 * a recorded trace round-trips through save -> load byte-identically and
   replays the exact update sequence it recorded;
-* replaying one trace through the dynamic maintainer produces byte-identical
-  counters and matchings on the ``adjset`` and ``csr`` backends, and through
-  the bench runner with ``--jobs 1`` vs ``--jobs 2``;
+* replaying one trace through the bench runner produces byte-identical
+  records with ``--jobs 1`` vs ``--jobs 2``;
 * long generated streams replay in O(1) extra memory (peak independent of
   stream length).
 """
@@ -118,41 +117,19 @@ class TestTraceRoundTrip:
                   np.array([1], dtype=np.int64))
 
 
-class TestBackendReplayParity:
-    """One trace, two backends: byte-identical counters and matchings."""
-
-    def _replay(self, trace, backend, collect=True):
+class TestTraceReplay:
+    def _replay(self, trace, collect=True):
         counters = Counters()
-        alg = FullyDynamicMatching(trace.n, 0.25, counters=counters, seed=0,
-                                   backend=backend)
+        alg = FullyDynamicMatching(trace.n, 0.25, counters=counters, seed=0)
         sizes = alg.process(trace.stream(), collect_sizes=collect)
         return (counters.as_dict(), sorted(alg.current_matching().edges()),
                 None if sizes is None else list(sizes))
 
-    @pytest.mark.parametrize("make_stream", [
-        lambda: sliding_window(20, 150, window=16, seed=3),
-        lambda: planted_matching_churn(8, rounds=2, seed=4),
-    ])
-    def test_generated_trace_parity(self, tmp_path, make_stream):
-        trace = Trace.load(Trace.record(make_stream()).save(tmp_path / "t"))
-        adjset = self._replay(trace, "adjset")
-        csr = self._replay(trace, "csr")
-        assert adjset == csr
-
-    def test_committed_karate_trace_parity(self):
-        trace = Trace.load(KARATE_TRACE)
-        adjset = self._replay(trace, "adjset")
-        csr = self._replay(trace, "csr")
-        assert adjset == csr
-        # and the sizes trajectory is a packed int64 array
-        assert self._replay(trace, "adjset", collect=True)[2] is not None
-
     def test_collect_sizes_false_returns_none(self):
         trace = Trace.record(insertion_only(10, 15, seed=5))
-        counters, matching, sizes = self._replay(trace, "adjset",
-                                                 collect=False)
+        counters, matching, sizes = self._replay(trace, collect=False)
         assert sizes is None
-        with_sizes = self._replay(trace, "adjset", collect=True)
+        with_sizes = self._replay(trace, collect=True)
         assert (counters, matching) == with_sizes[:2]
 
 

@@ -51,6 +51,7 @@ bookkeeping in :attr:`RepairContext.stats` rather than in
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -75,7 +76,8 @@ class MirroredMatching(Matching):
     augmentations are recorded and applied afterwards).
     """
 
-    __slots__ = ("_ctx",)
+    # the context holds its matching by weakref (see RepairContext.matching)
+    __slots__ = ("_ctx", "__weakref__")
 
     def __init__(self, ctx: "RepairContext") -> None:
         super().__init__(ctx.n)
@@ -151,7 +153,7 @@ class RepairContext:
         # state removes the entry, so len(_pending) is the true dirty count
         self._pending: Dict[int, bool] = {}
 
-        self.matching: Optional[MirroredMatching] = None
+        self._matching_ref: Optional[weakref.ref] = None
         self.stats = {
             "attaches": 0,
             "incremental_patches": 0,
@@ -160,11 +162,29 @@ class RepairContext:
         }
 
     # -------------------------------------------------------------- matching
+    @property
+    def matching(self) -> Optional[MirroredMatching]:
+        """The bound mirrored matching, or ``None``.
+
+        Held by weakref: the matching holds the context strongly (its
+        mirror path), and a strong reference back would make every dropped
+        maintainer a reference cycle -- its graph, views and matching alive
+        until a full collection.  Every read of it is on a cold path.
+        """
+        ref = self._matching_ref
+        return None if ref is None else ref()
+
     def bind_matching(self) -> MirroredMatching:
-        """Create (once) and return the mirrored matching this context repairs."""
-        if self.matching is None:
-            self.matching = MirroredMatching(self)
-        return self.matching
+        """Create (once) and return the mirrored matching this context
+        repairs.  The caller keeps it alive; once it is dropped, binding
+        again starts a new, empty matching from reset baselines."""
+        matching = self.matching
+        if matching is None:
+            if self._matching_ref is not None:
+                self._on_load(np.full(self.n, -1, dtype=np.int64))
+            matching = MirroredMatching(self)
+            self._matching_ref = weakref.ref(matching)
+        return matching
 
     @hot_path
     def _on_match(self, u: int, v: int) -> None:

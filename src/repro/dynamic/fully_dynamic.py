@@ -22,6 +22,8 @@ from __future__ import annotations
 import random
 from typing import Callable, List, Optional, Tuple
 
+import numpy as np
+
 from repro.graph.backends import edge_endpoint_arrays
 from repro.graph.dynamic_graph import DynamicGraph, Update
 from repro.graph.graph import Graph
@@ -200,16 +202,20 @@ class FullyDynamicMatching(DynamicMatchingAlgorithm):
         self._size_at_rebuild = self._matching.size
 
     # ------------------------------------------------------------- checkpoint
-    def _sorted_edges(self) -> list:
-        """Canonically sorted live edges (the checkpointed edge section).
+    def _edge_columns(self) -> Tuple[List[int], List[int]]:
+        """The live edges as canonical key-sorted endpoint columns (the
+        checkpointed edge section).
 
-        When incremental repair is active the context's patched key array
-        already holds exactly this list, kept sorted in O(k) per sync; reuse
-        it instead of re-sorting the edge set from scratch.
+        When incremental repair is active the context's synced edge arrays
+        already hold exactly these, kept sorted in O(k) per sync; otherwise
+        the edge list is sorted once.
         """
         if self.repair_context is not None:
-            return list(self.repair_context.edge_pairs())
-        return sorted(self.dynamic_graph.graph.edge_list())
+            eu, ev = self.repair_context.edge_arrays()
+        else:
+            eu, ev = edge_endpoint_arrays(
+                sorted(self.dynamic_graph.graph.edge_list()))
+        return eu.tolist(), ev.tolist()
 
     def checkpoint_state(self) -> dict:
         """Everything a byte-identical resume needs, as plain Python values.
@@ -220,8 +226,9 @@ class FullyDynamicMatching(DynamicMatchingAlgorithm):
         stays valid while the live maintainer keeps mutating.
 
         What is captured -- and, as importantly, what is not: the live edge
-        set (canonically sorted; the *history* that produced it is not
-        needed, only the accounting it left behind), the mate array, the
+        set (two int columns ``edge_u``/``edge_v``, canonically sorted; the
+        *history* that produced it is not needed, only the accounting it
+        left behind), the mate array, the
         counter bag, the three RNG streams that evolve during a run (the
         maintainer's, the boosting framework's, and the weak oracle's when it
         has one), and the rebuild schedule.  The repair context's patchable
@@ -232,6 +239,7 @@ class FullyDynamicMatching(DynamicMatchingAlgorithm):
         import dataclasses as _dc
 
         mate = [(-1 if m is None else m) for m in self._matching.mate_list()]
+        edge_u, edge_v = self._edge_columns()
         oracle_rng = getattr(self.oracle, "_rng", None)
         # the profile is a frozen dataclass; flatten it once per maintainer
         # (asdict deep-copies every field and dominates frequent-snapshot
@@ -246,7 +254,8 @@ class FullyDynamicMatching(DynamicMatchingAlgorithm):
             "profile": profile_dict,
             "rebuild_slack": self.rebuild_slack,
             "min_rebuild_gap": self.min_rebuild_gap,
-            "edges": self._sorted_edges(),
+            "edge_u": edge_u,
+            "edge_v": edge_v,
             "mate": mate,
             "counters": self.counters.as_dict(),
             "updates_since_rebuild": self._updates_since_rebuild,
@@ -278,21 +287,25 @@ class FullyDynamicMatching(DynamicMatchingAlgorithm):
                   rebuild_slack=float(state["rebuild_slack"]),
                   min_rebuild_gap=int(state["min_rebuild_gap"]),
                   counters=counters, seed=state["seed"])
-        # Live edges, in canonical order, in one bulk insert (each adjset
-        # row receives its neighbours in ascending order).  An OMv-style
-        # oracle is refreshed wholesale afterwards instead of being notified
-        # per edge.
-        edges = state["edges"]
-        alg.dynamic_graph.insert_edges(edges)
+        # The edge columns go into the graph in one call, with the original
+        # run's accounting; each adjset row is loaded on first touch as the
+        # set inserting the edges in key order builds.  An OMv-style oracle
+        # is refreshed wholesale afterwards instead of being notified per
+        # edge.
+        edge_u = np.asarray(state["edge_u"], dtype=np.int64)
+        edge_v = np.asarray(state["edge_v"], dtype=np.int64)
+        alg.dynamic_graph.restore_snapshot(edge_u, edge_v,
+                                           int(state["num_updates"]),
+                                           int(state["max_edges_seen"]))
         if hasattr(alg.oracle, "rebuild"):
             alg.oracle.rebuild()
         # one vectorized load; a mirrored matching resets the repair
         # baselines with it
         alg._matching.load_mate_array(state["mate"])
         if alg.repair_context is not None:
-            # the edge section is canonical and key-sorted, which is exactly
-            # what the context's first sync would compile
-            alg.repair_context.seed_views(*edge_endpoint_arrays(edges))
+            # the same canonical key-sorted columns are exactly what the
+            # context's first sync would compile
+            alg.repair_context.seed_views(edge_u, edge_v)
         # Counters last: reconstruction above may have charged the bag.
         alg.counters.reset()
         alg.counters.merge(state["counters"])
@@ -303,8 +316,6 @@ class FullyDynamicMatching(DynamicMatchingAlgorithm):
             oracle_rng.setstate(state["oracle_rng"])
         alg._updates_since_rebuild = int(state["updates_since_rebuild"])
         alg._size_at_rebuild = int(state["size_at_rebuild"])
-        alg.dynamic_graph.restore_accounting(int(state["num_updates"]),
-                                             int(state["max_edges_seen"]))
         return alg
 
     # ------------------------------------------------------------- accounting

@@ -4,19 +4,22 @@ helpers the array code shares.
 Every layer of the reproduction -- the semi-streaming pass, the Section 5/6
 boosting frameworks, the MPC/CONGEST substrates and the dynamic algorithms --
 funnels through one graph container.  :class:`AdjacencySetBackend` is its
-storage: one adjacency set per vertex, allocated on the vertex's first edge.
+storage: one adjacency set per vertex, allocated on the vertex's first edge
+(or, after :meth:`AdjacencySetBackend.load_canonical`, on its first touch).
 Membership tests and single-edge mutations are O(1); iteration follows each
 row's set order, a pure function of the update sequence.
 
 The module-level helpers turn edge sets into NumPy arrays for the code that
 works on whole graphs at once: :func:`edge_endpoint_arrays` (bulk edge
 consumers), :func:`canonical_edges_error` (checkpoint loading, repair view
-seeding) and :func:`compile_csr` (the phase engine's and the repair
-context's adjacency arrays).
+seeding, :meth:`AdjacencySetBackend.load_canonical`) and :func:`compile_csr`
+(the phase engine's and the repair context's adjacency arrays, the base of
+loaded rows).
 """
 
 from __future__ import annotations
 
+from array import array
 from itertools import chain, compress
 from typing import (AbstractSet, Iterable, Iterator, List, Optional, Sequence,
                     Set, Tuple)
@@ -54,8 +57,11 @@ def canonical_edges_error(eu, ev, n: int) -> Optional[str]:
     Canonical means equal-length 1-D int arrays, ``0 <= u < v < n`` for
     every edge, and strictly increasing keys ``u * n + v`` (so no edge
     twice) -- the sorted edge set the phase views use.  The checkpoint
-    loader and the repair context's view seeding check it.
+    loader, the repair context's view seeding and the storage's
+    :meth:`~AdjacencySetBackend.load_canonical` check it.
     """
+    if eu.dtype.kind not in "iu" or ev.dtype.kind not in "iu":
+        return "edge arrays are not integer arrays"
     if eu.ndim != 1 or eu.shape != ev.shape:
         return (f"edge arrays are not 1-D of equal length "
                 f"({eu.shape} vs {ev.shape})")
@@ -90,6 +96,17 @@ def compile_csr(eu, ev, n: int):
 _NO_NEIGHBOURS: AbstractSet[int] = frozenset()
 
 
+class _Unloaded:
+    """The row of a vertex whose neighbours still sit in the CSR base that
+    :meth:`AdjacencySetBackend.load_canonical` built.  Like the empty row
+    it is told apart by type, so pickled and deep-copied graphs keep it."""
+
+    __slots__ = ()
+
+
+_UNLOADED = _Unloaded()
+
+
 class AdjacencySetBackend:
     """Adjacency-set-per-vertex storage for an undirected simple graph.
 
@@ -102,14 +119,24 @@ class AdjacencySetBackend:
     more vertices than edges, and allocating one set per vertex dominated
     their construction.  A set emptied by removals is kept, so every row
     grows and iterates exactly like a set allocated up front.
+
+    :meth:`load_canonical` adds a third row state, *unloaded*: the row's
+    neighbours sit in a CSR base until the first per-row access
+    (``add_edge``, ``remove_edge``, ``has_edge``, ``neighbors``,
+    ``neighbor_list``, ``degree``) turns it into its set.  The bulk readers
+    (``edges``/``edge_list``, ``arcs``/``arc_list``, ``induced_edges``,
+    ``max_degree``, ``adjacency_matrix``, ``copy``) first load every
+    remaining row and drop the base.
     """
 
-    __slots__ = ("_n", "_adj", "_m")
+    __slots__ = ("_n", "_adj", "_m", "_base")
 
     def __init__(self, n: int) -> None:
         self._n = n
         self._adj: List[AbstractSet[int]] = [_NO_NEIGHBOURS] * n
         self._m = 0
+        #: ``(indptr, indices)`` of the unloaded rows, or ``None``
+        self._base: Optional[Tuple[array, array]] = None
 
     @property
     def n(self) -> int:
@@ -123,38 +150,56 @@ class AdjacencySetBackend:
         n = self._n
         if not (0 <= u < n and 0 <= v < n) or u == v:
             self._check_edge(u, v)  # raises the matching error
+        # rows are told apart by type, not identity: pickling or
+        # deep-copying a graph rebuilds the shared empty row as a new
+        # frozenset (and the unloaded marker as a new instance)
         adj = self._adj
         row = adj[u]
-        if v in row:
-            return False
-        # the empty row is told apart by type, not identity: pickling or
-        # deep-copying a graph rebuilds it as a new frozenset
-        if type(row) is frozenset:
-            adj[u] = {v}
+        if type(row) is set:
+            if v in row:
+                return False
+            row.add(v)
+        elif type(row) is frozenset:
+            adj[u] = {v}  # the empty row holds no v
         else:
+            row = self._load_row(u)
+            if v in row:
+                return False
             row.add(v)
         row = adj[v]
-        if type(row) is frozenset:
+        if type(row) is set:
+            row.add(u)
+        elif type(row) is frozenset:
             adj[v] = {u}
         else:
-            row.add(u)
+            self._load_row(v).add(u)
         self._m += 1
         return True
 
     def remove_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)
-        if v not in self._adj[u]:
+        adj = self._adj
+        row = adj[u]
+        if type(row) is _Unloaded:
+            row = self._load_row(u)
+        if v not in row:
             return False
-        self._adj[u].discard(v)
-        self._adj[v].discard(u)
+        row.discard(v)
+        row = adj[v]
+        if type(row) is _Unloaded:
+            row = self._load_row(v)
+        row.discard(u)
         self._m -= 1
         return True
 
     def has_edge(self, u: int, v: int) -> bool:
         if not (0 <= u < self._n and 0 <= v < self._n):
             return False
-        return v in self._adj[u]
+        row = self._adj[u]
+        if type(row) is _Unloaded:
+            row = self._load_row(u)
+        return v in row
 
     def add_edges(self, edges: Iterable[Edge]) -> int:
         """Insert many edges; return how many were new.  A bad edge raises
@@ -165,24 +210,84 @@ class AdjacencySetBackend:
         """Delete many edges; return how many existed."""
         return sum(1 for u, v in edges if self.remove_edge(u, v))
 
+    def load_canonical(self, eu, ev) -> None:
+        """Load canonical key-sorted edge arrays into this edgeless backend.
+
+        ``eu``/``ev`` must pass :func:`canonical_edges_error`; other arrays,
+        or a backend that has an edge, raise before any state changes.
+        Every row is replaced: vertices without an edge get the empty row,
+        the others an unloaded row over a CSR base (:func:`compile_csr`),
+        which its first per-row access turns into
+        ``set(ascending neighbours)``.  That is the set inserting the edges
+        one by one in key order builds: in key order a vertex receives its
+        neighbours in ascending order (the smaller ones, from the edges
+        keyed by them, then the larger ones, from its own edges), and
+        ``set(list)`` inserts in list order into a fresh table, exactly
+        like ``{first}`` followed by ``.add()``.
+        """
+        eu = np.asarray(eu)
+        ev = np.asarray(ev)
+        if self._m:
+            raise ValueError(f"load_canonical needs an edgeless backend, "
+                             f"this one has {self._m} edges")
+        problem = canonical_edges_error(eu, ev, self._n)
+        if problem is not None:
+            raise ValueError(f"load_canonical: {problem}")
+        indptr, indices = compile_csr(eu.astype(np.int64, copy=False),
+                                      ev.astype(np.int64, copy=False), self._n)
+        self._adj = np.where(np.diff(indptr) > 0, _UNLOADED,
+                             _NO_NEIGHBOURS).tolist()
+        # array slices turn into sets about twice as fast as NumPy slices
+        self._base = (array("q", indptr.tobytes()),
+                      array("q", indices.tobytes()))
+        self._m = int(eu.size)
+
+    def _load_row(self, v: int) -> Set[int]:
+        """Turn ``v``'s unloaded row into its set (see :meth:`load_canonical`)."""
+        indptr, indices = self._base
+        row = self._adj[v] = set(indices[indptr[v]:indptr[v + 1]])
+        return row
+
+    def _load_all(self) -> None:
+        """Load every unloaded row, then drop the CSR base (bulk readers)."""
+        if self._base is None:
+            return
+        for v, row in enumerate(self._adj):
+            if type(row) is _Unloaded:
+                self._load_row(v)
+        self._base = None
+
+    # every per-row accessor tests for an unloaded row inline: a shared
+    # helper would add a method call to each read (20-40% on a row read)
     def neighbors(self, v: int) -> Set[int]:
         self._check_vertex(v)
-        return self._adj[v]
+        row = self._adj[v]
+        if type(row) is _Unloaded:
+            row = self._load_row(v)
+        return row
 
     def neighbor_list(self, v: int) -> Sequence[int]:
         self._check_vertex(v)
-        return self._adj[v]
+        row = self._adj[v]
+        if type(row) is _Unloaded:
+            row = self._load_row(v)
+        return row
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
-        return len(self._adj[v])
+        row = self._adj[v]
+        if type(row) is _Unloaded:
+            row = self._load_row(v)
+        return len(row)
 
     def max_degree(self) -> int:
         if self._n == 0:
             return 0
+        self._load_all()
         return max(len(a) for a in self._adj)
 
     def edges(self) -> Iterator[Edge]:
+        self._load_all()
         # compress steps over edgeless vertices at C speed
         for u in compress(range(self._n), self._adj):
             for v in self._adj[u]:  # repro: allow[set-iteration] -- int keys hash to themselves: order is a pure function of the update sequence, independent of PYTHONHASHSEED; sorting would slow the baseline's hot path and shift its trace-pinned historical order
@@ -193,6 +298,7 @@ class AdjacencySetBackend:
         return list(self.edges())
 
     def arcs(self) -> Iterator[Edge]:
+        self._load_all()
         for u in compress(range(self._n), self._adj):
             for v in self._adj[u]:  # repro: allow[set-iteration] -- int keys hash to themselves: order is a pure function of the update sequence, independent of PYTHONHASHSEED (see edges())
                 yield (u, v)
@@ -201,6 +307,7 @@ class AdjacencySetBackend:
         return list(self.arcs())
 
     def induced_edges(self, vertices) -> List[Edge]:
+        self._load_all()
         index = vertices if isinstance(vertices, (set, frozenset)) else set(vertices)
         out: List[Edge] = []
         for u in vertices:
@@ -218,10 +325,12 @@ class AdjacencySetBackend:
         return mat
 
     def copy(self) -> "AdjacencySetBackend":
+        self._load_all()
         clone = AdjacencySetBackend.__new__(AdjacencySetBackend)
         clone._n = self._n
         clone._adj = [set(a) if a else _NO_NEIGHBOURS for a in self._adj]
         clone._m = self._m
+        clone._base = None
         return clone
 
     def _check_vertex(self, v: int) -> None:

@@ -15,9 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.graph.backends import edge_endpoint_arrays
 from repro.graph.graph import Graph, normalize_edge
 from repro.utils.contracts import invalidates
 
@@ -178,51 +175,35 @@ class DynamicGraph:
         return changed
 
     @invalidates("_num_updates", "_max_edges")
-    def insert_edges(self, edges: Iterable[Edge]) -> int:
-        """Batched insert: every edge counts as one insert update.
-
-        The whole batch is validated up front (a bad edge raises before
-        anything changes) and handed to the graph's bulk ``add_edges`` in
-        one call, in the given order; the log, when kept, records one
-        :class:`Update` per edge.
-        """
-        if not isinstance(edges, (list, tuple)):
-            edges = list(edges)
-        us, vs = edge_endpoint_arrays(edges)
-        n = self.n
-        bad = (us < 0) | (us >= n) | (vs < 0) | (vs >= n)
-        if bad.any():
-            i = int(np.argmax(bad))
-            w = int(us[i]) if not 0 <= us[i] < n else int(vs[i])
-            raise ValueError(f"vertex {w} out of range [0, {n})")
-        if (us == vs).any():
-            raise ValueError("self-loop updates are not allowed")
-        changed = self._graph.add_edges(edges)
-        if self._log is not None:
-            self._log.extend(Update.insert(u, v) for u, v in edges)
-        self._num_updates += len(edges)
-        self._max_edges = max(self._max_edges, self._graph.m)
-        return changed
-
-    @invalidates("_num_updates", "_max_edges")
     def delete_edges(self, edges: Iterable[Edge]) -> int:
         """Batched delete: one :class:`Update` per edge through :meth:`apply_all`."""
         return self.apply_all(Update.delete(u, v) for u, v in edges)
 
     @invalidates("_num_updates", "_max_edges")
-    def restore_accounting(self, num_updates: int, max_edges_seen: int) -> None:
-        """Overwrite the update/edge accounting (checkpoint restore only).
+    def restore_snapshot(self, edge_u, edge_v, num_updates: int,
+                         max_edges_seen: int) -> None:
+        """Load a checkpoint's edge columns and accounting (restore only).
 
-        Rebuilding a snapshot from a checkpoint bulk-inserts the live edges,
-        which charges ``num_updates``/``max_edges_seen`` as if the history
-        were a single insert run; this puts back the figures of the original
-        run so a resumed maintainer is byte-identical to the uninterrupted
-        one.  Never call it outside a restore path.
+        ``edge_u``/``edge_v`` are canonical key-sorted endpoint arrays
+        (:func:`~repro.graph.backends.canonical_edges_error`); they go into
+        the edgeless graph in one call, each adjset row loaded on first
+        touch (:meth:`~repro.graph.backends.AdjacencySetBackend.load_canonical`).
+        ``num_updates``/``max_edges_seen`` are the figures of the run that
+        produced them, so a resumed maintainer is byte-identical to the
+        uninterrupted one.  A graph that keeps an update log refuses: the
+        log could not replay the snapshot.  Every check runs before any
+        state changes.
         """
-        if num_updates < 0 or max_edges_seen < self._graph.m:
+        if self._log is not None:
+            raise RuntimeError("cannot restore a snapshot into a graph that "
+                               "keeps an update log: the log could not "
+                               "replay it")
+        if num_updates < 0 or max_edges_seen < len(edge_u):
             raise ValueError(
                 f"inconsistent accounting: num_updates={num_updates}, "
-                f"max_edges_seen={max_edges_seen} with {self._graph.m} live edges")
+                f"max_edges_seen={max_edges_seen} with {len(edge_u)} "
+                f"live edges")
+        self._graph.load_canonical(edge_u, edge_v)
         self._num_updates = int(num_updates)
         self._max_edges = int(max_edges_seen)
 

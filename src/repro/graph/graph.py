@@ -104,6 +104,11 @@ class Graph:
         """Delete many edges in one call; returns how many existed."""
         return self._backend.remove_edges(edges)
 
+    def load_canonical(self, eu, ev) -> None:
+        """Load canonical key-sorted edge arrays into this edgeless graph in
+        one call (see :meth:`AdjacencySetBackend.load_canonical`)."""
+        self._backend.load_canonical(eu, ev)
+
     def has_edge(self, u: int, v: int) -> bool:
         """Whether edge ``{u, v}`` is present."""
         return self._backend.has_edge(u, v)

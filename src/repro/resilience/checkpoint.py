@@ -27,7 +27,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.dynamic.fully_dynamic import FullyDynamicMatching, OracleFactory
-from repro.graph.backends import canonical_edges_error, edge_endpoint_arrays
+from repro.graph.backends import canonical_edges_error
 from repro.instrumentation.counters import Counters
 from repro.matching.matching import mate_array_error
 
@@ -141,7 +141,6 @@ class MaintainerCheckpoint:
         """Write the checkpoint to ``path`` (``.npz`` is appended when
         missing); returns the path actually written."""
         state = self.state
-        edge_u, edge_v = edge_endpoint_arrays(state["edges"])
         rng_main, rng_main_g = _pack_rng(state["rng"])
         rng_fw, rng_fw_g = _pack_rng(state["framework_rng"])
         if state["oracle_rng"] is None:
@@ -176,8 +175,8 @@ class MaintainerCheckpoint:
             size_at_rebuild=np.int64(state["size_at_rebuild"]),
             num_updates=np.int64(state["num_updates"]),
             max_edges_seen=np.int64(state["max_edges_seen"]),
-            edge_u=np.ascontiguousarray(edge_u),
-            edge_v=np.ascontiguousarray(edge_v),
+            edge_u=np.asarray(state["edge_u"], dtype=np.int64),
+            edge_v=np.asarray(state["edge_v"], dtype=np.int64),
             mate=np.array(state["mate"], dtype=np.int64),
             rng_main=rng_main, rng_main_g=rng_main_g,
             rng_framework=rng_fw, rng_framework_g=rng_fw_g,
@@ -237,7 +236,8 @@ class MaintainerCheckpoint:
                     "size_at_rebuild": int(payload["size_at_rebuild"]),
                     "num_updates": int(payload["num_updates"]),
                     "max_edges_seen": int(payload["max_edges_seen"]),
-                    "edges": list(zip(edge_u.tolist(), edge_v.tolist())),
+                    "edge_u": edge_u.tolist(),
+                    "edge_v": edge_v.tolist(),
                     "mate": mate.tolist(),
                     "rng": _unpack_rng(payload["rng_main"],
                                        payload["rng_main_g"]),

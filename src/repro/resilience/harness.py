@@ -130,7 +130,9 @@ def run_with_recovery(alg: FullyDynamicMatching,
             crash_counts[index] = crash_counts.get(index, 0) + 1
             stats.crashes += 1
             stats.crash_positions.append(index)
-            # the live maintainer is gone; restore and replay the suffix
+            # the live maintainer is gone: drop it before its successor is
+            # built, then restore and replay the suffix
+            del alg
             alg = (recorder.measure(recover) if recorder is not None
                    else recover())
             stats.restores += 1

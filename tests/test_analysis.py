@@ -8,6 +8,7 @@ codes, the JSON report schema round-trip, and the runtime
 ``@invalidates`` registry the memo-contract family reads.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -1157,6 +1158,31 @@ def test_analysis_imports_without_numpy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "ok" in proc.stdout
+
+
+def test_library_sets_no_collector_policy():
+    """Pauses of the cyclic collector are cut by allocating fewer
+    containers, never by steering the collector: no module under
+    ``src/repro`` calls ``gc.disable``, ``gc.freeze``, ``gc.set_threshold``
+    or ``gc.collect`` (imported from ``gc`` by name counts as a call)."""
+    forbidden = {"disable", "freeze", "set_threshold", "collect"}
+    hits = []
+    for path in sorted((find_repo_root() / "src" / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        modules = {alias.asname or "gc" for node in ast.walk(tree)
+                   if isinstance(node, ast.Import)
+                   for alias in node.names if alias.name == "gc"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "gc":
+                hits += [f"{path}:{node.lineno}: from gc import {a.name}"
+                         for a in node.names if a.name in forbidden]
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in forbidden
+                  and isinstance(node.func.value, ast.Name)
+                  and node.func.value.id in modules):
+                hits.append(f"{path}:{node.lineno}: gc.{node.func.attr}()")
+    assert not hits, hits
 
 
 def test_setup_declares_repro_lint_entry_point():

@@ -1,6 +1,8 @@
 """Graph storage suite: the lazily allocated adjacency rows must reproduce
-eagerly allocated sets, bulk mutation must equal per-edge mutation, and the
-vectorized greedy fast path must reproduce the sequential scan exactly.
+eagerly allocated sets, rows loaded from canonical edge columns must
+reproduce key-order insertion, bulk mutation must equal per-edge mutation,
+and the vectorized greedy fast path must reproduce the sequential scan
+exactly.
 
 Property-based (hypothesis) over random edge/removal scripts.
 """
@@ -10,6 +12,7 @@ from __future__ import annotations
 import copy
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -98,7 +101,7 @@ class TestBulkParity:
 
 
 # ---------------------------------------------------------------------------
-# adjset: rows allocated on the first edge, bulk insert
+# adjset: rows allocated on the first edge or loaded on first touch
 # ---------------------------------------------------------------------------
 
 class EagerAdjacencySets:
@@ -154,31 +157,126 @@ def adjset_scripts(draw, max_n=24, max_ops=60):
     return n, draw(st.lists(op, max_size=max_ops))
 
 
+def canonical_columns(edges):
+    """Key-sorted ``(u, v)`` pairs with ``u < v`` as two int64 arrays."""
+    return (np.array([u for u, _ in edges], dtype=np.int64),
+            np.array([v for _, v in edges], dtype=np.int64))
+
+
+@st.composite
+def loaded_scripts(draw, max_n=24):
+    """A random edge set to load, an adjset script to run on it, and
+    whether the per-row reads come before the bulk ones."""
+    n, ops = draw(adjset_scripts(max_n=max_n))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] != p[1]).map(lambda p: (min(p), max(p)))
+    edges = sorted(draw(st.sets(pair, max_size=3 * n)))
+    return n, edges, ops, draw(st.booleans())
+
+
+def drive_script(lazy, model, ops):
+    """Run one adjset script on both stores; return them (copies replace)."""
+    for kind, arg in ops:
+        if kind == "copy":
+            lazy, model = lazy.copy(), model.copy()
+        elif kind in ("add", "remove"):
+            method = model.add_edge if kind == "add" else model.remove_edge
+            assert getattr(lazy, kind + "_edge")(*arg) == method(*arg)
+        else:
+            method = model.add_edge if kind == "add_edges" else model.remove_edge
+            expected = sum(1 for u, v in arg if method(u, v))
+            assert getattr(lazy, kind)(arg) == expected
+        assert lazy.m == model.m
+    return lazy, model
+
+
+def assert_reads_match(lazy, model, per_row_first=False):
+    """Every read, per-row iteration order included.  With
+    ``per_row_first`` each unloaded row is loaded by its own per-row read;
+    otherwise the first bulk read loads them all."""
+    def per_row():
+        for v in range(model.n):
+            assert [lazy.has_edge(v, w) for w in range(model.n)] == \
+                [w in model.adj[v] for w in range(model.n)]
+            assert list(lazy.neighbors(v)) == list(model.adj[v])
+            assert list(lazy.neighbor_list(v)) == list(model.adj[v])
+            assert lazy.degree(v) == len(model.adj[v])
+
+    if per_row_first:
+        per_row()
+    assert list(lazy.edges()) == model.edges()
+    assert lazy.edge_list() == model.edges()
+    assert list(lazy.arcs()) == model.arcs()
+    assert lazy.max_degree() == max(len(a) for a in model.adj)
+    per_row()
+
+
 class TestLazyAdjacencyRows:
     @given(adjset_scripts())
     @settings(max_examples=80, deadline=None)
     def test_matches_eager_sets(self, script):
         n, ops = script
+        lazy, model = drive_script(AdjacencySetBackend(n),
+                                   EagerAdjacencySets(n), ops)
+        assert_reads_match(lazy, model)
+
+    @given(loaded_scripts())
+    @settings(max_examples=80, deadline=None)
+    def test_loaded_rows_match_key_order_insertion(self, case):
+        """Rows loaded from canonical columns, touched one by one, iterate
+        exactly like sets built by inserting the edges in key order."""
+        n, edges, ops, per_row_first = case
         lazy, model = AdjacencySetBackend(n), EagerAdjacencySets(n)
-        for kind, arg in ops:
-            if kind == "copy":
-                lazy, model = lazy.copy(), model.copy()
-            elif kind in ("add", "remove"):
-                method = model.add_edge if kind == "add" else model.remove_edge
-                assert getattr(lazy, kind + "_edge")(*arg) == method(*arg)
-            else:
-                method = model.add_edge if kind == "add_edges" else model.remove_edge
-                expected = sum(1 for u, v in arg if method(u, v))
-                assert getattr(lazy, kind)(arg) == expected
-            assert lazy.m == model.m
-        assert list(lazy.edges()) == model.edges()
-        assert lazy.edge_list() == model.edges()
-        assert list(lazy.arcs()) == model.arcs()
-        assert lazy.max_degree() == max(len(a) for a in model.adj)
-        for v in range(n):
-            assert list(lazy.neighbors(v)) == list(model.adj[v])
-            assert list(lazy.neighbor_list(v)) == list(model.adj[v])
-            assert lazy.degree(v) == len(model.adj[v])
+        lazy.load_canonical(*canonical_columns(edges))
+        for u, v in edges:
+            model.add_edge(u, v)
+        assert lazy.m == model.m
+        lazy, model = drive_script(lazy, model, ops)
+        assert_reads_match(lazy, model, per_row_first)
+
+    @pytest.mark.parametrize("clone", [
+        lambda g: pickle.loads(pickle.dumps(g)), copy.deepcopy],
+        ids=["pickle", "deepcopy"])
+    def test_round_trip_keeps_unloaded_rows_loadable(self, clone):
+        edges = [(0, 1), (0, 5), (1, 2), (2, 5), (3, 4), (4, 5)]
+        lazy, model = AdjacencySetBackend(7), EagerAdjacencySets(7)
+        lazy.load_canonical(*canonical_columns(edges))
+        for u, v in edges:
+            model.add_edge(u, v)
+        assert lazy.add_edge(1, 6) and model.add_edge(1, 6)  # rows 1, 6 owned
+        lazy = clone(lazy)
+        assert lazy.add_edge(4, 0) and model.add_edge(4, 0)  # loads 4 and 0
+        assert_reads_match(lazy, model, per_row_first=True)
+
+    @pytest.mark.parametrize("columns, reason", [
+        (([1, 0], [2, 1]), "increasing key order"),   # unsorted
+        (([0, 0], [1, 1]), "increasing key order"),   # duplicate
+        (([1], [1]), "not canonical"),                # u == v
+        (([2], [1]), "not canonical"),                # u > v
+        (([0], [4]), "out of range"),
+        (([-1], [2]), "out of range"),
+        (([0, 1], [2]), "equal length"),
+        (([0.0], [1.0]), "integer"),
+    ])
+    def test_load_rejects_non_canonical_columns(self, columns, reason):
+        lazy = AdjacencySetBackend(4)
+        with pytest.raises(ValueError, match=reason):
+            lazy.load_canonical(*map(np.array, columns))
+        assert lazy.m == 0 and lazy.edge_list() == []
+        assert lazy.add_edge(0, 1) and lazy.edge_list() == [(0, 1)]
+
+    @pytest.mark.parametrize("loaded", [False, True])
+    def test_load_into_a_backend_with_edges_raises(self, loaded):
+        lazy = AdjacencySetBackend(4)
+        if loaded:
+            lazy.load_canonical(*canonical_columns([(0, 1), (1, 3)]))
+        else:
+            lazy.add_edges([(0, 1), (1, 3)])
+        with pytest.raises(ValueError, match="edgeless"):
+            lazy.load_canonical(*canonical_columns([(2, 3)]))
+        assert [sorted(lazy.neighbors(v)) for v in range(4)] == \
+            [[1], [0, 3], [], [1]]
+        assert lazy.m == 2 and lazy.edge_list() == [(0, 1), (1, 3)]
 
     def test_emptied_row_iterates_like_the_eager_set(self):
         """A row that grew and emptied keeps its set: re-added neighbours
@@ -297,11 +395,11 @@ class TestDynamicGraphMemoContract:
         from repro.utils.contracts import declared_mutators
 
         # insert/delete delegate to apply, delete_edges to apply_all;
-        # restore_accounting overwrites the guarded scalars on checkpoint
-        # restore, which the checkpoint resume-parity tests cover
+        # restore_snapshot sets the guarded scalars on checkpoint restore,
+        # which TestLogFreeMode and the checkpoint resume-parity tests cover
         assert set(declared_mutators(DynamicGraph)) == {
-            "apply", "insert", "delete", "apply_all", "insert_edges",
-            "delete_edges", "restore_accounting"}
+            "apply", "insert", "delete", "apply_all", "delete_edges",
+            "restore_snapshot"}
 
     def test_declared_guards_exist_on_instances(self):
         """Every declared guard attribute is a real attribute (no typos)."""

@@ -12,17 +12,22 @@ rebuild boundary, and a crash on the final update.  Loader hardening
 :class:`CheckpointError`.
 """
 
+import copy
 import dataclasses
+import gc
 import os
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.core.config import ParameterProfile
 from repro.dynamic.fully_dynamic import FullyDynamicMatching
+from repro.dynamic.weak_oracles import GreedyInducedWeakOracle
 from repro.instrumentation.counters import Counters
 from repro.resilience import FaultPlan
 from repro.resilience.checkpoint import (
+    _REQUIRED_KEYS,
     CHECKPOINT_VERSION,
     CheckpointError,
     MaintainerCheckpoint,
@@ -162,6 +167,46 @@ def test_stats_bookkeeping_and_counter_projection():
     assert projected["chaos_restores"] == float(stats.restores)
 
 
+def test_recovery_frees_the_maintainer_it_replaces():
+    """With the collector off, the maintainer restored at the first crash
+    is freed by the time the second recovery returns: the harness drops a
+    crashed maintainer before building its successor, and a maintainer
+    holds no reference cycle (its repair context included)."""
+    trace = _workload()
+    oracles, contexts, freed = [], [], []
+
+    def factory(graph):
+        oracle = GreedyInducedWeakOracle(graph, seed=0)
+        oracles.append(weakref.ref(oracle))
+        return oracle
+
+    class Recorder:
+        @staticmethod
+        def measure(fn):
+            restored = fn()
+            contexts.append(weakref.ref(restored.repair_context))
+            freed.append(([ref() is None for ref in oracles],
+                          [ref() is None for ref in contexts]))
+            return restored
+
+    gc.disable()
+    try:
+        alg = FullyDynamicMatching(
+            trace.n, EPS, oracle_factory=factory,
+            profile=_profile("array", "incremental"), counters=Counters(),
+            seed=0)
+        _, stats = run_with_recovery(
+            alg, trace, plan=FaultPlan(seed=2, crash_updates=(7, 30)),
+            checkpoint_every=5, oracle_factory=factory, recorder=Recorder())
+    finally:
+        gc.enable()
+    assert stats.crashes == 2
+    # this test still holds the first maintainer (oracle 0); the one
+    # restored at the first crash (oracle 1, context 0) is gone
+    assert freed == [([False, False], [False]),
+                     ([False, True, False], [True, False])]
+
+
 def test_run_with_recovery_rejects_negative_period():
     trace = _workload(pairs=4, rounds=1)
     alg = _maintainer(trace, _profile("array", "rebuild"), Counters())
@@ -198,12 +243,33 @@ def test_snapshot_is_isolated_from_live_maintainer():
     for upd in updates[: len(updates) // 2]:
         alg.update(upd)
     snapshot = MaintainerCheckpoint.capture(alg, len(updates) // 2)
-    frozen = dict(snapshot.state)
+    frozen = copy.deepcopy(snapshot.state)
     for upd in updates[len(updates) // 2:]:
         alg.update(upd)
     # the live maintainer moved on; the snapshot must not have
     assert snapshot.state == frozen
     assert snapshot.state != alg.checkpoint_state()
+
+
+@pytest.mark.parametrize("engine", ["array", "reference"])
+@pytest.mark.parametrize("repair", ["rebuild", "incremental"])
+def test_edge_section_is_two_sorted_int_columns(engine, repair):
+    """``edge_u``/``edge_v`` are plain int lists of the key-sorted live
+    edges, and stay so while the maintainer moves on."""
+    updates = _workload().updates()
+    alg = _maintainer(_workload(), _profile(engine, repair), Counters())
+    for upd in updates[: len(updates) // 2]:
+        alg.update(upd)
+    state = alg.checkpoint_state()
+    live = sorted(alg.graph.edge_list())
+    assert live and "edges" not in state
+    assert state["edge_u"] == [u for u, _ in live]
+    assert state["edge_v"] == [v for _, v in live]
+    assert {type(x) for x in state["edge_u"] + state["edge_v"]} == {int}
+    frozen = copy.deepcopy(state)
+    for upd in updates[len(updates) // 2:]:
+        alg.update(upd)
+    assert state == frozen
 
 
 # ------------------------------------------------------------ loader errors
@@ -221,6 +287,12 @@ def test_save_load_round_trip(tmp_path):
     loaded = MaintainerCheckpoint.load(path)
     assert loaded.position == snapshot.position
     assert loaded.state == snapshot.state
+
+
+def test_saved_members_are_the_required_keys(tmp_path):
+    _, path = _saved_checkpoint(tmp_path)
+    with np.load(path) as payload:
+        assert set(payload.files) == _REQUIRED_KEYS
 
 
 def test_load_missing_file_is_file_not_found(tmp_path):

@@ -1,5 +1,6 @@
 """Unit tests for repro.graph.dynamic_graph."""
 
+import numpy as np
 import pytest
 
 from repro.graph.dynamic_graph import DynamicGraph, Update
@@ -110,30 +111,47 @@ class TestLogFreeMode:
             eager.apply_all(bad)  # eager: validated up front, nothing applied
         assert eager.m == 0 and eager.num_updates == 0
 
-    @pytest.mark.parametrize("log_updates", [True, False])
-    def test_insert_edges_matches_one_insert_update_per_edge(self, log_updates):
-        edges = [(0, 3), (2, 1), (0, 1), (3, 5), (1, 2), (2, 4)]
-        per_edge = DynamicGraph(6, log_updates=log_updates)
-        bulk = DynamicGraph(6, log_updates=log_updates)
-        assert bulk.insert_edges(iter(edges)) == 5
-        assert per_edge.apply_all([Update.insert(u, v) for u, v in edges]) == 5
-        assert bulk.num_updates == per_edge.num_updates == 6
-        assert bulk.max_edges_seen == per_edge.max_edges_seen == 5
-        if log_updates:
-            assert bulk.log() == per_edge.log()
-        # same insertion order, so every adjset row iterates the same way
-        assert [list(bulk.graph.neighbors(v)) for v in range(6)] == \
+    def test_restore_snapshot_matches_key_order_inserts(self):
+        edges = [(0, 1), (0, 3), (1, 2), (1, 4), (2, 4), (3, 5)]  # key order
+        per_edge = DynamicGraph(6, log_updates=False)
+        assert per_edge.apply_all([Update.insert(u, v) for u, v in edges]) == 6
+        restored = DynamicGraph(6, log_updates=False)
+        restored.restore_snapshot(np.array([u for u, _ in edges]),
+                                  np.array([v for _, v in edges]),
+                                  num_updates=40, max_edges_seen=9)
+        # the accounting is the snapshot's, not one insert per edge
+        assert restored.num_updates == 40 and restored.max_edges_seen == 9
+        assert restored.m == 6
+        # every adjset row iterates as inserting the edges in key order left it
+        assert [list(restored.graph.neighbors(v)) for v in range(6)] == \
             [list(per_edge.graph.neighbors(v)) for v in range(6)]
+        assert restored.graph.edge_list() == per_edge.graph.edge_list()
+        restored.delete(1, 4)
+        assert restored.num_updates == 41 and restored.max_edges_seen == 9
 
-    @pytest.mark.parametrize("log_updates", [True, False])
-    @pytest.mark.parametrize("bad, reason", [
-        ((2, 9), "out of range"), ((-1, 2), "out of range"),
-        ((3, 3), "self-loop")])
-    def test_insert_edges_validates_before_inserting(
-            self, bad, reason, log_updates):
+    @pytest.mark.parametrize("log_updates, columns, accounting, reason", [
+        (True, ([0], [1]), (5, 1), "update log"),
+        (False, ([0, 2], [1, 9]), (5, 2), "out of range"),
+        (False, ([-1, 0], [2, 1]), (5, 2), "out of range"),
+        (False, ([3], [3]), (5, 1), "not canonical"),
+        (False, ([1, 0], [2, 1]), (5, 2), "increasing key order"),
+        (False, ([0, 1], [1, 2]), (5, 1), "inconsistent accounting"),
+        (False, ([0, 1], [1, 2]), (-1, 2), "inconsistent accounting"),
+    ], ids=["logged", "out-of-range", "negative", "self-loop", "unsorted",
+            "max-edges-short", "negative-updates"])
+    def test_restore_snapshot_validates_first(
+            self, log_updates, columns, accounting, reason):
         dg = DynamicGraph(4, log_updates=log_updates)
-        with pytest.raises(ValueError, match=reason):
-            dg.insert_edges([(0, 1), bad, (1, 2)])
-        assert dg.m == 0 and dg.num_updates == 0
+        with pytest.raises((ValueError, RuntimeError), match=reason):
+            dg.restore_snapshot(*map(np.array, columns), *accounting)
+        assert dg.m == 0 and dg.num_updates == 0 and dg.max_edges_seen == 0
+        assert dg.graph.edge_list() == []
         if log_updates:
             assert dg.log() == ()
+
+    def test_restore_snapshot_needs_an_edgeless_graph(self):
+        dg = DynamicGraph(4, log_updates=False)
+        dg.insert(0, 1)
+        with pytest.raises(ValueError, match="edgeless"):
+            dg.restore_snapshot(np.array([2]), np.array([3]), 5, 1)
+        assert dg.graph.edge_list() == [(0, 1)] and dg.num_updates == 1

@@ -12,7 +12,9 @@ fallback at tiny ``repair_patch_cap``.
 """
 
 import dataclasses
+import gc
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -134,6 +136,34 @@ class TestRepairModeValidation:
         ctx = alg.repair_context
         with pytest.raises(ValueError, match="mirrored matching"):
             alg._framework.run(alg.graph, initial=Matching(6), context=ctx)
+
+
+class TestContextLifetime:
+    """The context holds its mirrored matching by weakref, so the pair is
+    no reference cycle: reference counting alone frees a dropped
+    maintainer's repair state."""
+
+    def test_dropped_maintainer_frees_its_context(self):
+        stream = planted_matching_churn(8, rounds=2, seed=0)
+        gc.disable()
+        try:
+            alg, _ = run_fully_dynamic(INCREMENTAL, stream, seed=0)
+            context = weakref.ref(alg.repair_context)
+            del alg
+            assert context() is None
+        finally:
+            gc.enable()
+
+    def test_rebinding_after_the_matching_is_dropped_starts_clean(self):
+        ctx = RepairContext(Graph(4, [(0, 1), (2, 3)]), INCREMENTAL)
+        matching = ctx.bind_matching()
+        matching.add(0, 1)
+        assert ctx.bind_matching() is matching
+        del matching
+        assert ctx.matching is None
+        fresh = ctx.bind_matching()
+        assert fresh.size == 0 and ctx.matching is fresh
+        ctx.verify_baseline()
 
 
 class TestViewPatching:

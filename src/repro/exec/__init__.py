@@ -8,9 +8,10 @@ shares with them is accounting, not scheduling:
   by the MPC budget/counter accounting and the CONGEST per-edge message
   limit.
 * :class:`~repro.exec.isolation.IsolationGuard` -- the runtime sanitizer
-  that delivers deep copies at a simulator's exchange barrier and raises
-  :class:`~repro.exec.isolation.IsolationViolation` when a program mutates
-  a payload it already sent.
+  that checksums what crosses a simulator's exchange barrier (delivering
+  deep copies of CONGEST payloads) and raises
+  :class:`~repro.exec.isolation.IsolationViolation` when a sender mutates
+  a payload or column it already sent.
 * :func:`~repro.exec.pool.run_spec_task` -- the picklable worker the bench
   runner's ``--jobs N`` process pool executes.
 

@@ -1,24 +1,29 @@
 """Simulator isolation sanitizer: make mutation-after-send fail loudly.
 
-Simulator rounds run in one process, so the exchange shares message objects
-between sender and receiver.  A program that mutates a payload *after*
-placing it in its outbox therefore rewrites the message its receiver sees
--- something no real network delivery allows, and invisible in every plain
-test.  The static rule ``send-aliasing`` catches the patterns; this module
-checks the property at runtime:
+Simulator rounds run in one process, so an exchange can share message
+objects between sender and receiver.  A program that mutates a payload
+*after* placing it in its outbox therefore rewrites the message its receiver
+sees -- something no real network delivery allows, and invisible in every
+plain test.  The static rule ``send-aliasing`` catches the patterns; this
+module checks the property at runtime, at both simulators' barriers:
 
-* at the exchange barrier, every outbox payload is replaced by a
-  :func:`copy.deepcopy` before delivery (what a real send's serialization
-  would hand the receiver), while the sender-side original is retained
-  together with a content digest;
+* CONGEST (dict outboxes of arbitrary payloads): every outbox payload is
+  replaced by a :func:`copy.deepcopy` before delivery (what a real send's
+  serialization would hand the receiver), while the sender-side original is
+  retained together with a content digest;
+* MPC (bulk int columns): the barrier always delivers its own ``array('q')``
+  copies, so receivers never share the sender's lists; the guard digests the
+  sender-side columns and keeps the barrier's copies to name the first
+  changed message;
 * at the next round (and at :meth:`IsolationGuard.verify` / simulator
   ``close()``), the retained originals are re-digested -- any divergence
-  means the sender mutated a payload it had already sent, and raises
+  means the sender mutated something it had already sent, and raises
   :class:`IsolationViolation` naming the sender, destination and round.
 
-The mode is off by default (deep-copy per message is measurable); the
-tier-1 smoke gate enables it via ``REPRO_EXEC_ISOLATION=1`` so every
-registered scenario runs its MPC/CONGEST rounds isolation-checked.
+The mode is off by default (digest and deep copy per message are
+measurable); the tier-1 smoke gate enables it via
+``REPRO_EXEC_ISOLATION=1`` so every registered scenario runs its
+MPC/CONGEST rounds isolation-checked.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import copy
 import hashlib
 import os
 import pickle
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 #: environment flag giving simulators their default isolation setting
 ENV_FLAG = "REPRO_EXEC_ISOLATION"
@@ -57,12 +62,14 @@ def payload_digest(payload: object) -> bytes:
 
 
 class IsolationGuard:
-    """Deep-copy delivery plus sender-side checksums for one simulator.
+    """Sender-side checksums (plus deep-copy delivery for CONGEST) for one
+    simulator.
 
-    The simulator calls :meth:`capture_messages` (MPC outbox shape: a list
-    of ``(dest, payload)``) or :meth:`capture_outbox` (CONGEST shape:
-    ``{dest: payload}``) on each outbox as it crosses the barrier, delivers the returned copies, and calls :meth:`verify` at the
-    start of the next round and on ``close()``.
+    The simulator calls :meth:`capture_outbox` (CONGEST shape: ``{dest:
+    payload}``) on each outbox as it crosses the barrier and delivers the
+    returned copies, or :meth:`capture_columns` (MPC shape: a ``dest``
+    column plus int field columns) with the barrier's own copies; it calls
+    :meth:`verify` at the start of the next round and on ``close()``.
     """
 
     def __init__(self, model: str) -> None:
@@ -70,24 +77,38 @@ class IsolationGuard:
         self.round_index = 0
         # (sender, dest, retained original, digest, round captured)
         self._pending: List[Tuple[int, int, object, bytes, int]] = []
+        # (sender, retained columns, digest, barrier copies, round captured)
+        self._pending_columns: List[
+            Tuple[int, Sequence[Sequence[int]], bytes, Sequence[Sequence[int]],
+                  int]] = []
 
     def _ship(self, sender: int, dest: int, payload: object) -> object:
         self._pending.append((sender, dest, payload,
                               payload_digest(payload), self.round_index))
         return copy.deepcopy(payload)
 
-    def capture_messages(self, sender: int,
-                         messages: List[Tuple[int, object]]
-                         ) -> List[Tuple[int, object]]:
-        """Isolate one MPC outbox; returns the copies to deliver."""
-        return [(dest, self._ship(sender, dest, payload))
-                for dest, payload in messages]
-
     def capture_outbox(self, sender: int,
                        outbox: Dict[int, object]) -> Dict[int, object]:
         """Isolate one CONGEST outbox; returns the copies to deliver."""
         return {dest: self._ship(sender, dest, payload)
                 for dest, payload in outbox.items()}
+
+    def capture_columns(self, sender: int, columns: Sequence[Sequence[int]],
+                        sent: Sequence[Sequence[int]]) -> None:
+        """Retain one MPC outbox: the sender-side ``columns`` (``dest``
+        first) and ``sent``, the barrier's copies of them (taken before
+        any fault picks positions), which name a changed message."""
+        self._pending_columns.append((sender, columns, payload_digest(columns),
+                                      sent, self.round_index))
+
+    def _violation(self, sender: int, dest: object, rnd: int,
+                   payload: object, hint: str) -> IsolationViolation:
+        self._pending.clear()
+        self._pending_columns.clear()
+        return IsolationViolation(
+            f"{self.model} isolation sanitizer: sender {sender} "
+            f"mutated a payload after sending it to {dest} in "
+            f"round {rnd} -- {hint} (payload now: {payload!r})")
 
     def verify(self) -> None:
         """Re-digest every retained payload; raise on any mutation.
@@ -98,16 +119,33 @@ class IsolationGuard:
         """
         for sender, dest, payload, digest, rnd in self._pending:
             if payload_digest(payload) != digest:
-                self._pending.clear()
-                raise IsolationViolation(
-                    f"{self.model} isolation sanitizer: sender {sender} "
-                    f"mutated a payload after sending it to {dest} in "
-                    f"round {rnd} -- without isolation the receiver would "
-                    "see the mutated object; send an immutable tuple or an "
-                    "explicit copy "
-                    f"(payload now: {payload!r})")
+                raise self._violation(
+                    sender, dest, rnd, payload,
+                    "without isolation the receiver would see the mutated "
+                    "object; send an immutable tuple or an explicit copy")
+        for sender, columns, digest, sent, rnd in self._pending_columns:
+            if payload_digest(columns) != digest:
+                k = _first_changed(columns, sent)
+                raise self._violation(
+                    sender, sent[0][k], rnd,
+                    [list(column[k:k + 1]) for column in columns],
+                    "the receiver holds the barrier's copy, but a sender "
+                    "reusing sent columns is a bug; build fresh columns")
         self._pending.clear()
+        self._pending_columns.clear()
         self.round_index += 1
+
+
+def _first_changed(columns: Sequence[Sequence[int]],
+                   sent: Sequence[Sequence[int]]) -> int:
+    """The first message position at which ``columns`` no longer hold what
+    was ``sent``; a column that only grew names the last message sent."""
+    count = len(sent[0])
+    for k in range(count):
+        if any(k >= len(column) or column[k] != was[k]
+               for column, was in zip(columns, sent)):
+            return k
+    return count - 1
 
 
 def resolve_isolation(flag: Optional[bool], model: str

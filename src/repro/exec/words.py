@@ -6,7 +6,10 @@ CONGEST's per-edge limit bounds the words of a single message.  Historically
 each simulator sized payloads ad hoc -- MPC charged one word per *message*
 regardless of size, and CONGEST counted any non-tuple payload (dict, set,
 long string) as a single word -- so oversized payloads evaded both budgets.
-:func:`payload_words` is the single sizing rule both now share.
+:func:`payload_words` is the single sizing rule both now share: CONGEST
+sizes every message with it, MPC sizes each bulk round's message tag (the
+int fields of an MPC message are one word each by construction) and every
+stored item.
 """
 
 from __future__ import annotations
@@ -37,10 +40,10 @@ def payload_words(payload: object, default: Optional[int] = None) -> Optional[in
       caller can reject the payload (CONGEST under ``strict=True``) --
       an unsizable element makes its whole container unsizable.
 
-    Exact ints and ASCII strings of at most 8 characters -- every message
-    the MPC matching program sends is one, or a tuple of them -- are sized
-    before the isinstance chain and without the UTF-8 encode, both at the
-    top and per item of a container.
+    Exact ints and ASCII strings of at most 8 characters -- what the
+    CONGEST programs send, alone or in tuples, and the MPC round's message
+    tags -- are sized before the isinstance chain and without the UTF-8
+    encode, both at the top and per item of a container.
     """
     kind = type(payload)
     if kind is int or (kind is str and len(payload) <= 8 and payload.isascii()):

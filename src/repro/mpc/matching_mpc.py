@@ -14,14 +14,17 @@ Theta(log n) round bound:
 
 Each repetition is two MPC rounds (propose + resolve) executed on the
 :class:`~repro.mpc.simulator.MPCSimulator` with the edges distributed across
-machines; a constant fraction of edges is removed per repetition in
-expectation, giving O(log n) rounds w.h.p. and a maximal (hence 2-approximate)
-matching on termination.
+machines: the proposals of all machines cross one bulk exchange as int
+columns ``(x, u, v)`` under the tag ``"cand"`` (4 words each), and the
+resolve round is charged as a settle round.  A constant fraction of edges is
+removed per repetition in expectation, giving O(log n) rounds w.h.p. and a
+maximal (hence 2-approximate) matching on termination.
 """
 
 from __future__ import annotations
 
 import random
+from operator import itemgetter
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.graph.graph import Graph
@@ -40,6 +43,7 @@ def mpc_approx_matching(graph: Graph, simulator: MPCSimulator,
     Returns the matched edges; rounds are charged to the simulator's counters.
     """
     rng = random.Random(seed)
+    draw = rng.random
     edges = graph.edge_list()
     simulator.scatter(edges)
 
@@ -49,55 +53,54 @@ def mpc_approx_matching(graph: Graph, simulator: MPCSimulator,
     reps = max_repetitions if max_repetitions is not None else 4 * max(1, n).bit_length() + 8
 
     for _rep in range(reps):
-        # ---- round 1: every machine proposes one candidate edge per vertex it sees
-        proposals: Dict[int, Edge] = {}
-
-        def propose(machine_id: int, items: List[object]):
+        # ---- round 1: every machine proposes one candidate edge per vertex
+        # it sees and sends ("cand", x, u, v) to x's home machine
+        candidates = []
+        for items in simulator.storage:
             local_best: Dict[int, Edge] = {}
-            for item in items:
-                u, v = item  # an edge
+            for edge in items:
+                u, v = edge
                 if u in matched or v in matched:
                     continue
-                for x in (u, v):
-                    if x not in local_best or rng.random() < 0.5:
-                        local_best[x] = (u, v)
-            # send each vertex's candidate to the vertex's home machine
-            return [(simulator.machine_for_vertex(x), ("cand", x, e))
-                    for x, e in local_best.items()]
+                if u not in local_best or draw() < 0.5:
+                    local_best[u] = edge
+                if v not in local_best or draw() < 0.5:
+                    local_best[v] = edge
+            picked = local_best.values()
+            candidates.append((simulator.machines_for_vertices(local_best),
+                               list(local_best),
+                               list(map(itemgetter(0), picked)),
+                               list(map(itemgetter(1), picked))))
+        delivered = simulator.round(candidates, "cand")
 
-        simulator.round(propose)
+        # gather at the home machines: a vertex's first candidate stands
+        # and each repeat replaces it on a coin flip (an inbox without
+        # repeats, such as a single sender's, draws nothing)
+        proposals: Dict[int, Edge] = {}
+        for xs, us, vs in delivered:
+            batch = dict(zip(xs, zip(us, vs)))
+            if len(batch) == len(xs):
+                proposals.update(batch)
+                continue
+            for x, u, v in zip(xs, us, vs):
+                if x not in proposals or draw() < 0.5:
+                    proposals[x] = (u, v)
 
-        # gather candidates (the simulator appended them to machine storage);
-        # pull them back out so storage keeps only edges.
-        for machine_id in range(simulator.num_machines):
-            keep = []
-            for item in simulator.storage[machine_id]:
-                if isinstance(item, tuple) and len(item) == 3 and item[0] == "cand":
-                    _tag, x, e = item
-                    if x not in proposals or rng.random() < 0.5:
-                        proposals[x] = e
-                else:
-                    keep.append(item)
-            simulator.storage[machine_id] = keep  # repro: allow[word-accounting-bypass] -- shrinks the machine's own storage in place; no words cross machines, nothing new to size
-
-        # ---- round 2: resolve proposals (home machines agree on mutual picks)
-        new_edges: List[Edge] = []
+        # ---- round 2: resolve proposals (home machines agree on mutual
+        # picks).  Every proposed edge had two free endpoints when it was
+        # proposed, so only this round's picks can block it.
         taken: Set[int] = set()
         for x in sorted(proposals):
             u, v = proposals[x]
-            if u in matched or v in matched or u in taken or v in taken:
+            if u in taken or v in taken:
                 continue
             # the edge is accepted if either endpoint proposed it; both
             # endpoints are then matched.
             taken.add(u)
             taken.add(v)
-            new_edges.append((u, v) if u < v else (v, u))
+            matching.append((u, v) if u < v else (v, u))
         simulator.counters.add("mpc_rounds")  # the resolve/settle round
-
-        for u, v in new_edges:
-            matched.add(u)
-            matched.add(v)
-            matching.append((u, v))
+        matched |= taken
 
         # stop once no edge between free vertices remains (the scattered
         # edge list, not a walk over all n vertices of the graph)

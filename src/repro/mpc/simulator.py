@@ -7,25 +7,29 @@ as a *cost model*: what matters for Theorem 1.1 / Table 1 is how many rounds
 the Theta(1)-approximate matching oracle and the clean-up steps take.
 
 :class:`MPCSimulator` therefore simulates the round structure and accounts for
-memory and communication, executing "machine programs" written as Python
-callables.  It mirrors the message-passing style of the mpi4py guide
-(synchronous supersteps, explicit exchanged messages).  A round runs the
-machine programs one after another in machine order in this process and
-merges their outboxes at the superstep barrier in that same order; how the
-programs are scheduled would change wall time only, never a count the
-reproduction reports.
+memory and communication.  The algorithm computes each machine's outbox
+itself (in machine order, in this process) and hands all of them to
+:meth:`MPCSimulator.round` at once: a bulk superstep barrier in the sense of
+one-sided bulk exchange (Lazzaro & Hutter, arXiv:1705.10218).  An outbox is
+a ``dest`` column plus one int column per message field; the barrier copies
+the columns, routes them by destination and returns every machine's inbox as
+columns.
 
 Word accounting: the budget ``S`` and the ``mpc_messages`` counter are in
-*words*, so every payload is sized via :func:`~repro.exec.payload_words`
-(tuples/lists count ``len``, scalars 1) on both the send and the receive side
--- one message is *not* one word.
+*words*.  Every field of a message is an int -- one word by construction,
+since the barrier's ``array('q')`` copy rejects anything else -- and the
+round's message tag is sized once with :func:`~repro.exec.payload_words`, so
+a message is ``tag words + field count`` words (one message is *not* one
+word).  Send, receive and storage budgets are checked from per-machine
+message counts.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from array import array
+from collections import Counter
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.exec import payload_words
 from repro.exec.isolation import resolve_isolation
@@ -33,7 +37,10 @@ from repro.instrumentation.counters import Counters
 from repro.resilience import faults as faults_mod
 from repro.resilience.faults import FaultPlan
 
-Message = Tuple[int, object]  # (destination machine, payload)
+#: one machine's outbox: a ``dest`` column, then one column per int field
+Outbox = Sequence[Sequence[int]]
+#: one machine's inbox: one ``array('q')`` column per int field
+Inbox = Tuple[array, ...]
 
 
 class MemoryExceeded(RuntimeError):
@@ -57,22 +64,22 @@ class MPCSimulator:
         When true, exceeding ``S`` raises :class:`MemoryExceeded`; otherwise
         the violation is only recorded in ``mpc_memory_violations``.
     isolation:
-        Run the isolation sanitizer (:mod:`repro.exec.isolation`): outboxes
-        are deep-copied at the exchange barrier and the sender-side
-        originals are checksummed at the next round / ``close()``, so a
-        program mutating a payload it already sent raises
-        :class:`~repro.exec.isolation.IsolationViolation` instead of
-        silently rewriting the delivered message.  ``None`` (default) reads
-        the ``REPRO_EXEC_ISOLATION`` environment flag.
+        Run the isolation sanitizer (:mod:`repro.exec.isolation`): the
+        sender-side columns of every outbox are digested at the exchange
+        barrier and re-digested at the next round / ``close()``, so an
+        algorithm mutating a column it already sent raises
+        :class:`~repro.exec.isolation.IsolationViolation`.  (Receivers
+        always get the barrier's copies.)  ``None`` (default) reads the
+        ``REPRO_EXEC_ISOLATION`` environment flag.
     fault_plan:
         Optional :class:`~repro.resilience.faults.FaultPlan` injecting
-        deterministic message faults at the exchange barrier: a produced
+        deterministic message faults at the exchange barrier: a sent
         message may be dropped or duplicated, and a sender's outbox may be
         delivered in a permuted order.  Faults act on *delivery* only --
-        programs run unmodified, validation sees what they produced -- and
-        word/memory accounting reflects what was actually delivered.
-        Injections are tallied as ``mpc_faults_dropped`` /
-        ``mpc_faults_duplicated`` / ``mpc_faults_reordered``.
+        the sender's columns are untouched -- and word/memory accounting
+        reflects what was actually delivered.  Injections are tallied as
+        ``mpc_faults_dropped`` / ``mpc_faults_duplicated`` /
+        ``mpc_faults_reordered``.
     """
 
     def __init__(self, num_machines: int, memory_per_machine: Optional[int] = None,
@@ -95,70 +102,136 @@ class MPCSimulator:
     # ------------------------------------------------------------------ setup
     def scatter(self, items: Sequence[object]) -> None:
         """Distribute input items round-robin across machines (round 0 load)."""
-        for machine in self.storage:
-            machine.clear()
-        for i, item in enumerate(items):
-            self.storage[i % self.num_machines].append(item)
+        machines = self.num_machines
+        for machine_id, machine in enumerate(self.storage):
+            machine[:] = items[machine_id::machines]
         self._check_memory()
 
-    def machine_for_vertex(self, v: int) -> int:
-        """Deterministic vertex-to-machine assignment (hash partitioning)."""
-        return v % self.num_machines
+    def machines_for_vertices(self, vertices: Iterable[int]) -> List[int]:
+        """Deterministic vertex-to-machine assignment (hash partitioning),
+        as a ``dest`` column for ``vertices``."""
+        machines = self.num_machines
+        return [vertex % machines for vertex in vertices]
 
     # ----------------------------------------------------------------- rounds
-    def round(self,
-              program: Callable[[int, List[object]], Iterable[Message]]) -> None:
-        """Execute one synchronous round.
+    def round(self, outboxes: Sequence[Optional[Outbox]],
+              tag: object) -> List[Inbox]:
+        """Execute one synchronous round as a bulk exchange of int columns.
 
-        ``program(machine_id, local_items)`` runs on every machine and returns
-        the messages to deliver; messages are exchanged at the end of the
-        round (the superstep barrier) and appended to the recipients' local
-        storage.  Send and receive volumes are accounted in *words*
-        (:func:`~repro.exec.payload_words`; unknown objects count 1) against
-        the budget ``S``, and their total is charged to ``mpc_messages``.
+        ``outboxes[i]`` is machine ``i``'s outbox: a ``dest`` column followed
+        by one column per int field, all of equal length; message ``k`` goes
+        to machine ``dest[k]`` with fields ``(f1[k], f2[k], ...)``.  A
+        missing outbox (``None`` or no columns, or an index past the end of
+        ``outboxes``) is an empty one.  Every message of the round carries
+        ``tag``, sized once, so a message is ``payload_words(tag) + width``
+        words, ``width`` being the number of field columns (the same for
+        every sender).
+
+        Returns one inbox per machine: a tuple of ``width`` ``array('q')``
+        columns holding the fields of the messages delivered to it, in
+        sender order and then in each sender's message order (with no
+        outbox at all, every inbox is ``()``).  Ragged columns, a field
+        that is not a 64-bit int, no field column, a ``dest`` outside
+        ``[0, M)`` or a sender whose width differs raise naming the
+        sender.  Send and receive volumes, and the stored words of every
+        machine plus its inbox, are checked against ``S`` from per-machine
+        message counts; the delivered words are charged to
+        ``mpc_messages``.
         """
         guard = self._guard
         if guard is not None:
-            # payloads of the previous barrier must still digest identically:
-            # any divergence is a mutation-after-send
+            # columns sent at the previous barrier must still digest
+            # identically: any divergence is a mutation-after-send
             guard.verify()
-        # run every machine's program in machine order
-        outboxes: List[List[Message]] = []
-        for machine_id in range(self.num_machines):
-            out = list(program(machine_id, self.storage[machine_id]))
-            if guard is not None:
-                # capture at program return, so a later program of the same
-                # round cannot rewrite an already-submitted outbox
-                out = guard.capture_messages(machine_id, out)
-            outboxes.append(out)
+        machines = self.num_machines
+        if len(outboxes) > machines:
+            raise ValueError(f"{len(outboxes)} outboxes for {machines} "
+                             "machines")
+        # the barrier's copies of every sender's columns, validated before
+        # anything is delivered
+        sent: List[Optional[List[array]]] = []
+        width = None
+        for sender, columns in enumerate(outboxes):
+            if not columns:
+                sent.append(None)
+                continue
+            try:
+                copies = [array("q", column) for column in columns]
+            except (TypeError, OverflowError) as exc:
+                raise TypeError(f"machine {sender} sent a field that is not "
+                                f"a 64-bit int: {exc}") from None
+            if len(copies) < 2:
+                raise ValueError(f"machine {sender} sent no field columns")
+            if width is None:
+                width = len(copies) - 1
+            elif len(copies) - 1 != width:
+                raise ValueError(f"machine {sender} sent {len(copies) - 1} "
+                                 f"fields per message, the round {width}")
+            count = len(copies[0])
+            if any(len(column) != count for column in copies):
+                raise ValueError(f"machine {sender} sent ragged columns "
+                                 f"(lengths {[len(c) for c in copies]})")
+            if count:
+                dest = copies[0]
+                low = high = dest[0]
+                if dest.count(low) != count:  # more than one destination
+                    low, high = min(dest), max(dest)
+                if low < 0 or high >= machines:
+                    raise ValueError(f"machine {sender} sent to a machine "
+                                     f"outside [0, {machines}): {low}..{high}")
+            if guard is not None and count:
+                guard.capture_columns(sender, columns, copies)
+            sent.append(copies)
+        width = width or 0
         if self._faults is not None:
-            outboxes = self._apply_message_faults(outboxes)
+            sent = self._apply_message_faults(sent)
         self._fault_round += 1
 
-        # barrier: merge outboxes in machine order, sizing each payload once
-        inboxes: Dict[int, List[Tuple[object, int]]] = defaultdict(list)
-        total_words = 0
-        for machine_id, msgs in enumerate(outboxes):
-            sent_words = 0
-            for dest, payload in msgs:
-                words = payload_words(payload, default=1)
-                sent_words += words
-                inboxes[dest].append((payload, words))
-            total_words += sent_words
-            if (self.memory_per_machine is not None
-                    and sent_words > self.memory_per_machine):
-                self._violation(machine_id, sent_words)
+        # barrier: route every sender's messages to their destinations, in
+        # sender order; budgets are checked from per-machine message counts
+        message_words = payload_words(tag, default=1) + width
+        budget = self.memory_per_machine
+        inboxes = [tuple([array("q") for _ in range(width)])
+                   for _ in range(machines)]
+        received = [0] * machines
+        total = 0
+        for sender, copies in enumerate(sent):
+            if not copies or not copies[0]:
+                continue
+            dest, fields = copies[0], copies[1:]
+            count = len(dest)
+            total += count
+            if budget is not None and count * message_words > budget:
+                self._violation(sender, count * message_words)
+            target = dest[0]
+            if dest.count(target) == count:
+                # one destination: the columns go over whole
+                for inbox_column, column in zip(inboxes[target], fields):
+                    inbox_column.extend(column)
+                received[target] += count
+                continue
+            # a stable sort on the destination keeps each destination's
+            # messages in the sender's order
+            order = sorted(range(count), key=dest.__getitem__)
+            fields = [array("q", map(column.__getitem__, order))
+                      for column in fields]
+            start = 0
+            for target, share in sorted(Counter(dest).items()):
+                stop = start + share
+                for inbox_column, column in zip(inboxes[target], fields):
+                    inbox_column.extend(column[start:stop])
+                received[target] += share
+                start = stop
 
-        for dest, sized_payloads in inboxes.items():
-            received_words = sum(words for _, words in sized_payloads)
-            if (self.memory_per_machine is not None
-                    and received_words > self.memory_per_machine):
-                self._violation(dest, received_words)
-            self.storage[dest].extend(payload for payload, _ in sized_payloads)
-
+        incoming = [share * message_words for share in received]
+        if budget is not None:
+            for machine_id, words in enumerate(incoming):
+                if words > budget:
+                    self._violation(machine_id, words)
         self.counters.add("mpc_rounds")
-        self.counters.add("mpc_messages", total_words)
-        self._check_memory()
+        self.counters.add("mpc_messages", total * message_words)
+        self._check_memory(incoming)
+        return inboxes
 
     def broadcast_round(self, values_by_machine: Sequence[object]) -> List[object]:
         """Convenience: every machine publishes one value; all machines see all.
@@ -186,41 +259,42 @@ class MPCSimulator:
         return values
 
     # --------------------------------------------------------------- internal
-    def _apply_message_faults(
-            self, outboxes: List[List[Message]]) -> List[List[Message]]:
-        """Rewrite the round's outboxes per the fault plan (delivery side).
+    def _apply_message_faults(self, sent: List[Optional[List[array]]]
+                              ) -> List[Optional[List[array]]]:
+        """Rewrite the round's copied outboxes per the fault plan.
 
-        A dropped message vanishes before sizing; a duplicated one is
-        delivered twice (the copy is a ``deepcopy``, matching the physical
-        independence a real resend would have); a reordered sender has its
-        surviving outbox permuted deterministically.  The sender-side
-        originals retained by an :class:`IsolationGuard` are untouched --
-        faults model the network, not the program.
+        A dropped message vanishes before routing; a duplicated one is
+        delivered twice in this round; a reordered sender has its surviving
+        messages permuted deterministically.  Faults pick column positions,
+        so the sender-side columns (and the isolation guard's digests of
+        them) are untouched -- faults model the network, not the algorithm.
         """
-        import copy as _copy
-
         plan = self._faults
         round_index = self._fault_round
-        faulted: List[List[Message]] = []
-        for sender, msgs in enumerate(outboxes):
-            kept: List[Message] = []
-            for slot, (dest, payload) in enumerate(msgs):
+        faulted: List[Optional[List[array]]] = []
+        for sender, copies in enumerate(sent):
+            if not copies:
+                faulted.append(copies)
+                continue
+            kept: List[int] = []
+            for slot, dest in enumerate(copies[0]):
                 action = plan.message_fault("mpc", round_index, sender,
                                             dest, slot)
                 if action == faults_mod.DROP:
                     self.counters.add("mpc_faults_dropped")
                     continue
-                kept.append((dest, payload))
+                kept.append(slot)
                 if action == faults_mod.DUPLICATE:
                     self.counters.add("mpc_faults_duplicated")
-                    kept.append((dest, _copy.deepcopy(payload)))
+                    kept.append(slot)
             if len(kept) > 1 and plan.reorders_round("mpc", round_index,
                                                      sender):
                 self.counters.add("mpc_faults_reordered")
                 order = plan.permutation("mpc", round_index, sender,
                                          len(kept))
                 kept = [kept[j] for j in order]
-            faulted.append(kept)
+            faulted.append([array("q", map(column.__getitem__, kept))
+                            for column in copies])
         return faulted
 
     def _violation(self, machine_id: int, amount: int) -> None:
@@ -230,22 +304,23 @@ class MPCSimulator:
                 f"machine {machine_id} handled {amount} words "
                 f"(budget {self.memory_per_machine})")
 
-    def _check_memory(self) -> None:
+    def _check_memory(self, incoming: Optional[Sequence[int]] = None) -> None:
         """Check every machine's *stored words* (not item count) against S.
 
-        Storage accumulates across rounds, so multi-word payloads must keep
-        counting word-sized here too -- otherwise two 4-word tuples would
-        occupy 8 words while registering as 2 items.  The walk cannot be
-        cached incrementally because callers legitimately mutate ``storage``
-        between rounds; sizing stops as soon as a machine is over budget,
-        and a compliant machine holds at most S words, so the cost per round
-        is bounded by the stored input size.
+        ``incoming`` adds the words of each machine's inbox, which the
+        machine holds beside its storage once a round delivers it.  Multi-
+        word storage items count word-sized here too -- otherwise two
+        4-word tuples would occupy 8 words while registering as 2 items.
+        The walk cannot be cached incrementally because callers
+        legitimately mutate ``storage`` between rounds; sizing stops as soon
+        as a machine is over budget, and a compliant machine holds at most
+        S words, so the cost per round is bounded by the stored input size.
         """
         budget = self.memory_per_machine
         if budget is None:
             return
         for machine_id, items in enumerate(self.storage):
-            words = 0
+            words = incoming[machine_id] if incoming is not None else 0
             for item in items:
                 words += payload_words(item, default=1)
                 if words > budget:
@@ -256,8 +331,8 @@ class MPCSimulator:
     def close(self) -> None:
         """End the simulation.
 
-        Under isolation the last round's retained payloads are verified
-        here, so mutations after the final round still fail loudly.
+        Under isolation the last round's sent columns are verified here, so
+        mutations after the final round still fail loudly.
         """
         if self._guard is not None:
             self._guard.verify()

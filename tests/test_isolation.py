@@ -1,12 +1,14 @@
 """Tests for the simulator isolation sanitizer (``repro.exec.isolation``).
 
 The sanitizer's contract: under ``isolation=True`` the simulators deliver
-deep copies at the exchange barrier and checksum the sender-side originals,
-so a program mutating a payload it already sent -- the exact bug class the
-static ``send-aliasing`` rule hunts, invisible in every plain test -- raises
-:class:`~repro.exec.isolation.IsolationViolation` at the next round or at
-``close()``.  Also pinned: the flag's env default and counter parity with
-isolation off (the sanitizer must observe, never perturb).
+copies at the exchange barrier (deep copies for CONGEST payloads; the MPC
+bulk round always delivers its own int-column copies) and checksum the
+sender-side originals, so a program mutating a payload it already sent --
+the exact bug class the static ``send-aliasing`` rule hunts, invisible in
+every plain test -- raises :class:`~repro.exec.isolation.IsolationViolation`
+at the next round or at ``close()``.  Also pinned: the flag's env default
+and counter parity with isolation off (the sanitizer must observe, never
+perturb).
 """
 
 import pytest
@@ -36,10 +38,11 @@ class TestGuard:
 
     def test_verify_clears_and_advances_rounds(self):
         guard = IsolationGuard("mpc")
-        copies = guard.capture_messages(0, [(1, (1, 2))])
-        assert copies == [(1, (1, 2))]
+        columns = ([1], [1], [2])
+        guard.capture_columns(0, columns, [list(c) for c in columns])
         guard.verify()
         assert guard.round_index == 1
+        columns[1][0] = 9  # no longer retained: not a violation
         guard.verify()  # nothing retained: a no-op
         assert guard.round_index == 2
 
@@ -120,48 +123,74 @@ class TestCongestIsolation:
 
 
 class TestMPCIsolation:
-    def _mutating_program(self, sent):
-        def program(machine_id, items):
-            if machine_id == 0 and not sent:
-                payload = [7]
-                sent.append(payload)
-                return [(1, payload)]
-            return []
-        return program
+    @staticmethod
+    def _send(sim):
+        """Machine 0 sends (1, 2) to machine 1 and (3, 4) to machine 0 as
+        mutable lists it keeps."""
+        columns = ([1, 0], [1, 3], [2, 4])
+        sim.round([columns], "t")
+        return columns
 
     def test_mutation_after_send_raises(self):
         sim = MPCSimulator(2, isolation=True)
         sim.scatter([1, 2])
-        sent = []
-        sim.round(self._mutating_program(sent))
-        sent[0].append(8)
-        with pytest.raises(IsolationViolation, match="mpc isolation"):
-            sim.round(self._mutating_program(sent))
+        columns = self._send(sim)
+        columns[2][0] = 8
+        with pytest.raises(IsolationViolation,
+                           match=r"mpc isolation sanitizer: sender 0 .* "
+                                 r"to 1 in round 1"):
+            sim.round([], "t")
 
-    def test_receiver_storage_holds_a_copy(self):
+    def test_violation_names_the_changed_message(self):
         sim = MPCSimulator(2, isolation=True)
-        sim.scatter([])
-        sent = []
-        sim.round(self._mutating_program(sent))
-        delivered = sim.storage[1][-1]
-        assert delivered == [7] and delivered is not sent[0]
-        sim.close()
+        self._send(sim)
+        columns = self._send(sim)
+        columns[1][1] = 30
+        # the guard counts the barriers it has verified, so the simulator's
+        # second round is its round 2
+        with pytest.raises(IsolationViolation,
+                           match=r"sender 0 .* to 0 in round 2"):
+            sim.close()
+
+    def test_mutation_after_final_round_raises_at_close(self):
+        sim = MPCSimulator(2, isolation=True)
+        columns = self._send(sim)
+        columns[0].append(1)  # a sent column grew
+        with pytest.raises(IsolationViolation, match="sender 0"):
+            sim.close()
+
+    def test_receiver_inbox_holds_a_copy(self):
+        for flag in (False, True):
+            sim = MPCSimulator(2, isolation=flag)
+            columns = ([1], [7])
+            inboxes = sim.round([columns], "t")
+            delivered = inboxes[1][0]
+            assert list(delivered) == [7] and delivered is not columns[1]
+            # without isolation a late mutation goes unnoticed, but it can
+            # no longer rewrite what the receiver holds
+            if not flag:
+                columns[1][0] = 8
+                assert list(delivered) == [7]
+            sim.close()
 
     def test_counters_identical_with_and_without_isolation(self):
-        def shuffle(machine_id, items):
-            return [((machine_id + 1) % 3, ("tok", machine_id, item))
-                    for item in items]
+        def shuffle(items):
+            # machine i forwards every item it holds to machine i + 1
+            return [([(machine_id + 1) % 3] * len(held),
+                     [machine_id] * len(held), list(held))
+                    for machine_id, held in enumerate(items)]
 
         results = {}
         for flag in (False, True):
             counters = Counters()
             sim = MPCSimulator(3, counters=counters, isolation=flag)
             sim.scatter(list(range(6)))
+            items = [list(machine) for machine in sim.storage]
             for _ in range(2):
-                sim.round(shuffle)
+                inboxes = sim.round(shuffle(items), "tok")
+                items = [list(inbox[1]) for inbox in inboxes]
             sim.close()
-            results[flag] = (counters.as_dict(),
-                             [list(s) for s in sim.storage])
+            results[flag] = (counters.as_dict(), items)
         assert results[False] == results[True]
 
 

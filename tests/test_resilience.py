@@ -272,36 +272,36 @@ def _ring_graph(n):
     return g
 
 
-def _mpc_ping(machine_id, storage):
-    return [((machine_id + 1) % 2, (machine_id, 7))]
+#: every machine of two sends (machine_id, 7) to the other one
+_MPC_PING = [([1], [0], [7]), ([0], [1], [7])]
 
 
 class TestMPCFaults:
     def test_drop_removes_messages_and_counts(self):
         sim = MPCSimulator(num_machines=2, memory_per_machine=64,
                            fault_plan=FaultPlan(seed=1, drop_rate=1.0))
-        sim.round(_mpc_ping)
+        inboxes = sim.round(_MPC_PING, "ping")
         assert sim.counters.get("mpc_faults_dropped") == 2.0
-        assert all(not s for s in sim.storage)
+        assert all(not column for inbox in inboxes for column in inbox)
+        # words are charged for what was delivered
+        assert sim.counters.get("mpc_messages") == 0.0
 
     def test_duplicate_delivers_twice_same_round(self):
         sim = MPCSimulator(num_machines=2, memory_per_machine=64,
                            fault_plan=FaultPlan(seed=1, duplicate_rate=1.0))
-        sim.round(_mpc_ping)
+        inboxes = sim.round(_MPC_PING, "ping")
         assert sim.counters.get("mpc_faults_duplicated") == 2.0
-        assert all(len(s) == 2 for s in sim.storage)
+        assert [list(zip(*inbox)) for inbox in inboxes] == [
+            [(1, 7), (1, 7)], [(0, 7), (0, 7)]]
+        assert sim.counters.get("mpc_messages") == 4 * 3.0
 
     def test_reorder_is_deterministic(self):
-        def fan_out(machine_id, storage):
-            if machine_id == 0:
-                return [(1, (i,)) for i in range(6)]
-            return []
+        fan_out = [([1] * 6, list(range(6)))]
 
         def run():
             sim = MPCSimulator(num_machines=2, memory_per_machine=64,
                                fault_plan=FaultPlan(seed=9, reorder_rate=1.0))
-            sim.round(fan_out)
-            order = list(sim.storage[1])
+            order = list(sim.round(fan_out, "fan")[1][0])
             count = sim.counters.get("mpc_faults_reordered")
             sim.close()
             return order, count
@@ -310,20 +310,39 @@ class TestMPCFaults:
         again, _ = run()
         assert first == again
         assert count == 1.0
-        assert first != [(i,) for i in range(6)]  # actually permuted
-        assert sorted(first) == [(i,) for i in range(6)]  # nothing lost
+        assert first != list(range(6))  # actually permuted
+        assert sorted(first) == list(range(6))  # nothing lost
+        assert fan_out == [([1] * 6, list(range(6)))]  # sender untouched
+
+    def test_faults_pick_column_positions_by_site(self):
+        # the same (model, round, sender, dest, slot) sites decide a drop or
+        # duplicate as for one message at a time, and the survivors keep
+        # the sender's order
+        plan = FaultPlan(seed=4, drop_rate=0.3, duplicate_rate=0.3)
+        dest = [0, 1, 2, 1, 0, 2, 2, 1]
+        sim = MPCSimulator(num_machines=3, fault_plan=plan)
+        inboxes = sim.round([None, (dest, list(range(8)))], "t")
+        expected = [[], [], []]
+        for slot, target in enumerate(dest):
+            action = plan.message_fault("mpc", 0, 1, target, slot)
+            copies = {DROP: 0, DUPLICATE: 2}.get(action, 1)
+            expected[target].extend([slot] * copies)
+        assert [list(inbox[0]) for inbox in inboxes] == expected
+        assert sim.counters.get("mpc_faults_dropped") == 1.0
+        assert sim.counters.get("mpc_faults_duplicated") == 2.0
+        assert sim.counters.get("mpc_messages") == 2 * (8 - 1 + 2)
 
     def test_no_plan_leaves_counters_untouched(self):
         sim = MPCSimulator(num_machines=2, memory_per_machine=64)
-        sim.round(_mpc_ping)
+        sim.round(_MPC_PING, "ping")
         assert "mpc_faults_dropped" not in sim.counters.as_dict()
 
     def test_faults_coexist_with_isolation_guard(self):
         sim = MPCSimulator(num_machines=2, memory_per_machine=64,
                            isolation=True,
                            fault_plan=FaultPlan(seed=1, duplicate_rate=1.0))
-        sim.round(_mpc_ping)
-        sim.round(_mpc_ping)
+        sim.round(_MPC_PING, "ping")
+        sim.round(_MPC_PING, "ping")
         sim.close()  # guard.verify() must not trip over injected duplicates
         assert sim.counters.get("mpc_faults_duplicated") == 4.0
 

@@ -1,34 +1,48 @@
 """Shared helpers for the benchmark modules.
 
-Every benchmark module regenerates one table or figure of the paper: it
-sweeps the relevant parameter, prints the resulting rows/series, and persists
-them as text under ``benchmarks/results/``.  Each module also registers its
-sweep as a ``repro.bench`` scenario (see the "Benchmark harness" section of
-ARCHITECTURE.md), which is what gives every suite ``--smoke``, seed
-control and JSON emission through the single
-``python -m repro.bench`` CLI; the text tables are a rendering of the same
-measured quantities.  The pytest-benchmark fixture times one representative
-unit of work per module so that ``pytest benchmarks/ --benchmark-only`` also
-produces wall-clock numbers.
+Every ``benchmarks/bench_*.py`` module is one ``repro.bench`` scenario plus a
+``main()`` (see the "Benchmark harness" section of ARCHITECTURE.md): the
+single ``python -m repro.bench`` CLI gives each of them ``--smoke``, seed
+control, the ``--eps`` sweep and JSON emission.  A scenario records the
+paper's bound next to what it measured with :func:`check_bound`, so every
+record carries the claim it reproduces and a run fails when a guarantee
+does not hold.
 """
 
 from __future__ import annotations
 
-import os
 import sys
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
+from repro.bench import RunSpec
 # Re-exported so modules (and their callers) keep one definition of smoke.
 from repro.bench import smoke_mode  # noqa: F401
-from repro.instrumentation.reporting import Table
 
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
-#: epsilon sweep used by most benchmarks (1/eps a power of two, Section 3)
-EPS_SWEEP = (0.5, 0.25, 0.125)
+class BoundViolation(AssertionError):
+    """A measured value broke a bound the paper guarantees on every run."""
 
-#: smaller sweep for the more expensive dynamic benchmarks
-EPS_SWEEP_SMALL = (0.5, 0.25)
+
+def check_bound(spec: RunSpec, values: Dict[str, float], key: str,
+                bound: float, *, at_most: bool = False,
+                bound_key: Optional[str] = None) -> None:
+    """Record ``bound`` beside ``values[key]``; raise if the value breaks it.
+
+    The bound lands in ``values`` under ``bound_key`` (default
+    ``<key>_bound``), so the record carries the claim next to the
+    measurement.  ``values[key]`` must be at least ``bound`` (at most, with
+    ``at_most``), else :class:`BoundViolation` names the scenario, the value
+    and the bound.  Assert only bounds that hold on every run; a
+    probabilistic or expected bound goes into ``values`` as plain data.
+    """
+    values[bound_key or f"{key}_bound"] = bound
+    value = values[key]
+    if value > bound if at_most else value < bound:
+        relation = "<=" if at_most else ">="
+        raise BoundViolation(
+            f"scenario {spec.scenario}: {key} = {value!r} breaks the bound "
+            f"{key} {relation} {bound!r} (eps={spec.resolved_eps()}, "
+            f"seed={spec.seed}, smoke={spec.smoke})")
 
 
 def scenario_main(name: str, argv: Optional[Sequence[str]] = None) -> int:
@@ -59,14 +73,3 @@ def boosting_workload(seed: int = 0, er_n: int = 80, er_p: float = 0.05,
     g.add_edges(er.edges())
     g.add_edges((er.n + u, er.n + v) for u, v in paths.edges())
     return g
-
-
-def emit(table: Table, filename: str) -> str:
-    """Print a result table and persist it under benchmarks/results/."""
-    text = table.render()
-    print("\n" + text)
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, filename)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text + "\n")
-    return text

@@ -5,27 +5,25 @@ each structure, and an edge between two structures survives into G[S] with
 probability at least 1/Delta^2 (each endpoint is picked with probability at
 least 1/|structure|).  Lemma 6.8/6.11 turn this into the oracle guarantee.
 
-This benchmark measures the preservation probability empirically: structures
-of controlled size are built, the sampling step is repeated many times, and
-the fraction of trials in which a fixed cross-structure edge survives is
-compared to the 1/Delta^2 lower bound.
+This scenario measures the preservation probability empirically: two
+structures of 3 matched edges each are built, the sampling step is repeated
+many times, and the fraction of trials in which a fixed cross-structure edge
+survives is recorded beside the 1/Delta^2 lower bound.  The bound is data,
+not asserted: the fraction estimates a probability from a finite sample.
 """
 
 from __future__ import annotations
 
 import random
 
-import pytest
-
 from repro.graph.graph import Graph
-from repro.instrumentation.reporting import Table
 from repro.matching.matching import Matching
 from repro.core.structures import PhaseState
 from repro.core.operations import overtake_op
 
 from repro.bench import register
 
-from _common import emit, scenario_main
+from _common import scenario_main
 
 
 def _two_structures_of_size(size_edges: int):
@@ -72,25 +70,6 @@ def preservation_probability(size_edges: int, trials: int = 3000,
     return hits / trials
 
 
-def run_fig4() -> Table:
-    table = Table(
-        "Figure 4 / Lemma 6.8: sampling preservation probability vs structure size",
-        ["matched edges per structure", "#outer vertices per structure",
-         "measured Pr[edge preserved]", "lower bound 1/Delta^2"])
-    for size_edges in (1, 2, 3, 4):
-        outer = size_edges + 1
-        measured = preservation_probability(size_edges)
-        table.add_row(size_edges, outer, measured, 1.0 / (2 * size_edges + 1) ** 2)
-    return table
-
-
-def test_fig4_sampling(benchmark):
-    """Regenerate the preservation-probability series; time the sampling loop."""
-    benchmark(lambda: preservation_probability(3, trials=500, seed=1))
-    emit(run_fig4(), "fig4_sampling.txt")
-
-
-# ------------------------------------------------------------ repro.bench
 @register("fig4_sampling", suite="figures",
           description="per-structure vertex-sampling preservation "
                       "probability vs the 1/Delta^2 bound (Lemma 6.8)")

@@ -1,93 +1,43 @@
-"""Lemma 5.3 / Lemma 6.7: the constant-approximate initial matching.
+"""Lemma 5.3: the constant-approximate initial matching.
 
-Both frameworks start by peeling: repeatedly invoke the oracle on the
+The static framework starts by peeling: repeatedly invoke the oracle on the
 still-unmatched vertices and keep everything it returns.  Lemma 5.3 proves 2c
-invocations of a c-approximate oracle yield a 4-approximation; Lemma 6.7 gives
-the analogous statement for the weak oracle (a 3-approximation).
+invocations of a c-approximate oracle yield a 4-approximation.
 
-This benchmark measures, per oracle, the number of invocations actually used
-and the approximation factor actually achieved, across random workloads --
-both should be comfortably inside the lemma's budget/guarantee.
+This scenario peels a random graph with the greedy oracle (c = 2) and
+records the invocations actually used (``oracle_calls``) beside the lemma's
+budget int(2c) + 1 (``oracle_call_budget``, as data), and the approximation
+factor actually achieved (``approx_factor``), asserted <= 4.
 """
 
 from __future__ import annotations
 
-import pytest
-
 from repro.graph.generators import erdos_renyi
-from repro.instrumentation.counters import Counters
-from repro.instrumentation.reporting import Table
 from repro.matching.blossom import maximum_matching_size
 from repro.core.boosting import BoostingFramework
-from repro.core.dynamic_boosting import WeakOracleBoostingFramework
-from repro.core.oracles import ExactMatchingOracle, GreedyMatchingOracle, RandomGreedyMatchingOracle
-from repro.dynamic.weak_oracles import GreedyInducedWeakOracle
+from repro.core.oracles import GreedyMatchingOracle
 
 from repro.bench import register
 
-from _common import emit, scenario_main
+from _common import check_bound, scenario_main
 
 
-def run_lemma53(seeds=(0, 1, 2)) -> Table:
-    table = Table(
-        "Lemma 5.3 / 6.7: initial-matching peeling (oracle calls and quality)",
-        ["oracle", "c", "avg oracle calls", "lemma call budget",
-         "worst approx factor", "lemma guarantee"])
-    oracles = [
-        ("greedy (Amatching)", GreedyMatchingOracle(), 2 * 2 + 1, 4.0),
-        ("random-greedy (Amatching)", RandomGreedyMatchingOracle(seed=0), 2 * 2 + 1, 4.0),
-        ("exact (Amatching)", ExactMatchingOracle(), 2 * 1 + 1, 4.0),
-    ]
-    for name, oracle, budget, guarantee in oracles:
-        calls = 0.0
-        worst = 1.0
-        for seed in seeds:
-            g = erdos_renyi(80, 0.06, seed=seed)
-            counters = Counters()
-            framework = BoostingFramework(0.25, oracle=oracle, counters=counters, seed=seed)
-            m = framework.initial_matching(g)
-            calls += counters.get("oracle_calls")
-            opt = maximum_matching_size(g)
-            worst = max(worst, opt / max(1, m.size))
-        table.add_row(name, oracle.c, calls / len(seeds), budget, worst, guarantee)
-
-    # the weak-oracle variant (Lemma 6.7)
-    calls = 0.0
-    worst = 1.0
-    for seed in seeds:
-        g = erdos_renyi(80, 0.06, seed=seed)
-        counters = Counters()
-        framework = WeakOracleBoostingFramework(
-            0.25, GreedyInducedWeakOracle(g, seed=seed), counters=counters, seed=seed)
-        m = framework.initial_matching(g)
-        calls += counters.get("weak_oracle_calls")
-        worst = max(worst, maximum_matching_size(g) / max(1, m.size))
-    table.add_row("greedy-induced (Aweak)", "-", calls / len(seeds),
-                  "O(1/(lambda delta))", worst, 3.0)
-    return table
-
-
-def test_lemma53_initial_matching(benchmark):
-    """Regenerate the Lemma 5.3 table and time one peeling run."""
-    g = erdos_renyi(80, 0.06, seed=0)
-    framework = BoostingFramework(0.25, seed=0)
-    benchmark(lambda: framework.initial_matching(g))
-    emit(run_lemma53(), "lemma53_initial_matching.txt")
-
-
-# ------------------------------------------------------------ repro.bench
 @register("lemma53_initial_matching", suite="lemmas",
           description="initial-matching peeling: oracle calls used and "
-                      "approximation achieved (Lemma 5.3 / 6.7)")
+                      "approximation achieved (Lemma 5.3)")
 def _lemma53_scenario(spec, counters):
     eps = spec.resolved_eps()
     n = 40 if spec.smoke else 80
     g = erdos_renyi(n, 0.06, seed=spec.seed)
-    framework = BoostingFramework(eps, oracle=GreedyMatchingOracle(),
+    oracle = GreedyMatchingOracle()
+    framework = BoostingFramework(eps, oracle=oracle,
                                   counters=counters, seed=spec.seed)
     matching = framework.initial_matching(g)
     opt = maximum_matching_size(g)
-    return {"approx_factor": opt / max(1, matching.size)}
+    values = {"approx_factor": opt / max(1, matching.size),
+              "oracle_call_budget": int(2 * oracle.c) + 1}
+    check_bound(spec, values, "approx_factor", 4.0, at_most=True)
+    return values
 
 
 def main(argv=None) -> int:

@@ -8,19 +8,18 @@ The CONGEST rows of Table 1 quote
 
 The extra 1/eps^3 factor over the MPC rows is the per-pass-bundle Aprocess
 cost: aggregating a structure of poly(1/eps) vertices at a representative
-takes Theta(structure size) CONGEST rounds.  This benchmark measures, per eps,
-the oracle invocations, the total CONGEST rounds (oracle rounds + aggregation
-rounds), and the fraction of rounds spent on aggregation -- the quantity that
-grows as eps shrinks and produces the eps^-10 vs eps^-7 separation between the
-two corollaries.
+takes Theta(structure size) CONGEST rounds.  This scenario measures, at one
+eps, the oracle invocations, the total CONGEST rounds (oracle rounds +
+aggregation rounds), and the fraction of rounds spent on aggregation -- the
+quantity that grows as eps shrinks and produces the eps^-10 vs eps^-7
+separation between the two corollaries.  Beside them it records the
+scheduled bounds (``scheduled_oracle_calls`` = log(1/eps)/eps^10 and
+``fmu22_scheduled_calls`` = 1/eps^63) as data, and asserts
+``size_over_opt`` >= 1/(1+eps).
 """
 
 from __future__ import annotations
 
-import pytest
-
-from repro.instrumentation.counters import Counters
-from repro.instrumentation.reporting import Table
 from repro.matching.blossom import maximum_matching_size
 from repro.core.config import ParameterProfile
 from repro.baselines.fmu22 import fmu22_scheduled_calls
@@ -28,43 +27,9 @@ from repro.congest.boost_congest import congest_boosted_matching
 
 from repro.bench import register
 
-from _common import EPS_SWEEP, boosting_workload, emit, scenario_main
+from _common import boosting_workload, check_bound, scenario_main
 
 
-def run_table1_congest(seeds=(0, 1)) -> Table:
-    table = Table(
-        "Table 1 (CONGEST): oracle invocations and rounds (Corollary A.2)",
-        ["eps", "oracle calls", "congest rounds", "aggregation rounds",
-         "aggregation share", "size/opt",
-         "scheduled ours O(eps^-10 log)", "scheduled FMU22 O(eps^-63)"])
-    for eps in EPS_SWEEP:
-        calls = rounds = agg = ratio = 0.0
-        for seed in seeds:
-            g = boosting_workload(seed, er_n=60, er_p=0.06)
-            opt = maximum_matching_size(g)
-            counters = Counters()
-            matching, _ = congest_boosted_matching(g, eps, counters=counters, seed=seed)
-            calls += counters.get("oracle_calls")
-            rounds += counters.get("congest_rounds")
-            agg += counters.get("congest_aggregation_rounds")
-            ratio += matching.size / max(1, opt)
-        k = len(seeds)
-        profile = ParameterProfile.paper(eps)
-        scheduled_ours = profile.paper_invocation_bound() / (eps ** 3)
-        table.add_row(eps, calls / k, rounds / k, agg / k,
-                      (agg / rounds) if rounds else 0.0, ratio / k,
-                      scheduled_ours, fmu22_scheduled_calls(eps, "congest"))
-    return table
-
-
-def test_table1_congest(benchmark):
-    """Regenerate Table 1 (CONGEST) and time one instantiation at eps = 1/4."""
-    g = boosting_workload(0, er_n=60, er_p=0.06)
-    benchmark(lambda: congest_boosted_matching(g, 0.25, seed=0))
-    emit(run_table1_congest(), "table1_congest.txt")
-
-
-# ------------------------------------------------------------ repro.bench
 @register("table1_congest", suite="table1",
           description="CONGEST boosting: oracle calls, rounds and "
                       "aggregation share at one eps")
@@ -79,8 +44,14 @@ def _table1_congest_scenario(spec, counters):
     opt = maximum_matching_size(g)
     rounds = counters.get("congest_rounds")
     agg = counters.get("congest_aggregation_rounds")
-    return {"size_over_opt": matching.size / max(1, opt),
-            "aggregation_share": (agg / rounds) if rounds else 0.0}
+    values = {"size_over_opt": matching.size / max(1, opt),
+              "aggregation_share": (agg / rounds) if rounds else 0.0,
+              "scheduled_oracle_calls":
+                  ParameterProfile.paper(eps).paper_invocation_bound()
+                  / eps ** 3,
+              "fmu22_scheduled_calls": fmu22_scheduled_calls(eps, "congest")}
+    check_bound(spec, values, "size_over_opt", 1 / (1 + eps))
+    return values
 
 
 def main(argv=None) -> int:

@@ -115,18 +115,6 @@ def _table2_chaos_scenario(spec, counters):
     }
 
 
-def test_table2_chaos(benchmark):
-    """Time one smoke chaos drill (record/crash/recover/verify) for pytest."""
-
-    def run():
-        _, stats, _, mates_equal, counters_equal = _run_chaos(
-            SMOKE, 0.25, seed=0, counters=Counters())
-        assert mates_equal and counters_equal
-        return stats.crashes
-
-    benchmark(run)
-
-
 def main(argv=None) -> int:
     return scenario_main("table2_chaos", argv)
 

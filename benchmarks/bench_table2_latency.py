@@ -116,19 +116,6 @@ def _table2_latency_scenario(spec, counters):
     }
 
 
-def test_table2_latency(benchmark):
-    """Time the incremental maintainer's smoke churn once for pytest-benchmark."""
-    cfg = SMOKE
-    profile = dataclasses.replace(ParameterProfile.practical(0.25),
-                                  repair="incremental")
-
-    def run():
-        _, recorder = _run_mode(profile, cfg, seed=0, counters=Counters())
-        return recorder.summary()["p99"]
-
-    benchmark(run)
-
-
 def main(argv=None) -> int:
     return scenario_main("table2_latency", argv)
 

@@ -17,17 +17,14 @@ smoke gate loudly), then replays the trace through
 :class:`~repro.dynamic.fully_dynamic.FullyDynamicMatching`.
 
 Reported: amortized update work, rebuilds, weak-oracle calls, and the final
-size against the exact optimum of the end-of-stream snapshot.
+size against the exact optimum of the end-of-stream snapshot
+(``size_over_opt``, asserted >= 1/(1+eps)).
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-import pytest
-
-from repro.instrumentation.counters import Counters
-from repro.instrumentation.reporting import Table
 from repro.matching.blossom import maximum_matching_size
 from repro.dynamic.fully_dynamic import FullyDynamicMatching
 from repro.workloads import (
@@ -39,7 +36,7 @@ from repro.workloads import (
 
 from repro.bench import register
 
-from _common import EPS_SWEEP_SMALL, emit, scenario_main
+from _common import check_bound, scenario_main
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
 KARATE_EDGES = DATA_DIR / "karate.txt"
@@ -90,51 +87,21 @@ def _karate_workload(smoke: bool, seed: int):
     return Trace.load(KARATE_TRACE).stream(name="karate_window")
 
 
-def run_table2_realgraph(seed: int = 0) -> Table:
-    trace = check_trace_parity()
-    table = Table(
-        "Table 2 (real-graph row): maintainer on the karate-club "
-        "sliding-window trace",
-        ["eps", "amortized work/update", "rebuilds", "weak-oracle calls",
-         "final size/opt"])
-    for eps in EPS_SWEEP_SMALL:
-        counters = Counters()
-        alg = FullyDynamicMatching(trace.n, eps, counters=counters, seed=seed)
-        alg.process(trace.stream(), collect_sizes=False)
-        opt = maximum_matching_size(alg.graph)
-        table.add_row(eps, alg.amortized_update_work(),
-                      counters.get("dyn_rebuilds"),
-                      counters.get("weak_oracle_calls"),
-                      alg.current_matching().size / max(1, opt))
-    return table
-
-
-def test_table2_realgraph(benchmark):
-    """Parity-check the fixture and time one replay at eps = 1/4."""
-    trace = check_trace_parity()
-
-    def run():
-        alg = FullyDynamicMatching(trace.n, 0.25, seed=0)
-        alg.process(trace.stream(), collect_sizes=False)
-        return alg.current_matching().size
-
-    benchmark(run)
-    emit(run_table2_realgraph(), "table2_realgraph.txt")
-
-
-# ------------------------------------------------------------ repro.bench
 @register("table2_realgraph", suite="table2",
           description="dynamic maintainer replaying the committed "
                       "karate-club trace; record/replay parity enforced")
 def _table2_realgraph_scenario(spec, counters):
+    eps = spec.resolved_eps()
     trace = check_trace_parity()
-    alg = FullyDynamicMatching(trace.n, spec.resolved_eps(),
-                               counters=counters, seed=spec.seed)
+    alg = FullyDynamicMatching(trace.n, eps, counters=counters,
+                               seed=spec.seed)
     alg.process(trace.stream(), collect_sizes=False)
     opt = maximum_matching_size(alg.graph)
-    return {"amortized_update_work": alg.amortized_update_work(),
-            "size_over_opt": alg.current_matching().size / max(1, opt),
-            "trace_updates": float(len(trace))}
+    values = {"amortized_update_work": alg.amortized_update_work(),
+              "size_over_opt": alg.current_matching().size / max(1, opt),
+              "trace_updates": float(len(trace))}
+    check_bound(spec, values, "size_over_opt", 1 / (1 + eps))
+    return values
 
 
 def main(argv=None) -> int:

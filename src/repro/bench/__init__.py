@@ -1,14 +1,16 @@
 """Unified benchmark harness (``python -m repro.bench``).
 
 The paper's quantitative claims are counts and trajectories (Table 1 oracle
-invocations, Table 2 amortized update work), so every benchmark module
-registers its sweep here as a :class:`~repro.bench.registry.Scenario`.  One
-runner executes any scenario with warmup/repeat timing and
-:class:`~repro.instrumentation.counters.Counters` capture, emits the shared
-JSON record schema (``BENCH_<suite>.json`` at the repo root, per-scenario
-files under ``benchmarks/results/``), and a compare mode diffs two runs so
-perf regressions fail loudly.  See the "Benchmark harness" section of
-ARCHITECTURE.md.
+invocations, Table 2 amortized update work), so every benchmark module is
+one :class:`~repro.bench.registry.Scenario` registered here, which records
+the paper's bound beside its measurement and fails when a guarantee does
+not hold.  One runner executes any scenario with warmup/repeat timing and
+:class:`~repro.instrumentation.counters.Counters` capture, once per value
+of an ``--eps`` sweep; it emits the shared JSON record schema into one
+``BENCH_<suite>.json`` at the repo root (``BENCH_all.json`` for the smoke
+baseline, ``BENCH_paper.json`` for the full-size sweep), and a compare mode
+diffs two runs so perf regressions fail loudly.  See the "Benchmark
+harness" section of ARCHITECTURE.md.
 """
 
 from repro.bench.registry import (
@@ -26,6 +28,7 @@ from repro.bench.runner import (
     make_spec,
     run_scenario,
     run_scenarios,
+    suite_label,
 )
 from repro.bench.results import (
     RECORD_KEYS,
@@ -56,6 +59,7 @@ __all__ = [
     "run_scenarios",
     "scenarios",
     "smoke_mode",
+    "suite_label",
     "suite_names",
     "summarize_ns",
     "unregister",

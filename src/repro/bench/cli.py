@@ -4,6 +4,9 @@ Subcommands::
 
     run      execute registered scenarios and emit JSON (+ a summary table)
              e.g. ``python -m repro.bench run --suite table1 --smoke``
+             ``--eps 0.5 0.25 0.125`` runs every scenario once per value
+             (one record each); ``--all`` writes ``BENCH_all.json`` with
+             ``--smoke`` and ``BENCH_paper.json`` without it
              ``--jobs N`` fans independent runs out over N worker processes
              (deterministic record order; exit 1 if any scenario failed);
              ``--list`` prints the selected scenarios (params, suites,
@@ -51,8 +54,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--smoke", action="store_true",
                        help="seconds-scale configuration "
                             "(also REPRO_BENCH_SMOKE=1)")
-    run_p.add_argument("--eps", type=float, default=None,
-                       help="pin the approximation parameter")
+    run_p.add_argument("--eps", type=float, nargs="+", default=None,
+                       help="pin the approximation parameter; several "
+                            "values sweep it, one record per scenario and "
+                            "value (default: each scenario's own eps)")
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--repeats", type=int, default=1,
                        help="timed repetitions; wall_s is their minimum")
@@ -116,10 +121,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # label by scenario name, not suite (even when --suite is also
         # passed): a partial run must not overwrite the full-suite
         # BENCH_<suite>.json trajectory
-        suite_label = selected[0].name if len(selected) == 1 else "custom"
+        label = selected[0].name if len(selected) == 1 else "custom"
     elif args.suite:
         selected = registry.scenarios(args.suite)
-        suite_label = args.suite
+        label = args.suite
         if not selected and args.suite == "all":
             # "--suite all" reads naturally as "every scenario"; honour it
             # unless a literal suite named "all" is registered
@@ -130,14 +135,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
             return 2
     elif args.all:
         selected = registry.scenarios()
-        suite_label = "all"
+        label = "all"
         if not selected:
             print("error: no scenarios registered", file=sys.stderr)
             return 2
     elif args.list_only:
         # bare "run --list" enumerates everything that could be run
         selected = registry.scenarios()
-        suite_label = "all"
     else:
         print("error: choose --suite NAME, --scenario NAME or --all",
               file=sys.stderr)
@@ -198,11 +202,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if resilience:
             # recovery/retry event counts (only ever present when nonzero)
             meta["resilience"] = dict(sorted(resilience.items()))
-        path = results.write_suite(records, suite_label, meta=meta)
+        path = results.write_suite(records, runner.suite_label(label, smoke),
+                                   meta=meta)
         print(f"\nwrote {len(records)} records to {path}")
     if args.profile and not failures:
-        # profile separately from the timed repeats (never pollutes wall_s);
-        # reports land next to the per-scenario JSONs
+        # profile separately from the timed repeats (never pollutes wall_s)
         work = runner.expand_all(
             selected, eps=args.eps, seed=args.seed,
             smoke=smoke, workload=args.workload, algorithm=args.algorithm)

@@ -1,11 +1,9 @@
 """JSON result emission and loading for the benchmark harness.
 
-A suite run writes two things:
-
-* ``BENCH_<suite>.json`` at the repo root -- the machine-readable trajectory
-  the regression tooling diffs (``python -m repro.bench compare``), and
-* one ``benchmarks/results/<scenario>.json`` per scenario -- the same records
-  grouped per scenario, next to the historical ``*.txt`` tables.
+A suite run writes one file, ``BENCH_<suite>.json`` at the repo root: the
+machine-readable records the regression tooling diffs (``python -m
+repro.bench compare``).  An eps sweep puts all its records in that one file;
+``compare`` keys records by eps.
 
 ``REPRO_BENCH_ROOT`` overrides repo-root discovery and ``REPRO_BENCH_OUT``
 redirects all output (tests point it at a tmpdir so runs stay side-effect
@@ -72,12 +70,11 @@ def suite_payload(records: Sequence[Mapping[str, object]], suite: str,
 def write_suite(records: Sequence[Mapping[str, object]], suite: str,
                 root: Path = None,
                 meta: Optional[Mapping[str, object]] = None) -> Path:
-    """Write ``BENCH_<suite>.json`` plus per-scenario record files.
+    """Write ``BENCH_<suite>.json``; returns its path.
 
-    ``meta`` (optional) lands as a suite-level ``"meta"`` object in the
-    suite file only -- the CLI records how the suite was executed there
-    (``jobs``, total ``suite_wall_s``), which per-record fields cannot
-    express.  Returns the path of the suite file.
+    ``meta`` (optional) lands as a suite-level ``"meta"`` object -- the CLI
+    records how the suite was executed there (``jobs``, total
+    ``suite_wall_s``), which per-record fields cannot express.
     """
     root = Path(root) if root is not None else output_root()
     root.mkdir(parents=True, exist_ok=True)
@@ -86,19 +83,6 @@ def write_suite(records: Sequence[Mapping[str, object]], suite: str,
         json.dump(suite_payload(records, suite, meta=meta), handle, indent=2,
                   sort_keys=True)
         handle.write("\n")
-
-    results_dir = root / "benchmarks" / "results"
-    if not (root / "benchmarks").is_dir():
-        results_dir = root / "results"
-    results_dir.mkdir(parents=True, exist_ok=True)
-    by_scenario: Dict[str, List[Mapping[str, object]]] = {}
-    for record in records:
-        by_scenario.setdefault(str(record["scenario"]), []).append(record)
-    for name, recs in by_scenario.items():
-        with open(results_dir / f"{name}.json", "w", encoding="utf-8") as handle:
-            json.dump(suite_payload(recs, suite), handle, indent=2,
-                      sort_keys=True)
-            handle.write("\n")
     return suite_path
 
 

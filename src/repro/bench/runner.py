@@ -28,7 +28,7 @@ import platform
 import time
 import traceback
 from datetime import datetime, timezone
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exec.pool import ERROR, OK, TIMEOUT, run_spec_task
 from repro.instrumentation.counters import Counters
@@ -146,22 +146,40 @@ def run_scenario(scenario: Scenario, spec: RunSpec) -> Dict[str, object]:
 
 
 def expand_all(scens: Iterable[Scenario],
+               eps: Optional[Sequence[float]] = None,
                **spec_kwargs) -> List[Tuple[Scenario, RunSpec]]:
     """The deterministic (scenario, spec) work list of a suite run.
 
-    This order is the merge order of every run mode: serial execution walks
-    it directly, and a pooled run reassembles worker results back into it.
+    One spec per scenario and value of ``eps``: scenarios in the order
+    given, each swept over ``eps`` in the order given.  Without ``eps``
+    every scenario gets one spec with ``eps=None`` (its own default).  This
+    order is the merge order of every run mode: serial execution walks it
+    directly, and a pooled run reassembles worker results back into it.
     """
-    return [(scenario, make_spec(scenario, **spec_kwargs))
-            for scenario in scens]
+    sweep = [None] if eps is None else list(eps)
+    return [(scenario, make_spec(scenario, eps=value, **spec_kwargs))
+            for scenario in scens for value in sweep]
+
+
+def suite_label(selection: str, smoke: bool) -> str:
+    """The ``<label>`` of the ``BENCH_<label>.json`` a run writes.
+
+    A run of every scenario (``selection == "all"``) is named by its mode:
+    a smoke run writes ``BENCH_all.json``, the committed baseline the smoke
+    gate compares against, and a full-size run writes the paper-regime
+    records ``BENCH_paper.json``, so it never overwrites that baseline.
+    Any other selection keeps its own label.
+    """
+    return "paper" if selection == "all" and not smoke else selection
 
 
 def profile_specs(work: Iterable[Tuple[Scenario, RunSpec]], out_dir,
                   top: int = 30, echo_top: int = 10) -> List[str]:
     """cProfile one execution of each (scenario, spec); write text reports.
 
-    One ``profile_<scenario>.txt`` per spec lands in ``out_dir``
-    (created on demand), holding the top-``top`` cumulative-time rows --
+    One ``profile_<scenario>.txt`` per spec (with an ``_eps<eps>`` suffix
+    when the spec pins eps) lands in ``out_dir`` (created on demand),
+    holding the top-``top`` cumulative-time rows --
     the artefact future perf PRs cite instead of guessing at hotspots.
     The top-``echo_top`` rows are also echoed to stdout so a CI log shows
     the hotspots without fishing the report file out of the artefacts
@@ -205,10 +223,11 @@ def profile_specs(work: Iterable[Tuple[Scenario, RunSpec]], out_dir,
             for name, calls, total_ns in kernel_rows:
                 buffer.write(f"{name:<24}{calls:>10}{total_ns / 1e6:>12.3f}"
                              f"{total_ns / max(1, calls) / 1e3:>14.3f}\n")
-        path = out / f"profile_{scenario.name}.txt"
+        suffix = "" if spec.eps is None else f"_eps{spec.eps:g}"
+        path = out / f"profile_{scenario.name}{suffix}.txt"
         path.write_text(
             f"# cProfile of scenario {scenario.name!r} "
-            f"(smoke={spec.smoke}, seed={spec.seed}); "
+            f"(smoke={spec.smoke}, eps={spec.eps}, seed={spec.seed}); "
             f"top {top} by cumulative time\n" + buffer.getvalue(),
             encoding="utf-8")
         paths.append(str(path))
@@ -279,6 +298,9 @@ def run_scenarios(scens: Iterable[Scenario], progress=None, jobs: int = 1,
                   resilience: Optional[Dict[str, int]] = None,
                   **spec_kwargs) -> List[Dict[str, object]]:
     """Run every scenario over its expanded specs; returns all records.
+
+    ``spec_kwargs`` are :func:`expand_all`'s: ``eps`` (a sequence of values
+    to sweep) and the :func:`make_spec` fields.
 
     ``jobs`` > 1 executes the expanded specs in a ``ProcessPoolExecutor``
     (each worker returns its record with the spec's ``Counters`` snapshot

@@ -121,7 +121,7 @@ class CongestSimulator:
             if guard is not None:
                 # capture at program return, so a later vertex of the same
                 # round cannot rewrite an already-submitted outbox
-                out = guard.capture_outbox(v, out)
+                out = guard.capture_outbox(v, out, self._fault_round)
             outboxes.append(out)
         total = self._validate_outboxes(outboxes)
 

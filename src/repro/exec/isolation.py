@@ -18,7 +18,9 @@ module checks the property at runtime, at both simulators' barriers:
 * at the next round (and at :meth:`IsolationGuard.verify` / simulator
   ``close()``), the retained originals are re-digested -- any divergence
   means the sender mutated something it had already sent, and raises
-  :class:`IsolationViolation` naming the sender, destination and round.
+  :class:`IsolationViolation` naming the sender, destination and round (the
+  simulator's own 0-based round number, the one its ``FaultPlan`` sites
+  use).
 
 The mode is off by default (digest and deep copy per message are
 measurable); the tier-1 smoke gate enables it via
@@ -68,13 +70,13 @@ class IsolationGuard:
     The simulator calls :meth:`capture_outbox` (CONGEST shape: ``{dest:
     payload}``) on each outbox as it crosses the barrier and delivers the
     returned copies, or :meth:`capture_columns` (MPC shape: a ``dest``
-    column plus int field columns) with the barrier's own copies; it calls
-    :meth:`verify` at the start of the next round and on ``close()``.
+    column plus int field columns) with the barrier's own copies, passing
+    its own round number; it calls :meth:`verify` at the start of the next
+    round and on ``close()``.
     """
 
     def __init__(self, model: str) -> None:
         self.model = model
-        self.round_index = 0
         # (sender, dest, retained original, digest, round captured)
         self._pending: List[Tuple[int, int, object, bytes, int]] = []
         # (sender, retained columns, digest, barrier copies, round captured)
@@ -82,24 +84,27 @@ class IsolationGuard:
             Tuple[int, Sequence[Sequence[int]], bytes, Sequence[Sequence[int]],
                   int]] = []
 
-    def _ship(self, sender: int, dest: int, payload: object) -> object:
+    def _ship(self, sender: int, dest: int, payload: object,
+              rnd: int) -> object:
         self._pending.append((sender, dest, payload,
-                              payload_digest(payload), self.round_index))
+                              payload_digest(payload), rnd))
         return copy.deepcopy(payload)
 
-    def capture_outbox(self, sender: int,
-                       outbox: Dict[int, object]) -> Dict[int, object]:
-        """Isolate one CONGEST outbox; returns the copies to deliver."""
-        return {dest: self._ship(sender, dest, payload)
+    def capture_outbox(self, sender: int, outbox: Dict[int, object],
+                       rnd: int) -> Dict[int, object]:
+        """Isolate one CONGEST outbox sent in round ``rnd``; returns the
+        copies to deliver."""
+        return {dest: self._ship(sender, dest, payload, rnd)
                 for dest, payload in outbox.items()}
 
     def capture_columns(self, sender: int, columns: Sequence[Sequence[int]],
-                        sent: Sequence[Sequence[int]]) -> None:
-        """Retain one MPC outbox: the sender-side ``columns`` (``dest``
-        first) and ``sent``, the barrier's copies of them (taken before
-        any fault picks positions), which name a changed message."""
+                        sent: Sequence[Sequence[int]], rnd: int) -> None:
+        """Retain one MPC outbox sent in round ``rnd``: the sender-side
+        ``columns`` (``dest`` first) and ``sent``, the barrier's copies of
+        them (taken before any fault picks positions), which name a changed
+        message."""
         self._pending_columns.append((sender, columns, payload_digest(columns),
-                                      sent, self.round_index))
+                                      sent, rnd))
 
     def _violation(self, sender: int, dest: object, rnd: int,
                    payload: object, hint: str) -> IsolationViolation:
@@ -113,9 +118,9 @@ class IsolationGuard:
     def verify(self) -> None:
         """Re-digest every retained payload; raise on any mutation.
 
-        Clears the retained set and advances the round index, so each
-        barrier's payloads are checked exactly once -- at the next round or
-        at ``close()``, whichever comes first.
+        Clears the retained set, so each barrier's payloads are checked
+        exactly once -- at the next round or at ``close()``, whichever comes
+        first.
         """
         for sender, dest, payload, digest, rnd in self._pending:
             if payload_digest(payload) != digest:
@@ -133,7 +138,6 @@ class IsolationGuard:
                     "reusing sent columns is a bug; build fresh columns")
         self._pending.clear()
         self._pending_columns.clear()
-        self.round_index += 1
 
 
 def _first_changed(columns: Sequence[Sequence[int]],

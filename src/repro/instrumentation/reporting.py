@@ -1,16 +1,14 @@
-"""Report formatting: plain-text tables and scaling fits for the benchmarks.
+"""Report formatting: the fixed-width text tables of the benchmark CLI.
 
-Every benchmark prints the rows/series the corresponding paper table reports.
-The helpers here keep that output uniform (fixed-width text tables, simple
-power-law fits of measured counts against 1/eps or n so the *shape* of the
-paper's complexity claims can be read off directly).
+``python -m repro.bench`` renders its records (:func:`records_table`), the
+scenario list and the ``compare`` diff with :class:`Table`; the JSON records
+are the data, the tables their human rendering.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 
 @dataclass
@@ -84,36 +82,3 @@ def records_table(records: Sequence[Dict[str, object]],
         table.add_row(record.get("scenario"), "-" if eps is None else eps,
                       bool(params.get("smoke")), record.get("wall_s"), digest)
     return table
-
-
-def geometric_fit(xs: Sequence[float], ys: Sequence[float]) -> Tuple[float, float]:
-    """Least-squares fit ``y ~ a * x^b`` in log-log space; returns ``(a, b)``.
-
-    Used to report the measured exponent of oracle-call counts against 1/eps:
-    the paper claims the exponent drops from ~39-52 (prior frameworks) to ~7
-    for the new framework; the benchmarks report the measured ``b``.
-    Points with non-positive coordinates are ignored.
-    """
-    pts = [(x, y) for x, y in zip(xs, ys) if x > 0 and y > 0]
-    if len(pts) < 2:
-        return (float("nan"), float("nan"))
-    lx = [math.log(x) for x, _ in pts]
-    ly = [math.log(y) for _, y in pts]
-    n = len(pts)
-    mean_x = sum(lx) / n
-    mean_y = sum(ly) / n
-    sxx = sum((x - mean_x) ** 2 for x in lx)
-    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(lx, ly))
-    if sxx == 0:
-        return (float("nan"), float("nan"))
-    b = sxy / sxx
-    a = math.exp(mean_y - b * mean_x)
-    return (a, b)
-
-
-def ratio_series(baseline: Sequence[float], ours: Sequence[float]) -> List[float]:
-    """Element-wise ``baseline / ours`` (inf where ours is 0)."""
-    out = []
-    for b, o in zip(baseline, ours):
-        out.append(float("inf") if o == 0 else b / o)
-    return out

@@ -180,7 +180,8 @@ class MPCSimulator:
                     raise ValueError(f"machine {sender} sent to a machine "
                                      f"outside [0, {machines}): {low}..{high}")
             if guard is not None and count:
-                guard.capture_columns(sender, columns, copies)
+                guard.capture_columns(sender, columns, copies,
+                                      self._fault_round)
             sent.append(copies)
         width = width or 0
         if self._faults is not None:

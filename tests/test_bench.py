@@ -1,15 +1,18 @@
 """Tests for the unified benchmark harness (``repro.bench``).
 
 Covers the registry, the timing runner and its JSON record schema, emission
-round-trips, the compare mode's exit codes, benchmark-module discovery, and
-the tier-1 smoke gate: ``REPRO_BENCH_SMOKE=1 python -m repro.bench run --all
---smoke`` must keep every registered scenario runnable in seconds.
+round-trips, the compare mode's exit codes, benchmark-module discovery, the
+``--eps`` sweep and asserted paper bounds, and the tier-1 smoke gate:
+``REPRO_BENCH_SMOKE=1 python -m repro.bench run --all --smoke`` must keep
+every registered scenario runnable in seconds and every asserted bound
+holding.
 """
 
 import json
 import os
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -24,12 +27,14 @@ from repro.bench import (
     regressions,
     run_scenario,
     scenarios,
+    suite_label,
     suite_names,
     unregister,
     validate_record,
     write_suite,
 )
 from repro.bench import cli
+from repro.bench.compare import record_key
 from repro.instrumentation.counters import Counters
 
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
@@ -201,9 +206,8 @@ class TestResults:
         assert path == tmp_path / "BENCH_tsuite.json"
         loaded = load_records(path)
         assert loaded == records
-        # per-scenario files carry the same records, grouped
-        per = load_records(tmp_path / "results" / "s1.json")
-        assert per == [records[0]]
+        # the suite file is the one output of a run
+        assert [p.name for p in tmp_path.iterdir()] == ["BENCH_tsuite.json"]
 
     def test_validate_rejects_missing_keys(self):
         bad = self._record()
@@ -388,6 +392,127 @@ class TestDiscovery:
         assert cli.main(["run", "--scenario", "_toy", "--smoke",
                          "--faults", "bogus"]) == 2
         assert "fault" in capsys.readouterr().err
+
+
+#: scenarios for the one-harness tests, loaded through
+#: REPRO_BENCH_EXTRA_MODULES so --jobs workers register them too; discovery
+#: puts benchmarks/ on sys.path first, so they use the benchmarks' own
+#: bound helper
+SWEEP_MODULE = textwrap.dedent(
+    """
+    from _common import check_bound
+    from repro.bench import register
+
+    @register("_sweep_a", suite="_sweepsuite")
+    def _sweep_a(spec, counters):
+        return {"eps_seen": spec.resolved_eps()}
+
+    @register("_sweep_b", suite="_sweepsuite")
+    def _sweep_b(spec, counters):
+        return {"eps_seen": spec.resolved_eps()}
+
+    @register("_broken_bound", suite="_claimsuite")
+    def _broken_bound(spec, counters):
+        values = {"size_over_opt": 0.5}
+        check_bound(spec, values, "size_over_opt",
+                    1 / (1 + spec.resolved_eps()))
+        return values
+    """
+)
+
+
+@pytest.fixture
+def sweep_scenarios(tmp_path, monkeypatch):
+    module_path = tmp_path / "sweep_scenarios.py"
+    module_path.write_text(SWEEP_MODULE)
+    monkeypatch.setenv("REPRO_BENCH_EXTRA_MODULES", str(module_path))
+    monkeypatch.setenv("REPRO_BENCH_OUT", str(tmp_path))
+    yield tmp_path
+    for name in ("_sweep_a", "_sweep_b", "_broken_bound"):
+        unregister(name)
+
+
+class TestOneHarness:
+    def test_eps_sweep_is_one_record_per_scenario_and_eps(
+            self, sweep_scenarios, capsys):
+        assert cli.main(["run", "--suite", "_sweepsuite", "--smoke",
+                         "--jobs", "2", "--eps", "0.5", "0.25"]) == 0
+        records = load_records(sweep_scenarios / "BENCH__sweepsuite.json")
+        assert [(r["scenario"], r["params"]["eps"]) for r in records] == [
+            ("_sweep_a", 0.5), ("_sweep_a", 0.25),
+            ("_sweep_b", 0.5), ("_sweep_b", 0.25)]
+        assert [r["counters"]["eps_seen"] for r in records] == [
+            0.5, 0.25, 0.5, 0.25]
+        # one suite file holds the whole sweep: compare keys stay distinct
+        assert len({record_key(r) for r in records}) == 4
+        rows = compare_records(records, records)
+        assert [row["status"] for row in rows] == ["compared"] * 4
+
+        # without --eps a run is one record per scenario at its own eps
+        assert cli.main(["run", "--suite", "_sweepsuite", "--smoke"]) == 0
+        records = load_records(sweep_scenarios / "BENCH__sweepsuite.json")
+        assert [(r["scenario"], r["params"]["eps"]) for r in records] == [
+            ("_sweep_a", None), ("_sweep_b", None)]
+        assert [r["counters"]["eps_seen"] for r in records] == [0.25, 0.25]
+        capsys.readouterr()
+
+    def test_profile_expands_the_eps_sweep(self, sweep_scenarios, capsys):
+        assert cli.main(["run", "--scenario", "_sweep_a", "--smoke",
+                         "--eps", "0.5", "0.25", "--profile"]) == 0
+        reports = sorted(p.name for p in
+                         (sweep_scenarios / "results").glob("profile_*"))
+        assert reports == ["profile__sweep_a_eps0.25.txt",
+                           "profile__sweep_a_eps0.5.txt"]
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_broken_bound_fails_the_run(self, sweep_scenarios, capsys, jobs):
+        # two specs, so --jobs 2 takes the pooled path
+        assert cli.main(["run", "--scenario", "_sweep_a",
+                         "--scenario", "_broken_bound", "--smoke",
+                         "--jobs", jobs]) == 1
+        err = capsys.readouterr().err
+        assert "FAILED _broken_bound" in err
+        assert ("scenario _broken_bound: size_over_opt = 0.5 breaks the "
+                "bound size_over_opt >= 0.8") in err
+        records = load_records(sweep_scenarios / "BENCH_custom.json")
+        assert [r["scenario"] for r in records] == ["_sweep_a"]
+
+    def test_empty_final_graph_meets_the_quality_bound(
+            self, tmp_path, monkeypatch, capsys):
+        # ors_reveal deletes every edge it reveals: the empty matching is
+        # optimal on the final graph, so the asserted bound must hold
+        monkeypatch.setenv("REPRO_BENCH_OUT", str(tmp_path))
+        assert cli.main(["run", "--scenario", "table2_dynamic",
+                         "--scenario", "table2_offline", "--smoke",
+                         "--workload", "ors_reveal"]) == 0
+        records = load_records(tmp_path / "BENCH_custom.json")
+        assert [r["counters"]["size_over_opt"] for r in records] == [1.0, 1.0]
+        capsys.readouterr()
+
+    def test_check_bound_records_the_bound(self):
+        load_benchmark_modules()
+        from _common import BoundViolation, check_bound
+
+        spec = RunSpec(scenario="s", suite="t", eps=0.5)
+        values = {"approx_factor": 3.0}
+        check_bound(spec, values, "approx_factor", 4.0, at_most=True)
+        assert values == {"approx_factor": 3.0, "approx_factor_bound": 4.0}
+        values = {"worst": 1.6}
+        with pytest.raises(BoundViolation, match=r"scenario s: worst = 1.6 "
+                                                 r"breaks the bound worst "
+                                                 r"<= 1.5"):
+            check_bound(spec, values, "worst", 1.5, at_most=True,
+                        bound_key="target")
+        assert values["target"] == 1.5
+
+    def test_all_run_is_named_by_mode(self):
+        # a full-size run of every scenario must not overwrite the committed
+        # smoke baseline BENCH_all.json that the smoke gate compares against
+        assert suite_label("all", smoke=True) == "all"
+        assert suite_label("all", smoke=False) == "paper"
+        assert suite_label("table1", smoke=False) == "table1"
+        assert suite_label("_toy", smoke=True) == "_toy"
 
 
 # --------------------------------------------------------------- smoke gate

@@ -1,11 +1,9 @@
 """Tests for instrumentation counters and reporting."""
 
-import math
-
 import pytest
 
 from repro.instrumentation.counters import Counters
-from repro.instrumentation.reporting import Table, format_table, geometric_fit, ratio_series
+from repro.instrumentation.reporting import Table, format_table
 
 
 class TestCounters:
@@ -70,18 +68,3 @@ class TestReporting:
     def test_format_table_handles_floats(self):
         text = format_table("t", ["v"], [[0.000123], [12345.6]])
         assert "0.000123" in text and "1.23e+04" in text
-
-    def test_geometric_fit_recovers_exponent(self):
-        xs = [2, 4, 8, 16, 32]
-        ys = [3 * x ** 2.5 for x in xs]
-        a, b = geometric_fit(xs, ys)
-        assert b == pytest.approx(2.5, abs=1e-6)
-        assert a == pytest.approx(3.0, rel=1e-6)
-
-    def test_geometric_fit_degenerate(self):
-        a, b = geometric_fit([1], [1])
-        assert math.isnan(b)
-
-    def test_ratio_series(self):
-        assert ratio_series([4, 9], [2, 3]) == [2, 3]
-        assert ratio_series([1], [0]) == [float("inf")]

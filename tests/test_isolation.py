@@ -36,23 +36,22 @@ class TestGuard:
         payload.append(3)
         assert payload_digest(payload) != before
 
-    def test_verify_clears_and_advances_rounds(self):
+    def test_verify_clears_retained_payloads(self):
         guard = IsolationGuard("mpc")
         columns = ([1], [1], [2])
-        guard.capture_columns(0, columns, [list(c) for c in columns])
+        guard.capture_columns(0, columns, [list(c) for c in columns], 0)
         guard.verify()
-        assert guard.round_index == 1
         columns[1][0] = 9  # no longer retained: not a violation
         guard.verify()  # nothing retained: a no-op
-        assert guard.round_index == 2
 
     def test_violation_names_sender_dest_and_round(self):
         guard = IsolationGuard("congest")
         payload = [5]
-        guard.capture_outbox(3, {7: payload})
+        # the round is the caller's (the simulator's) round number
+        guard.capture_outbox(3, {7: payload}, 4)
         payload[0] = -1
         with pytest.raises(IsolationViolation, match=r"sender 3 .* to 7 in "
-                                                     r"round 0"):
+                                                     r"round 4"):
             guard.verify()
 
 
@@ -82,6 +81,18 @@ class TestCongestIsolation:
         sim.round(self._mutating_program(sent))
         sent[0][1] = 99
         with pytest.raises(IsolationViolation):
+            sim.close()
+
+    def test_violation_names_the_simulator_round(self):
+        # rounds are numbered from 0, as the simulator's FaultPlan sites
+        # number them: the send happens in the second round, round 1
+        sim = CongestSimulator(path_graph(3), isolation=True)
+        sim.round(lambda v, state, inbox: {})
+        sent = []
+        sim.round(self._mutating_program(sent))
+        sent[0][1] = 99
+        with pytest.raises(IsolationViolation,
+                           match=r"sender 0 .* to 1 in round 1 "):
             sim.close()
 
     def test_receiver_gets_a_copy_not_the_original(self):
@@ -138,7 +149,7 @@ class TestMPCIsolation:
         columns[2][0] = 8
         with pytest.raises(IsolationViolation,
                            match=r"mpc isolation sanitizer: sender 0 .* "
-                                 r"to 1 in round 1"):
+                                 r"to 1 in round 0 "):
             sim.round([], "t")
 
     def test_violation_names_the_changed_message(self):
@@ -146,10 +157,10 @@ class TestMPCIsolation:
         self._send(sim)
         columns = self._send(sim)
         columns[1][1] = 30
-        # the guard counts the barriers it has verified, so the simulator's
-        # second round is its round 2
+        # rounds are numbered from 0, as the simulator's FaultPlan sites
+        # number them: the second round is round 1
         with pytest.raises(IsolationViolation,
-                           match=r"sender 0 .* to 0 in round 2"):
+                           match=r"sender 0 .* to 0 in round 1 "):
             sim.close()
 
     def test_mutation_after_final_round_raises_at_close(self):

@@ -37,11 +37,26 @@ def test_trace_replay_quickstart_runs():
 
 
 def test_congest_demo_runs():
+    # pins the Corollary A.2 accounting: one raw oracle call, then the
+    # boosted run split into oracle and Aprocess rounds
     result = subprocess.run(
         [sys.executable, str(EXAMPLES_DIR / "congest_demo.py")],
-        capture_output=True, text=True, timeout=300)
+        capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONHASHSEED="0"))
     assert result.returncode == 0, result.stderr
-    assert "Corollary A.2" in result.stdout
+    raw, boosted = ({line.strip() for line in section.splitlines()}
+                    for section in result.stdout.split("\n\n[")[1:3])
+    assert "size   : 54 (factor 1.111)" in raw
+    assert "rounds : 12" in raw
+    assert "msgs   : 2110" in raw
+    assert "boosted to (1+0.25), Corollary A.2]" in boosted
+    assert ("size                  : 60 (factor 1.000, target <= 1.25)"
+            in boosted)
+    assert "oracle invocations    : 18" in boosted
+    assert "CONGEST rounds total  : 1766" in boosted
+    assert "- inside the oracle : 78" in boosted
+    assert ("- Aprocess (struct. aggregation, the extra eps^-3 factor) : "
+            "1688") in boosted
 
 
 def test_mpc_boosting_runs_and_reports_accounting():

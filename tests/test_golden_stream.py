@@ -9,10 +9,11 @@ framework's RNG state must equal the values recorded in
 
 The Section 6 runs are dynamic churn streams and one cold weak-oracle run;
 the Section 5 runs solve one small Table-1-shaped graph with
-``mpc_boosted_matching`` (whose oracle RNG is pinned too) and with
-``boost_matching`` on the default greedy oracle.  Their counters include
-``oracle_vertices_seen`` and ``oracle_edges_seen``, so the size of every
-derived graph handed to the oracle is pinned along with the stream.
+``mpc_boosted_matching`` and ``congest_boosted_matching`` (whose oracle
+RNGs are pinned too) and with ``boost_matching`` on the default greedy
+oracle.  Their counters include ``oracle_vertices_seen`` and
+``oracle_edges_seen``, so the size of every derived graph handed to the
+oracle is pinned along with the stream.
 
 A change that is meant to alter the sampled stream (a deliberate
 re-baseline) rewrites the fixture with
@@ -31,6 +32,7 @@ from unittest import mock
 
 import pytest
 
+from repro.congest import boost_congest
 from repro.core import boosting
 from repro.core.config import ParameterProfile
 from repro.core.dynamic_boosting import WeakOracleBoostingFramework
@@ -95,32 +97,42 @@ class _Recording(boosting.BoostingFramework):
         _Recording.built.append(self)
 
 
+#: the Section 5 wrappers, by the module whose ``BoostingFramework`` each
+#: builds
+STATIC_MODULES = {"mpc": boost_mpc, "congest": boost_congest,
+                  "greedy": boosting}
+
+
 def static_run(wrapper: str, engine: str = "array") -> dict:
     """Solve a small Table-1-shaped graph with ``mpc_boosted_matching``
-    (``"mpc"``) or ``boost_matching`` on the greedy oracle (``"greedy"``)."""
+    (``"mpc"``), ``congest_boosted_matching`` (``"congest"``) or
+    ``boost_matching`` on the greedy oracle (``"greedy"``)."""
     profile = dataclasses.replace(ParameterProfile.practical(EPS),
                                   engine=engine)
     graph = table1_graph(96, 4, seed=0)
     counters = Counters()
-    module = boost_mpc if wrapper == "mpc" else boosting
     _Recording.built = []
-    with mock.patch.object(module, "BoostingFramework", _Recording):
+    with mock.patch.object(STATIC_MODULES[wrapper], "BoostingFramework",
+                           _Recording):
         if wrapper == "mpc":
             matching, _ = boost_mpc.mpc_boosted_matching(
+                graph, EPS, profile=profile, counters=counters, seed=0)
+        elif wrapper == "congest":
+            matching, _ = boost_congest.congest_boosted_matching(
                 graph, EPS, profile=profile, counters=counters, seed=0)
         else:
             matching = boosting.boost_matching(
                 graph, EPS, profile=profile, counters=counters, seed=0)
     (framework,) = _Recording.built
     record = _record(matching, counters, framework.rng)
-    if wrapper == "mpc":
+    if wrapper != "greedy":
         record["oracle_rng_sha256"] = _rng_digest(framework.oracle.inner._rng)
     return record
 
 
 CHURN_RUNS = [(seed, repair) for seed in (0, 1)
               for repair in ("rebuild", "incremental")]
-STATIC_RUNS = ("mpc", "greedy")
+STATIC_RUNS = tuple(STATIC_MODULES)
 
 
 def _key(seed: int, repair: str) -> str:

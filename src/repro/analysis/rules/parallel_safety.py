@@ -1,10 +1,9 @@
 """Rule family ``parallel-safety``: code that diverges across a process boundary.
 
 The bench runner ships each scenario to a process pool
-(``pool.submit(run_spec_task, task)``), and the MPC/CONGEST simulators model
-a network whose messages are copies, not shared objects.  Three bug classes
-behave fine in one process and silently diverge (or crash) once work or
-messages cross a pickling boundary:
+(``pool.submit(run_spec_task, task)``).  Two bug classes behave fine in one
+process and silently diverge (or crash) once work crosses a pickling
+boundary:
 
 * ``exec-escape`` -- a callable shipped through an executor seam
   (``executor.map(fn, tasks)`` / ``pool.submit(fn, task)``) that cannot
@@ -12,16 +11,6 @@ messages cross a pickling boundary:
   pickle, and module-level workers whose *default arguments* construct
   unpicklable state (locks, open files, generators, ``Graph``/simulator
   instances) pickle the reference but re-create divergent state per worker.
-* ``send-aliasing`` -- an MPC/CONGEST program (``program(vertex, state,
-  inbox) -> {neighbor: message}``) returning a mutable payload it retains a
-  reference to.  The in-process exchange shares objects, so a later
-  mutation rewrites the "delivered" message, where a real send would have
-  delivered the pre-mutation value.  Flagged:
-  returning ``state``/``inbox`` themselves, outbox values subscripting
-  ``state``/``inbox``, and locals stored into an outbox then mutated in
-  place after the send point (by source position; the runtime isolation
-  sanitizer in :mod:`repro.exec.isolation` is the behavioural complement
-  for the orders this walk cannot see).
 * ``global-write`` -- a function reachable from a pool worker (the
   ``run_*_task``/``run_*_chunk`` workers plus anything shipped at a seam in
   the same module, closed over same-module calls exactly like
@@ -37,12 +26,10 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set
 
 from repro.analysis.findings import Finding
 from repro.analysis.registry import rule
-
-Pos = Tuple[int, int]
 
 #: substrings of a receiver-chain name that mark an executor ship site
 _SEAM_RECEIVER_MARKERS = ("executor", "pool")
@@ -54,12 +41,6 @@ _UNPICKLABLE_CONSTRUCTORS = frozenset({
     "Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore", "Event",
     "open", "Graph", "MPCSimulator", "CongestSimulator",
 })
-
-#: parameter names that mark a function as an MPC/CONGEST round program
-_PROGRAM_PARAMS = frozenset({"state", "inbox", "items", "local_items",
-                             "storage"})
-#: the subset whose entries must never be aliased into an outbox
-_SHARED_DICT_PARAMS = frozenset({"state", "inbox"})
 
 #: in-place mutators on lists/dicts/sets
 _MUTATING_METHODS = frozenset({
@@ -104,16 +85,6 @@ def _is_seam_call(node: ast.Call) -> bool:
     names = [name.lower() for name in _chain_names(func.value)]
     return any(marker in name
                for name in names for marker in _SEAM_RECEIVER_MARKERS)
-
-
-def _pos(node: ast.AST) -> Pos:
-    return (getattr(node, "lineno", 0), getattr(node, "col_offset", 0))
-
-
-def _iter_function_defs(tree: ast.Module) -> Iterator[ast.FunctionDef]:
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
 
 
 def _own_body_walk(fn: ast.AST) -> Iterator[ast.AST]:
@@ -231,192 +202,6 @@ def check_exec_escape(source) -> Iterator[Finding]:
             visit(child, next_scopes)
 
     visit(source.tree, [])
-    return iter(out)
-
-
-# ---------------------------------------------------------- send-aliasing
-def _program_params(fn: ast.AST) -> Set[str]:
-    args = fn.args
-    names = {a.arg for a in list(args.posonlyargs) + list(args.args)
-             + list(args.kwonlyargs)}
-    return names & _PROGRAM_PARAMS
-
-
-def _send_events(fn: ast.AST) -> List[Tuple[ast.AST, Pos]]:
-    """``(payload_expr, send_position)`` pairs for every outbox value.
-
-    Handles the CONGEST dict shape (``return {nbr: msg}``, ``out[nbr] =
-    msg`` with ``out`` returned) and the MPC list shape (``return [(dest,
-    msg), ...]``, ``out.append((dest, msg))``).
-    """
-    returned_names: Set[str] = set()
-    events: List[Tuple[ast.AST, Pos]] = []
-
-    def payload_of_pair(node: ast.AST) -> Optional[ast.AST]:
-        if isinstance(node, ast.Tuple) and len(node.elts) == 2:
-            return node.elts[1]
-        return None
-
-    for node in _own_body_walk(fn):
-        if not isinstance(node, ast.Return) or node.value is None:
-            continue
-        value = node.value
-        pos = _pos(node)
-        if isinstance(value, ast.Name):
-            returned_names.add(value.id)
-        elif isinstance(value, ast.Dict):
-            events.extend((v, pos) for v in value.values if v is not None)
-        elif isinstance(value, ast.DictComp):
-            events.append((value.value, pos))
-        elif isinstance(value, (ast.List, ast.Tuple)):
-            for elt in value.elts:
-                payload = payload_of_pair(elt)
-                if payload is not None:
-                    events.append((payload, pos))
-        elif isinstance(value, (ast.ListComp, ast.GeneratorExp)):
-            payload = payload_of_pair(value.elt)
-            if payload is not None:
-                events.append((payload, pos))
-
-    if returned_names:
-        for node in _own_body_walk(fn):
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if (isinstance(target, ast.Subscript)
-                            and isinstance(target.value, ast.Name)
-                            and target.value.id in returned_names):
-                        events.append((node.value, _pos(node)))
-            elif (isinstance(node, ast.Call)
-                  and isinstance(node.func, ast.Attribute)
-                  and node.func.attr == "append"
-                  and isinstance(node.func.value, ast.Name)
-                  and node.func.value.id in returned_names
-                  and node.args):
-                payload = payload_of_pair(node.args[0])
-                events.append((payload if payload is not None
-                               else node.args[0], _pos(node)))
-    return events
-
-
-def _mutation_positions(fn: ast.AST, name: str) -> List[Pos]:
-    """Source positions where ``name`` is mutated in place."""
-    out: List[Pos] = []
-    for node in _own_body_walk(fn):
-        if (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _MUTATING_METHODS
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == name):
-            out.append(_pos(node))
-        elif isinstance(node, (ast.Assign, ast.AugAssign)):
-            targets = (node.targets if isinstance(node, ast.Assign)
-                       else [node.target])
-            for target in targets:
-                if (isinstance(target, ast.Subscript)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == name):
-                    out.append(_pos(node))
-                elif (isinstance(node, ast.AugAssign)
-                      and isinstance(target, ast.Name)
-                      and target.id == name):
-                    out.append(_pos(node))
-    return out
-
-
-def _mutable_locals(fn: ast.AST) -> Set[str]:
-    """Names bound to list/dict/set literals, comprehensions or calls."""
-    out: Set[str] = set()
-    for node in _own_body_walk(fn):
-        if not isinstance(node, ast.Assign):
-            continue
-        value = node.value
-        mutable = isinstance(value, (ast.List, ast.Dict, ast.Set,
-                                     ast.ListComp, ast.DictComp, ast.SetComp))
-        if (not mutable and isinstance(value, ast.Call)
-                and isinstance(value.func, ast.Name)
-                and value.func.id in ("list", "dict", "set")):
-            mutable = True
-        if mutable:
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    out.add(target.id)
-    return out
-
-
-def _retained_in_shared(fn: ast.AST, name: str,
-                        shared: Set[str]) -> Optional[ast.AST]:
-    """An assignment storing ``name`` into ``state[...]``/``inbox[...]``."""
-    for node in _own_body_walk(fn):
-        if not isinstance(node, ast.Assign):
-            continue
-        if not (isinstance(node.value, ast.Name) and node.value.id == name):
-            continue
-        for target in node.targets:
-            if (isinstance(target, ast.Subscript)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id in shared):
-                return node
-    return None
-
-
-@rule("send-aliasing", family="parallel-safety",
-      summary="MPC/CONGEST program returns a mutable payload it retains a "
-              "reference to")
-def check_send_aliasing(source) -> Iterator[Finding]:
-    if source.tree is None or not source.in_packages("mpc", "congest"):
-        return iter(())
-    out: List[Finding] = []
-    for fn in _iter_function_defs(source.tree):
-        markers = _program_params(fn)
-        if not markers:
-            continue
-        shared = markers & _SHARED_DICT_PARAMS
-        mutable = _mutable_locals(fn)
-        for payload, send_pos in _send_events(fn):
-            if isinstance(payload, ast.Name) and payload.id in shared:
-                out.append(source.finding(
-                    "send-aliasing", payload,
-                    f"outbox value is the {payload.id!r} dict itself; the "
-                    "receiver would share (and see later mutations of) the "
-                    "sender's own state under serial exchange"))
-                continue
-            base = None
-            if isinstance(payload, ast.Subscript):
-                base = _terminal_name(payload.value)
-            elif (isinstance(payload, ast.Call)
-                  and isinstance(payload.func, ast.Attribute)
-                  and payload.func.attr == "get"):
-                base = _terminal_name(payload.func.value)
-            if base in shared:
-                out.append(source.finding(
-                    "send-aliasing", payload,
-                    f"outbox value aliases a {base!r} entry; serial "
-                    "exchange delivers the shared object, a process pool "
-                    "delivers a pickled copy -- send an immutable tuple or "
-                    "an explicit copy"))
-                continue
-            if not isinstance(payload, ast.Name):
-                continue
-            late = [p for p in _mutation_positions(fn, payload.id)
-                    if p > send_pos]
-            if late:
-                out.append(source.finding(
-                    "send-aliasing", payload,
-                    f"{payload.id!r} is mutated at line {late[0][0]} after "
-                    "being placed in the outbox; the mutation rewrites the "
-                    "serially-delivered message but not the pooled one"))
-                continue
-            if payload.id in mutable:
-                retained = _retained_in_shared(fn, payload.id, shared
-                                               or _SHARED_DICT_PARAMS)
-                if retained is not None:
-                    out.append(source.finding(
-                        "send-aliasing", payload,
-                        f"mutable local {payload.id!r} is both sent and "
-                        f"retained in shared state (line "
-                        f"{_pos(retained)[0]}); a later mutation through "
-                        "the retained reference rewrites the delivered "
-                        "message under serial exchange"))
     return iter(out)
 
 

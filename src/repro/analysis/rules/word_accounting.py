@@ -16,8 +16,8 @@ that
 * charges a ``*_messages`` counter
 
 must reference at least one accounting funnel: ``payload_words``,
-``_check_size``, ``_check_memory`` or ``_validate_outboxes``.  ``__init__``
-(container allocation) is exempt.  This is deliberately a *flow-free*
+``_check_size`` or ``_check_memory``.  ``__init__`` (container allocation)
+is exempt.  This is deliberately a *flow-free*
 contract -- it cannot prove the sizing is correct, only that a send path
 cannot be written without touching the accounting layer at all, which is
 exactly how both PR 3 bugs slipped in.
@@ -36,8 +36,7 @@ _CONTAINER_MARKERS = ("storage", "inbox", "outbox")
 #: counters whose charge implies words crossed machines/edges
 _MESSAGE_COUNTERS = ("mpc_messages", "congest_messages")
 #: the accounting funnels; referencing any one satisfies the contract
-_FUNNELS = ("payload_words", "_check_size", "_check_memory",
-            "_validate_outboxes")
+_FUNNELS = ("payload_words", "_check_size", "_check_memory")
 _MUTATING_METHODS = ("append", "extend", "insert")
 
 

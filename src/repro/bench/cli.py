@@ -32,6 +32,11 @@ from repro.instrumentation.reporting import Table, records_table
 from repro.resilience.faults import FaultPlan
 from repro.resilience.retry import RetryPolicy
 
+#: ``FaultPlan`` fields no bench run applies: the runner consults only the
+#: task faults, and no scenario hands the plan to a maintainer or simulator
+UNAPPLIED_FAULTS = ("update_crash_rate", "crash_updates", "drop_rate",
+                    "duplicate_rate", "reorder_rate")
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -85,9 +90,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="base of the deterministic exponential backoff "
                             "between retry attempts (default 0 = no wait)")
     run_p.add_argument("--faults", default=None, metavar="SPEC",
-                       help="inject a deterministic fault plan, e.g. "
-                            "'seed=7,task_crash_rate=0.5,task_delay_s=0.1' "
-                            "(see repro.resilience.faults.FaultPlan.parse)")
+                       help="inject a deterministic plan of task faults, "
+                            "e.g. 'seed=7,task_crash_rate=0.5,"
+                            "task_delay_s=0.1' (see "
+                            "repro.resilience.faults.FaultPlan.parse)")
     run_p.add_argument("--profile", action="store_true",
                        help="after the timed runs, cProfile one execution "
                             "per spec and write top-N cumulative hotspots to "
@@ -164,6 +170,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    unapplied = [key for key in UNAPPLIED_FAULTS
+                 if faults is not None and key in faults.describe()]
+    if unapplied:
+        print(f"error: --faults sets {', '.join(unapplied)}, which no bench "
+              "run applies; a run injects task faults only (task_crash_rate, "
+              "task_delay_rate, task_delay_s)", file=sys.stderr)
+        return 2
 
     def progress(record):
         params = record["params"]
@@ -202,8 +215,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if resilience:
             # recovery/retry event counts (only ever present when nonzero)
             meta["resilience"] = dict(sorted(resilience.items()))
-        path = results.write_suite(records, runner.suite_label(label, smoke),
-                                   meta=meta)
+        path = results.write_suite(
+            records, runner.suite_label(label, smoke, args.eps), meta=meta)
         print(f"\nwrote {len(records)} records to {path}")
     if args.profile and not failures:
         # profile separately from the timed repeats (never pollutes wall_s)

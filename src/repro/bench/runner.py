@@ -161,16 +161,23 @@ def expand_all(scens: Iterable[Scenario],
             for scenario in scens for value in sweep]
 
 
-def suite_label(selection: str, smoke: bool) -> str:
+def suite_label(selection: str, smoke: bool,
+                eps: Optional[Sequence[float]] = None) -> str:
     """The ``<label>`` of the ``BENCH_<label>.json`` a run writes.
 
     A run of every scenario (``selection == "all"``) is named by its mode:
     a smoke run writes ``BENCH_all.json``, the committed baseline the smoke
     gate compares against, and a full-size run writes the paper-regime
-    records ``BENCH_paper.json``, so it never overwrites that baseline.
-    Any other selection keeps its own label.
+    records ``BENCH_paper.json``, so it never overwrites that baseline.  A
+    smoke run with ``eps`` values keys its records by those values, so it
+    writes ``BENCH_all_eps.json`` and leaves the baseline alone too.  Any
+    other selection keeps its own label.
     """
-    return "paper" if selection == "all" and not smoke else selection
+    if selection != "all":
+        return selection
+    if not smoke:
+        return "paper"
+    return "all_eps" if eps else "all"
 
 
 def profile_specs(work: Iterable[Tuple[Scenario, RunSpec]], out_dir,

@@ -18,8 +18,6 @@ from repro.matching.matching import Matching
 from repro.instrumentation.counters import Counters
 from repro.core.config import ParameterProfile
 from repro.core.boosting import BoostingFramework, OracleDriver
-from repro.core.operations import apply_augmentations
-from repro.core.phase import run_phase
 from repro.core.structures import PhaseState
 from repro.congest.matching_congest import CongestMatchingOracle
 
@@ -67,18 +65,6 @@ def congest_boosted_matching(graph: Graph, eps: float,
     oracle = CongestMatchingOracle(counters=counters, seed=seed)
     framework = BoostingFramework(eps, oracle=oracle, profile=profile,
                                   counters=counters, seed=seed)
-
-    # Reproduce BoostingFramework.run but with the aggregation-charging driver.
-    matching = framework.initial_matching(graph)
     driver = _AggregationChargingDriver(framework.oracle, framework.profile,
                                         counters, rng=framework.rng)
-    for h in framework.profile.scales:
-        for _t in range(framework.profile.phases(h)):
-            counters.add("phases")
-            records = run_phase(graph, matching, framework.profile, h, driver,
-                                counters=counters)
-            gained = apply_augmentations(matching, records)
-            counters.add("matching_gain", gained)
-            if framework.profile.early_exit and gained == 0:
-                break
-    return matching, counters
+    return framework.run(graph, driver=driver), counters

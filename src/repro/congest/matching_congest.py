@@ -19,7 +19,7 @@ cost ``T_matching`` of Corollary A.2.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.graph.graph import Graph
 from repro.instrumentation.counters import Counters
@@ -32,67 +32,65 @@ Edge = Tuple[int, int]
 def congest_approx_matching(graph: Graph, simulator: CongestSimulator,
                             seed: Optional[int] = None,
                             max_iterations: Optional[int] = None) -> List[Edge]:
-    """Randomized maximal matching on ``simulator`` (which wraps ``graph``)."""
+    """Randomized maximal matching on ``simulator`` (which wraps ``graph``).
+
+    Every round is one bulk exchange whose messages carry only the round's
+    tag (``"propose"``, ``"accept"``, ``"matched"``).  ``proposed_to[v]``
+    and ``accepted[v]`` hold what vertex ``v`` sent in this iteration.
+    """
     rng = random.Random(seed)
     n = graph.n
     iterations = max_iterations if max_iterations is not None else 4 * max(1, n).bit_length() + 8
 
-    matched: Dict[int, Optional[int]] = {v: None for v in range(n)}
-    for st in simulator.state:
-        st.clear()
-
+    matched: List[Optional[int]] = [None] * n
     for _it in range(iterations):
-        # round 1: propose to a random unmatched neighbour
-        def propose(v: int, state: dict, inbox: dict):
+        # round 1: every unmatched vertex proposes to a random unmatched
+        # neighbour
+        proposed_to: List[Optional[int]] = [None] * n
+        proposals: List[Optional[Tuple[List[int]]]] = [None] * n
+        for v in range(n):
             if matched[v] is not None:
-                return {}
+                continue
             candidates = [w for w in graph.neighbors(v) if matched[w] is None]
             if not candidates:
-                return {}
-            target = rng.choice(candidates)
-            state["proposed_to"] = target
-            return {target: ("propose",)}
-
-        simulator.round(propose)
-
-        # round 2: accept one proposal and notify the proposer
-        def accept(v: int, state: dict, inbox: dict):
-            if matched[v] is not None:
-                return {}
-            proposers = [sender for sender, msg in inbox.items()
-                         if isinstance(msg, tuple) and msg and msg[0] == "propose"]
-            if not proposers:
-                return {}
-            chosen = min(proposers)
-            state["accepted"] = chosen
-            return {chosen: ("accept",)}
-
-        simulator.round(accept)
-
-        # resolve locally: an edge (u, v) is matched if v accepted u's proposal
-        newly_matched: List[Edge] = []
-        for v in range(n):
-            state = simulator.state[v]
-            accepted_from = state.pop("accepted", None)
-            if accepted_from is None:
-                state.pop("proposed_to", None)
                 continue
-            u = accepted_from
+            target = rng.choice(candidates)
+            proposed_to[v] = target
+            proposals[v] = ([target],)
+        delivered = simulator.round(proposals, "propose")
+
+        # round 2: accept the smallest proposer and notify it
+        accepted: List[Optional[int]] = [None] * n
+        acceptances: List[Optional[Tuple[List[int]]]] = [None] * n
+        for v in range(n):
+            proposers = delivered[v][0]
+            if matched[v] is not None or not proposers:
+                continue
+            chosen = min(proposers)
+            accepted[v] = chosen
+            acceptances[v] = ([chosen],)
+        simulator.round(acceptances, "accept")
+
+        # resolve locally: an edge (u, v) is matched if v accepted u's
+        # proposal.  Each vertex's own turn clears its proposed_to, so a
+        # proposer with a smaller index than its acceptor is already
+        # cleared when the acceptor's turn comes.
+        for v in range(n):
+            u = accepted[v]
+            if u is None:
+                proposed_to[v] = None
+                continue
             if matched[u] is None and matched[v] is None:
-                proposed = simulator.state[u].pop("proposed_to", None)
+                proposed, proposed_to[u] = proposed_to[u], None
                 if proposed == v:
                     matched[u] = v
                     matched[v] = u
-                    newly_matched.append((u, v) if u < v else (v, u))
-            state.pop("proposed_to", None)
+            proposed_to[v] = None
 
         # round 3: matched vertices announce their status
-        def announce(v: int, state: dict, inbox: dict):
-            if matched[v] is None:
-                return {}
-            return {w: ("matched",) for w in graph.neighbors(v)}
-
-        simulator.round(announce)
+        simulator.round([None if matched[v] is None
+                         else (graph.neighbor_list(v),)
+                         for v in range(n)], "matched")
 
         remaining = any(matched[u] is None and matched[v] is None
                         for u, v in graph.edges())

@@ -275,10 +275,18 @@ class BoostingFramework:
         return matching
 
     # -- Theorem 1.1 ---------------------------------------------------------
-    def run(self, graph: Graph, initial: Optional[Matching] = None) -> Matching:
-        """Boost to a (1+eps)-approximate maximum matching of ``graph``."""
+    def run(self, graph: Graph, initial: Optional[Matching] = None,
+            driver: Optional[OracleDriver] = None) -> Matching:
+        """Boost to a (1+eps)-approximate maximum matching of ``graph``.
+
+        ``driver`` simulates the two passes of every phase; the default is
+        an :class:`OracleDriver` on this framework's oracle, profile and
+        rng.  The CONGEST instantiation passes one that also charges
+        Aprocess rounds.
+        """
         matching = initial.copy() if initial is not None else self.initial_matching(graph)
-        driver = OracleDriver(self.oracle, self.profile, rng=self.rng)
+        if driver is None:
+            driver = OracleDriver(self.oracle, self.profile, rng=self.rng)
         # the graph is fixed for the whole run: share the frozen derived
         # views (CSR / sorted neighbours / packed rows) across its phases
         views = FrozenViews()

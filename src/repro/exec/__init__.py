@@ -1,4 +1,4 @@
-"""Execution layer: payload sizing, the isolation sanitizer and the bench pool.
+"""Execution layer: payload sizing, the bulk barrier's columns and the bench pool.
 
 The MPC and CONGEST simulators run every round as a plain in-process loop;
 the paper needs both models only as cost models, so what this package
@@ -7,11 +7,11 @@ shares with them is accounting, not scheduling:
 * :func:`~repro.exec.words.payload_words` -- the word-size convention shared
   by the MPC budget/counter accounting and the CONGEST per-edge message
   limit.
-* :class:`~repro.exec.isolation.IsolationGuard` -- the runtime sanitizer
-  that checksums what crosses a simulator's exchange barrier (delivering
-  deep copies of CONGEST payloads) and raises
-  :class:`~repro.exec.isolation.IsolationViolation` when a sender mutates
-  a payload or column it already sent.
+* :func:`~repro.exec.columns.copy_columns` -- the bulk barrier both
+  simulators' rounds share: every outbox crosses it as int columns copied
+  into ``array('q')``, so a receiver never shares a column with its sender.
+  Message faults pick positions of those copies
+  (:func:`~repro.exec.columns.fault_positions`).
 * :func:`~repro.exec.pool.run_spec_task` -- the picklable worker the bench
   runner's ``--jobs N`` process pool executes.
 
@@ -21,11 +21,8 @@ parallel suite is indistinguishable from a serial one except for wall-clock
 time.
 """
 
-from repro.exec.isolation import IsolationGuard, IsolationViolation
 from repro.exec.words import payload_words
 
 __all__ = [
-    "IsolationGuard",
-    "IsolationViolation",
     "payload_words",
 ]

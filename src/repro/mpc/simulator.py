@@ -12,8 +12,9 @@ itself (in machine order, in this process) and hands all of them to
 :meth:`MPCSimulator.round` at once: a bulk superstep barrier in the sense of
 one-sided bulk exchange (Lazzaro & Hutter, arXiv:1705.10218).  An outbox is
 a ``dest`` column plus one int column per message field; the barrier copies
-the columns, routes them by destination and returns every machine's inbox as
-columns.
+the columns (:func:`~repro.exec.columns.copy_columns`, shared with the
+CONGEST simulator), routes them by destination and returns every machine's
+inbox as columns.
 
 Word accounting: the budget ``S`` and the ``mpc_messages`` counter are in
 *words*.  Every field of a message is an int -- one word by construction,
@@ -32,13 +33,11 @@ from collections import Counter
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.exec import payload_words
-from repro.exec.isolation import resolve_isolation
+from repro.exec.columns import (Columns, Outbox, copy_columns,
+                                fault_positions, take)
 from repro.instrumentation.counters import Counters
-from repro.resilience import faults as faults_mod
 from repro.resilience.faults import FaultPlan
 
-#: one machine's outbox: a ``dest`` column, then one column per int field
-Outbox = Sequence[Sequence[int]]
 #: one machine's inbox: one ``array('q')`` column per int field
 Inbox = Tuple[array, ...]
 
@@ -63,14 +62,6 @@ class MPCSimulator:
     strict:
         When true, exceeding ``S`` raises :class:`MemoryExceeded`; otherwise
         the violation is only recorded in ``mpc_memory_violations``.
-    isolation:
-        Run the isolation sanitizer (:mod:`repro.exec.isolation`): the
-        sender-side columns of every outbox are digested at the exchange
-        barrier and re-digested at the next round / ``close()``, so an
-        algorithm mutating a column it already sent raises
-        :class:`~repro.exec.isolation.IsolationViolation`.  (Receivers
-        always get the barrier's copies.)  ``None`` (default) reads the
-        ``REPRO_EXEC_ISOLATION`` environment flag.
     fault_plan:
         Optional :class:`~repro.resilience.faults.FaultPlan` injecting
         deterministic message faults at the exchange barrier: a sent
@@ -84,7 +75,6 @@ class MPCSimulator:
 
     def __init__(self, num_machines: int, memory_per_machine: Optional[int] = None,
                  counters: Optional[Counters] = None, strict: bool = True,
-                 isolation: Optional[bool] = None,
                  fault_plan: Optional["FaultPlan"] = None) -> None:
         if num_machines <= 0:
             raise ValueError("need at least one machine")
@@ -92,7 +82,6 @@ class MPCSimulator:
         self.memory_per_machine = memory_per_machine
         self.counters = counters if counters is not None else Counters()
         self.strict = strict
-        self._guard = resolve_isolation(isolation, "mpc")
         self._faults = fault_plan
         self._fault_round = 0
         # local storage of each machine: a list of payloads, each sized in
@@ -138,52 +127,27 @@ class MPCSimulator:
         message counts; the delivered words are charged to
         ``mpc_messages``.
         """
-        guard = self._guard
-        if guard is not None:
-            # columns sent at the previous barrier must still digest
-            # identically: any divergence is a mutation-after-send
-            guard.verify()
         machines = self.num_machines
         if len(outboxes) > machines:
             raise ValueError(f"{len(outboxes)} outboxes for {machines} "
                              "machines")
         # the barrier's copies of every sender's columns, validated before
         # anything is delivered
-        sent: List[Optional[List[array]]] = []
-        width = None
-        for sender, columns in enumerate(outboxes):
-            if not columns:
-                sent.append(None)
+        sent, width = copy_columns(outboxes, "machine")
+        for sender, copies in enumerate(sent):
+            if not copies:
                 continue
-            try:
-                copies = [array("q", column) for column in columns]
-            except (TypeError, OverflowError) as exc:
-                raise TypeError(f"machine {sender} sent a field that is not "
-                                f"a 64-bit int: {exc}") from None
-            if len(copies) < 2:
+            if not width:
                 raise ValueError(f"machine {sender} sent no field columns")
-            if width is None:
-                width = len(copies) - 1
-            elif len(copies) - 1 != width:
-                raise ValueError(f"machine {sender} sent {len(copies) - 1} "
-                                 f"fields per message, the round {width}")
-            count = len(copies[0])
-            if any(len(column) != count for column in copies):
-                raise ValueError(f"machine {sender} sent ragged columns "
-                                 f"(lengths {[len(c) for c in copies]})")
+            dest = copies[0]
+            count = len(dest)
             if count:
-                dest = copies[0]
                 low = high = dest[0]
                 if dest.count(low) != count:  # more than one destination
                     low, high = min(dest), max(dest)
                 if low < 0 or high >= machines:
                     raise ValueError(f"machine {sender} sent to a machine "
                                      f"outside [0, {machines}): {low}..{high}")
-            if guard is not None and count:
-                guard.capture_columns(sender, columns, copies,
-                                      self._fault_round)
-            sent.append(copies)
-        width = width or 0
         if self._faults is not None:
             sent = self._apply_message_faults(sent)
         self._fault_round += 1
@@ -214,8 +178,7 @@ class MPCSimulator:
             # a stable sort on the destination keeps each destination's
             # messages in the sender's order
             order = sorted(range(count), key=dest.__getitem__)
-            fields = [array("q", map(column.__getitem__, order))
-                      for column in fields]
+            fields = take(fields, order)
             start = 0
             for target, share in sorted(Counter(dest).items()):
                 stop = start + share
@@ -260,42 +223,32 @@ class MPCSimulator:
         return values
 
     # --------------------------------------------------------------- internal
-    def _apply_message_faults(self, sent: List[Optional[List[array]]]
-                              ) -> List[Optional[List[array]]]:
+    def _apply_message_faults(self, sent: List[Columns]) -> List[Columns]:
         """Rewrite the round's copied outboxes per the fault plan.
 
         A dropped message vanishes before routing; a duplicated one is
         delivered twice in this round; a reordered sender has its surviving
-        messages permuted deterministically.  Faults pick column positions,
-        so the sender-side columns (and the isolation guard's digests of
-        them) are untouched -- faults model the network, not the algorithm.
+        messages permuted deterministically.  Faults pick positions of the
+        barrier's copies (:func:`~repro.exec.columns.fault_positions`), so
+        the sender-side columns are untouched -- faults model the network,
+        not the algorithm.
         """
         plan = self._faults
         round_index = self._fault_round
-        faulted: List[Optional[List[array]]] = []
+        faulted: List[Columns] = []
         for sender, copies in enumerate(sent):
             if not copies:
                 faulted.append(copies)
                 continue
-            kept: List[int] = []
-            for slot, dest in enumerate(copies[0]):
-                action = plan.message_fault("mpc", round_index, sender,
-                                            dest, slot)
-                if action == faults_mod.DROP:
-                    self.counters.add("mpc_faults_dropped")
-                    continue
-                kept.append(slot)
-                if action == faults_mod.DUPLICATE:
-                    self.counters.add("mpc_faults_duplicated")
-                    kept.append(slot)
+            kept = fault_positions(plan, "mpc", round_index, sender,
+                                   copies[0], self.counters)
             if len(kept) > 1 and plan.reorders_round("mpc", round_index,
                                                      sender):
                 self.counters.add("mpc_faults_reordered")
                 order = plan.permutation("mpc", round_index, sender,
                                          len(kept))
                 kept = [kept[j] for j in order]
-            faulted.append([array("q", map(column.__getitem__, kept))
-                            for column in copies])
+            faulted.append(take(copies, kept))
         return faulted
 
     def _violation(self, machine_id: int, amount: int) -> None:
@@ -328,15 +281,6 @@ class MPCSimulator:
                     break
             if words > budget:
                 self._violation(machine_id, words)
-
-    def close(self) -> None:
-        """End the simulation.
-
-        Under isolation the last round's sent columns are verified here, so
-        mutations after the final round still fail loudly.
-        """
-        if self._guard is not None:
-            self._guard.verify()
 
     # ------------------------------------------------------------------ stats
     @property

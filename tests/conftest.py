@@ -6,6 +6,7 @@ from itertools import combinations
 from typing import List, Tuple
 
 import pytest
+from hypothesis import strategies as st
 
 from repro.graph.graph import Graph
 from repro.graph.generators import (
@@ -45,6 +46,21 @@ def brute_force_maximum_matching_size(graph: Graph) -> int:
 
     extend(0, set(), 0)
     return best
+
+
+@st.composite
+def random_graphs(draw, max_n: int = 60, max_pairs: int = 150) -> Graph:
+    """A hypothesis strategy: a graph on 1..``max_n`` vertices with up to
+    ``max_pairs`` random edges (self-loops and repeats dropped)."""
+    n = draw(st.integers(1, max_n))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)),
+                          max_size=max_pairs))
+    graph = Graph(n)
+    for u, v in pairs:
+        if u != v:
+            graph.add_edge(u, v)
+    return graph
 
 
 def small_graph_suite() -> List[Tuple[str, Graph]]:

@@ -353,78 +353,6 @@ class TestExecEscapeFamily:
         assert report.suppressed_count == 1
 
 
-# ---------------------------------------------------------- send-aliasing
-class TestSendAliasingFamily:
-    def test_returning_shared_dict_itself_detected(self, tmp_path):
-        plant(tmp_path, "congest/fx.py", """\
-            def program(v, state, inbox):
-                return {1: state}
-        """)
-        assert "send-aliasing" in new_rules(lint(tmp_path))
-
-    def test_payload_aliasing_state_entry_detected(self, tmp_path):
-        plant(tmp_path, "congest/fx.py", """\
-            def program(v, state, inbox):
-                return {1: state["best"]}
-        """)
-        assert "send-aliasing" in new_rules(lint(tmp_path))
-
-    def test_payload_from_inbox_get_detected(self, tmp_path):
-        plant(tmp_path, "congest/fx.py", """\
-            def program(v, state, inbox):
-                return {1: inbox.get(0)}
-        """)
-        assert "send-aliasing" in new_rules(lint(tmp_path))
-
-    def test_mutation_after_send_detected(self, tmp_path):
-        # the seeded mutation the runtime isolation sanitizer also catches
-        # (tests/test_isolation.py runs the behavioural twin of this code)
-        plant(tmp_path, "congest/fx.py", """\
-            def program(v, state, inbox):
-                out = {}
-                payload = [v]
-                out[1] = payload
-                payload.append(v + 1)
-                return out
-        """)
-        assert "send-aliasing" in new_rules(lint(tmp_path))
-
-    def test_sent_and_retained_mutable_local_detected(self, tmp_path):
-        plant(tmp_path, "mpc/fx.py", """\
-            def shuffle(machine_id, items, state):
-                msgs = [machine_id]
-                state["pending"] = msgs
-                return [(1, msgs)]
-        """)
-        assert "send-aliasing" in new_rules(lint(tmp_path))
-
-    def test_fresh_tuples_and_copies_are_clean(self, tmp_path):
-        plant(tmp_path, "congest/fx.py", """\
-            def program(v, state, inbox):
-                out = {}
-                out[1] = (v, state["round"])
-                out[2] = tuple(inbox.get(0, ()))
-                return out
-        """)
-        assert new_rules(lint(tmp_path)) == set()
-
-    def test_rule_scoped_to_mpc_and_congest(self, tmp_path):
-        plant(tmp_path, "core/fx.py", """\
-            def program(v, state, inbox):
-                return {1: state["best"]}
-        """)
-        assert new_rules(lint(tmp_path)) == set()
-
-    def test_pragma_suppresses(self, tmp_path):
-        plant(tmp_path, "congest/fx.py", """\
-            def program(v, state, inbox):
-                return {1: state["best"]}  # repro: allow[send-aliasing] -- value is a frozen tuple by construction
-        """)
-        report = lint(tmp_path)
-        assert report.new_findings == []
-        assert report.suppressed_count == 1
-
-
 # ------------------------------------------------------------ global-write
 class TestGlobalWriteFamily:
     def test_worker_assigning_declared_global_detected(self, tmp_path):
@@ -668,10 +596,6 @@ def test_parallel_safety_family_detects_planted_fixtures(tmp_path):
         def run_all(executor, tasks):
             return executor.map(lambda t: t + 1, tasks)
     """)
-    plant(tmp_path, "congest/alias_fx.py", """\
-        def program(v, state, inbox):
-            return {1: state["best"]}
-    """)
     plant(tmp_path, "exec/global_fx.py", """\
         _CACHE = {}
 
@@ -685,7 +609,7 @@ def test_parallel_safety_family_detects_planted_fixtures(tmp_path):
         def note_update(self, edges):
             return list(edges)
     """)
-    assert {"exec-escape", "send-aliasing", "global-write",
+    assert {"exec-escape", "global-write",
             "hot-path-alloc"} <= new_rules(lint(tmp_path))
 
 
@@ -910,7 +834,7 @@ class TestCLI:
         for rule_id in ("set-iteration", "word-accounting-bypass",
                         "memo-invalidation-missing",
                         "mirror-write-outside-funnel",
-                        "exec-escape", "send-aliasing", "global-write",
+                        "exec-escape", "global-write",
                         "hot-path-alloc", "swallowed-exception"):
             assert rule_id in out
 
@@ -1143,8 +1067,7 @@ def test_analysis_imports_without_numpy():
         import repro.analysis
         from repro.analysis.registry import all_rules
         ids = {entry.id for entry in all_rules()}
-        need = {"exec-escape", "send-aliasing", "global-write",
-                "hot-path-alloc"}
+        need = {"exec-escape", "global-write", "hot-path-alloc"}
         missing = need - ids
         assert not missing, f"missing rules: {missing}"
         print("ok")

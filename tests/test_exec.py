@@ -1,8 +1,8 @@
 """Tests for the execution layer (``repro.exec``) and its integrations.
 
-Covers the word-size convention, CONGEST message validation, and the bench
-runner's ``--jobs`` path: deterministic records, exact counter merges, and
-per-scenario crash isolation.
+Covers the word-size convention, the bulk barrier's column copies, CONGEST
+message validation, and the bench runner's ``--jobs`` path: deterministic
+records, exact counter merges, and per-scenario crash isolation.
 """
 
 import os
@@ -17,6 +17,7 @@ from repro.exec import payload_words
 from repro.graph.generators import erdos_renyi
 from repro.graph.graph import Graph
 from repro.instrumentation.counters import Counters
+from repro.mpc.simulator import MPCSimulator
 
 
 # -------------------------------------------------------------------- words
@@ -115,81 +116,106 @@ class TestPayloadWordsFastPath:
                                                                 default)
 
 
-# ------------------------------------------------ CONGEST message validation
-class TestCongestValidation:
-    def _flood_program(self, g):
-        def program(v, state, inbox):
-            return {w: (v, w) for w in g.neighbors(v)}
-        return program
+# ------------------------------------------------------------- bulk barrier
+@pytest.mark.parametrize("model", ["mpc", "congest"])
+def test_mutating_a_sent_column_leaves_the_inbox_unchanged(model):
+    # both barriers copy every column: a sender that rewrites or reuses its
+    # columns after the round cannot touch what the receiver holds
+    sim = (MPCSimulator(2) if model == "mpc"
+           else CongestSimulator(Graph(2, [(0, 1)])))
+    dest, field = [1], [7]
+    inboxes = sim.round([(dest, field)], "t")
+    field[0] = -1
+    field.append(8)
+    dest.append(1)
+    assert list(inboxes[1][-1]) == [7]
 
+
+# ------------------------------------------------ CONGEST message validation
+def _flood(g, width=2):
+    """Every vertex messages each neighbour ``w`` with ``width`` fields
+    ``(v, w, w, ...)``."""
+    outboxes = []
+    for v in range(g.n):
+        dest = sorted(g.neighbors(v))
+        outboxes.append((dest, [v] * len(dest),
+                         *[list(dest) for _ in range(width - 1)]))
+    return outboxes
+
+
+class TestCongestValidation:
     def test_rejects_non_neighbor(self):
         g = erdos_renyi(40, 0.2, seed=3)
-        flood = self._flood_program(g)
-
-        def program(v, state, inbox):
-            out = flood(v, state, inbox)
-            if v == 0:
-                non_neighbors = [w for w in range(g.n)
-                                 if w != v and not g.has_edge(v, w)]
-                out[non_neighbors[0]] = ("bad",)
-            return out
-
+        outboxes = _flood(g)
+        bad = next(w for w in range(1, g.n) if not g.has_edge(0, w))
+        for column, value in zip(outboxes[0], (bad, 0, bad)):
+            column.append(value)
         sim = CongestSimulator(g)
-        with pytest.raises(ValueError, match="non-neighbor"):
-            sim.round(program)
+        with pytest.raises(ValueError, match=f"vertex 0 tried to message "
+                                             f"non-neighbor {bad}"):
+            sim.round(outboxes, "flood")
 
     def test_rejects_oversized(self):
         g = erdos_renyi(40, 0.2, seed=3)
-        flood = self._flood_program(g)
-
-        def program(v, state, inbox):
-            out = flood(v, state, inbox)
-            if v == 1:
-                out[next(iter(g.neighbors(v)))] = tuple(range(10))
-            return out
-
         sim = CongestSimulator(g, strict=True)
-        with pytest.raises(MessageTooLarge):
-            sim.round(program)
+        # a 1-word tag and 4 fields: every message of the round is 5 words
+        with pytest.raises(MessageTooLarge, match="5 words"):
+            sim.round(_flood(g, width=4), "flood")
+        sim.round(_flood(g, width=3), "flood")
 
     @pytest.mark.parametrize("strict", [True, False])
     def test_checks_run_in_message_order(self, strict):
-        # vertex 0 sends an oversized message before vertex 10 messages a
-        # non-neighbour: the first offending message decides the error
-        # (non-strict counts the size violation, then the edge raises)
+        # every message of the round is 5 words, and vertex 0's comes
+        # before vertex 10 messages a non-neighbour: the first offending
+        # message decides the error (non-strict counts the size violation,
+        # then the edge raises)
         g = Graph(40)
         g.add_edges((v, v + 1) for v in range(39))
-
-        def program(v, state, inbox):
-            out = {w: (v, w) for w in (v - 1, v + 1) if 0 <= w < 40}
-            if v == 0:
-                out[1] = tuple(range(6))
-            if v == 10:
-                out[30] = (10, 30)
-            return out
-
+        outboxes = [None] * 40
+        outboxes[0] = ([1], [0], [1], [2], [3])
+        outboxes[10] = ([30], [10], [30], [2], [3])
         counters = Counters()
         sim = CongestSimulator(g, counters=counters, strict=strict)
         with pytest.raises(MessageTooLarge if strict else ValueError):
-            sim.round(program)
+            sim.round(outboxes, "t")
         assert counters.as_dict() == {"congest_message_violations": 1.0}
+        # a message's edge is checked before its size
+        counters = Counters()
+        sim = CongestSimulator(g, counters=counters, strict=strict)
+        with pytest.raises(ValueError, match="non-neighbor 30"):
+            sim.round(outboxes[10:], "t")
+        assert counters.as_dict() == {}
+
+    def test_rejects_malformed_columns(self):
+        sim = CongestSimulator(Graph(3, [(0, 1), (1, 2)]))
+        with pytest.raises(ValueError, match="vertex 1 sent ragged"):
+            sim.round([([1], [5]), ([0, 2], [5])], "t")
+        with pytest.raises(ValueError, match="vertex 1 sent 0 fields"):
+            sim.round([([1], [5]), ([0],)], "t")
+        with pytest.raises(TypeError, match="vertex 0 sent a field"):
+            sim.round([([1], [1.5])], "t")
+        with pytest.raises(ValueError, match="4 outboxes for 3 vertices"):
+            sim.round([None] * 4, "t")
+        assert sim.counters.get("congest_rounds") == 0
 
 
 # ---------------------------------------------------- CONGEST size sizing
 class TestCongestSizing:
+    """Every message carries the round's tag, sized with
+    :func:`~repro.exec.payload_words`, plus one word per int field."""
+
     def _sim(self, strict=True):
-        g = erdos_renyi(6, 0.9, seed=0)
+        g = Graph(2, [(0, 1)])
         counters = Counters()
         return CongestSimulator(g, counters=counters, strict=strict), counters
 
     def test_containers_are_sized(self):
         sim, _ = self._sim()
-        with pytest.raises(MessageTooLarge):
-            sim._check_size({"a": 1, "b": 2, "c": 3})  # 6 words
-        with pytest.raises(MessageTooLarge):
-            sim._check_size({1, 2, 3, 4, 5})
-        with pytest.raises(MessageTooLarge):
-            sim._check_size("a very long string payload that is way over")
+        for tag in ({"a": 1, "b": 2, "c": 3},  # 6 words
+                    {1, 2, 3, 4, 5},
+                    "a very long string payload that is way over"):
+            with pytest.raises(MessageTooLarge):
+                sim.round([([1],)], tag)
 
     def test_unknown_payload_rejected_under_strict(self):
         class Opaque:
@@ -197,16 +223,19 @@ class TestCongestSizing:
 
         sim, counters = self._sim(strict=True)
         with pytest.raises(MessageTooLarge, match="cannot size"):
-            sim._check_size(Opaque())
+            sim.round([([1],)], Opaque())
         sim2, counters2 = self._sim(strict=False)
-        sim2._check_size(Opaque())
-        assert counters2.get("congest_message_violations") == 1
+        inboxes = sim2.round([([1],), ([0],)], Opaque())
+        assert counters2.get("congest_message_violations") == 2
+        # non-strict delivers the oversized messages all the same
+        assert [list(inbox[0]) for inbox in inboxes] == [[1], [0]]
 
     def test_small_tuples_still_pass(self):
         sim, counters = self._sim()
-        sim._check_size(("propose",))
-        sim._check_size((1, 2, 3, 4))
-        sim._check_size(3)
+        for tag in ("propose", ("propose",), (1, 2, 3, 4), 3):
+            sim.round([([1],)], tag)
+        # a 1-word tag with 3 fields is exactly the 4-word limit
+        sim.round([([1], [1], [2], [3])], "propose")
         assert counters.get("congest_message_violations") == 0
 
 

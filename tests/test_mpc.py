@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.exec import payload_words
 from repro.graph.generators import erdos_renyi, path_graph
-from repro.graph.graph import Graph
 from repro.matching.blossom import maximum_matching_size
 from repro.matching.matching import Matching
 from repro.matching.verify import certify_approximation
@@ -15,6 +14,8 @@ from repro.instrumentation.counters import Counters
 from repro.mpc.simulator import MPCSimulator, MemoryExceeded
 from repro.mpc.matching_mpc import MPCMatchingOracle, mpc_approx_matching
 from repro.mpc.boost_mpc import mpc_boosted_matching
+
+from conftest import random_graphs
 
 
 def _inbox_messages(inbox):
@@ -295,18 +296,6 @@ def _object_round_matching(graph, num_machines, seed):
     return matching, (rounds, words)
 
 
-@st.composite
-def _graphs(draw):
-    n = draw(st.integers(1, 60))
-    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
-                                    st.integers(0, n - 1)), max_size=150))
-    graph = Graph(n)
-    for u, v in pairs:
-        if u != v:
-            graph.add_edge(u, v)
-    return graph
-
-
 class TestMPCMatching:
     def test_maximal_and_valid(self):
         for seed in range(3):
@@ -319,7 +308,7 @@ class TestMPCMatching:
             assert 2 * m.size >= maximum_matching_size(g)
 
     @settings(max_examples=150, deadline=None)
-    @given(_graphs(), st.integers(1, 7), st.integers(0, 2 ** 31 - 1))
+    @given(random_graphs(), st.integers(1, 7), st.integers(0, 2 ** 31 - 1))
     def test_stream_matches_object_round(self, graph, machines, seed):
         # the same draws in the same order: equal matchings (order
         # included) and equal round and word charges, on any machine count

@@ -3,9 +3,8 @@
 Covers the deterministic :class:`FaultPlan` (site independence, hash-seed
 independence, picklability, the CLI parse grammar, the per-site crash
 bound), the retry/backoff policy, the SIGALRM deadline guard, and message
-faults at both simulator exchange barriers -- including the CONGEST
-duplicate-as-stale-redelivery model, final-round expiry, and coexistence
-with the :class:`~repro.exec.isolation.IsolationGuard` sanitizer.
+faults at both simulator exchange barriers, which pick column positions of
+the barrier's copies at the same sites.
 """
 
 import pickle
@@ -302,9 +301,7 @@ class TestMPCFaults:
             sim = MPCSimulator(num_machines=2, memory_per_machine=64,
                                fault_plan=FaultPlan(seed=9, reorder_rate=1.0))
             order = list(sim.round(fan_out, "fan")[1][0])
-            count = sim.counters.get("mpc_faults_reordered")
-            sim.close()
-            return order, count
+            return order, sim.counters.get("mpc_faults_reordered")
 
         first, count = run()
         again, _ = run()
@@ -337,111 +334,103 @@ class TestMPCFaults:
         sim.round(_MPC_PING, "ping")
         assert "mpc_faults_dropped" not in sim.counters.as_dict()
 
-    def test_faults_coexist_with_isolation_guard(self):
-        sim = MPCSimulator(num_machines=2, memory_per_machine=64,
-                           isolation=True,
-                           fault_plan=FaultPlan(seed=1, duplicate_rate=1.0))
-        sim.round(_MPC_PING, "ping")
-        sim.round(_MPC_PING, "ping")
-        sim.close()  # guard.verify() must not trip over injected duplicates
-        assert sim.counters.get("mpc_faults_duplicated") == 4.0
-
 
 # --------------------------------------------------- CONGEST message faults
-def _congest_broadcast(graph):
-    def program(v, state, inbox):
-        state.setdefault("inboxes", []).append(dict(inbox))
-        return {nbr: (v,) for nbr in graph.neighbors(v)}
-
-    return program
+def _congest_broadcast(graph, stamp=0):
+    """Every vertex sends ``(v, stamp)`` to each neighbour."""
+    outboxes = []
+    for v in range(graph.n):
+        dest = sorted(graph.neighbors(v))
+        outboxes.append((dest, [v] * len(dest), [stamp] * len(dest)))
+    return outboxes
 
 
 class TestCongestFaults:
     def test_drop_empties_inboxes_but_charges_messages(self):
         g = _ring_graph(4)
         sim = CongestSimulator(g, fault_plan=FaultPlan(seed=1, drop_rate=1.0))
-        sim.round(_congest_broadcast(g))
+        inboxes = sim.round(_congest_broadcast(g), "b")
         assert sim.counters.get("congest_faults_dropped") == 8.0
-        assert all(not inbox for inbox in sim._inboxes)
-        # the cost model still charges what the programs sent
+        assert all(not column for inbox in inboxes for column in inbox)
+        # the cost model still charges what the vertices sent
         assert sim.counters.get("congest_messages") == 8.0
-        sim.close()
 
-    def test_duplicate_redelivers_stale_copy_next_round(self):
+    def test_duplicate_delivers_twice_same_round(self):
         g = _ring_graph(4)
         sim = CongestSimulator(g, fault_plan=FaultPlan(seed=1,
                                                        duplicate_rate=1.0))
-        program = _congest_broadcast(g)
-        sim.round(program)
+        inboxes = sim.round(_congest_broadcast(g), "b")
         assert sim.counters.get("congest_faults_duplicated") == 8.0
-        # copies are in flight, not yet visible
-        assert all(len(inbox) == 2 for inbox in sim._inboxes)
-        sim.round(program)
-        assert sim.counters.get("congest_faults_redelivered") == 8.0
-        # fresh same-sender messages overwrite every stale copy
-        assert all(len(inbox) == 2 for inbox in sim._inboxes)
-        sim.close()
-
-    def test_final_round_duplicates_expire_at_close(self):
-        g = _ring_graph(4)
-        sim = CongestSimulator(g, fault_plan=FaultPlan(seed=1,
-                                                       duplicate_rate=1.0))
-        sim.round(_congest_broadcast(g))
-        sim.close()
-        assert sim.counters.get("congest_faults_expired") == 8.0
-        assert not sim._delayed
+        # each copy lands next to its original, in sender order
+        assert [list(inbox[0]) for inbox in inboxes] == [
+            [1, 1, 3, 3], [0, 0, 2, 2], [1, 1, 3, 3], [0, 0, 2, 2]]
+        assert sim.counters.get("congest_messages") == 8.0
 
     def test_stale_copy_loses_to_fresh_message(self):
-        # vertex 0 sends round-stamped payloads; under duplication the copy
-        # of round r must never shadow the round r+1 original
+        # every vertex sends round-stamped payloads; under duplication no
+        # copy of round r may surface in round r+1's inboxes
         g = _ring_graph(4)
         sim = CongestSimulator(g, fault_plan=FaultPlan(seed=3,
                                                        duplicate_rate=1.0))
-        rounds = {"i": 0}
+        sim.round(_congest_broadcast(g, stamp=0), "b")
+        inboxes = sim.round(_congest_broadcast(g, stamp=1), "b")
+        for inbox in inboxes:
+            assert set(inbox[2]) == {1}
 
-        def stamped(v, state, inbox):
-            state["last_seen"] = dict(inbox)
-            return {nbr: (v, rounds["i"]) for nbr in g.neighbors(v)}
-
-        sim.round(stamped)
-        rounds["i"] = 1
-        sim.round(stamped)
-        # after round 2 every inbox holds round-1 payloads, not stale round-0
-        for inbox in sim._inboxes:
-            assert {payload[1] for payload in inbox.values()} == {1}
-        sim.close()
+    def test_faults_pick_column_positions_by_site(self):
+        # the (model, round, sender, dest, slot) sites decide a drop or
+        # duplicate per column position, and the survivors reach their
+        # receivers in sender order
+        plan = FaultPlan(seed=14, drop_rate=0.3, duplicate_rate=0.3)
+        g = Graph(5)
+        g.add_edges((u, v) for u in range(5) for v in range(u + 1, 5))
+        outboxes = [None] * 5
+        outboxes[1] = ([0, 2, 3, 4], [10, 12, 13, 14])
+        outboxes[3] = ([4, 1, 0], [34, 31, 30])
+        sim = CongestSimulator(g, fault_plan=plan)
+        inboxes = sim.round(outboxes, "t")
+        expected = [[] for _ in range(5)]
+        dropped = duplicated = 0
+        for sender in (1, 3):
+            dest, field = outboxes[sender]
+            for slot, target in enumerate(dest):
+                action = plan.message_fault("congest", 0, sender, target,
+                                            slot)
+                copies = {DROP: 0, DUPLICATE: 2}.get(action, 1)
+                dropped += copies == 0
+                duplicated += copies == 2
+                expected[target].extend([(sender, field[slot])] * copies)
+        assert [list(zip(*inbox)) for inbox in inboxes] == expected
+        assert (dropped, duplicated) == (2, 1)
+        assert sim.counters.get("congest_faults_dropped") == dropped
+        assert sim.counters.get("congest_faults_duplicated") == duplicated
+        assert sim.counters.get("congest_messages") == 7.0
 
     def test_reorder_permutes_inbox_iteration_order(self):
         def run():
-            g = _ring_graph(8)
+            g = Graph(6)
+            g.add_edges((0, v) for v in range(1, 6))
             sim = CongestSimulator(g, fault_plan=FaultPlan(seed=5,
                                                            reorder_rate=1.0))
-            sim.round(_congest_broadcast(g))
-            orders = [list(inbox) for inbox in sim._inboxes]
-            count = sim.counters.get("congest_faults_reordered")
-            sim.close()
-            return orders, count
+            outboxes = [None] + [([0], [v]) for v in range(1, 6)]
+            inbox = sim.round(outboxes, "fan")[0]
+            return ([list(column) for column in inbox],
+                    sim.counters.get("congest_faults_reordered"))
 
         first, count = run()
         again, _ = run()
         assert first == again
-        assert count > 0
-
-    def test_faults_coexist_with_isolation_guard(self):
-        g = _ring_graph(4)
-        sim = CongestSimulator(g, isolation=True,
-                               fault_plan=FaultPlan(seed=1,
-                                                    duplicate_rate=1.0))
-        program = _congest_broadcast(g)
-        sim.round(program)
-        sim.round(program)
-        sim.close()  # sender-side digests must survive injected duplication
-        assert sim.counters.get("congest_faults_duplicated") == 16.0
+        assert count == 1.0  # only vertex 0 receives more than one message
+        senders, fields = first
+        assert senders != [1, 2, 3, 4, 5]  # actually permuted
+        assert sorted(senders) == [1, 2, 3, 4, 5]  # nothing lost
+        assert senders == fields  # columns permuted together
 
     def test_no_plan_keeps_historic_delivery(self):
         g = _ring_graph(4)
         sim = CongestSimulator(g)
-        sim.round(_congest_broadcast(g))
-        assert all(len(inbox) == 2 for inbox in sim._inboxes)
+        inboxes = sim.round(_congest_broadcast(g), "b")
+        assert [list(zip(*inbox)) for inbox in inboxes] == [
+            [(1, 1, 0), (3, 3, 0)], [(0, 0, 0), (2, 2, 0)],
+            [(1, 1, 0), (3, 3, 0)], [(0, 0, 0), (2, 2, 0)]]
         assert "congest_faults_dropped" not in sim.counters.as_dict()
-        sim.close()

@@ -170,8 +170,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    unapplied = [key for key in UNAPPLIED_FAULTS
-                 if faults is not None and key in faults.describe()]
+    fault_fields = faults.describe() if faults is not None else {}
+    unapplied = [key for key in UNAPPLIED_FAULTS if key in fault_fields]
     if unapplied:
         print(f"error: --faults sets {', '.join(unapplied)}, which no bench "
               "run applies; a run injects task faults only (task_crash_rate, "

@@ -73,8 +73,9 @@ def congest_approx_matching(graph: Graph, simulator: CongestSimulator,
 
         # resolve locally: an edge (u, v) is matched if v accepted u's
         # proposal.  Each vertex's own turn clears its proposed_to, so a
-        # proposer with a smaller index than its acceptor is already
-        # cleared when the acceptor's turn comes.
+        # proposal accepted by a vertex of larger index than its proposer
+        # is dropped (the proposer's turn came first); changing that moves
+        # the pinned round and message counts.
         for v in range(n):
             u = accepted[v]
             if u is None:

@@ -6,10 +6,10 @@ CONGEST's per-edge limit bounds the words of a single message.  Historically
 each simulator sized payloads ad hoc -- MPC charged one word per *message*
 regardless of size, and CONGEST counted any non-tuple payload (dict, set,
 long string) as a single word -- so oversized payloads evaded both budgets.
-:func:`payload_words` is the single sizing rule both now share: CONGEST
-sizes every message with it, MPC sizes each bulk round's message tag (the
-int fields of an MPC message are one word each by construction) and every
-stored item.
+:func:`payload_words` is the single sizing rule both now share: each
+simulator sizes its bulk round's message tag with it (the int fields of a
+message are one word each by construction), and MPC every stored item and
+broadcast value.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ _BYTES_PER_WORD = 8
 def payload_words(payload: object, default: Optional[int] = None) -> Optional[int]:
     """Size ``payload`` in machine words.
 
-    The convention (matching how the matching programs encode messages):
+    The convention:
 
     * scalars (ints, floats, bools, ``None``) count 1;
     * ``str`` / ``bytes`` count one word per 8 bytes (UTF-8 bytes for
@@ -40,10 +40,10 @@ def payload_words(payload: object, default: Optional[int] = None) -> Optional[in
       caller can reject the payload (CONGEST under ``strict=True``) --
       an unsizable element makes its whole container unsizable.
 
-    Exact ints and ASCII strings of at most 8 characters -- what the
-    CONGEST programs send, alone or in tuples, and the MPC round's message
-    tags -- are sized before the isinstance chain and without the UTF-8
-    encode, both at the top and per item of a container.
+    Exact ints and ASCII strings of at most 8 characters -- the round
+    tags both simulators size, alone or in tuples -- are sized before the
+    isinstance chain and without the UTF-8 encode, both at the top and per
+    item of a container.
     """
     kind = type(payload)
     if kind is int or (kind is str and len(payload) <= 8 and payload.isascii()):

@@ -182,8 +182,9 @@ class TestCongestValidation:
         # a message's edge is checked before its size
         counters = Counters()
         sim = CongestSimulator(g, counters=counters, strict=strict)
-        with pytest.raises(ValueError, match="non-neighbor 30"):
-            sim.round(outboxes[10:], "t")
+        with pytest.raises(ValueError, match="vertex 0 tried to message "
+                                             "non-neighbor 30"):
+            sim.round([([30], [0], [30], [2], [3])], "t")
         assert counters.as_dict() == {}
 
     def test_rejects_malformed_columns(self):

@@ -10,7 +10,8 @@ framework's RNG state must equal the values recorded in
 The Section 6 runs are dynamic churn streams and one cold weak-oracle run;
 the Section 5 runs solve one small Table-1-shaped graph with
 ``mpc_boosted_matching`` and ``congest_boosted_matching`` (whose oracle
-RNGs are pinned too) and with ``boost_matching`` on the default greedy
+RNGs are pinned too), with ``boost_matching`` on the default greedy
+oracle and with the [FMU22]-style baseline ``fmu22_boost`` on the same
 oracle.  Their counters include ``oracle_vertices_seen`` and
 ``oracle_edges_seen``, so the size of every derived graph handed to the
 oracle is pinned along with the stream.
@@ -32,6 +33,7 @@ from unittest import mock
 
 import pytest
 
+from repro.baselines import fmu22
 from repro.congest import boost_congest
 from repro.core import boosting
 from repro.core.config import ParameterProfile
@@ -100,13 +102,14 @@ class _Recording(boosting.BoostingFramework):
 #: the Section 5 wrappers, by the module whose ``BoostingFramework`` each
 #: builds
 STATIC_MODULES = {"mpc": boost_mpc, "congest": boost_congest,
-                  "greedy": boosting}
+                  "greedy": boosting, "fmu22": fmu22}
 
 
 def static_run(wrapper: str, engine: str = "array") -> dict:
     """Solve a small Table-1-shaped graph with ``mpc_boosted_matching``
-    (``"mpc"``), ``congest_boosted_matching`` (``"congest"``) or
-    ``boost_matching`` on the greedy oracle (``"greedy"``)."""
+    (``"mpc"``), ``congest_boosted_matching`` (``"congest"``),
+    ``boost_matching`` on the greedy oracle (``"greedy"``) or
+    ``fmu22_boost`` on the greedy oracle (``"fmu22"``)."""
     profile = dataclasses.replace(ParameterProfile.practical(EPS),
                                   engine=engine)
     graph = table1_graph(96, 4, seed=0)
@@ -120,12 +123,15 @@ def static_run(wrapper: str, engine: str = "array") -> dict:
         elif wrapper == "congest":
             matching, _ = boost_congest.congest_boosted_matching(
                 graph, EPS, profile=profile, counters=counters, seed=0)
+        elif wrapper == "fmu22":
+            matching = fmu22.fmu22_boost(
+                graph, EPS, profile=profile, counters=counters, seed=0)
         else:
             matching = boosting.boost_matching(
                 graph, EPS, profile=profile, counters=counters, seed=0)
     (framework,) = _Recording.built
     record = _record(matching, counters, framework.rng)
-    if wrapper != "greedy":
+    if wrapper not in ("greedy", "fmu22"):
         record["oracle_rng_sha256"] = _rng_digest(framework.oracle.inner._rng)
     return record
 

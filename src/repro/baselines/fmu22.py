@@ -31,9 +31,9 @@ from repro.matching.matching import Matching
 from repro.instrumentation.counters import Counters
 from repro.core.config import ParameterProfile
 from repro.core.boosting import BoostingFramework, OracleDriver, build_structure_graph
-from repro.core.oracles import GreedyMatchingOracle, MatchingOracle
-from repro.core.operations import apply_augmentations, augment_op, overtake_op
-from repro.core.phase import contract_pass, run_phase
+from repro.core.oracles import MatchingOracle
+from repro.core.operations import augment_op, overtake_op
+from repro.core.phase import contract_pass
 from repro.core.structures import PhaseState, StructNode
 
 Edge = Tuple[int, int]
@@ -142,15 +142,5 @@ def fmu22_boost(graph: Graph, eps: float,
     """Run the [FMU22]-style schedule end to end (same outer loop, old driver)."""
     framework = BoostingFramework(eps, oracle=oracle, profile=profile,
                                   counters=counters, seed=seed)
-    matching = framework.initial_matching(graph)
     driver = FMU22Driver(framework.oracle, framework.profile, rng=framework.rng)
-    for h in framework.profile.scales:
-        for _t in range(framework.profile.phases(h)):
-            framework.counters.add("phases")
-            records = run_phase(graph, matching, framework.profile, h, driver,
-                                counters=framework.counters)
-            gained = apply_augmentations(matching, records)
-            framework.counters.add("matching_gain", gained)
-            if framework.profile.early_exit and gained == 0:
-                break
-    return matching
+    return framework.run(graph, driver=driver)

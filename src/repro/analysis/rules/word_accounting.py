@@ -1,11 +1,11 @@
 """Rule family ``word-accounting``: MPC/CONGEST message paths must be sized.
 
-PR 3 fixed two silent budget bypasses: MPC messages were charged one word
-each regardless of payload size, and ``broadcast_round`` skipped the word
-accounting entirely.  Both shared a shape: a function that moves message
-payloads (into machine storage / vertex inboxes) or charges the
-``mpc_messages`` / ``congest_messages`` counters without ever consulting the
-shared word-sizing funnel.
+Two silent budget bypasses once shared one shape: MPC messages were charged
+one word each regardless of payload size, and a clique broadcast skipped
+the word accounting entirely.  In both, a function moved message payloads
+(into machine storage / vertex inboxes) or charged the ``mpc_messages`` /
+``congest_messages`` counters without ever consulting the shared
+word-sizing funnel.
 
 The rule: inside :mod:`repro.mpc` and :mod:`repro.congest`, any function
 that
@@ -15,9 +15,8 @@ that
 * assigns into (or rebinds) a storage/inbox container, or
 * charges a ``*_messages`` counter
 
-must reference at least one accounting funnel: ``payload_words``,
-``_check_size`` or ``_check_memory``.  ``__init__`` (container allocation)
-is exempt.  This is deliberately a *flow-free*
+must reference at least one accounting funnel: ``payload_words`` or
+``_check_memory``.  ``__init__`` (container allocation) is exempt.  This is deliberately a *flow-free*
 contract -- it cannot prove the sizing is correct, only that a send path
 cannot be written without touching the accounting layer at all, which is
 exactly how both PR 3 bugs slipped in.
@@ -36,7 +35,7 @@ _CONTAINER_MARKERS = ("storage", "inbox", "outbox")
 #: counters whose charge implies words crossed machines/edges
 _MESSAGE_COUNTERS = ("mpc_messages", "congest_messages")
 #: the accounting funnels; referencing any one satisfies the contract
-_FUNNELS = ("payload_words", "_check_size", "_check_memory")
+_FUNNELS = ("payload_words", "_check_memory")
 _MUTATING_METHODS = ("append", "extend", "insert")
 
 
@@ -115,6 +114,6 @@ def check_word_accounting(source) -> Iterator[Finding]:
             out.append(source.finding(
                 "word-accounting-bypass", trigger,
                 f"{node.name}() moves message payloads or charges a message "
-                "counter without consulting payload_words/_check_size/"
-                "_check_memory -- words can cross the budget unsized"))
+                "counter without consulting payload_words/_check_memory -- "
+                "words can cross the budget unsized"))
     return iter(out)

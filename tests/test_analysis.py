@@ -177,10 +177,21 @@ class TestWordAccountingFamily:
         plant(tmp_path, "congest/fx.py", """\
             class Sim:
                 def send(self, dest, payload):
-                    self._check_size(payload)
+                    self.budget -= payload_words(payload)
                     self.inboxes[dest].append(payload)
         """)
         assert new_rules(lint(tmp_path)) == set()
+
+    def test_stale_check_size_reference_is_not_a_funnel(self, tmp_path):
+        # neither simulator defines _check_size any more: a function that
+        # merely names it sizes nothing and must not pass the rule
+        plant(tmp_path, "congest/fx.py", """\
+            class Sim:
+                def send(self, dest, payload):
+                    self._check_size(payload)
+                    self.inboxes[dest].append(payload)
+        """)
+        assert "word-accounting-bypass" in new_rules(lint(tmp_path))
 
     def test_counter_charge_without_funnel_detected(self, tmp_path):
         plant(tmp_path, "mpc/fx.py", """\

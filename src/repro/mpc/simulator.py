@@ -197,31 +197,6 @@ class MPCSimulator:
         self._check_memory(incoming)
         return inboxes
 
-    def broadcast_round(self, values_by_machine: Sequence[object]) -> List[object]:
-        """Convenience: every machine publishes one value; all machines see all.
-
-        Costs one round; the clique exchange replicates every value to all
-        ``M`` machines, so it is charged ``M * sum(words(value))`` words and
-        runs through the same word-sized budget checks as :meth:`round`:
-        machine ``i`` sends ``M * words(value_i)`` and every machine receives
-        ``sum(words(value))``, both of which must fit in ``S``.
-        """
-        values = list(values_by_machine)
-        value_words = [payload_words(value, default=1) for value in values]
-        total_value_words = sum(value_words)
-        if self.memory_per_machine is not None:
-            for machine_id, words in enumerate(value_words):
-                sent_words = words * self.num_machines
-                if sent_words > self.memory_per_machine:
-                    self._violation(machine_id, sent_words)
-            if total_value_words > self.memory_per_machine:
-                for machine_id in range(self.num_machines):
-                    self._violation(machine_id, total_value_words)
-        self.counters.add("mpc_rounds")
-        self.counters.add("mpc_messages", self.num_machines * total_value_words)
-        self._check_memory()
-        return values
-
     # --------------------------------------------------------------- internal
     def _apply_message_faults(self, sent: List[Columns]) -> List[Columns]:
         """Rewrite the round's copied outboxes per the fault plan.

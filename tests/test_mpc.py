@@ -196,30 +196,6 @@ class TestSimulator:
         with pytest.raises(ValueError, match="3 outboxes for 2 machines"):
             sim.round([None, None, None], "t")
 
-    def test_broadcast_round_word_accounting_and_memory_check(self):
-        counters = Counters()
-        sim = MPCSimulator(3, counters=counters)
-        values = sim.broadcast_round([(0, 1), (2, 3), (4, 5)])
-        assert values == [(0, 1), (2, 3), (4, 5)]
-        assert counters.get("mpc_rounds") == 1
-        # clique exchange: every 2-word value replicated to all 3 machines
-        assert counters.get("mpc_messages") == 3 * 6
-
-    def test_broadcast_round_enforces_budget(self):
-        # each machine broadcasts a 3-word value to 4 machines (12 words
-        # sent > S = 10)
-        sim = MPCSimulator(4, memory_per_machine=10, strict=True)
-        with pytest.raises(MemoryExceeded):
-            sim.broadcast_round([(1, 2, 3)] * 4)
-
-    def test_broadcast_round_checks_storage_memory(self):
-        counters = Counters()
-        sim = MPCSimulator(2, memory_per_machine=2, strict=False,
-                           counters=counters)
-        sim.storage[0] = [1, 2, 3]  # already over budget
-        sim.broadcast_round([0, 1])
-        assert counters.get("mpc_memory_violations") >= 1
-
     def test_memory_budget_enforced(self):
         sim = MPCSimulator(2, memory_per_machine=2, strict=True)
         with pytest.raises(MemoryExceeded):

@@ -193,43 +193,25 @@ def profile_specs(work: Iterable[Tuple[Scenario, RunSpec]], out_dir,
     (``echo_top=0`` silences the echo).  Profiled executions are separate
     from the timed repeats, so ``wall_s`` in the emitted records is never
     polluted by profiler overhead.  Returns the written paths.
-
-    Packed-bitset kernel timing (:mod:`repro.core.kernels`) is enabled for
-    the profiled execution; any kernels the scenario hit are appended to the
-    report as a per-kernel ``calls / total / per-call`` table.
     """
     import cProfile
     import io
     import pstats
     from pathlib import Path
 
-    from repro.core import kernels
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths: List[str] = []
     for scenario, spec in work:
-        kernels.reset_timings()
-        kernels.enable_timing(True)
         profiler = cProfile.Profile()
         profiler.enable()
         try:
             scenario.fn(spec, Counters())
         finally:
             profiler.disable()
-            kernels.enable_timing(False)
         buffer = io.StringIO()
         stats = pstats.Stats(profiler, stream=buffer)
         stats.sort_stats("cumulative").print_stats(top)
-        kernel_rows = kernels.timing_table()
-        if kernel_rows:
-            buffer.write("\n# packed-bitset kernels, "
-                         "descending by total time\n")
-            buffer.write(f"{'kernel':<24}{'calls':>10}{'total_ms':>12}"
-                         f"{'per_call_us':>14}\n")
-            for name, calls, total_ns in kernel_rows:
-                buffer.write(f"{name:<24}{calls:>10}{total_ns / 1e6:>12.3f}"
-                             f"{total_ns / max(1, calls) / 1e3:>14.3f}\n")
         suffix = "" if spec.eps is None else f"_eps{spec.eps:g}"
         path = out / f"profile_{scenario.name}{suffix}.txt"
         path.write_text(

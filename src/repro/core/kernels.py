@@ -17,20 +17,11 @@ Layout contract
 * ``np.packbits``/``np.unpackbits`` (``bitorder="little"``) are used only at
   the boundaries (:func:`pack_indicator`, :func:`iter_set_bits`); everything
   between operates on whole words.
-
-Timing registry
----------------
-Each public kernel is wrapped by :func:`_timed`; when timing is enabled
-(:func:`enable_timing`, done by ``repro.bench --profile``) every call
-accumulates ``(calls, total_ns)`` into :data:`KERNEL_TIMINGS` so the
-profiler can append a per-kernel table to the hotspot report.  Disabled
-(the default) the overhead is one branch per call.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Callable, Dict, List, Tuple
+from typing import List
 
 import numpy as np
 
@@ -39,60 +30,6 @@ from repro.utils.contracts import hot_path
 #: bits per packed word (the layout contract; do not change casually --
 #: checkpoints and fixtures encode it)
 WORD_BITS = 64
-
-# --------------------------------------------------------------------------
-# timing registry
-# --------------------------------------------------------------------------
-
-#: kernel name -> [calls, total_ns]; mutated only while timing is enabled
-KERNEL_TIMINGS: Dict[str, List[int]] = {}
-
-_TIMING_ENABLED = False
-
-
-def enable_timing(enabled: bool = True) -> None:
-    """Toggle per-kernel call/ns accumulation (used by ``--profile``)."""
-    global _TIMING_ENABLED
-    _TIMING_ENABLED = enabled
-
-
-def reset_timings() -> None:
-    KERNEL_TIMINGS.clear()
-
-
-def timing_table() -> List[Tuple[str, int, int]]:
-    """Snapshot of the registry as ``(kernel, calls, total_ns)`` rows,
-    descending by total time."""
-    rows = [(name, calls, ns) for name, (calls, ns) in KERNEL_TIMINGS.items()]
-    rows.sort(key=lambda row: (-row[2], row[0]))
-    return rows
-
-
-def _timed(fn: Callable) -> Callable:
-    """Wrap a kernel with the (branch-guarded) timing accumulator.
-
-    Applied *outside* :func:`~repro.utils.contracts.hot_path` so the tag
-    lands on the real kernel body, per the contracts-module rule.
-    """
-    name = fn.__name__
-
-    def wrapper(*args, **kwargs):
-        if not _TIMING_ENABLED:
-            return fn(*args, **kwargs)
-        start = time.perf_counter_ns()
-        out = fn(*args, **kwargs)
-        cell = KERNEL_TIMINGS.get(name)
-        if cell is None:
-            cell = KERNEL_TIMINGS[name] = [0, 0]
-        cell[0] += 1
-        cell[1] += time.perf_counter_ns() - start
-        return out
-
-    wrapper.__name__ = name
-    wrapper.__doc__ = fn.__doc__
-    wrapper.__wrapped__ = fn
-    return wrapper
-
 
 # --------------------------------------------------------------------------
 # layout primitives
@@ -170,7 +107,6 @@ def _lowest_set_bits(rows: np.ndarray) -> np.ndarray:
     return np.where(has_any, first, np.int64(-1))
 
 
-@_timed
 @hot_path
 def any_and_rows(rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Per-row predicate ``(row & mask) != 0`` over a packed matrix.
@@ -181,7 +117,6 @@ def any_and_rows(rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return (rows & mask[None, :]).any(axis=1)
 
 
-@_timed
 @hot_path
 def first_set_bits(rows: np.ndarray) -> np.ndarray:
     """Lowest set bit position per row of a packed matrix; -1 for empty rows.
@@ -192,7 +127,6 @@ def first_set_bits(rows: np.ndarray) -> np.ndarray:
     return _lowest_set_bits(rows)
 
 
-@_timed
 @hot_path
 def first_set_bit(words: np.ndarray) -> int:
     """Lowest set bit of a single packed set (-1 if empty)."""
@@ -204,7 +138,6 @@ def first_set_bit(words: np.ndarray) -> int:
     return int(_lowest_set_bits(words.reshape(1, -1))[0])
 
 
-@_timed
 def iter_set_bits(words: np.ndarray) -> List[int]:
     """Ascending bit positions of a packed set.
 
@@ -228,7 +161,6 @@ def iter_set_bits(words: np.ndarray) -> List[int]:
     return out
 
 
-@_timed
 def select_bits(words: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """Boolean gather: whether each of ``indices`` is set in the packed set.
 

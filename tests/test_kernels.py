@@ -144,18 +144,3 @@ def test_uint8_fixture_migration():
                                        field("right").tolist())
         assert [list(edge) for edge in got] == field("matching").tolist()
 
-
-def test_timing_registry_round_trip():
-    kernels.reset_timings()
-    kernels.enable_timing(True)
-    try:
-        words = kernels.pack_indices([1, 5], 70)
-        kernels.first_set_bit(words)
-    finally:
-        kernels.enable_timing(False)
-    names = {row[0] for row in kernels.timing_table()}
-    assert "first_set_bit" in names
-    for name, calls, total_ns in kernels.timing_table():
-        assert calls > 0 and total_ns >= 0
-    kernels.reset_timings()
-    assert kernels.timing_table() == []

@@ -1,11 +1,11 @@
 """Rule family ``resilience``: recovery paths must not swallow errors.
 
 The fault-tolerant execution layer (:mod:`repro.exec`, the bench runner's
-retry/rebuild loop, the checkpoint/restore machinery in
-:mod:`repro.resilience`) is exactly the code where a silent ``except
-Exception: pass`` is most dangerous: a crash the recovery path eats is a
-crash nobody retries, records, or blames, and the suite "passes" with a
-hole in it.  The contract throughout is that a broad handler must *convert*
+per-scenario failure isolation and worker-death re-runs, the
+checkpoint/restore machinery in :mod:`repro.resilience`) is exactly the
+code where a silent ``except Exception: pass`` is most dangerous: a crash
+the recovery path eats is a crash nobody re-runs, records, or blames, and
+the suite "passes" with a hole in it.  The contract throughout is that a broad handler must *convert*
 the failure -- re-raise it, return it as data (the ``(ERROR, traceback)``
 result shape), or feed it to the failure bookkeeping -- never discard it.
 
@@ -22,7 +22,7 @@ resilience-relevant packages whose body does none of:
 
 Typed handlers (``except ValueError``) are out of scope: naming the type is
 already a statement about what is expected.  Intentional swallows -- e.g.
-"this child is already dead, terminating it twice is fine" -- carry a
+"a failed best-effort cache warm-up must not fail the run" -- carry a
 justified ``# repro: allow[swallowed-exception]`` pragma, which is the
 point: the justification is reviewable, the silence is not.
 """

@@ -29,13 +29,6 @@ from typing import List, Optional
 from repro.bench import compare as compare_mod
 from repro.bench import discovery, registry, results, runner
 from repro.instrumentation.reporting import Table, records_table
-from repro.resilience.faults import FaultPlan
-from repro.resilience.retry import RetryPolicy
-
-#: ``FaultPlan`` fields no bench run applies: the runner consults only the
-#: task faults, and no scenario hands the plan to a maintainer or simulator
-UNAPPLIED_FAULTS = ("update_crash_rate", "crash_updates", "drop_rate",
-                    "duplicate_rate", "reorder_rate")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -78,22 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="workload selector for scenarios that offer one")
     run_p.add_argument("--algorithm", default="default",
                        help="algorithm selector for scenarios that offer one")
-    run_p.add_argument("--timeout-s", type=float, default=None,
-                       help="per-scenario wall-clock timeout in seconds; an "
-                            "overrunning scenario becomes a timeout-error "
-                            "record instead of wedging the suite (enforced "
-                            "under --jobs 1 and --jobs N)")
-    run_p.add_argument("--retries", type=int, default=0,
-                       help="re-attempts for a crashed or timed-out spec "
-                            "before it becomes an error record (default 0)")
-    run_p.add_argument("--backoff-s", type=float, default=0.0,
-                       help="base of the deterministic exponential backoff "
-                            "between retry attempts (default 0 = no wait)")
-    run_p.add_argument("--faults", default=None, metavar="SPEC",
-                       help="inject a deterministic plan of task faults, "
-                            "e.g. 'seed=7,task_crash_rate=0.5,"
-                            "task_delay_s=0.1' (see "
-                            "repro.resilience.faults.FaultPlan.parse)")
     run_p.add_argument("--profile", action="store_true",
                        help="after the timed runs, cProfile one execution "
                             "per spec and write top-N cumulative hotspots to "
@@ -160,23 +137,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
         return 2
-    if args.timeout_s is not None and args.timeout_s <= 0:
-        print(f"error: --timeout-s must be > 0, got {args.timeout_s}",
-              file=sys.stderr)
-        return 2
-    try:
-        retry = RetryPolicy(max_retries=args.retries, base_s=args.backoff_s)
-        faults = FaultPlan.parse(args.faults) if args.faults else None
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    fault_fields = faults.describe() if faults is not None else {}
-    unapplied = [key for key in UNAPPLIED_FAULTS if key in fault_fields]
-    if unapplied:
-        print(f"error: --faults sets {', '.join(unapplied)}, which no bench "
-              "run applies; a run injects task faults only (task_crash_rate, "
-              "task_delay_rate, task_delay_s)", file=sys.stderr)
-        return 2
 
     def progress(record):
         params = record["params"]
@@ -184,15 +144,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
               f"wall_s={record['wall_s']:.4f}")
 
     failures = []
-    resilience = {}
     start = time.perf_counter()
     try:
         records = runner.run_scenarios(
             selected, progress=progress, jobs=args.jobs, failures=failures,
-            timeout_s=args.timeout_s, retry=retry, faults=faults,
-            resilience=resilience, eps=args.eps, seed=args.seed,
-            repeats=args.repeats, warmup=args.warmup, smoke=smoke,
-            workload=args.workload, algorithm=args.algorithm)
+            eps=args.eps, seed=args.seed, repeats=args.repeats,
+            warmup=args.warmup, smoke=smoke, workload=args.workload,
+            algorithm=args.algorithm)
     except ValueError as exc:
         # scenarios reject unknown workload/algorithm selectors rather than
         # silently running (and mislabeling) something else
@@ -200,21 +158,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 2
     suite_wall = time.perf_counter() - start
     print("\n" + records_table(records).render())
-    if resilience:
-        summary = ", ".join(f"{key}={resilience[key]}"
-                            for key in sorted(resilience))
-        print(f"resilience: {summary}")
     if not args.no_files and records:
         meta = {"jobs": args.jobs, "suite_wall_s": round(suite_wall, 4)}
-        if args.timeout_s is not None:
-            meta["timeout_s"] = args.timeout_s
-        if args.retries:
-            meta["retries"] = args.retries
-        if faults is not None:
-            meta["fault_plan"] = faults.describe()
-        if resilience:
-            # recovery/retry event counts (only ever present when nonzero)
-            meta["resilience"] = dict(sorted(resilience.items()))
         path = results.write_suite(
             records, runner.suite_label(label, smoke, args.eps), meta=meta)
         print(f"\nwrote {len(records)} records to {path}")

@@ -19,7 +19,7 @@ emitted JSON is identical regardless of ``jobs`` except for ``wall_s`` and
 ``timestamp``.  When the caller opts in by passing a ``failures`` list, a
 failing scenario is isolated into a failure entry instead of aborting the
 suite, in both the serial and the pooled path; without it the first failure
-raises (the historical contract).
+raises.
 """
 
 from __future__ import annotations
@@ -30,28 +30,9 @@ import traceback
 from datetime import datetime, timezone
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.exec.pool import ERROR, OK, TIMEOUT, run_spec_task
+from repro.exec.pool import ERROR, OK, run_spec_task
 from repro.instrumentation.counters import Counters
 from repro.bench.registry import RunSpec, Scenario
-from repro.resilience.faults import FaultPlan
-from repro.resilience.retry import RetryPolicy
-from repro.resilience.timeouts import TaskTimeout, deadline
-
-#: extra wall-clock a pooled worker gets beyond ``timeout_s`` before the
-#: parent declares it hung and terminates the pool (the worker's own SIGALRM
-#: should have fired well within this window)
-HUNG_WORKER_GRACE_S = 5.0
-
-
-class InjectedCrash(RuntimeError):
-    """A :class:`FaultPlan` crash landing in the serial runner.
-
-    A pool worker models a planned crash as ``os._exit`` (a real process
-    death); the serial runner cannot kill itself, so the same fault surfaces
-    as this exception and goes through the identical retry path.
-    """
-
-
 
 
 def make_spec(scenario: Scenario, *, eps: Optional[float] = None,
@@ -230,61 +211,9 @@ def profile_specs(work: Iterable[Tuple[Scenario, RunSpec]], out_dir,
     return paths
 
 
-def _terminate_pool(pool) -> None:
-    """Tear down a pool whose workers cannot be trusted to exit on their own.
-
-    ``shutdown(wait=True)`` on a pool with a hung worker never returns, so
-    the workers are terminated first.  Reaching into ``_processes`` is the
-    only way the stdlib pool exposes its children; the attribute has been
-    stable since 3.3 and the fallback (plain non-waiting shutdown) merely
-    leaks the hung process until interpreter exit.
-    """
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
-        try:
-            process.terminate()
-        except Exception:  # noqa: BLE001  # repro: allow[swallowed-exception] -- terminating an already-dead child raises; the pool is being torn down for a failure that is recorded by the caller
-            pass
-    pool.shutdown(wait=False, cancel_futures=True)
-
-
-def _run_serial_spec(scenario: Scenario, spec: RunSpec,
-                     timeout_s: Optional[float], faults: Optional[FaultPlan],
-                     policy: RetryPolicy, bump) -> Tuple[str, object]:
-    """One spec through the serial path's fault/timeout/retry pipeline."""
-    site = scenario.name  # the fault-plan site, as in pooled workers
-    failures_seen = 0
-    while True:
-        try:
-            if faults is not None:
-                if faults.crashes_task(site, failures_seen):
-                    raise InjectedCrash(
-                        f"fault plan crashed {site} "
-                        f"(attempt {failures_seen})")
-                delay = faults.task_delay(site)
-                if delay > 0:
-                    time.sleep(delay)
-            with deadline(timeout_s, label=f"scenario {scenario.name}"):
-                return (OK, run_scenario(scenario, spec))
-        except (TaskTimeout, InjectedCrash) as exc:
-            bump("timeouts" if isinstance(exc, TaskTimeout)
-                 else "worker_crashes")
-            failures_seen += 1
-            if not policy.retryable(failures_seen):
-                return (ERROR, str(exc))
-            bump("retries")
-            backoff = policy.backoff_s(failures_seen)
-            if backoff > 0:
-                time.sleep(backoff)
-
-
 def run_scenarios(scens: Iterable[Scenario], progress=None, jobs: int = 1,
                   totals: Optional[Counters] = None,
                   failures: Optional[List[Dict[str, str]]] = None,
-                  timeout_s: Optional[float] = None,
-                  retry: Optional[RetryPolicy] = None,
-                  faults: Optional[FaultPlan] = None,
-                  resilience: Optional[Dict[str, int]] = None,
                   **spec_kwargs) -> List[Dict[str, object]]:
     """Run every scenario over its expanded specs; returns all records.
 
@@ -304,42 +233,18 @@ def run_scenarios(scens: Iterable[Scenario], progress=None, jobs: int = 1,
     Failure handling: pass ``failures`` (a list) to isolate a spec whose
     execution raises into an entry (``{"scenario", "error"}``)
     while the rest of the suite completes.  Without it, the first failure
-    raises -- the historical contract; scenarios must never go missing from
-    the result silently.  Spec *expansion* errors (unknown selectors)
-    always raise: they are usage errors, not scenario failures.
+    raises; scenarios must never go missing from the result silently.
+    Spec *expansion* errors (unknown selectors) always raise: they are
+    usage errors, not scenario failures.
 
-    Resilience (see ARCHITECTURE.md "Fault model & recovery"):
-
-    * ``timeout_s`` bounds each spec's wall clock.  Serially (and inside
-      every pool worker) the deadline is a SIGALRM; pooled, the parent
-      additionally enforces ``timeout_s`` plus a queueing allowance plus
-      :data:`HUNG_WORKER_GRACE_S` from outside, terminating a wedged
-      worker the signal could not interrupt.
-    * ``retry`` bounds how often a crashed/timed-out spec is re-attempted
-      (default: never) with the policy's deterministic backoff between
-      attempts.  Only crashes and timeouts retry; a scenario that raises
-      is a bug and fails fast as before.
-    * A hard worker death (``BrokenProcessPool``) no longer aborts the
-      suite: already-finished futures are harvested, the pool is rebuilt,
-      and every unfinished spec re-runs in *isolation* (one single-worker
-      pool at a time) so the breakage is blamed on exactly the spec that
-      caused it -- that spec degrades to an error record, innocent
-      bystanders just re-run.
-    * ``faults`` injects a deterministic
-      :class:`~repro.resilience.faults.FaultPlan` (worker crashes via
-      ``os._exit`` in pool workers, :class:`InjectedCrash` serially, plus
-      straggler delays) -- the chaos path the resilience tests drive.
-    * ``resilience`` (a dict) accumulates event counts: ``worker_crashes``,
-      ``hung_workers``, ``timeouts``, ``retries``, ``pool_rebuilds``,
-      ``isolated_specs``.
+    A worker that dies outright (``os._exit``, a segfault) breaks its
+    pool.  Specs that finished before the break keep their records; every
+    other spec of that pool re-runs alone in a one-worker pool, so a second
+    death is blamed on exactly the spec that caused it (a ``worker died``
+    failure) and the other specs still produce records.
     """
     work = expand_all(scens, **spec_kwargs)
     records: List[Dict[str, object]] = []
-    policy = retry if retry is not None else RetryPolicy()
-    stats: Dict[str, int] = resilience if resilience is not None else {}
-
-    def bump(key: str, amount: int = 1) -> None:
-        stats[key] = stats.get(key, 0) + amount
 
     def handle(scenario: Scenario, tag: str, payload) -> None:
         if tag != OK:
@@ -357,16 +262,10 @@ def run_scenarios(scens: Iterable[Scenario], progress=None, jobs: int = 1,
 
     if jobs <= 1 or len(work) <= 1:
         for scenario, spec in work:
-            if failures is None and faults is None and timeout_s is None:
-                # historical raise-on-error contract: let it propagate as-is
-                handle(scenario, OK, run_scenario(scenario, spec))
-                continue
             try:
-                outcome = _run_serial_spec(scenario, spec, timeout_s, faults,
-                                           policy, bump)
+                outcome = (OK, run_scenario(scenario, spec))
             except Exception:  # noqa: BLE001 - isolate per scenario
                 if failures is None:
-                    # historical raise-on-error contract
                     raise
                 # full traceback, matching what pooled workers ship back
                 outcome = (ERROR, traceback.format_exc())
@@ -374,124 +273,44 @@ def run_scenarios(scens: Iterable[Scenario], progress=None, jobs: int = 1,
         return records
 
     from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures import TimeoutError as FuturesTimeout
+    from concurrent.futures.process import BrokenProcessPool
 
     from repro.bench.results import find_repo_root
 
     root = str(find_repo_root())
-    completed: Dict[int, Tuple[str, object]] = {}
+    outcomes: Dict[int, Tuple[str, object]] = {}
     emitted = 0
 
     def emit_ready() -> None:
-        # stream results to handle() in spec order as they become available
+        # hand outcomes to handle() in spec order as they become available
         nonlocal emitted
-        while emitted < len(work) and emitted in completed:
-            scenario = work[emitted][0]
-            outcome = completed[emitted]
+        while emitted in outcomes:
+            handle(work[emitted][0], *outcomes.pop(emitted))
             emitted += 1
-            handle(scenario, *outcome)
 
-    failures_seen = [0] * len(work)
-
-    def make_task(index: int):
-        scenario, spec = work[index]
-        return (scenario.name, spec, root, timeout_s, faults,
-                failures_seen[index])
-
-    pending = list(range(len(work)))
-    isolate = False  # after a pool breakage: one spec per pool, exact blame
-    while pending:
-        batch, remainder = (pending[:1], pending[1:]) if isolate \
-            else (pending, [])
-        workers = min(jobs, len(batch))
-        pool = ProcessPoolExecutor(max_workers=workers)
-        started = time.monotonic()
-        futures = {i: pool.submit(run_spec_task, make_task(i))
-                   for i in batch}
-        broken = False
-        survivors: List[int] = []
-
-        def note_failure(index: int, kind: str, error: str) -> None:
-            # one definitive failure of spec ``index``: retry or record
-            bump(kind)
-            failures_seen[index] += 1
-            if policy.retryable(failures_seen[index]):
-                bump("retries")
-                survivors.append(index)
-            else:
-                completed[index] = (ERROR, error)
-
-        def walk_one(position: int, i: int) -> bool:
-            """Resolve one future; returns whether the pool broke under it."""
-            scenario = work[i][0]
-            if broken:
-                # the pool is gone; harvest finished results, requeue the rest
-                if futures[i].done():
-                    try:
-                        completed[i] = futures[i].result(timeout=0)
-                        return True
-                    except Exception:  # noqa: BLE001  # repro: allow[swallowed-exception] -- a done-but-raising future in a broken pool means this spec died mid-run; it is requeued in survivors and the crash is re-observed and blamed on the isolated retry
-                        pass
-                survivors.append(i)
-                return True
-            wait: Optional[float] = None
-            if timeout_s is not None:
-                # a queued task waits for up to position // workers
-                # predecessors on its worker, each bounded by timeout_s
-                budget = HUNG_WORKER_GRACE_S + \
-                    timeout_s * (position // workers + 1)
-                wait = max(0.1, started + budget - time.monotonic())
-            try:
-                tag, payload = futures[i].result(timeout=wait)
-            except FuturesTimeout:
-                # the worker's own SIGALRM never fired: it is wedged beyond
-                # signals; only killing the pool reclaims the worker
-                note_failure(i, "hung_workers",
-                             f"scenario {scenario.name!r} exceeded the "
-                             f"{timeout_s:g}s timeout and its worker had to "
-                             "be terminated")
-                return True
-            except Exception as exc:  # noqa: BLE001 - BrokenProcessPool
-                if isolate:
-                    # this spec was alone in the pool: definitively guilty
-                    note_failure(
-                        i, "worker_crashes",
-                        f"worker died running scenario {scenario.name!r}: "
-                        f"{type(exc).__name__}: {exc}")
-                else:
-                    # breakage in a shared pool implicates every unfinished
-                    # spec; blame is resolved by the isolation re-runs
-                    bump("worker_crashes")
-                    survivors.append(i)
-                return True
-            if tag == TIMEOUT:
-                note_failure(i, "timeouts", str(payload))
-            else:
-                completed[i] = (tag, payload)
-            emit_ready()
-            return False
-
+    def run_pool(indices: List[int]) -> List[int]:
+        """Run ``indices`` in one pool; returns those a worker death left
+        without an outcome."""
+        pool = ProcessPoolExecutor(max_workers=min(jobs, len(indices)))
         try:
-            for position, i in enumerate(batch):
-                broken = walk_one(position, i) or broken
-        except BaseException:
-            # handle() raised (failures=None contract) or Ctrl-C: don't
-            # leak live workers behind the propagating exception
-            _terminate_pool(pool)
-            raise
-        if broken:
-            _terminate_pool(pool)
-            bump("pool_rebuilds")
-            if not isolate:
-                bump("isolated_specs", len(survivors) + len(remainder))
-            isolate = True
-        else:
-            pool.shutdown(wait=True)
-        pending = survivors + remainder
-        if pending and survivors:
-            backoff = policy.backoff_s(
-                max(max(failures_seen[i] for i in survivors), 1))
-            if backoff > 0:
-                time.sleep(backoff)
-    emit_ready()
+            futures = [pool.submit(run_spec_task,
+                                   (work[i][0].name, work[i][1], root))
+                       for i in indices]
+            lost: List[int] = []
+            for i, future in zip(indices, futures):
+                try:
+                    outcomes[i] = future.result()
+                except BrokenProcessPool:
+                    lost.append(i)
+                emit_ready()
+            return lost
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
+
+    for i in run_pool(list(range(len(work)))):
+        if run_pool([i]):
+            # alone in its pool, the worker death is this spec's own
+            outcomes[i] = (ERROR, "worker died running scenario "
+                                  f"{work[i][0].name!r}")
+            emit_ready()
     return records

@@ -1,13 +1,12 @@
-"""Fault injection, retry/timeout policies and checkpoint/resume.
+"""Fault injection and checkpoint/resume.
 
 The package splits into two layers:
 
-* **stdlib-only primitives** (:mod:`repro.resilience.faults`,
-  :mod:`repro.resilience.retry`, :mod:`repro.resilience.timeouts`) that the
-  bench runner, its pool worker and the simulators import directly -- they
-  pull in nothing beyond ``hashlib``/``signal``, so threading a
-  :class:`FaultPlan` through ``repro.exec`` or the simulators creates no
-  import cycles;
+* :mod:`repro.resilience.faults` (a deterministic :class:`FaultPlan` of
+  maintainer-update crashes and simulator message faults), which the
+  simulators import directly -- it pulls in nothing beyond the standard
+  library and :mod:`repro.utils`, so threading a plan through
+  ``repro.exec`` or the simulators creates no import cycles;
 * **maintainer checkpointing** (:mod:`repro.resilience.checkpoint`,
   :mod:`repro.resilience.harness`) which depends on ``repro.dynamic`` and
   NumPy and is therefore loaded lazily through module ``__getattr__``.
@@ -16,8 +15,6 @@ The package splits into two layers:
 from __future__ import annotations
 
 from repro.resilience.faults import FaultPlan
-from repro.resilience.retry import RetryPolicy
-from repro.resilience.timeouts import TaskTimeout, deadline
 
 _LAZY = {
     "CheckpointError": "repro.resilience.checkpoint",
@@ -27,8 +24,7 @@ _LAZY = {
     "run_with_recovery": "repro.resilience.harness",
 }
 
-__all__ = ["FaultPlan", "RetryPolicy", "TaskTimeout", "deadline",
-           *sorted(_LAZY)]
+__all__ = ["FaultPlan", *sorted(_LAZY)]
 
 
 def __getattr__(name: str):

@@ -18,8 +18,6 @@ Fault taxonomy (see ARCHITECTURE.md "Fault model & recovery"):
 ========================  ====================================================
 site                      decision
 ========================  ====================================================
-bench task                crash the worker (``crashes_task``) or delay it
-                          (``task_delay``, straggler injection)
 maintainer update         crash the maintainer before applying update ``i``
                           (``crashes_update``) -- the checkpoint/resume
                           harness's fault model
@@ -30,16 +28,15 @@ simulator message         drop / duplicate a message at the exchange barrier
 
 Crash decisions take the current *attempt* number, and any site stops
 crashing once ``attempt >= max_crashes_per_site`` -- an injected fault can
-therefore never live-lock a retry loop or a resumed run.
+therefore never live-lock a resumed run.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.utils.contracts import hot_path
 
@@ -58,10 +55,6 @@ class FaultPlan:
     """
 
     seed: int = 0
-    #: bench-task faults (pool workers / serial runner)
-    task_crash_rate: float = 0.0
-    task_delay_rate: float = 0.0
-    task_delay_s: float = 0.0
     #: dynamic-maintainer faults (checkpoint/resume harness)
     update_crash_rate: float = 0.0
     crash_updates: Tuple[int, ...] = ()
@@ -73,16 +66,13 @@ class FaultPlan:
     max_crashes_per_site: int = 3
 
     def __post_init__(self) -> None:
-        for name in ("task_crash_rate", "task_delay_rate",
-                     "update_crash_rate", "drop_rate", "duplicate_rate",
+        for name in ("update_crash_rate", "drop_rate", "duplicate_rate",
                      "reorder_rate"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
         if self.drop_rate + self.duplicate_rate > 1.0:
             raise ValueError("drop_rate + duplicate_rate must be <= 1")
-        if self.task_delay_s < 0:
-            raise ValueError(f"task_delay_s must be >= 0, got {self.task_delay_s}")
         if self.max_crashes_per_site < 0:
             raise ValueError("max_crashes_per_site must be >= 0")
 
@@ -93,21 +83,6 @@ class FaultPlan:
         blob = "\x1f".join(str(part) for part in (self.seed, *site))
         digest = hashlib.sha256(blob.encode("utf-8")).digest()
         return int.from_bytes(digest[:8], "big") / 2.0 ** 64
-
-    # ------------------------------------------------------------ bench tasks
-    def crashes_task(self, site: str, attempt: int = 0) -> bool:
-        """Whether attempt ``attempt`` of bench task ``site`` hard-crashes."""
-        if attempt >= self.max_crashes_per_site:
-            return False
-        return self._draw("task-crash", site, attempt) < self.task_crash_rate
-
-    def task_delay(self, site: str) -> float:
-        """Straggler delay (seconds) injected before running ``site``."""
-        if self.task_delay_s <= 0:
-            return 0.0
-        if self._draw("task-delay", site) < self.task_delay_rate:
-            return self.task_delay_s
-        return 0.0
 
     # ------------------------------------------------------------ maintainers
     @hot_path
@@ -159,50 +134,3 @@ class FaultPlan:
         order = list(range(count))
         random.Random(int.from_bytes(digest[:8], "big")).shuffle(order)
         return order
-
-    # -------------------------------------------------------------- interface
-    def any_task_faults(self) -> bool:
-        """Whether the plan can affect bench tasks at all."""
-        return self.task_crash_rate > 0 or (
-            self.task_delay_rate > 0 and self.task_delay_s > 0)
-
-    def describe(self) -> Dict[str, object]:
-        """JSON-friendly summary (recorded in BENCH ``meta``)."""
-        out: Dict[str, object] = {}
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            if value != field.default and field.name != "crash_updates":
-                out[field.name] = value
-        if self.crash_updates:
-            out["crash_updates"] = list(self.crash_updates)
-        out.setdefault("seed", self.seed)
-        return out
-
-    @staticmethod
-    def parse(spec: str) -> "FaultPlan":
-        """Build a plan from a ``key=value,key=value`` CLI spec.
-
-        Example: ``"seed=7,task_crash_rate=0.5,task_delay_s=0.1"``.
-        """
-        kwargs: Dict[str, object] = {}
-        fields = {f.name: f for f in dataclasses.fields(FaultPlan)}
-        for part in spec.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            key, sep, raw = part.partition("=")
-            key = key.strip()
-            if not sep or key not in fields:
-                known = ", ".join(sorted(fields))
-                raise ValueError(
-                    f"bad fault spec entry {part!r}; expected key=value with "
-                    f"key in {{{known}}}")
-            raw = raw.strip()
-            if key == "crash_updates":
-                kwargs[key] = tuple(
-                    int(tok) for tok in raw.split("+") if tok)
-            elif key in ("seed", "max_crashes_per_site"):
-                kwargs[key] = int(raw)
-            else:
-                kwargs[key] = float(raw)
-        return FaultPlan(**kwargs)

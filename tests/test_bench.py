@@ -355,71 +355,30 @@ class TestDiscovery:
         assert "-- hotspots: _toy, top 10 by cumulative time --" in out
         assert "cumulative" in out
 
-    def test_run_cli_resilience_flags_land_in_meta(
-            self, toy_scenario, tmp_path, monkeypatch, capsys):
-        """--timeout-s/--retries/--faults are recorded in the suite meta so
-        a BENCH file always says under which execution policy it was made."""
-        monkeypatch.setenv("REPRO_BENCH_OUT", str(tmp_path))
-        assert cli.main(["run", "--scenario", "_toy", "--smoke",
-                         "--timeout-s", "5", "--retries", "2",
-                         "--faults", "seed=3"]) == 0
-        with open(tmp_path / "BENCH__toy.json") as handle:
-            payload = json.load(handle)
-        meta = payload["meta"]
-        assert meta["timeout_s"] == 5.0
-        assert meta["retries"] == 2
-        assert meta["fault_plan"] == {"seed": 3}
-        capsys.readouterr()
-
     def test_run_cli_resilience_flags_off_by_default(
             self, toy_scenario, tmp_path, monkeypatch, capsys):
+        """A run records only how it was parallelised and how long it
+        took; no execution-policy keys ride along in ``meta``."""
         monkeypatch.setenv("REPRO_BENCH_OUT", str(tmp_path))
         assert cli.main(["run", "--scenario", "_toy", "--smoke"]) == 0
         with open(tmp_path / "BENCH__toy.json") as handle:
             meta = json.load(handle)["meta"]
-        assert "timeout_s" not in meta
-        assert "retries" not in meta
-        assert "fault_plan" not in meta
+        assert set(meta) == {"jobs", "suite_wall_s"}
+        assert meta["jobs"] == 1
         capsys.readouterr()
 
-    def test_run_cli_rejects_nonpositive_timeout(self, toy_scenario, capsys):
-        assert cli.main(["run", "--scenario", "_toy", "--smoke",
-                         "--timeout-s", "0"]) == 2
-        assert "--timeout-s must be > 0" in capsys.readouterr().err
-
-    def test_run_cli_rejects_malformed_fault_spec(self, toy_scenario,
-                                                  capsys):
-        assert cli.main(["run", "--scenario", "_toy", "--smoke",
-                         "--faults", "bogus"]) == 2
-        assert "fault" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("entry", [
-        "drop_rate=0.9", "duplicate_rate=0.5", "reorder_rate=0.5",
-        "update_crash_rate=1.0", "crash_updates=3+5"])
-    def test_run_cli_refuses_faults_no_run_applies(
-            self, toy_scenario, tmp_path, monkeypatch, capsys, entry):
+    @pytest.mark.parametrize("flag,value", [
+        ("--timeout-s", "5"), ("--retries", "1"), ("--backoff-s", "1"),
+        ("--faults", "seed=3")])
+    def test_run_cli_rejects_deleted_resilience_flags(
+            self, toy_scenario, tmp_path, monkeypatch, capsys, flag, value):
         monkeypatch.setenv("REPRO_BENCH_OUT", str(tmp_path))
         _scenario, calls = toy_scenario
-        assert cli.main(["run", "--scenario", "_toy", "--smoke",
-                         "--faults", f"seed=3,{entry}"]) == 2
-        key = entry.partition("=")[0]
-        assert f"--faults sets {key}," in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["run", "--scenario", "_toy", "--smoke", flag, value])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         assert calls == [] and not list(tmp_path.iterdir())
-
-    def test_run_cli_accepts_task_faults(self, toy_scenario, tmp_path,
-                                         monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_BENCH_OUT", str(tmp_path))
-        spec = ("seed=3,task_crash_rate=1.0,max_crashes_per_site=1,"
-                "task_delay_rate=1.0,task_delay_s=0.001")
-        assert cli.main(["run", "--scenario", "_toy", "--smoke",
-                         "--retries", "1", "--faults", spec]) == 0
-        with open(tmp_path / "BENCH__toy.json") as handle:
-            meta = json.load(handle)["meta"]
-        assert meta["fault_plan"] == {
-            "seed": 3, "task_crash_rate": 1.0, "max_crashes_per_site": 1,
-            "task_delay_rate": 1.0, "task_delay_s": 0.001}
-        assert meta["resilience"] == {"retries": 1, "worker_crashes": 1}
-        capsys.readouterr()
 
 
 #: scenarios for the one-harness tests, loaded through

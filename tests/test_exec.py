@@ -327,17 +327,12 @@ EXTRA_MODULE = textwrap.dedent(
     def _boom(spec, counters):
         raise RuntimeError("intentional scenario crash")
 
-    # the chaos pair lives in its own suite so suite-wide "_pxsuite" tests
-    # never run them by accident (one sleeps, one kills its worker)
+    # _px_exit lives in its own suite so suite-wide "_pxsuite" tests never
+    # run it by accident (it kills its worker)
     @register("_px_exit", suite="_pxchaos")
     def _exit(spec, counters):
         import os
         os._exit(1)  # segfault stand-in: the worker dies without a result
-
-    @register("_px_hang", suite="_pxchaos")
-    def _hang(spec, counters):
-        import time
-        time.sleep(30)
     """
 )
 
@@ -378,7 +373,7 @@ def parallel_scenarios(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_BENCH_ROOT", str(tmp_path))
     exec(compile(EXTRA_MODULE, str(module_path), "exec"), {})
     yield
-    for name in ("_px_ok", "_px_ok2", "_px_boom", "_px_exit", "_px_hang"):
+    for name in ("_px_ok", "_px_ok2", "_px_boom", "_px_exit"):
         registry.unregister(name)
 
 
@@ -449,7 +444,7 @@ class TestParallelRunner:
 
 
 class TestResilientRunner:
-    """Crash/hang/retry handling in ``run_scenarios`` (the tentpole paths)."""
+    """Worker-death handling in ``run_scenarios``."""
 
     def test_hard_worker_death_does_not_abort_the_suite(
             self, parallel_scenarios):
@@ -459,105 +454,9 @@ class TestResilientRunner:
                  registry.get_scenario("_px_ok"),
                  registry.get_scenario("_px_ok2")]
         failures = []
-        stats = {}
-        records = runner.run_scenarios(scens, jobs=2, failures=failures,
-                                       resilience=stats)
+        records = runner.run_scenarios(scens, jobs=2, failures=failures)
         # both _px_ok scenarios still produced records, in spec order
         assert [r["scenario"] for r in records] == ["_px_ok", "_px_ok2"]
         assert len(failures) == 1
         assert failures[0]["scenario"] == "_px_exit"
         assert "worker died" in failures[0]["error"]
-        assert stats["worker_crashes"] >= 1
-        assert stats["pool_rebuilds"] >= 1
-
-    def test_timeout_under_pool_records_precise_failure(
-            self, parallel_scenarios):
-        scens = [registry.get_scenario("_px_hang"),
-                 registry.get_scenario("_px_ok"),
-                 registry.get_scenario("_px_ok2")]
-        failures = []
-        stats = {}
-        records = runner.run_scenarios(scens, jobs=2, failures=failures,
-                                       timeout_s=1.0, resilience=stats)
-        assert [r["scenario"] for r in records] == ["_px_ok", "_px_ok2"]
-        assert len(failures) == 1
-        assert failures[0]["scenario"] == "_px_hang"
-        assert "deadline" in failures[0]["error"] \
-            or "timeout" in failures[0]["error"]
-        assert stats.get("timeouts", 0) + stats.get("hung_workers", 0) >= 1
-
-    def test_timeout_under_serial_path(self, parallel_scenarios):
-        scens = [registry.get_scenario("_px_hang"),
-                 registry.get_scenario("_px_ok"),
-                 registry.get_scenario("_px_ok2")]
-        failures = []
-        stats = {}
-        records = runner.run_scenarios(scens, jobs=1, failures=failures,
-                                       timeout_s=0.5, resilience=stats)
-        assert [r["scenario"] for r in records] == ["_px_ok", "_px_ok2"]
-        assert len(failures) == 1
-        assert failures[0]["scenario"] == "_px_hang"
-        assert stats["timeouts"] == 1
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_injected_crashes_recover_with_retries(self, parallel_scenarios,
-                                                   jobs):
-        from repro.resilience import FaultPlan, RetryPolicy
-
-        # the plan crashes every attempt up to max_crashes_per_site; with
-        # enough retries every spec eventually lands a record
-        scens = [registry.get_scenario("_px_ok"),
-                 registry.get_scenario("_px_ok2")]
-        failures = []
-        stats = {}
-        records = runner.run_scenarios(
-            scens, jobs=jobs, failures=failures,
-            faults=FaultPlan(seed=3, task_crash_rate=1.0,
-                             max_crashes_per_site=2),
-            retry=RetryPolicy(max_retries=3), resilience=stats)
-        assert not failures
-        assert [r["scenario"] for r in records] == ["_px_ok", "_px_ok2"]
-        if jobs == 1:
-            # serial injection is exact: 2 crashes per scenario site
-            assert stats["worker_crashes"] == 4
-            assert stats["retries"] == 4
-        else:
-            # pooled, a breakage can also implicate the innocent spec
-            # sharing the pool (whether it finished first is timing), so
-            # the count is a floor, not an equality
-            assert stats["worker_crashes"] >= 4
-            assert stats["retries"] >= 4
-
-    def test_injected_crashes_without_retries_fail_the_spec(
-            self, parallel_scenarios):
-        from repro.resilience import FaultPlan
-
-        failures = []
-        records = runner.run_scenarios(
-            [registry.get_scenario("_px_ok"),
-             registry.get_scenario("_px_ok2")], jobs=1, failures=failures,
-            faults=FaultPlan(seed=3, task_crash_rate=1.0))
-        assert not records
-        assert len(failures) == 2  # one per scenario
-        assert all("fault plan crashed" in f["error"] for f in failures)
-
-    def test_fault_injection_is_deterministic_across_jobs(
-            self, parallel_scenarios):
-        from repro.resilience import FaultPlan, RetryPolicy
-
-        # same plan, serial vs pooled: same records, same failed specs.
-        # (Event *counts* are not compared: pooled pool-breakage can
-        # implicate an innocent concurrent spec, which is timing.)
-        outcomes = {}
-        for jobs in (1, 2):
-            failures = []
-            records = runner.run_scenarios(
-                [registry.get_scenario("_px_ok"),
-                 registry.get_scenario("_px_ok2")], jobs=jobs,
-                failures=failures,
-                faults=FaultPlan(seed=5, task_crash_rate=0.6,
-                                 max_crashes_per_site=2),
-                retry=RetryPolicy(max_retries=4), resilience={})
-            outcomes[jobs] = (_strip_timing(records),
-                              [f["scenario"] for f in failures])
-        assert outcomes[1] == outcomes[2]

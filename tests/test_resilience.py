@@ -1,15 +1,12 @@
 """Tests for the fault-injection layer (``repro.resilience``).
 
 Covers the deterministic :class:`FaultPlan` (site independence, hash-seed
-independence, picklability, the CLI parse grammar, the per-site crash
-bound), the retry/backoff policy, the SIGALRM deadline guard, and message
-faults at both simulator exchange barriers, which pick column positions of
-the barrier's copies at the same sites.
+independence, picklability, the per-site crash bound) and message faults at
+both simulator exchange barriers, which pick column positions of the
+barrier's copies at the same sites.
 """
 
 import pickle
-import threading
-import time
 
 import pytest
 
@@ -17,23 +14,21 @@ from repro.congest.simulator import CongestSimulator
 from repro.graph.graph import Graph
 from repro.instrumentation.counters import Counters
 from repro.mpc.simulator import MPCSimulator
-from repro.resilience import FaultPlan, RetryPolicy, TaskTimeout, deadline
+from repro.resilience import FaultPlan
 from repro.resilience.faults import DELIVER, DROP, DUPLICATE
-from repro.resilience.retry import call_with_retries
-from repro.resilience.timeouts import can_enforce_deadlines
 
 
 # ------------------------------------------------------------------ FaultPlan
 class TestFaultPlan:
     def test_decisions_are_deterministic_across_instances(self):
-        a = FaultPlan(seed=7, task_crash_rate=0.5, drop_rate=0.3,
+        a = FaultPlan(seed=7, update_crash_rate=0.5, drop_rate=0.3,
                       duplicate_rate=0.3, reorder_rate=0.5)
-        b = FaultPlan(seed=7, task_crash_rate=0.5, drop_rate=0.3,
+        b = FaultPlan(seed=7, update_crash_rate=0.5, drop_rate=0.3,
                       duplicate_rate=0.3, reorder_rate=0.5)
-        for site in ("s1", "s2", "s3"):
+        for index in range(3):
             for attempt in range(3):
-                assert a.crashes_task(site, attempt) == \
-                    b.crashes_task(site, attempt)
+                assert a.crashes_update(index, attempt) == \
+                    b.crashes_update(index, attempt)
         for rnd in range(4):
             for sender in range(4):
                 for dest in range(4):
@@ -50,17 +45,18 @@ class TestFaultPlan:
 
     def test_sites_are_independent(self):
         # one site's decision never depends on which other sites were asked
-        plan = FaultPlan(seed=3, task_crash_rate=0.5)
-        before = plan.crashes_task("x:adjset", 0)
+        plan = FaultPlan(seed=3, update_crash_rate=0.5, drop_rate=0.5)
+        before = (plan.crashes_update(7, 0),
+                  plan.message_fault("mpc", 1, 2, 3, 0))
         for i in range(50):
-            plan.crashes_task(f"other-{i}", 0)
-        assert plan.crashes_task("x:adjset", 0) == before
+            plan.crashes_update(100 + i, 0)
+            plan.message_fault("mpc", 1, 2, 3, 1 + i)
+        assert (plan.crashes_update(7, 0),
+                plan.message_fault("mpc", 1, 2, 3, 0)) == before
 
     def test_crash_bound_guarantees_progress(self):
-        plan = FaultPlan(seed=0, task_crash_rate=1.0, update_crash_rate=1.0,
+        plan = FaultPlan(seed=0, update_crash_rate=1.0,
                          max_crashes_per_site=3)
-        assert [plan.crashes_task("s", a) for a in range(5)] == \
-            [True, True, True, False, False]
         assert [plan.crashes_update(9, a) for a in range(5)] == \
             [True, True, True, False, False]
 
@@ -105,162 +101,29 @@ class TestFaultPlan:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="must be in"):
-            FaultPlan(task_crash_rate=1.5)
+            FaultPlan(update_crash_rate=1.5)
         with pytest.raises(ValueError, match="drop_rate"):
             FaultPlan(drop_rate=0.6, duplicate_rate=0.6)
-        with pytest.raises(ValueError, match="task_delay_s"):
-            FaultPlan(task_delay_s=-1)
+        with pytest.raises(ValueError, match="max_crashes_per_site"):
+            FaultPlan(max_crashes_per_site=-1)
 
     def test_plan_is_frozen_and_picklable(self):
-        plan = FaultPlan(seed=5, task_crash_rate=0.25, crash_updates=(1, 2))
+        plan = FaultPlan(seed=5, update_crash_rate=0.25, drop_rate=0.25,
+                         crash_updates=(1, 2))
         with pytest.raises(dataclasses_error()):
             plan.seed = 6
         clone = pickle.loads(pickle.dumps(plan))
         assert clone == plan
-        assert clone.crashes_task("s", 0) == plan.crashes_task("s", 0)
-
-    def test_parse_round_trips_cli_spec(self):
-        plan = FaultPlan.parse(
-            "seed=7, task_crash_rate=0.5, crash_updates=3+9, "
-            "max_crashes_per_site=2")
-        assert plan.seed == 7
-        assert plan.task_crash_rate == 0.5
-        assert plan.crash_updates == (3, 9)
-        assert plan.max_crashes_per_site == 2
-
-    def test_parse_rejects_unknown_keys(self):
-        with pytest.raises(ValueError, match="bad fault spec"):
-            FaultPlan.parse("bogus=1")
-        with pytest.raises(ValueError, match="bad fault spec"):
-            FaultPlan.parse("seed")
-
-    def test_describe_lists_only_non_defaults_plus_seed(self):
-        assert FaultPlan(seed=4).describe() == {"seed": 4}
-        described = FaultPlan(seed=4, drop_rate=0.5,
-                              crash_updates=(2,)).describe()
-        assert described == {"seed": 4, "drop_rate": 0.5,
-                             "crash_updates": [2]}
-
-    def test_any_task_faults(self):
-        assert not FaultPlan().any_task_faults()
-        assert FaultPlan(task_crash_rate=0.1).any_task_faults()
-        assert not FaultPlan(task_delay_rate=1.0).any_task_faults()  # no delay_s
-        assert FaultPlan(task_delay_rate=1.0, task_delay_s=0.1).any_task_faults()
+        assert [clone.crashes_update(i, 0) for i in range(8)] == \
+            [plan.crashes_update(i, 0) for i in range(8)]
+        assert clone.message_fault("congest", 0, 1, 2, 0) == \
+            plan.message_fault("congest", 0, 1, 2, 0)
 
 
 def dataclasses_error():
     import dataclasses
 
     return dataclasses.FrozenInstanceError
-
-
-# ---------------------------------------------------------------- RetryPolicy
-class TestRetryPolicy:
-    def test_backoff_schedule_is_deterministic_and_capped(self):
-        policy = RetryPolicy(max_retries=4, base_s=1.0, multiplier=2.0,
-                             cap_s=5.0)
-        assert list(policy.schedule()) == [1.0, 2.0, 4.0, 5.0]
-        assert policy.attempts == 5
-        assert policy.retryable(4) and not policy.retryable(5)
-
-    def test_zero_retries_never_retries(self):
-        policy = RetryPolicy()
-        assert policy.attempts == 1
-        assert not policy.retryable(1)
-        assert list(policy.schedule()) == []
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_retries=-1)
-        with pytest.raises(ValueError):
-            RetryPolicy(base_s=-0.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(max_retries=1, multiplier=0.5)
-
-    def test_call_with_retries_retries_then_succeeds(self):
-        sleeps = []
-        attempts = []
-
-        def flaky(failures):
-            attempts.append(failures)
-            if failures < 2:
-                raise RuntimeError("boom")
-            return "done"
-
-        result = call_with_retries(
-            flaky, RetryPolicy(max_retries=3, base_s=0.5),
-            retry_on=(RuntimeError,), sleep=sleeps.append)
-        assert result == "done"
-        assert attempts == [0, 1, 2]
-        assert sleeps == [0.5, 1.0]
-
-    def test_call_with_retries_exhausts_and_raises(self):
-        def always(failures):
-            raise RuntimeError("boom")
-
-        with pytest.raises(RuntimeError, match="boom"):
-            call_with_retries(always, RetryPolicy(max_retries=1, base_s=0.0),
-                              retry_on=(RuntimeError,), sleep=lambda s: None)
-
-    def test_non_retryable_errors_propagate_immediately(self):
-        calls = []
-
-        def typed(failures):
-            calls.append(failures)
-            raise KeyError("nope")
-
-        with pytest.raises(KeyError):
-            call_with_retries(typed, RetryPolicy(max_retries=5, base_s=0.0),
-                              retry_on=(RuntimeError,), sleep=lambda s: None)
-        assert calls == [0]
-
-
-# ------------------------------------------------------------------ deadlines
-class TestDeadline:
-    def test_deadline_fires_on_overrun(self):
-        if not can_enforce_deadlines():  # pragma: no cover - platform guard
-            pytest.skip("SIGALRM not available on this platform/thread")
-        with pytest.raises(TaskTimeout, match="slow thing"):
-            with deadline(0.05, label="slow thing"):
-                time.sleep(2.0)
-
-    def test_deadline_noop_when_fast_enough(self):
-        with deadline(5.0, label="fast") as enforced:
-            value = 42
-        assert value == 42
-        assert enforced == can_enforce_deadlines()
-
-    def test_deadline_none_disables(self):
-        with deadline(None, label="off") as enforced:
-            assert enforced is False
-
-    def test_deadline_nonpositive_disables(self):
-        # the CLI rejects --timeout-s <= 0; the guard itself degrades to off
-        with deadline(0.0, label="x") as enforced:
-            assert enforced is False
-
-    def test_deadline_off_main_thread_degrades_to_unenforced(self):
-        seen = {}
-
-        def body():
-            with deadline(0.05, label="threaded") as enforced:
-                seen["enforced"] = enforced
-                time.sleep(0.15)
-                seen["survived"] = True
-
-        worker = threading.Thread(target=body)
-        worker.start()
-        worker.join()
-        assert seen == {"enforced": False, "survived": True}
-
-    def test_nested_deadlines_restore_outer_timer(self):
-        if not can_enforce_deadlines():  # pragma: no cover - platform guard
-            pytest.skip("SIGALRM not available on this platform/thread")
-        with pytest.raises(TaskTimeout, match="outer"):
-            with deadline(0.3, label="outer"):
-                with deadline(5.0, label="inner"):
-                    time.sleep(0.05)  # inner exits cleanly
-                time.sleep(2.0)      # outer must still be armed
 
 
 # ------------------------------------------------------- MPC message faults

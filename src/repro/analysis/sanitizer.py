@@ -34,6 +34,11 @@ DEFAULT_SCENARIO = "table2_dynamic"
 _VOLATILE_KEYS = ("wall_s", "timestamp")
 #: counter suffixes that carry wall-clock measurements (latency scenarios)
 _VOLATILE_COUNTER_SUFFIXES = ("_s", "_ms", "_seconds")
+#: counters computed from wall-clock measurements that carry no time
+#: suffix: ``table2_latency``'s ratio of two wall-clock p99s
+_VOLATILE_COUNTERS = ("p99_speedup_vs_rebuild",)
+#: ``latency`` section fields that are wall-clock times (``count`` stays)
+_VOLATILE_LATENCY_KEYS = ("p50", "p99", "max")
 
 
 def normalize_record(record: Dict[str, object]) -> Dict[str, object]:
@@ -43,7 +48,12 @@ def normalize_record(record: Dict[str, object]) -> Dict[str, object]:
     if isinstance(counters, dict):
         out["counters"] = {
             k: v for k, v in counters.items()
-            if not any(k.endswith(sfx) for sfx in _VOLATILE_COUNTER_SUFFIXES)}
+            if k not in _VOLATILE_COUNTERS
+            and not any(k.endswith(sfx) for sfx in _VOLATILE_COUNTER_SUFFIXES)}
+    latency = out.get("latency")
+    if isinstance(latency, dict):
+        out["latency"] = {k: v for k, v in latency.items()
+                          if k not in _VOLATILE_LATENCY_KEYS}
     return out
 
 

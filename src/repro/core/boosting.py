@@ -24,7 +24,10 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
+from itertools import repeat
 from typing import Dict, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.graph.graph import Graph
 from repro.matching.matching import Matching
@@ -36,7 +39,11 @@ from repro.core.oracles import (
     MatchingOracle,
     ensure_counting,
 )
-from repro.core.eligibility import EligibilityIndex, stage_right_vertices
+from repro.core.eligibility import (
+    EligibilityIndex,
+    stage_right_mask,
+    stage_right_vertices,
+)
 from repro.core.operations import apply_augmentations, augment_op
 from repro.core.phase import _type2_candidates, contract_pass, run_phase
 from repro.core.structures import FrozenViews, PhaseState, StructNode
@@ -107,11 +114,19 @@ def build_stage_graph(state: PhaseState, stage: int,
     (precondition P2): the eligibility of ``x``'s structure covers every
     other clause.  A hit is numbered by bisecting the ascending right list,
     and the first witness of each pair is kept, in the order the pairs are
-    first seen -- the order the edges are inserted in.
+    first seen -- the order the edges are inserted in.  On the array engine
+    a non-trivial left node is scanned in bulk instead
+    (:func:`_blossom_stage_arcs`), in the same order.
     """
     if not left_nodes:
         return Graph(0), {}, 0
-    right = stage_right_vertices(state, stage)
+    array = state.engine == "array"
+    if array:
+        right_mask = stage_right_mask(state, stage)
+        right_arr = np.flatnonzero(right_mask)
+        right = right_arr.tolist()
+    else:
+        right = stage_right_vertices(state, stage)
     num_left = len(left_nodes)
     witness: Dict[Edge, Edge] = {}
     node_of = state.node_of
@@ -120,6 +135,12 @@ def build_stage_graph(state: PhaseState, stage: int,
     sorted_neighbors = state.sorted_neighbors
     beyond = stage + 1
     for i, node in enumerate(left_nodes):
+        if array and not node.is_trivial:
+            js, xs, ys = _blossom_stage_arcs(state, node, right_mask,
+                                             right_arr)
+            witness.update(zip(zip(repeat(i), (js + num_left).tolist()),
+                               zip(xs.tolist(), ys.tolist())))
+            continue
         structure = node.structure
         for x in node.vertices:
             for y in sorted_neighbors(x):
@@ -138,6 +159,38 @@ def build_stage_graph(state: PhaseState, stage: int,
     hs = Graph(num_left + len(right))
     hs.add_edges(witness)
     return hs, witness, num_left
+
+
+def _blossom_stage_arcs(state: PhaseState, node: StructNode,
+                        right_mask: np.ndarray, right_arr: np.ndarray):
+    """The ``H'_s`` arcs of a non-trivial left node, by one mask over its
+    memoised arcs (:meth:`PhaseState.node_arcs`).
+
+    An arc is kept when its head is on the right side (``right_mask``) and
+    not in an inner ancestor of ``node`` (P2: one comparison per ancestor).
+    Returns ``(right index, tail, head)`` arrays of the first arc per right
+    index, in arc order -- the scalar loop's order.
+    """
+    xs, ys = state.node_arcs(node)
+    hit = np.flatnonzero(right_mask[ys])
+    heads = ys[hit]
+    inner = node.parent
+    if inner is not None and heads.size:
+        nid = state.nid_arr[heads]
+        keep = nid != inner.id
+        inner = inner.parent.parent
+        while inner is not None:
+            keep &= nid != inner.id
+            inner = inner.parent.parent
+        hit, heads = hit[keep], heads[keep]
+    js = right_arr.searchsorted(heads)
+    # first hit per right index: fancy assignment keeps the last write per
+    # index, so scattering the ranks in reverse leaves the smallest
+    rank = np.arange(js.size)
+    first = np.empty(right_arr.size, dtype=np.int64)
+    first[js[::-1]] = rank[::-1]
+    first_hit = first[js] == rank
+    return js[first_hit], xs[hit[first_hit]], heads[first_hit]
 
 
 # ---------------------------------------------------------------------------

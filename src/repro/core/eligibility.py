@@ -20,6 +20,19 @@ from repro.core.operations import overtake_op
 from repro.core.structures import PhaseState, Structure
 
 
+def stage_right_mask(state: PhaseState, stage: int,
+                     unvisited_only: bool = False) -> np.ndarray:
+    """``bool[n]`` membership mask of :func:`stage_right_vertices`, read
+    from the array mirrors."""
+    mask = (state.matched_arr & ~state.removed_arr
+            & (state.vlabel_arr > stage + 1))
+    if unvisited_only:
+        mask &= state.sid_arr == -1
+    else:
+        mask &= ~state.outer_arr
+    return mask
+
+
 def stage_right_vertices(state: PhaseState, stage: int,
                          unvisited_only: bool = False) -> List[int]:
     """Right part of ``H'_s``: matched, not removed, inner-or-unvisited
@@ -28,17 +41,12 @@ def stage_right_vertices(state: PhaseState, stage: int,
     With ``unvisited_only`` the in-structure (inner) vertices are excluded --
     the sampling driver of Section 6.6 covers those by per-structure sampling
     and only needs the unvisited remainder in bulk.  The array engine answers
-    with one boolean-mask pass; the reference engine scans ``range(n)`` in
-    the same ascending order.
+    with one boolean-mask pass (:func:`stage_right_mask`); the reference
+    engine scans ``range(n)`` in the same ascending order.
     """
     if state.engine == "array":
-        mask = (state.matched_arr & ~state.removed_arr
-                & (state.vlabel_arr > stage + 1))
-        if unvisited_only:
-            mask &= state.sid_arr == -1
-        else:
-            mask &= ~state.outer_arr
-        return np.flatnonzero(mask).tolist()
+        return np.flatnonzero(
+            stage_right_mask(state, stage, unvisited_only)).tolist()
     out: List[int] = []
     for v in range(state.graph.n):
         if state.removed[v] or state.matching.is_free(v):

@@ -118,7 +118,8 @@ def contract_op(state: PhaseState, u: int, v: int) -> StructNode:
     Effect: the unique blossom of ``T'_alpha + g'`` (Lemma 3.7) -- the nodes on
     the tree path between ``Omega(u)`` and ``Omega(v)`` through their LCA -- is
     contracted into a single outer node, which becomes the new working vertex.
-    Labels of matched edges inside the new blossom are set to 0.
+    Labels of matched edges inside the new blossom are 0 afterwards; only
+    the edges of the path's inner nodes are written.
     """
     nu, nv = state.omega(u), state.omega(v)
     if nu is None or nv is None or nu is nv:
@@ -155,6 +156,8 @@ def contract_op(state: PhaseState, u: int, v: int) -> StructNode:
         blossom_vertices.extend(node.vertices)
     new_node = StructNode(blossom_vertices, base=lca.base, outer=True,
                           structure=structure)
+    # its arcs are gathered from the absorbed nodes' on its first scan
+    new_node.absorbed = absorbed
     new_node.parent = lca.parent
     if lca.parent is not None:
         lca.parent.children = [new_node if c is lca else c
@@ -173,11 +176,14 @@ def contract_op(state: PhaseState, u: int, v: int) -> StructNode:
     structure.invalidate_caches()  # inner vertices of the path became outer
 
     # --- labels of matched edges inside the blossom become 0 ----------------
-    inside = set(blossom_vertices)
-    for x in blossom_vertices:
-        mate = state.matching.mate(x)
-        if mate is not None and mate in inside:
-            state.set_label(x, mate, 0)
+    # Only the edges it newly encloses need the write: each inner node on
+    # the two tree paths, matched to its child's base.  Pairs inside an
+    # absorbed blossom are 0 since that blossom formed (Overtake labels only
+    # an inner or unvisited vertex and its mate), and the LCA's base stays
+    # matched outside the blossom.
+    for node in absorbed:
+        if not node.outer:
+            state.set_label(node.vertices[0], node.children[0].base, 0)
 
     structure.working = new_node
     structure.modified = True

@@ -97,19 +97,13 @@ def _find_type1_arc(state: PhaseState, structure: Structure) -> Optional[Edge]:
     """
     w = structure.working
     assert w is not None
-    # Bulk mask scan only pays off on non-trivial blossoms; a trivial
-    # working node (the overwhelmingly common case) walks its memoised
-    # sorted neighbour list scalar-wise.  All paths scan the identical
-    # candidate order, so the engines stay byte-identical either way.
+    # Bulk mask scan only pays off on non-trivial blossoms, over the arcs
+    # memoised on the node; a trivial working node (the overwhelmingly
+    # common case) walks its memoised sorted neighbour list scalar-wise.
+    # All paths scan the identical candidate order, so the engines stay
+    # byte-identical either way.
     if state.engine == "array" and not w.is_trivial:
-        indptr, indices = state.adjacency()
-        verts = w.vertices
-        chunks = [indices[indptr[x]:indptr[x + 1]] for x in verts]
-        ys = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-        if ys.size == 0:
-            return None
-        counts = [len(c) for c in chunks]
-        xs = np.repeat(np.asarray(verts, dtype=np.int64), counts)
+        xs, ys = state.node_arcs(w)
         mask = (state.outer_arr[ys] & (state.sid_arr[ys] == structure.alpha)
                 & (state.nid_arr[ys] != w.id) & (state.mate_arr[xs] != ys))
         hit = np.flatnonzero(mask)

@@ -89,9 +89,13 @@ class StructNode:
     of G-vertices and remembers its *base* (the unique vertex left unmatched by
     the matching restricted to the blossom, Section 3.2).
     Inner nodes are always trivial (Definition 3.8, condition C2).
+
+    ``arcs`` memoises :meth:`PhaseState.node_arcs`; a blossom keeps the
+    nodes it ``absorbed`` until its arcs are first gathered from theirs.
     """
 
-    __slots__ = ("id", "vertices", "base", "outer", "parent", "children", "structure")
+    __slots__ = ("id", "vertices", "base", "outer", "parent", "children",
+                 "structure", "arcs", "absorbed")
 
     def __init__(self, vertices: Sequence[int], base: int, outer: bool,
                  structure: "Structure") -> None:
@@ -102,6 +106,8 @@ class StructNode:
         self.parent: Optional["StructNode"] = None
         self.children: List["StructNode"] = []
         self.structure = structure
+        self.arcs: Optional[Tuple[_np.ndarray, _np.ndarray]] = None
+        self.absorbed: Optional[List["StructNode"]] = None
 
     @property
     def is_trivial(self) -> bool:
@@ -270,7 +276,8 @@ class PhaseState:
     The phase also freezes the graph, so canonical edge/arc/adjacency views
     are materialised lazily once per phase (:meth:`edge_pairs`,
     :meth:`edge_arrays`, :meth:`adjacency`, :meth:`sorted_neighbors`) in a
-    deterministic key-sorted order shared by both engines.
+    deterministic key-sorted order shared by both engines, and a scanned
+    node's arcs are memoised on the node (:meth:`node_arcs`).
     """
 
     def __init__(self, graph: Graph, matching: Matching, ell_max: int,
@@ -447,6 +454,46 @@ class PhaseState:
                          _np.diff(indptr))
         return list(zip(src.tolist(), indices.tolist()))
 
+    def node_arcs(self, node: StructNode
+                  ) -> Tuple[_np.ndarray, _np.ndarray]:
+        """The node's incident arcs ``(xs, ys)`` as int64 arrays.
+
+        Order: the node's vertex order, then each vertex's ascending
+        neighbours from :meth:`adjacency` -- the order the scalar scans
+        walk.  Memoised on the node: nodes live for one phase and the graph
+        is frozen during it.  A blossom's arrays are the concatenation of
+        its absorbed nodes' arrays in ``absorbed`` order, which is its
+        vertex order; gathering them releases the absorbed nodes' arrays
+        (absorbed nodes are cyclic garbage and would hold them until the
+        cycle collector reaches them).  Blossoms nested since the last scan
+        are flattened with an explicit stack, not one recursion per level.
+        """
+        arcs = node.arcs
+        if arcs is not None:
+            return arcs
+        indptr, indices = self.adjacency()
+        xs_parts = []
+        ys_parts = []
+        stack = [node]
+        while stack:
+            part = stack.pop()
+            if part.arcs is not None:
+                xs, ys = part.arcs
+                part.arcs = None
+                xs_parts.append(xs)
+                ys_parts.append(ys)
+            elif part.absorbed is not None:
+                stack.extend(reversed(part.absorbed))
+                part.absorbed = None
+            else:
+                for x in part.vertices:
+                    lo, hi = indptr[x], indptr[x + 1]
+                    xs_parts.append(_np.full(hi - lo, x, dtype=_np.int64))
+                    ys_parts.append(indices[lo:hi])
+        arcs = node.arcs = (_np.concatenate(xs_parts),
+                            _np.concatenate(ys_parts))
+        return arcs
+
     # ------------------------------------------------------------------ views
     def omega(self, v: int) -> Optional[StructNode]:
         """``Omega(v)``: the struct-node containing ``v`` (None if unvisited)."""
@@ -581,7 +628,9 @@ class PhaseState:
 
         Checks vertex-disjointness of structures, the alternating-tree shape
         (root outer and free; parent/child alternation; inner nodes trivial
-        and matched into their unique child), and node_of consistency.
+        and matched into their unique child), node_of consistency, label 0
+        on every matched pair inside a blossom whose base is matched outside
+        it, and the memoised node arcs.
         """
         seen: Set[int] = set()
         for structure in self.structures.values():
@@ -609,6 +658,23 @@ class PhaseState:
                     assert node.children[0].base == mate
                 else:
                     assert len(node.vertices) % 2 == 1, "blossoms have odd size"
+                    if not node.is_trivial:
+                        # what Contract's path-only relabel relies on
+                        inside = set(node.vertices)
+                        mate = self.matching.mate
+                        assert mate(node.base) not in inside, \
+                            "a blossom's base is matched inside it"
+                        for x in node.vertices:
+                            if mate(x) in inside:
+                                assert self.vlabel[x] == 0 \
+                                    and self.vlabel_arr[x] == 0, \
+                                    f"pair inside a blossom labelled at {x}"
+                if node.arcs is not None:
+                    xs, ys = node.arcs
+                    fresh = [(x, y) for x in node.vertices
+                             for y in self.sorted_neighbors(x)]
+                    assert list(zip(xs.tolist(), ys.tolist())) == fresh, \
+                        "stale node-arcs memo"
                 for child in node.children:
                     assert child.parent is node
             if structure.working is not None:

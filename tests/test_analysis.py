@@ -940,6 +940,29 @@ class TestSanitizerNormalization:
         assert "wall_s" not in normalized and "timestamp" not in normalized
         assert normalized["counters"] == {"oracle_calls": 7.0}
 
+    def test_wall_clock_latency_and_speedup_dropped(self):
+        # table2_latency's shape: a latency section in seconds and the ratio
+        # of two wall-clock p99s beside deterministic counters
+        record = dict(self.RECORD,
+                      latency={"p50": 4.2e-6, "p99": 5.2e-5, "max": 6.9e-5,
+                               "count": 400.0},
+                      counters={"timed_rebuilds": 3.0,
+                                "p99_speedup_vs_rebuild": 310.6})
+        drifted = dict(record,
+                       latency={"p50": 3.1e-6, "p99": 6.4e-5, "max": 9.0e-5,
+                                "count": 400.0},
+                       counters={"timed_rebuilds": 3.0,
+                                 "p99_speedup_vs_rebuild": 248.9})
+        assert canonical_bytes([record]) == canonical_bytes([drifted])
+        assert normalize_record(record)["latency"] == {"count": 400.0}
+        recount = dict(record, latency=dict(record["latency"], count=401.0))
+        ok, diff = compare_record_sets([record], [recount])
+        assert not ok and "latency" in diff
+        rebuilt = dict(record, counters=dict(record["counters"],
+                                             timed_rebuilds=4.0))
+        ok, diff = compare_record_sets([record], [rebuilt])
+        assert not ok and "timed_rebuilds" in diff
+
     def test_canonical_bytes_ignore_only_volatile_fields(self):
         other = dict(self.RECORD, wall_s=9.99, timestamp="later")
         assert canonical_bytes([self.RECORD]) == canonical_bytes([other])

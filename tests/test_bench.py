@@ -658,20 +658,22 @@ def test_static_analysis_gate():
 
 
 # ------------------------------------------------ determinism sanitizer
-def test_hash_seed_and_jobs_sanitizer():
+@pytest.mark.parametrize("scenario", ["table2_dynamic", "table2_latency"])
+def test_hash_seed_and_jobs_sanitizer(scenario):
     """BENCH records are byte-identical across PYTHONHASHSEED and --jobs.
 
-    Runs the table2_dynamic smoke scenario three times in subprocesses --
-    baseline (PYTHONHASHSEED=0, --jobs 1), a hash-seed variant
-    (PYTHONHASHSEED=1) and a worker-count variant (--jobs 2) -- and
-    byte-compares the records minus the honest wall-clock fields.  This is
-    the runtime complement of the static hash-order rules: it checks the
-    determinism *property* the sharded-execution and compiled-kernel
-    roadmap items depend on, not just the patterns that broke it before.
+    Runs the smoke scenario three times in subprocesses -- baseline
+    (PYTHONHASHSEED=0, --jobs 1), a hash-seed variant (PYTHONHASHSEED=1)
+    and a worker-count variant (--jobs 2) -- and byte-compares the records
+    minus the honest wall-clock fields.  This is the runtime complement of
+    the static hash-order rules: it checks the determinism *property*, not
+    just the patterns that broke it before.  ``table2_dynamic`` runs the
+    full dynamic stack; ``table2_latency`` adds a ``latency`` section and a
+    wall-clock ratio counter, which normalization must drop.
     """
     from repro.analysis.sanitizer import run_sanitizer
 
-    result = run_sanitizer("table2_dynamic", seed=0, repo_root=REPO_ROOT,
+    result = run_sanitizer(scenario, seed=0, repo_root=REPO_ROOT,
                            timeout=240.0)
     assert result.ok, result.render()
     # both axes were actually compared against the baseline

@@ -162,7 +162,8 @@ class TestStageGraphReference:
 
     @pytest.fixture
     def checked(self, monkeypatch):
-        tally = {"builds": 0, "edges": 0, "overtakes": 0}
+        tally = {"builds": 0, "blossom_builds": 0, "edges": 0,
+                 "overtakes": 0}
         build = boosting.build_stage_graph
         overtake = EligibilityIndex.overtake
         stages = ParameterProfile.practical(0.25).stages()
@@ -175,6 +176,8 @@ class TestStageGraphReference:
             assert list(witness.items()) == list(ref_witness.items())
             assert num_left == ref_left
             tally["builds"] += 1
+            if not all(node.is_trivial for node in left_nodes):
+                tally["blossom_builds"] += 1
             tally["edges"] += hs.m
             return hs, witness, num_left
 
@@ -198,7 +201,15 @@ class TestStageGraphReference:
             matching, _ = mpc_boosted_matching(graph, 0.25, profile=profile,
                                                seed=seed)
             matching.validate(graph)
+        # the golden graph: about half of its builds have a blossom in the
+        # left part, which the array engine scans with one mask
+        graph = table1_graph(96, 4, seed=0)
+        mpc_boosted_matching(graph, 0.25, profile=profile,
+                             seed=0)[0].validate(graph)
+        boost_matching(graph, 0.25, profile=profile, seed=0,
+                       check_invariants=True).validate(graph)
         assert checked["builds"] > 0 and checked["edges"] > 0
+        assert checked["blossom_builds"] > 0
         assert checked["overtakes"] > 0
 
 

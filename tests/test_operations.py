@@ -130,6 +130,41 @@ class TestContract:
         assert state.label_of_edge(3, 4) == 0
         state.check_invariants()
 
+    def test_nested_contraction_relabels_the_path(self):
+        """A blossom absorbed through a path with inner nodes.
+
+        The tree 0 - 1 = 2 - 3 = 4 - 5 = 6 plus the chord (6, 4) makes the
+        blossom {6, 5, 4}, based at 4 and matched to the inner vertex 3.
+        Growing it by 7 = 8 and contracting (8, 2) absorbs it through the
+        inner nodes 7 and 3.  Only those two matched edges are relabelled
+        (the pair 5 = 6 is 0 since the first contraction).
+        """
+        g = Graph(9, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 4),
+                      (6, 7), (7, 8), (8, 2)])
+        m = Matching(9, [(1, 2), (3, 4), (5, 6), (7, 8)])
+        state = make_state(g, m)
+        overtake_op(state, 0, 1, 1)
+        overtake_op(state, 2, 3, 2)
+        overtake_op(state, 4, 5, 3)
+        inner_blossom = contract_op(state, 6, 4)
+        assert inner_blossom.base == 4
+        state.node_arcs(inner_blossom)  # scanned, as the contract pass does
+        overtake_op(state, 6, 7, 4)
+        node = contract_op(state, 8, 2)
+        assert node.vertices == [8, 7, 6, 5, 4, 3, 2] and node.base == 2
+        # its arcs are gathered from the absorbed nodes', releasing theirs
+        # (check_invariants compares the memo with a fresh gather)
+        state.node_arcs(node)
+        assert inner_blossom.arcs is None and node.absorbed is None
+        # every matched pair inside is labelled 0, in both label views
+        for x, y in [(3, 4), (5, 6), (7, 8)]:
+            assert state.label_of_edge(x, y) == 0
+            assert state.vlabel_arr[x] == state.vlabel_arr[y] == 0
+        # the base's matched edge leaves the blossom and keeps its label
+        assert state.label_of_edge(1, 2) == 1
+        assert state.vlabel_arr[1] == state.vlabel_arr[2] == 1
+        state.check_invariants()
+
     def test_contract_requires_same_structure(self):
         g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 5)])
         m = Matching(6, [(1, 2), (3, 4)])

@@ -1,5 +1,8 @@
 """Tests for the structure / blossom-node data model (Section 4.1)."""
 
+import sys
+
+import numpy as np
 import pytest
 
 from repro.graph.generators import erdos_renyi, path_graph
@@ -138,3 +141,64 @@ class TestInvariantChecker:
         m = greedy_maximal_matching(g)
         state = make_state(g, m)
         state.check_invariants()
+
+    def test_detects_labelled_pair_inside_a_blossom(self):
+        state, blossom = _cycle_blossom()
+        state.check_invariants()
+        state.set_label(1, 2, 3)
+        with pytest.raises(AssertionError, match="inside a blossom"):
+            state.check_invariants()
+
+    def test_detects_stale_node_arcs(self):
+        state, blossom = _cycle_blossom()
+        xs, ys = state.node_arcs(blossom)
+        state.check_invariants()
+        blossom.arcs = (xs[:-1], ys[:-1])
+        with pytest.raises(AssertionError, match="node-arcs memo"):
+            state.check_invariants()
+
+
+def _cycle_blossom():
+    """The 5-cycle 0 - 1 = 2 - 3 = 4 - 0 contracted into one blossom."""
+    g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (4, 5)])
+    m = Matching(6, [(1, 2), (3, 4)])
+    state = make_state(g, m)
+    overtake_op(state, 0, 1, 1)
+    overtake_op(state, 2, 3, 2)
+    return state, contract_op(state, 4, 0)
+
+
+class TestNodeArcs:
+    def _fresh(self, state, node):
+        return [(x, y) for x in node.vertices
+                for y in state.sorted_neighbors(x)]
+
+    def test_trivial_node_arcs_follow_sorted_neighbours(self):
+        g = erdos_renyi(20, 0.3, seed=2)
+        state = make_state(g, Matching(20))
+        root = state.structures[5].root
+        xs, ys = state.node_arcs(root)
+        assert xs.dtype == ys.dtype == np.int64
+        assert list(zip(xs.tolist(), ys.tolist())) == self._fresh(state, root)
+        assert state.node_arcs(root) is root.arcs  # memoised
+
+    def test_deep_unscanned_chain_gathers_without_recursion(self):
+        """Nested contractions with no scan between them, deeper than the
+        interpreter's recursion limit: vertex 0 takes the matched pair
+        (2i - 1, 2i) at level i and closes it into a blossom by (2i, 0)."""
+        levels = sys.getrecursionlimit() + 10
+        n = 2 * levels + 1
+        edges = []
+        for i in range(1, levels + 1):
+            edges += [(0, 2 * i - 1), (2 * i - 1, 2 * i), (2 * i, 0)]
+        m = Matching(n, [(2 * i - 1, 2 * i) for i in range(1, levels + 1)])
+        state = make_state(Graph(n, edges), m)
+        blossoms = []
+        for i in range(1, levels + 1):
+            overtake_op(state, 0, 2 * i - 1, 1)
+            blossoms.append(contract_op(state, 2 * i, 0))
+        top = blossoms[-1]
+        xs, ys = state.node_arcs(top)
+        assert list(zip(xs.tolist(), ys.tolist())) == self._fresh(state, top)
+        assert all(b.arcs is None and b.absorbed is None
+                   for b in blossoms[:-1])

@@ -1,6 +1,6 @@
 """Rule family ``memo-contract``: declared memo invalidation on mutators.
 
-Containers memoise derived state (packed OMv row caches, update/edge
+Containers memoise derived state (the dynamic graph's update and edge
 accounting); a mutator that forgets to mark it stale serves stale reads --
 the bug class a graph storage layout's neighbour-list memo shipped twice.
 Runtime tests check the declarations against behaviour; this rule is the

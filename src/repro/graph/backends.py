@@ -32,8 +32,8 @@ Edge = Tuple[int, int]
 def edge_endpoint_arrays(edges: Iterable[Edge]):
     """Flatten an edge iterable into endpoint arrays ``(u, v)`` (int64).
 
-    The shared fast path for bulk edge consumers (the vectorized greedy, the
-    OMv matrix load, checkpoints): ``np.fromiter`` over a
+    The shared fast path for bulk edge consumers (the vectorized greedy and
+    the maintainer's checkpointed edge columns): ``np.fromiter`` over a
     flattened chain converts a 100k-pair list several times faster than
     ``np.asarray`` on the list of tuples; array-likes pass through
     ``asarray`` with a shape check.
@@ -125,8 +125,8 @@ class AdjacencySetBackend:
     (``add_edge``, ``remove_edge``, ``has_edge``, ``neighbors``,
     ``neighbor_list``, ``degree``) turns it into its set.  The bulk readers
     (``edges``/``edge_list``, ``arcs``/``arc_list``, ``induced_edges``,
-    ``max_degree``, ``adjacency_matrix``, ``copy``) first load every
-    remaining row and drop the base.
+    ``max_degree``, ``copy``) first load every remaining row and drop the
+    base.
     """
 
     __slots__ = ("_n", "_adj", "_m", "_base")
@@ -315,14 +315,6 @@ class AdjacencySetBackend:
                 if u < v and v in index:
                     out.append((u, v))
         return out
-
-    def adjacency_matrix(self):
-        """Dense boolean adjacency matrix."""
-        mat = np.zeros((self._n, self._n), dtype=bool)
-        for u, v in self.edges():
-            mat[u, v] = True
-            mat[v, u] = True
-        return mat
 
     def copy(self) -> "AdjacencySetBackend":
         self._load_all()

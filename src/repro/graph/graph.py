@@ -240,11 +240,6 @@ class Graph:
                     heapq.heappush(heap, (degree[w], w))
         return degeneracy
 
-    # ---------------------------------------------------------------- numerics
-    def adjacency_matrix(self):
-        """Dense boolean adjacency matrix (NumPy), used by the OMv substrate."""
-        return self._backend.adjacency_matrix()
-
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Edge]) -> "Graph":
         """Construct a graph from an edge iterable (convenience alias)."""

@@ -8,8 +8,7 @@ These are the substrates every part of the framework relies on:
   :func:`~repro.matching.greedy.random_greedy_matching` -- the textbook
   2-approximations, used as the Theta(1)-approximate oracles ``Amatching``.
 * :func:`~repro.matching.hopcroft_karp.hopcroft_karp` -- exact maximum matching
-  in bipartite graphs (used by the OMv path and as a fast exact reference on
-  bipartite inputs).
+  in bipartite graphs (the fast exact reference on bipartite inputs).
 * :func:`~repro.matching.blossom.maximum_matching` -- exact maximum matching in
   general graphs (Edmonds' blossom algorithm), the ground truth every
   approximation test compares against, and the local augmenting-path finder

@@ -1,10 +1,10 @@
 """Hopcroft–Karp exact maximum matching for bipartite graphs.
 
-The OMv-based dynamic algorithms (Section 7.4) and several tests work on
-bipartite graphs (including the double cover ``B`` of Definition 6.3), where
-Hopcroft–Karp gives an exact maximum matching in ``O(E * sqrt(V))`` time --
-much faster than the general blossom algorithm, so it doubles as the exact
-reference on bipartite inputs.
+Several tests work on bipartite graphs (the OMv matching tests among them),
+where Hopcroft–Karp gives an exact maximum matching in ``O(E * sqrt(V))``
+time -- much faster than the general blossom algorithm, so it serves as the
+exact reference on bipartite inputs.  The OMv path of Section 7.4 does not
+call it: its matchings come from OMv queries and row probes.
 """
 
 from __future__ import annotations

@@ -658,7 +658,8 @@ def test_static_analysis_gate():
 
 
 # ------------------------------------------------ determinism sanitizer
-@pytest.mark.parametrize("scenario", ["table2_dynamic", "table2_latency"])
+@pytest.mark.parametrize("scenario",
+                         ["table2_dynamic", "table2_latency", "table2_omv"])
 def test_hash_seed_and_jobs_sanitizer(scenario):
     """BENCH records are byte-identical across PYTHONHASHSEED and --jobs.
 
@@ -669,7 +670,8 @@ def test_hash_seed_and_jobs_sanitizer(scenario):
     the static hash-order rules: it checks the determinism *property*, not
     just the patterns that broke it before.  ``table2_dynamic`` runs the
     full dynamic stack; ``table2_latency`` adds a ``latency`` section and a
-    wall-clock ratio counter, which normalization must drop.
+    wall-clock ratio counter, which normalization must drop; ``table2_omv``
+    runs the maintainer on the OMv-backed weak oracle.
     """
     from repro.analysis.sanitizer import run_sanitizer
 

@@ -95,15 +95,6 @@ class TestDerived:
         comps = sorted(sorted(c) for c in g.connected_components())
         assert comps == [[0, 1, 2], [3, 4], [5]]
 
-    def test_adjacency_matrix(self):
-        import numpy as np
-
-        g = Graph(3, [(0, 2)])
-        mat = g.adjacency_matrix()
-        assert mat.shape == (3, 3)
-        assert mat[0, 2] and mat[2, 0] and not mat[0, 1]
-        assert np.array_equal(mat, mat.T)
-
     def test_arboricity_upper_bound(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])  # a path: degeneracy 1
         assert g.arboricity_upper_bound() == 1

@@ -42,7 +42,7 @@ def _table2_offline_scenario(spec, counters):
     offline = OfflineDynamicMatching(n, eps, counters=counters,
                                      seed=spec.seed)
     sizes = offline.run(updates)
-    final_graph = DynamicGraph(n, log_updates=False)
+    final_graph = DynamicGraph(n)
     final_graph.apply_all(updates)
     opt = maximum_matching_size(final_graph.graph)
     # a workload may end on an empty graph (ors_reveal deletes everything),

@@ -55,37 +55,8 @@ def make_spec(scenario: Scenario, *, eps: Optional[float] = None,
                    seed=seed, repeats=repeats, warmup=warmup, smoke=smoke)
 
 
-_runtime_primed = False
-
-
-def _prime_runtime() -> None:
-    """Exercise the lazily initialised library fast paths once per process.
-
-    The first NumPy bulk call a process makes (``fromiter``/``unique``/ufunc
-    dispatch set-up) costs tens of milliseconds.  Untamed, that one-time cost
-    lands inside whichever spec a (pooled or serial) run happens to execute
-    first and skews its ``wall_s``.  Priming is cheap (<2 ms warm), uniform
-    across jobs settings, and keeps records measuring the algorithm rather
-    than library initialisation.
-    """
-    global _runtime_primed
-    if _runtime_primed:
-        return
-    _runtime_primed = True
-    try:
-        from repro.graph.graph import Graph
-
-        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-        g.edge_list()
-        g.arc_list()
-        g.induced_subgraph([0, 1, 2])
-    except Exception:  # pragma: no cover  # repro: allow[swallowed-exception] -- best-effort cache warmup: a priming failure must not fail the run, and the real scenario will surface any genuine breakage
-        pass
-
-
 def run_scenario(scenario: Scenario, spec: RunSpec) -> Dict[str, object]:
     """Execute one spec (warmup + repeats) and return its record."""
-    _prime_runtime()
     for _ in range(max(0, spec.warmup)):
         scenario.fn(spec, Counters())
 

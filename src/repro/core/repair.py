@@ -56,8 +56,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.graph.backends import canonical_edges_error, compile_csr
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, canonical_edges_error, compile_csr
 from repro.matching.matching import Matching
 from repro.core.config import ParameterProfile
 from repro.utils.contracts import hot_path

@@ -34,8 +34,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as _np
 
-from repro.graph.backends import compile_csr
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, compile_csr
 from repro.matching.matching import Matching
 from repro.instrumentation.counters import Counters
 

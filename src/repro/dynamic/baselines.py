@@ -1,9 +1,5 @@
 """Dynamic baselines used by the Table 2 benchmarks.
 
-Like :class:`~repro.dynamic.fully_dynamic.FullyDynamicMatching`, every
-baseline builds its :class:`DynamicGraph` log-free by default (pass
-``log_updates=True`` to keep ``dynamic_graph.log()``/``replay()`` usable).
-
 * :class:`RecomputeFromScratchDynamic` -- exact blossom recomputation after
   every update: the (1)-approximation gold standard with Theta(m * n) update
   cost; the "upper wall" every dynamic algorithm must beat.
@@ -37,9 +33,8 @@ from repro.core.oracles import GreedyMatchingOracle
 class RecomputeFromScratchDynamic(DynamicMatchingAlgorithm):
     """Exact maximum matching recomputed after every update."""
 
-    def __init__(self, n: int, counters: Optional[Counters] = None,
-                 log_updates: bool = False) -> None:
-        self.dynamic_graph = DynamicGraph(n, log_updates=log_updates)
+    def __init__(self, n: int, counters: Optional[Counters] = None) -> None:
+        self.dynamic_graph = DynamicGraph(n)
         self.counters = counters if counters is not None else Counters()
         self._matching = Matching(n)
 
@@ -59,9 +54,8 @@ class RecomputeFromScratchDynamic(DynamicMatchingAlgorithm):
 class LazyGreedyDynamic(DynamicMatchingAlgorithm):
     """Maintain a maximal matching with O(degree) work per update (2-approx)."""
 
-    def __init__(self, n: int, counters: Optional[Counters] = None,
-                 log_updates: bool = False) -> None:
-        self.dynamic_graph = DynamicGraph(n, log_updates=log_updates)
+    def __init__(self, n: int, counters: Optional[Counters] = None) -> None:
+        self.dynamic_graph = DynamicGraph(n)
         self.counters = counters if counters is not None else Counters()
         self._matching = Matching(n)
 
@@ -102,11 +96,10 @@ class ExponentialBoostingDynamic(DynamicMatchingAlgorithm):
     def __init__(self, n: int, eps: float,
                  rebuild_slack: float = 0.125,
                  counters: Optional[Counters] = None,
-                 seed: Optional[int] = None,
-                 log_updates: bool = False) -> None:
+                 seed: Optional[int] = None) -> None:
         self.eps = eps
         self.counters = counters if counters is not None else Counters()
-        self.dynamic_graph = DynamicGraph(n, log_updates=log_updates)
+        self.dynamic_graph = DynamicGraph(n)
         self.rebuild_slack = rebuild_slack
         self.rng = random.Random(seed)
         self._matching = Matching(n)

@@ -24,9 +24,8 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.graph.backends import edge_endpoint_arrays
 from repro.graph.dynamic_graph import DynamicGraph, Update
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, edge_endpoint_arrays
 from repro.matching.matching import Matching
 from repro.instrumentation.counters import Counters
 from repro.core.config import ParameterProfile
@@ -64,13 +63,6 @@ class FullyDynamicMatching(DynamicMatchingAlgorithm):
     backend:
         ``None`` or ``"adjset"``, the one graph storage layout; anything
         else raises :class:`ValueError`.
-    log_updates:
-        Whether the underlying :class:`DynamicGraph` keeps its append-only
-        update log.  Off by default: the maintainer never reads the log, and
-        dropping it is what lets a million-update
-        :class:`~repro.workloads.streams.UpdateStream` replay in O(live
-        edges) memory.  Turn it on only to inspect ``dynamic_graph.log()`` /
-        ``replay()`` afterwards.
 
     Accounting convention (Table 2): EMPTY updates are the padding Problem 1
     allows in an update sequence; they change nothing, so they are excluded
@@ -88,14 +80,12 @@ class FullyDynamicMatching(DynamicMatchingAlgorithm):
                  min_rebuild_gap: int = 1,
                  counters: Optional[Counters] = None,
                  seed: Optional[int] = None,
-                 backend: Optional[str] = None,
-                 log_updates: bool = False) -> None:
+                 backend: Optional[str] = None) -> None:
         self.eps = eps
         self._seed = seed
         self.counters = counters if counters is not None else Counters()
         self.profile = profile if profile is not None else ParameterProfile.practical(eps)
-        self.dynamic_graph = DynamicGraph(n, backend=backend,
-                                          log_updates=log_updates)
+        self.dynamic_graph = DynamicGraph(n, backend=backend)
         factory = oracle_factory if oracle_factory is not None else (
             lambda g: GreedyInducedWeakOracle(g, seed=seed))
         self.oracle = factory(self.dynamic_graph.graph)

@@ -145,8 +145,9 @@ class Problem1Instance:
         return self.dynamic_graph.graph
 
     def chunks_from(self, updates: Sequence[Update]) -> List[List[Update]]:
-        """Split a raw update sequence into padded chunks of the right size."""
-        return DynamicGraph.chunk_updates(updates, self.chunk_size, pad=True)
+        """Split a raw update sequence into padded chunks of the right size
+        (:meth:`iter_chunks`, materialized)."""
+        return list(self.iter_chunks(updates))
 
     def iter_chunks(self, updates: Iterable[Update]) -> Iterator[List[Update]]:
         """Lazily chunk any update iterable/stream to the Problem 1 discipline.

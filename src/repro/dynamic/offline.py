@@ -122,7 +122,7 @@ class OfflineDynamicMatching:
         if not isinstance(updates, Sequence):
             updates = list(updates)
         boundaries = self.plan_epochs(updates)
-        dynamic = DynamicGraph(self.n, log_updates=False)
+        dynamic = DynamicGraph(self.n)
         if self.profile.repair not in ("rebuild", "incremental"):
             raise ValueError(f"unknown repair mode {self.profile.repair!r}")
         context: Optional[RepairContext] = None

@@ -172,6 +172,9 @@ class ApproximateOMv:
         self._pending: Dict[Tuple[int, int], bool] = {}
 
     def update(self, i: int, j: int, bit: bool) -> None:
+        """Buffer ``M[i, j] = bit``; an entry outside the matrix raises
+        ``ValueError`` here, before anything is buffered or charged."""
+        i, j = self._exact._index(i), self._exact._index(j)
         self._pending[(i, j)] = bit
         self._dirty_rows.add(i)
         self.counters.add("omv_approx_updates")

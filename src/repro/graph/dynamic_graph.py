@@ -1,10 +1,12 @@
-"""Fully dynamic graph with an explicit update log (Section 7 substrate).
+"""Fully dynamic graph (Section 7 substrate).
 
 The dynamic algorithms of Section 7 operate on a graph that *starts empty* and
 receives an online sequence of edge insertions and deletions, grouped into
 chunks of ``alpha * n`` updates (Problem 1).  :class:`DynamicGraph` is that
-container: a :class:`~repro.graph.graph.Graph` plus an append-only update log
-and chunking helpers.
+container: a :class:`~repro.graph.graph.Graph` plus the update accounting
+(``num_updates``, ``max_edges_seen``).  Chunking is
+:meth:`~repro.workloads.streams.UpdateStream.chunks`; a sequence that must be
+kept is recorded as a :class:`~repro.workloads.trace.Trace`.
 
 "Empty updates" (Problem 1 allows updates that do not change the graph, used
 when chunk sizes must be padded) are represented by :data:`Update.EMPTY`.
@@ -13,12 +15,10 @@ when chunk sizes must be padded) are represented by :data:`Update.EMPTY`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence
 
 from repro.graph.graph import Graph, normalize_edge
 from repro.utils.contracts import invalidates
-
-Edge = Tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -61,28 +61,21 @@ class Update:
 
 
 class DynamicGraph:
-    """A fully dynamic graph: current snapshot + append-only update log.
+    """A fully dynamic graph: the current snapshot and its update accounting.
 
     The graph starts empty (Problem 1).  ``apply`` mutates the snapshot and
-    records the update; ``max_edges_seen`` tracks the parameter ``m`` of the
-    paper (the maximum number of edges ever present).
+    counts the update; ``max_edges_seen`` tracks the parameter ``m`` of the
+    paper (the maximum number of edges ever present).  Nothing else of the
+    sequence is kept, so a stream of any length replays in O(live edges)
+    memory: :meth:`apply_all` consumes arbitrary (lazy) iterables without
+    materializing them.
 
     ``backend`` is handed to :class:`Graph`, which accepts only ``None`` or
     ``"adjset"``.
-
-    ``log_updates=False`` disables the append-only log: ``num_updates`` and
-    ``max_edges_seen`` stay exact, but :meth:`log` and :meth:`replay` raise.
-    This is how long streams replay in O(live edges) memory -- the dynamic
-    maintainers construct their graphs log-free by default, and
-    :meth:`apply_all` consumes arbitrary (lazy) iterables without
-    materializing them (record a :class:`~repro.workloads.trace.Trace` when
-    the sequence itself must be kept).
     """
 
-    def __init__(self, n: int, backend: Optional[str] = None,
-                 log_updates: bool = True) -> None:
+    def __init__(self, n: int, backend: Optional[str] = None) -> None:
         self._graph = Graph(n, backend=backend)
-        self._log: Optional[List[Update]] = [] if log_updates else None
         self._num_updates = 0
         self._max_edges = 0
 
@@ -106,22 +99,9 @@ class DynamicGraph:
         return self._num_updates
 
     @property
-    def logs_updates(self) -> bool:
-        """Whether the append-only update log is kept."""
-        return self._log is not None
-
-    @property
     def graph(self) -> Graph:
         """The current snapshot (treat as read-only; mutate via :meth:`apply`)."""
         return self._graph
-
-    def log(self) -> Sequence[Update]:
-        """The full update log (requires ``log_updates=True``)."""
-        if self._log is None:
-            raise RuntimeError(
-                "update log disabled (log_updates=False); record the stream "
-                "to a repro.workloads.Trace if it must be kept")
-        return tuple(self._log)
 
     # ---------------------------------------------------------------- updates
     @invalidates("_num_updates", "_max_edges")
@@ -132,8 +112,6 @@ class DynamicGraph:
             changed = self._graph.add_edge(update.u, update.v)
         elif update.kind == Update.DELETE:
             changed = self._graph.remove_edge(update.u, update.v)
-        if self._log is not None:
-            self._log.append(update)
         self._num_updates += 1
         self._max_edges = max(self._max_edges, self._graph.m)
         return changed
@@ -161,11 +139,11 @@ class DynamicGraph:
 
         Each update goes through :meth:`apply`.  A materialized ``Sequence``
         is validated in full first, so a malformed update raises without
-        mutating the snapshot or the log.  Lazy inputs
+        mutating the snapshot or the accounting.  Lazy inputs
         (:class:`~repro.workloads.streams.UpdateStream`, generators) are
         consumed one update at a time in O(1) extra memory; a malformed
         update raises before it is applied, leaving the earlier ones applied
-        and the log and ``max_edges_seen`` consistent with them.
+        and ``num_updates``/``max_edges_seen`` consistent with them.
         """
         if isinstance(updates, Sequence):
             self._check_updates(updates)
@@ -175,29 +153,18 @@ class DynamicGraph:
         return changed
 
     @invalidates("_num_updates", "_max_edges")
-    def delete_edges(self, edges: Iterable[Edge]) -> int:
-        """Batched delete: one :class:`Update` per edge through :meth:`apply_all`."""
-        return self.apply_all(Update.delete(u, v) for u, v in edges)
-
-    @invalidates("_num_updates", "_max_edges")
     def restore_snapshot(self, edge_u, edge_v, num_updates: int,
                          max_edges_seen: int) -> None:
         """Load a checkpoint's edge columns and accounting (restore only).
 
         ``edge_u``/``edge_v`` are canonical key-sorted endpoint arrays
-        (:func:`~repro.graph.backends.canonical_edges_error`); they go into
+        (:func:`~repro.graph.graph.canonical_edges_error`); they go into
         the edgeless graph in one call, each adjset row loaded on first
-        touch (:meth:`~repro.graph.backends.AdjacencySetBackend.load_canonical`).
+        touch (:meth:`~repro.graph.graph.Graph.load_canonical`).
         ``num_updates``/``max_edges_seen`` are the figures of the run that
         produced them, so a resumed maintainer is byte-identical to the
-        uninterrupted one.  A graph that keeps an update log refuses: the
-        log could not replay the snapshot.  Every check runs before any
-        state changes.
+        uninterrupted one.  Every check runs before any state changes.
         """
-        if self._log is not None:
-            raise RuntimeError("cannot restore a snapshot into a graph that "
-                               "keeps an update log: the log could not "
-                               "replay it")
         if num_updates < 0 or max_edges_seen < len(edge_u):
             raise ValueError(
                 f"inconsistent accounting: num_updates={num_updates}, "
@@ -206,40 +173,3 @@ class DynamicGraph:
         self._graph.load_canonical(edge_u, edge_v)
         self._num_updates = int(num_updates)
         self._max_edges = int(max_edges_seen)
-
-    # ----------------------------------------------------------------- chunks
-    @staticmethod
-    def chunk_updates(updates: Sequence[Update], chunk_size: int,
-                      pad: bool = True) -> List[List[Update]]:
-        """Split an update sequence into chunks of exactly ``chunk_size``.
-
-        Problem 1 requires every chunk to contain exactly ``alpha * n`` updates;
-        when ``pad`` is true the final chunk is padded with empty updates.
-        """
-        if chunk_size <= 0:
-            raise ValueError("chunk_size must be positive")
-        chunks: List[List[Update]] = []
-        for start in range(0, len(updates), chunk_size):
-            chunk = list(updates[start:start + chunk_size])
-            if pad and len(chunk) < chunk_size:
-                chunk.extend(Update.empty() for _ in range(chunk_size - len(chunk)))
-            chunks.append(chunk)
-        return chunks
-
-    def replay(self, upto: Optional[int] = None) -> Graph:
-        """Rebuild the snapshot after the first ``upto`` updates (offline use).
-
-        Requires the update log (``log_updates=True``).
-        """
-        if self._log is None:
-            raise RuntimeError(
-                "update log disabled (log_updates=False); replay from a "
-                "recorded repro.workloads.Trace instead")
-        upto = len(self._log) if upto is None else upto
-        g = Graph(self.n)
-        for upd in self._log[:upto]:
-            if upd.kind == Update.INSERT:
-                g.add_edge(upd.u, upd.v)
-            elif upd.kind == Update.DELETE:
-                g.remove_edge(upd.u, upd.v)
-        return g

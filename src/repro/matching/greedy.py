@@ -29,8 +29,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.graph.backends import edge_endpoint_arrays
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, edge_endpoint_arrays
 from repro.matching.matching import Matching
 
 Edge = Tuple[int, int]

@@ -27,7 +27,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.dynamic.fully_dynamic import FullyDynamicMatching, OracleFactory
-from repro.graph.backends import canonical_edges_error
+from repro.graph.graph import canonical_edges_error
 from repro.instrumentation.counters import Counters
 from repro.matching.matching import mate_array_error
 

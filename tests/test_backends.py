@@ -1,8 +1,8 @@
-"""Graph storage suite: the lazily allocated adjacency rows must reproduce
-eagerly allocated sets, rows loaded from canonical edge columns must
-reproduce key-order insertion, bulk mutation must equal per-edge mutation,
-and the vectorized greedy fast path must reproduce the sequential scan
-exactly.
+"""Graph storage suite: :class:`Graph`'s lazily allocated adjacency rows
+must reproduce eagerly allocated sets, rows loaded from canonical edge
+columns must reproduce key-order insertion, bulk insertion must equal
+per-edge insertion, and the vectorized greedy fast path must reproduce the
+sequential scan exactly.
 
 Property-based (hypothesis) over random edge/removal scripts.
 """
@@ -17,11 +17,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dynamic.fully_dynamic import FullyDynamicMatching
-from repro.graph.backends import AdjacencySetBackend
 from repro.graph.dynamic_graph import DynamicGraph, Update
 from repro.graph.generators import random_edge_list
 from repro.graph.graph import Graph
-from repro.matching.greedy import _greedy_select_vectorized
+from repro.matching.greedy import (_greedy_select_vectorized,
+                                  greedy_maximal_matching)
 
 
 # ---------------------------------------------------------------------------
@@ -54,14 +54,10 @@ class TestBulkParity:
     def test_bulk_equals_sequential(self, script):
         n, ops = script
         inserts = [(u, v) for ins, u, v in ops if ins]
-        removes = [(u, v) for ins, u, v in ops if not ins]
         seq = Graph(n)
         added_seq = sum(1 for u, v in inserts if seq.add_edge(u, v))
         bulk = Graph(n)
         assert bulk.add_edges(inserts) == added_seq
-        assert bulk.edge_list() == seq.edge_list()
-        removed_seq = sum(1 for u, v in removes if seq.remove_edge(u, v))
-        assert bulk.remove_edges(removes) == removed_seq
         assert bulk.edge_list() == seq.edge_list()
 
     def test_bulk_validation_messages(self):
@@ -76,10 +72,10 @@ class TestBulkParity:
         dg.insert(0, 1)
         with pytest.raises(ValueError, match="out of range"):
             dg.apply_all([Update.insert(2, 3), Update.insert(0, 99)])
-        # the failed batch must not have touched snapshot, log or max
+        # the failed batch must not have touched snapshot or accounting
         assert dg.m == 1 and dg.num_updates == 1
         assert dg.max_edges_seen == 1
-        assert dg.replay().edge_list() == dg.graph.edge_list()
+        assert dg.graph.edge_list() == Graph(5, [(0, 1)]).edge_list()
 
     @given(edge_scripts(max_n=10, max_ops=30))
     @settings(max_examples=40, deadline=None)
@@ -87,9 +83,15 @@ class TestBulkParity:
         n, ops = script
         updates = [Update.insert(u, v) if ins else Update.delete(u, v)
                    for ins, u, v in ops]
-        # per-update reference
+        # per-update reference, and the graph the updates build
         ref = DynamicGraph(n)
         ref_changed = sum(1 for upd in updates if ref.apply(upd))
+        built = Graph(n)
+        for upd in updates:
+            if upd.kind == Update.INSERT:
+                built.add_edge(upd.u, upd.v)
+            else:
+                built.remove_edge(upd.u, upd.v)
         # a materialized batch, and a lazy stream of the same updates
         for batch in (updates, iter(updates)):
             dg = DynamicGraph(n)
@@ -97,7 +99,7 @@ class TestBulkParity:
             assert dg.m == ref.m and dg.num_updates == ref.num_updates
             assert dg.max_edges_seen == ref.max_edges_seen
             assert dg.graph.edge_list() == ref.graph.edge_list()
-            assert dg.replay().edge_list() == ref.replay().edge_list()
+            assert dg.graph.edge_list() == built.edge_list()
 
 
 # ---------------------------------------------------------------------------
@@ -129,31 +131,20 @@ class EagerAdjacencySets:
         self.m -= 1
         return True
 
-    def copy(self):
-        clone = EagerAdjacencySets(self.n)
-        clone.adj = [set(a) for a in self.adj]
-        clone.m = self.m
-        return clone
-
     def edges(self):
         return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
-
-    def arcs(self):
-        return [(u, v) for u in range(self.n) for v in self.adj[u]]
 
 
 @st.composite
 def adjset_scripts(draw, max_n=24, max_ops=60):
-    """Single and bulk inserts/removals plus copies.  Up to 24 vertices, so
-    rows grow past a set's first resize and empty out again."""
+    """Single inserts/removals and bulk inserts.  Up to 24 vertices, so rows
+    grow past a set's first resize and empty out again."""
     n = draw(st.integers(min_value=2, max_value=max_n))
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
         lambda p: p[0] != p[1])
     op = st.one_of(
         st.tuples(st.sampled_from(["add", "remove"]), pair),
-        st.tuples(st.sampled_from(["add_edges", "remove_edges"]),
-                  st.lists(pair, max_size=12)),
-        st.just(("copy", None)))
+        st.tuples(st.just("add_edges"), st.lists(pair, max_size=12)))
     return n, draw(st.lists(op, max_size=max_ops))
 
 
@@ -165,8 +156,8 @@ def canonical_columns(edges):
 
 @st.composite
 def loaded_scripts(draw, max_n=24):
-    """A random edge set to load, an adjset script to run on it, and
-    whether the per-row reads come before the bulk ones."""
+    """A random edge set to load, a script to run on it, and whether the
+    per-row reads come before the bulk ones."""
     n, ops = draw(adjset_scripts(max_n=max_n))
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
         lambda p: p[0] != p[1]).map(lambda p: (min(p), max(p)))
@@ -175,19 +166,15 @@ def loaded_scripts(draw, max_n=24):
 
 
 def drive_script(lazy, model, ops):
-    """Run one adjset script on both stores; return them (copies replace)."""
+    """Run one script on the graph and on the model."""
     for kind, arg in ops:
-        if kind == "copy":
-            lazy, model = lazy.copy(), model.copy()
-        elif kind in ("add", "remove"):
+        if kind in ("add", "remove"):
             method = model.add_edge if kind == "add" else model.remove_edge
             assert getattr(lazy, kind + "_edge")(*arg) == method(*arg)
         else:
-            method = model.add_edge if kind == "add_edges" else model.remove_edge
-            expected = sum(1 for u, v in arg if method(u, v))
-            assert getattr(lazy, kind)(arg) == expected
+            expected = sum(1 for u, v in arg if model.add_edge(u, v))
+            assert lazy.add_edges(arg) == expected
         assert lazy.m == model.m
-    return lazy, model
 
 
 def assert_reads_match(lazy, model, per_row_first=False):
@@ -206,7 +193,9 @@ def assert_reads_match(lazy, model, per_row_first=False):
         per_row()
     assert list(lazy.edges()) == model.edges()
     assert lazy.edge_list() == model.edges()
-    assert list(lazy.arcs()) == model.arcs()
+    # set(range(n)) iterates in ascending order, so the induced-edge walk
+    # visits the rows in the order edges() does
+    assert lazy.subgraph_edges(range(model.n)) == model.edges()
     assert lazy.max_degree() == max(len(a) for a in model.adj)
     per_row()
 
@@ -216,8 +205,8 @@ class TestLazyAdjacencyRows:
     @settings(max_examples=80, deadline=None)
     def test_matches_eager_sets(self, script):
         n, ops = script
-        lazy, model = drive_script(AdjacencySetBackend(n),
-                                   EagerAdjacencySets(n), ops)
+        lazy, model = Graph(n), EagerAdjacencySets(n)
+        drive_script(lazy, model, ops)
         assert_reads_match(lazy, model)
 
     @given(loaded_scripts())
@@ -226,12 +215,12 @@ class TestLazyAdjacencyRows:
         """Rows loaded from canonical columns, touched one by one, iterate
         exactly like sets built by inserting the edges in key order."""
         n, edges, ops, per_row_first = case
-        lazy, model = AdjacencySetBackend(n), EagerAdjacencySets(n)
+        lazy, model = Graph(n), EagerAdjacencySets(n)
         lazy.load_canonical(*canonical_columns(edges))
         for u, v in edges:
             model.add_edge(u, v)
         assert lazy.m == model.m
-        lazy, model = drive_script(lazy, model, ops)
+        drive_script(lazy, model, ops)
         assert_reads_match(lazy, model, per_row_first)
 
     @pytest.mark.parametrize("clone", [
@@ -239,7 +228,7 @@ class TestLazyAdjacencyRows:
         ids=["pickle", "deepcopy"])
     def test_round_trip_keeps_unloaded_rows_loadable(self, clone):
         edges = [(0, 1), (0, 5), (1, 2), (2, 5), (3, 4), (4, 5)]
-        lazy, model = AdjacencySetBackend(7), EagerAdjacencySets(7)
+        lazy, model = Graph(7), EagerAdjacencySets(7)
         lazy.load_canonical(*canonical_columns(edges))
         for u, v in edges:
             model.add_edge(u, v)
@@ -259,7 +248,7 @@ class TestLazyAdjacencyRows:
         (([0.0], [1.0]), "integer"),
     ])
     def test_load_rejects_non_canonical_columns(self, columns, reason):
-        lazy = AdjacencySetBackend(4)
+        lazy = Graph(4)
         with pytest.raises(ValueError, match=reason):
             lazy.load_canonical(*map(np.array, columns))
         assert lazy.m == 0 and lazy.edge_list() == []
@@ -267,7 +256,7 @@ class TestLazyAdjacencyRows:
 
     @pytest.mark.parametrize("loaded", [False, True])
     def test_load_into_a_backend_with_edges_raises(self, loaded):
-        lazy = AdjacencySetBackend(4)
+        lazy = Graph(4)
         if loaded:
             lazy.load_canonical(*canonical_columns([(0, 1), (1, 3)]))
         else:
@@ -281,25 +270,43 @@ class TestLazyAdjacencyRows:
     def test_emptied_row_iterates_like_the_eager_set(self):
         """A row that grew and emptied keeps its set: re-added neighbours
         then iterate in the grown table's order, not a fresh set's."""
-        lazy, model = AdjacencySetBackend(12), EagerAdjacencySets(12)
-        for backend in (lazy, model):
+        lazy, model = Graph(12), EagerAdjacencySets(12)
+        for store in (lazy, model):
             for v in range(1, 8):
-                backend.add_edge(0, v)
+                store.add_edge(0, v)
             for v in range(1, 8):
-                backend.remove_edge(0, v)
-            backend.add_edge(0, 9)
-            backend.add_edge(0, 2)
+                store.remove_edge(0, v)
+            store.add_edge(0, 9)
+            store.add_edge(0, 2)
         assert list(model.adj[0]) == [2, 9]  # a fresh set gives [9, 2]
         assert list(lazy.neighbors(0)) == list(model.adj[0])
         assert list(lazy.edges()) == model.edges()
+
+    @pytest.mark.parametrize("clone", [
+        lambda g: pickle.loads(pickle.dumps(g)), copy.deepcopy],
+        ids=["pickle", "deepcopy"])
+    def test_round_trip_rebuilds_a_shrunk_row(self, clone):
+        """Pickle and deepcopy rebuild every row as a fresh set, so a row
+        that grew and emptied may iterate in another order after one, and
+        an order-reading algorithm may then answer differently."""
+        g = Graph(12)
+        for v in range(1, 8):
+            g.add_edge(0, v)
+        for v in range(1, 8):
+            g.remove_edge(0, v)
+        g.add_edges([(0, 9), (0, 2), (2, 5), (9, 11)])
+        copied = clone(g)
+        assert list(g.neighbors(0)) == [2, 9]
+        assert list(copied.neighbors(0)) == [9, 2]
+        assert sorted(copied.edge_list()) == sorted(g.edge_list())
+        assert sorted(greedy_maximal_matching(g).edges()) == [(0, 2), (9, 11)]
+        assert sorted(greedy_maximal_matching(copied).edges()) == \
+            [(0, 9), (2, 5)]
 
     def test_isolated_vertex_has_no_neighbours(self):
         g = Graph(3, [(0, 1)])
         assert set(g.neighbors(2)) == set() and list(g.neighbor_list(2)) == []
         assert g.degree(2) == 0 and g.max_degree() == 1
-        clone = g.copy()
-        clone.add_edge(1, 2)
-        assert g.degree(2) == 0 and clone.degree(2) == 1
 
     @pytest.mark.parametrize("clone", [
         lambda g: pickle.loads(pickle.dumps(g)), copy.deepcopy],
@@ -394,12 +401,12 @@ class TestDynamicGraphMemoContract:
         """
         from repro.utils.contracts import declared_mutators
 
-        # insert/delete delegate to apply, delete_edges to apply_all;
-        # restore_snapshot sets the guarded scalars on checkpoint restore,
-        # which TestLogFreeMode and the checkpoint resume-parity tests cover
+        # insert/delete delegate to apply; restore_snapshot sets the
+        # guarded scalars on checkpoint restore, which
+        # tests/test_dynamic_graph.py::TestLogFreeMode and the checkpoint
+        # resume-parity tests cover
         assert set(declared_mutators(DynamicGraph)) == {
-            "apply", "insert", "delete", "apply_all", "delete_edges",
-            "restore_snapshot"}
+            "apply", "insert", "delete", "apply_all", "restore_snapshot"}
 
     def test_declared_guards_exist_on_instances(self):
         """Every declared guard attribute is a real attribute (no typos)."""

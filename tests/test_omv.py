@@ -119,6 +119,29 @@ class TestApproximateOMv:
         aomv.force_flush()
         assert aomv.exact.get(0, 1)
 
+    @pytest.mark.parametrize("flush", [
+        lambda aomv: aomv.query(np.zeros(10, dtype=bool)),
+        lambda aomv: aomv.force_flush()], ids=["query", "force_flush"])
+    @pytest.mark.parametrize("bad", [(0, 12), (-1, 3), (np.int64(10), 0)],
+                             ids=["column-past-n", "negative-row", "numpy-row"])
+    def test_bad_update_raises_before_buffering(self, flush, bad):
+        counters = Counters()
+        aomv = ApproximateOMv(10, lam=0.0, counters=counters)
+        aomv.update(0, 1, True)
+        with pytest.raises(ValueError, match="outside"):
+            aomv.update(*bad, True)
+        assert counters.get("omv_approx_updates") == 1
+        flush(aomv)
+        assert aomv.exact.get(0, 1) and counters.get("omv_updates") == 1
+        # nothing is left pending: the next query applies nothing
+        flushes = counters.get("omv_flushes")
+        aomv.query(np.zeros(10, dtype=bool))
+        assert counters.get("omv_flushes") == flushes
+        assert counters.get("omv_updates") == 1
+        aomv.update(np.int64(2), np.int64(3), True)  # NumPy ids are entries
+        aomv.force_flush()
+        assert aomv.exact.row_neighbors(2) == [3]
+
 
 class TestOMvMatching:
     def test_matches_hopcroft_karp_size_on_bipartite(self):

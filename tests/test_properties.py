@@ -78,7 +78,7 @@ class TestMatchingProperties:
     @settings(max_examples=40, deadline=None)
     def test_matching_size_monotone_under_edge_addition(self, g):
         base = maximum_matching_size(g)
-        h = g.copy()
+        h = Graph(g.n, g.edge_list())
         added = False
         for u in range(g.n):
             for v in range(u + 1, g.n):

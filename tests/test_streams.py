@@ -4,7 +4,10 @@ import itertools
 
 import pytest
 
+from repro.dynamic.interfaces import Problem1Instance
+from repro.dynamic.weak_oracles import GreedyInducedWeakOracle
 from repro.graph.dynamic_graph import DynamicGraph, Update
+from repro.graph.graph import Graph
 from repro.workloads import (
     UpdateStream,
     concat,
@@ -18,6 +21,11 @@ from repro.workloads import (
 
 def _ins(k):
     return [Update.insert(i, i + 1) for i in range(k)]
+
+
+def _problem1(n, alpha):
+    return Problem1Instance(n, lambda g: GreedyInducedWeakOracle(g, seed=0),
+                            q=2, lam=0.5, delta=0.1, alpha=alpha)
 
 
 class TestUpdateStream:
@@ -87,13 +95,21 @@ class TestChunkDiscipline:
         # non-padded mode leaves the short tail
         assert [len(c) for c in stream.chunks(3, pad=False)] == [3, 3, 1]
 
-    def test_chunks_match_eager_chunk_updates(self):
+    def test_chunks_match_padded_slices(self):
         stream = sliding_window(14, 50, window=9, seed=3)
+        flat = stream.materialize()
         for size in (1, 7, 50, 64):
-            lazy = list(stream.chunks(size))
-            eager = DynamicGraph.chunk_updates(stream.materialize(), size,
-                                               pad=True)
-            assert lazy == eager, f"chunk_size={size}"
+            sliced = [flat[i:i + size] for i in range(0, len(flat), size)]
+            sliced[-1] += [Update.empty()] * (size - len(sliced[-1]))
+            assert list(stream.chunks(size)) == sliced, f"chunk_size={size}"
+
+    def test_chunks_from_pads_with_empty(self):
+        updates = [Update.insert(0, 1), Update.insert(1, 2), Update.insert(2, 3)]
+        inst = _problem1(4, alpha=0.5)
+        assert inst.chunk_size == 2
+        for chunks in (inst.chunks_from(updates),
+                       list(UpdateStream.from_updates(4, updates).chunks(2))):
+            assert chunks == [updates[:2], [updates[2], Update.empty()]]
 
     def test_chunked_flat_stream(self):
         stream = UpdateStream.from_updates(10, _ins(5))
@@ -105,6 +121,10 @@ class TestChunkDiscipline:
     def test_chunks_rejects_bad_size(self):
         with pytest.raises(ValueError, match="chunk_size"):
             list(UpdateStream.empty(3).chunks(0))
+        # chunks_from's size is alpha * n, and alpha must lie in (0, 1]
+        for alpha in (0.0, 1.5):
+            with pytest.raises(ValueError, match="alpha"):
+                _problem1(4, alpha)
 
     def test_rate_limit_density(self):
         stream = insertion_only(30, 12, seed=4).rate_limit(3, 5)
@@ -132,16 +152,8 @@ class TestChunkDiscipline:
                 stream.rate_limit(*bad)
 
     def test_problem1_iter_chunks_lazy_parity(self):
-        from repro.dynamic.weak_oracles import GreedyInducedWeakOracle
-        from repro.dynamic.interfaces import Problem1Instance
-
-        def make():
-            return Problem1Instance(
-                20, lambda g: GreedyInducedWeakOracle(g, seed=0),
-                q=2, lam=0.5, delta=0.1, alpha=0.1)
-
         stream = insertion_only(20, 13, seed=7)
-        lazy_inst, eager_inst = make(), make()
+        lazy_inst, eager_inst = _problem1(20, 0.1), _problem1(20, 0.1)
         lazy_chunks = list(lazy_inst.iter_chunks(stream))
         eager_chunks = eager_inst.chunks_from(stream.materialize())
         assert lazy_chunks == eager_chunks
@@ -169,18 +181,21 @@ class TestSourceLaziness:
 
     def test_apply_all_consumes_stream_without_log(self):
         stream = sliding_window(16, 500, window=12, seed=9)
-        dg = DynamicGraph(16, log_updates=False)
+        dg = DynamicGraph(16)
         dg.apply_all(stream)
         assert dg.num_updates == 500
         assert dg.m <= 12
-        with pytest.raises(RuntimeError, match="log disabled"):
-            dg.log()
-        with pytest.raises(RuntimeError, match="log disabled"):
-            dg.replay()
+        built = Graph(16)
+        for upd in stream:
+            if upd.kind == Update.INSERT:
+                built.add_edge(upd.u, upd.v)
+            elif upd.kind == Update.DELETE:
+                built.remove_edge(upd.u, upd.v)
+        assert dg.graph.edge_list() == built.edge_list()
 
     def test_apply_all_stream_matches_eager(self):
         stream = sliding_window(16, 200, window=12, seed=10)
-        lazy = DynamicGraph(16, log_updates=False)
+        lazy = DynamicGraph(16)
         eager = DynamicGraph(16)
         assert lazy.apply_all(stream) == eager.apply_all(stream.materialize())
         assert sorted(lazy.graph.edges()) == sorted(eager.graph.edges())

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 
+from repro.graph.graph import Graph
 from repro.matching.blossom import maximum_matching_size
 from repro.matching.greedy import greedy_maximal_matching
 from repro.core.boosting import build_structure_graph
@@ -61,12 +62,13 @@ def hprime_decay_series(seed: int = 0, eps: float = 0.25, er_n: int = 120,
     oracle = GreedyMatchingOracle()
     series = []
     for iteration in range(10):
-        hprime, witness = build_structure_graph(state)
-        mu = maximum_matching_size(hprime)
-        series.append((iteration, hprime.n, hprime.m, mu))
-        if hprime.m == 0:
+        n, witness = build_structure_graph(state)
+        # mu(H') is the figure's measurement; the oracle gets the edge list
+        mu = maximum_matching_size(Graph(n, witness))
+        series.append((iteration, n, len(witness), mu))
+        if not witness:
             break
-        matched = oracle.find_matching(hprime)
+        matched = oracle.find_matching(n, list(witness))
         for a, b in matched:
             key = (a, b) if a < b else (b, a)
             if key in witness:

@@ -26,7 +26,10 @@ def main() -> None:
     # --- one raw oracle call: the distributed 2-approximation ---------------
     raw_counters = Counters()
     oracle = CongestMatchingOracle(counters=raw_counters, seed=5)
-    raw = Matching(graph.n, oracle.find_matching(graph))
+    # erdos_renyi inserts its edges in key order, so the oracle's network
+    # Graph(n, edges) is this graph, rows in the same order
+    raw = Matching(graph.n, oracle.find_matching(graph.n,
+                                                 sorted(graph.edge_list())))
     print("\n[one Theta(1)-approximate CONGEST matching]")
     print(f"  size   : {raw.size} (factor {optimum / max(1, raw.size):.3f})")
     print(f"  rounds : {int(raw_counters['congest_rounds'])}")

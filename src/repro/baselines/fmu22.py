@@ -52,8 +52,13 @@ def fmu22_scheduled_calls(eps: float, setting: str = "mpc") -> float:
     raise ValueError(f"unknown setting {setting!r}")
 
 
-def _build_all_type3_graph(state: PhaseState) -> Tuple[Graph, Dict[Edge, Edge], int]:
-    """One bipartite derived graph over *all* type-3 arcs (no stage split)."""
+def _build_all_type3_graph(state: PhaseState) -> Tuple[int, Dict[Edge, Edge], int]:
+    """One bipartite derived graph over *all* type-3 arcs (no stage split).
+
+    Returns ``(n, witness, num_left)`` like
+    :func:`~repro.core.boosting.build_stage_graph`: the edges are the keys
+    of ``witness`` in insertion order.
+    """
     left_nodes: List[StructNode] = []
     for structure in state.live_structures():
         w = structure.working
@@ -66,7 +71,6 @@ def _build_all_type3_graph(state: PhaseState) -> Tuple[Graph, Dict[Edge, Edge], 
                       and (state.node_of[v] is None or not state.node_of[v].outer)]
     left_index = {id(node): i for i, node in enumerate(left_nodes)}
     right_index = {v: len(left_nodes) + i for i, v in enumerate(right_vertices)}
-    derived = Graph(len(left_nodes) + len(right_vertices))
     witness: Dict[Edge, Edge] = {}
     right_set = set(right_vertices)
     for node in left_nodes:
@@ -75,9 +79,9 @@ def _build_all_type3_graph(state: PhaseState) -> Tuple[Graph, Dict[Edge, Edge], 
             for y in state.graph.neighbor_list(x):
                 if y in right_set and state.arc_type(x, y) == 3:
                     key = (i, right_index[y])
-                    if derived.add_edge(*key):
+                    if key not in witness:
                         witness[key] = (x, y)
-    return derived, witness, len(left_nodes)
+    return len(left_nodes) + len(right_vertices), witness, len(left_nodes)
 
 
 class FMU22Driver(OracleDriver):
@@ -94,11 +98,11 @@ class FMU22Driver(OracleDriver):
 
     def extend_active_path(self, state: PhaseState) -> None:
         for _it in range(self.poly_iterations):
-            derived, witness, num_left = _build_all_type3_graph(state)
-            if derived.m == 0:
+            n, witness, num_left = _build_all_type3_graph(state)
+            if not witness:
                 break
             state.counters.add("iterations")
-            matched = self.oracle.find_matching(derived)
+            matched = self.oracle.find_matching(n, list(witness))
             performed = 0
             for a, b in matched:
                 key = (a, b) if a < num_left else (b, a)
@@ -115,11 +119,11 @@ class FMU22Driver(OracleDriver):
     def contract_and_augment(self, state: PhaseState) -> None:
         contract_pass(state)
         for _it in range(self.poly_iterations):
-            hprime, witness = build_structure_graph(state)
-            if hprime.m == 0:
+            n, witness = build_structure_graph(state)
+            if not witness:
                 break
             state.counters.add("iterations")
-            matched = self.oracle.find_matching(hprime)
+            matched = self.oracle.find_matching(n, list(witness))
             performed = 0
             for a, b in matched:
                 key = (a, b) if a < b else (b, a)

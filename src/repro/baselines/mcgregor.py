@@ -79,17 +79,17 @@ def _layered_repetition(graph: Graph, matching: Matching, k: int,
                             if matching.is_matched(v) and v not in used
                             and matching.mate(v) not in used]
         right_index = {v: len(head_list) + i for i, v in enumerate(right_candidates)}
-        layer_graph = Graph(len(head_list) + len(right_candidates))
         witness: Dict[Edge, Edge] = {}
         for i, head in enumerate(head_list):
             for w in graph.neighbors(head):
                 if w in right_index and not matching.contains_edge(head, w):
                     key = (i, right_index[w])
-                    if layer_graph.add_edge(*key):
+                    if key not in witness:
                         witness[key] = (head, w)
-        if layer_graph.m == 0:
+        if not witness:
             break
-        found = oracle.find_matching(layer_graph)
+        found = oracle.find_matching(len(head_list) + len(right_candidates),
+                                     list(witness))
         extended = 0
         for a, b in found:
             key = (a, b) if a < b else (b, a)

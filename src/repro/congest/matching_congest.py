@@ -19,7 +19,7 @@ cost ``T_matching`` of Corollary A.2.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.graph.graph import Graph
 from repro.instrumentation.counters import Counters
@@ -114,7 +114,10 @@ class CongestMatchingOracle(MatchingOracle):
         self.counters = counters if counters is not None else Counters()
         self._rng = random.Random(seed)
 
-    def find_matching(self, graph: Graph) -> List[Edge]:
+    def find_matching(self, n: int, edges: Sequence[Edge]) -> List[Edge]:
+        # the network is the derived graph itself, rows in its insertion
+        # order: the draws walk them
+        graph = Graph(n, edges)
         simulator = CongestSimulator(graph, counters=self.counters, strict=True)
         return congest_approx_matching(graph, simulator,
                                        seed=self._rng.randrange(2 ** 31))

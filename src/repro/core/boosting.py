@@ -55,15 +55,18 @@ Edge = Tuple[int, int]
 # derived graphs H' and H'_s
 # ---------------------------------------------------------------------------
 
-def build_structure_graph(state: PhaseState) -> Tuple[Graph, Dict[Edge, Edge]]:
+def build_structure_graph(state: PhaseState) -> Tuple[int, Dict[Edge, Edge]]:
     """Build ``H'`` (Definition 5.4): one vertex per structure, an edge between
     two structures iff some G-edge connects outer vertices of both.
 
-    Returns ``(H', witness)`` where ``witness[(i, j)]`` is a G-edge realising
-    the H'-edge ``{i, j}`` (i < j in H' labelling).  The array engine pulls
-    the candidate type-2 arcs with one boolean-mask pass over the key-sorted
-    edge arrays; the reference engine walks the same edge order scalar-wise,
-    so both build the identical graph and witness map.
+    Returns ``(n, witness)``: ``H'`` has ``n`` vertices, and its edges are
+    the keys of ``witness`` in the order they were found, where
+    ``witness[(i, j)]`` is a G-edge realising the H'-edge ``{i, j}`` (i < j
+    in H' labelling).  The oracle is handed ``list(witness)``; no
+    :class:`Graph` is built.  The array engine pulls the candidate type-2
+    arcs with one boolean-mask pass over the key-sorted edge arrays; the
+    reference engine walks the same edge order scalar-wise, so both build
+    the identical witness map.
     """
     structures = state.live_structures()
     index = {id(s): i for i, s in enumerate(structures)}
@@ -88,22 +91,21 @@ def build_structure_graph(state: PhaseState) -> Tuple[Graph, Dict[Edge, Edge]]:
         key = (i, j) if i < j else (j, i)
         if key not in witness:
             witness[key] = (u, v) if i < j else (v, u)
-    hprime = Graph(len(structures))
-    hprime.add_edges(witness)
-    return hprime, witness
+    return len(structures), witness
 
 
 def build_stage_graph(state: PhaseState, stage: int,
                       left_nodes: Sequence[StructNode]
-                      ) -> Tuple[Graph, Dict[Edge, Edge], int]:
+                      ) -> Tuple[int, Dict[Edge, Edge], int]:
     """Build ``H'_s`` (Definition 5.8) for stage ``s``.
 
     Left part: ``left_nodes``, the working nodes of the structures eligible
     at ``s`` (active, not on hold, not yet extended, distance ``s``) in
     structure order.  Right part: inner or unvisited matched G-vertices with
     label > s+1, ascending (:func:`stage_right_vertices`).  Returns
-    ``(H'_s, witness, num_left)`` where the first ``num_left`` vertices of
-    the returned graph are the left part.
+    ``(n, witness, num_left)``: ``H'_s`` has ``n`` vertices, the first
+    ``num_left`` of them the left part, and its edges are the keys of
+    ``witness`` in insertion order (as for :func:`build_structure_graph`).
 
     Every right vertex stays a vertex of ``H'_s`` although few get an edge:
     the oracle is charged for the vertex count (``oracle_vertices_seen``),
@@ -119,7 +121,7 @@ def build_stage_graph(state: PhaseState, stage: int,
     (:func:`_blossom_stage_arcs`), in the same order.
     """
     if not left_nodes:
-        return Graph(0), {}, 0
+        return 0, {}, 0
     array = state.engine == "array"
     if array:
         right_mask = stage_right_mask(state, stage)
@@ -156,9 +158,7 @@ def build_stage_graph(state: PhaseState, stage: int,
                 key = (i, num_left + bisect_left(right, y))
                 if key not in witness:
                     witness[key] = (x, y)
-    hs = Graph(num_left + len(right))
-    hs.add_edges(witness)
-    return hs, witness, num_left
+    return num_left + len(right), witness, num_left
 
 
 def _blossom_stage_arcs(state: PhaseState, node: StructNode,
@@ -219,11 +219,11 @@ class OracleDriver:
                 if not counts.get(stage):
                     break
                 left = [s.working for s in index.eligible(stage)]
-                hs, witness, num_left = build_stage_graph(state, stage, left)
-                if hs.m == 0:
+                n, witness, num_left = build_stage_graph(state, stage, left)
+                if not witness:
                     break
                 state.counters.add("iterations")
-                matched = self.oracle.find_matching(hs)
+                matched = self.oracle.find_matching(n, list(witness))
                 performed = 0
                 for a, b in matched:
                     key = (a, b) if a < num_left else (b, a)
@@ -248,11 +248,11 @@ class OracleDriver:
     def contract_and_augment(self, state: PhaseState) -> None:
         contract_pass(state)
         for _it in range(self.profile.sim_iterations):
-            hprime, witness = build_structure_graph(state)
-            if hprime.m == 0:
+            n, witness = build_structure_graph(state)
+            if not witness:
                 break
             state.counters.add("iterations")
-            matched = self.oracle.find_matching(hprime)
+            matched = self.oracle.find_matching(n, list(witness))
             performed = 0
             for a, b in matched:
                 key = (a, b) if a < b else (b, a)
@@ -316,11 +316,10 @@ class BoostingFramework:
         matching = Matching(graph.n)
         rounds = max(1, int(2 * self.oracle.c) + 1)
         for _ in range(rounds):
-            free = matching.free_vertices()
-            sub, back = graph.induced_subgraph(free)
-            if sub.m == 0:
+            edges, back = graph.relabelled_edges(matching.free_vertices())
+            if not edges:
                 break
-            found = self.oracle.find_matching(sub)
+            found = self.oracle.find_matching(len(back), edges)
             if not found:
                 break
             for x, y in found:

@@ -23,9 +23,9 @@ import random
 from abc import ABC, abstractmethod
 from typing import List, Optional, Sequence, Tuple
 
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, edge_list_of
 from repro.instrumentation.counters import Counters
-from repro.matching.greedy import greedy_maximal_matching, random_greedy_matching
+from repro.matching.greedy import greedy_scan, shuffled_greedy
 from repro.matching.blossom import maximum_matching
 
 Edge = Tuple[int, int]
@@ -36,15 +36,23 @@ Edge = Tuple[int, int]
 # ---------------------------------------------------------------------------
 
 class MatchingOracle(ABC):
-    """A Theta(1)-approximate maximum-matching oracle (``Amatching``)."""
+    """A Theta(1)-approximate maximum-matching oracle (``Amatching``).
+
+    An oracle is handed a graph as ``(n, edges)``: its vertex count and its
+    edges as ``(a, b)`` pairs, each edge once, in the order the caller found
+    them.  The graph they stand for is ``Graph(n, edges)``, rows and row
+    order included, so an oracle that scans edges scans
+    :func:`~repro.graph.graph.edge_list_of` order, and one that needs a
+    network (CONGEST) or adjacency (exact blossom) builds that graph.
+    """
 
     #: approximation factor guaranteed by the oracle (``c`` in the paper)
     c: float = 2.0
     name: str = "oracle"
 
     @abstractmethod
-    def find_matching(self, graph: Graph) -> List[Edge]:
-        """Return a ``c``-approximate maximum matching of ``graph``."""
+    def find_matching(self, n: int, edges: Sequence[Edge]) -> List[Edge]:
+        """Return a ``c``-approximate maximum matching of ``Graph(n, edges)``."""
 
 
 class GreedyMatchingOracle(MatchingOracle):
@@ -53,8 +61,8 @@ class GreedyMatchingOracle(MatchingOracle):
     c = 2.0
     name = "greedy"
 
-    def find_matching(self, graph: Graph) -> List[Edge]:
-        return greedy_maximal_matching(graph).edge_list()
+    def find_matching(self, n: int, edges: Sequence[Edge]) -> List[Edge]:
+        return greedy_scan(n, edge_list_of(n, edges)).edge_list()
 
 
 class RandomGreedyMatchingOracle(MatchingOracle):
@@ -66,10 +74,11 @@ class RandomGreedyMatchingOracle(MatchingOracle):
     def __init__(self, seed: Optional[int] = None) -> None:
         self._rng = random.Random(seed)
 
-    def find_matching(self, graph: Graph) -> List[Edge]:
+    def find_matching(self, n: int, edges: Sequence[Edge]) -> List[Edge]:
         # Thread the oracle's own Random instance through: one seed at
         # construction reproduces the whole invocation sequence.
-        return random_greedy_matching(graph, rng=self._rng).edge_list()
+        return shuffled_greedy(n, edge_list_of(n, edges),
+                               self._rng).edge_list()
 
 
 class ExactMatchingOracle(MatchingOracle):
@@ -79,8 +88,8 @@ class ExactMatchingOracle(MatchingOracle):
     c = 1.0
     name = "exact"
 
-    def find_matching(self, graph: Graph) -> List[Edge]:
-        return maximum_matching(graph).edge_list()
+    def find_matching(self, n: int, edges: Sequence[Edge]) -> List[Edge]:
+        return maximum_matching(Graph(n, edges)).edge_list()
 
 
 class CountingOracle(MatchingOracle):
@@ -97,14 +106,14 @@ class CountingOracle(MatchingOracle):
         self.c = inner.c
         self.name = f"counting({inner.name})"
 
-    def find_matching(self, graph: Graph) -> List[Edge]:
+    def find_matching(self, n: int, edges: Sequence[Edge]) -> List[Edge]:
         self.counters.add("oracle_calls")
-        self.counters.add("oracle_vertices_seen", graph.n)
-        self.counters.add("oracle_edges_seen", graph.m)
-        if graph.n > self.counters.get("oracle_max_vertices"):
+        self.counters.add("oracle_vertices_seen", n)
+        self.counters.add("oracle_edges_seen", len(edges))
+        if n > self.counters.get("oracle_max_vertices"):
             self.counters.reset("oracle_max_vertices")
-            self.counters.add("oracle_max_vertices", graph.n)
-        return self.inner.find_matching(graph)
+            self.counters.add("oracle_max_vertices", n)
+        return self.inner.find_matching(n, edges)
 
 
 def ensure_counting(oracle: MatchingOracle, counters: Counters) -> "CountingOracle":

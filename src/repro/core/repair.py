@@ -52,7 +52,7 @@ bookkeeping in :attr:`RepairContext.stats` rather than in
 from __future__ import annotations
 
 import weakref
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -86,14 +86,6 @@ class MirroredMatching(Matching):
     def add(self, u: int, v: int) -> None:
         super().add(u, v)
         self._ctx._on_match(u, v)
-
-    @hot_path
-    def add_disjoint_edges(self, edges: Iterable[Edge]) -> int:
-        edges = list(edges)  # repro: allow[hot-path-alloc] -- bounded by one phase's augmenting set, and the iterable is consumed twice (base class + mirror)
-        count = super().add_disjoint_edges(edges)
-        for u, v in edges:
-            self._ctx._on_match(u, v)
-        return count
 
     @hot_path
     def remove(self, u: int, v: int) -> None:

@@ -128,7 +128,7 @@ class FullyDynamicMatching(DynamicMatchingAlgorithm):
     # ---------------------------------------------------------------- updates
     @hot_path
     def update(self, update: Update) -> None:
-        changed = self.dynamic_graph.apply(update)  # logs EMPTY padding too
+        changed = self.dynamic_graph.apply(update)
         if changed and self.repair_context is not None:
             self.repair_context.note_update(update.u, update.v,
                                            update.kind == Update.INSERT)

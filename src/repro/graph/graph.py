@@ -19,6 +19,9 @@ Design notes
 * Hot paths should prefer the bulk APIs (:meth:`Graph.add_edges`,
   :meth:`Graph.edge_list`, :meth:`Graph.subgraph_edges`,
   :meth:`Graph.neighbor_list`): one call through the container per batch.
+* A graph that is only read once, edge by edge, need not be built:
+  :func:`edge_list_of` returns the order :meth:`Graph.edge_list` would
+  yield, which is what the ``Amatching`` oracles of Section 5 scan.
 
 The module-level helpers turn edge sets into NumPy arrays for the code that
 works on whole graphs at once: :func:`edge_endpoint_arrays` (bulk edge
@@ -47,11 +50,10 @@ def normalize_edge(u: int, v: int) -> Edge:
 def edge_endpoint_arrays(edges: Iterable[Edge]):
     """Flatten an edge iterable into endpoint arrays ``(u, v)`` (int64).
 
-    The shared fast path for bulk edge consumers (the vectorized greedy and
-    the maintainer's checkpointed edge columns): ``np.fromiter`` over a
-    flattened chain converts a 100k-pair list several times faster than
-    ``np.asarray`` on the list of tuples; array-likes pass through
-    ``asarray`` with a shape check.
+    The fast path for bulk edge consumers (the maintainer's checkpointed
+    edge columns): ``np.fromiter`` over a flattened chain converts a
+    100k-pair list several times faster than ``np.asarray`` on the list of
+    tuples; array-likes pass through ``asarray`` with a shape check.
     """
     if hasattr(edges, "__array__"):
         pairs = np.asarray(edges, dtype=np.int64)
@@ -106,6 +108,55 @@ def compile_csr(eu, ev, n: int):
     return indptr, dst[order]
 
 
+def edge_list_of(n: int, edges: Sequence[Edge]) -> List[Edge]:
+    """``Graph(n, edges).edge_list()``, computed without building the graph.
+
+    :meth:`Graph.edges` walks the vertices in ascending order and yields
+    each row's larger neighbours in the row's set order, and a set of ints
+    iterates in an order fixed by the sequence of its inserts.  Only the
+    rows of vertices that are the smaller end of some edge are read, so
+    only those are built: one set each, receiving every neighbour (smaller
+    ones too) in the order the graph would insert it.  A repeated pair is
+    skipped like the graph skips it, and a bad edge raises the graph's
+    ``ValueError``.  On a bipartite graph whose left ids come first no
+    right vertex gets a set, while the graph allocates ``n`` row slots and
+    one set per touched vertex.
+    """
+    lows: Dict[int, None] = {}
+    for a, b in edges:
+        if a < b:
+            if a < 0 or b >= n:
+                _raise_bad_edge(n, a, b)
+            lows[a] = None
+        else:
+            if b < 0 or a >= n or a == b:
+                _raise_bad_edge(n, a, b)
+            lows[b] = None
+    rows = {u: set() for u in sorted(lows)}
+    get = rows.get
+    for a, b in edges:
+        if a > b:
+            a, b = b, a
+        row = rows[a]
+        if b in row:
+            continue
+        row.add(b)
+        other = get(b)
+        if other is not None:
+            other.add(a)
+    # int keys hash to themselves, so no row order depends on PYTHONHASHSEED
+    return [(u, v) for u, row in rows.items() for v in row if u < v]
+
+
+def _raise_bad_edge(n: int, u: int, v: int) -> None:
+    """Raise the ``ValueError`` :class:`Graph` raises for the edge ``(u, v)``."""
+    for w in (u, v):
+        if not 0 <= w < n:
+            raise ValueError(f"vertex {w} out of range [0, {n})")
+    if u == v:
+        raise ValueError(f"self-loop ({u}, {v}) not allowed in a simple graph")
+
+
 #: the adjacency row of every vertex without an edge; immutable, so a row
 #: is always replaced by its own set on the vertex's first edge
 _NO_NEIGHBOURS: AbstractSet[int] = frozenset()
@@ -141,17 +192,17 @@ class Graph:
     every mutator reports whether (or how many) edges actually changed.
 
     A vertex's set is allocated on its first edge; until then its row is one
-    shared empty ``frozenset``.  The derived graphs of Section 5 have far
-    more vertices than edges, and allocating one set per vertex dominated
-    their construction.  A set emptied by removals is kept, so every row
-    grows and iterates exactly like a set allocated up front.
+    shared empty ``frozenset``, so a graph pays one set per vertex that has
+    an edge, not one per vertex.  A set emptied by removals is kept, so
+    every row grows and iterates exactly like a set allocated up front.
 
     :meth:`load_canonical` adds a third row state, *unloaded*: the row's
     neighbours sit in a CSR base until the first per-row access
     (``add_edge``, ``remove_edge``, ``has_edge``, ``neighbors``,
     ``neighbor_list``, ``degree``) turns it into its set.  The bulk readers
-    (``edges``/``edge_list``, ``induced_subgraph``/``subgraph_edges``,
-    ``max_degree``) first load every remaining row and drop the base.
+    (``edges``/``edge_list``, ``induced_subgraph``/``relabelled_edges``/
+    ``subgraph_edges``, ``max_degree``) first load every remaining row and
+    drop the base.
     """
 
     __slots__ = ("_n", "_adj", "_m", "_base")
@@ -201,7 +252,7 @@ class Graph:
         """Insert edge ``{u, v}``.  Returns ``True`` if the edge is new."""
         n = self._n
         if not (0 <= u < n and 0 <= v < n) or u == v:
-            self._check_edge(u, v)  # raises the matching error
+            _raise_bad_edge(n, u, v)
         # rows are told apart by type, not identity: pickling or
         # deep-copying a graph rebuilds the shared empty row as a new
         # frozenset (and the unloaded marker as a new instance)
@@ -362,21 +413,33 @@ class Graph:
         labelling, walked in ``vertices``' own order.
 
         ``vertices`` is a set, or a dict keyed by vertex; membership is
-        tested on it.  An id outside ``[0, n)`` raises ``ValueError``.
+        tested on it.  An id outside ``[0, n)`` raises ``ValueError`` before
+        any row is read for it.
         """
-        if vertices:
-            # distinct ints have no ties, so min/max read no iteration order
-            low, high = min(vertices), max(vertices)
-            if low < 0 or high >= self._n:
-                self._check_vertex(low)
-                self._check_vertex(high)
         self._load_all()
+        n = self._n
         out: List[Edge] = []
         for u in vertices:
+            if not 0 <= u < n:
+                self._check_vertex(u)
             for v in self._adj[u]:  # repro: allow[set-iteration] -- int keys hash to themselves: order is a pure function of the update sequence, independent of PYTHONHASHSEED (see edges())
                 if u < v and v in vertices:
                     out.append((u, v))
         return out
+
+    def relabelled_edges(self, vertices: Iterable[int]
+                         ) -> Tuple[List[Edge], List[int]]:
+        """The edges of ``G[S]`` relabelled to ``0..|S|-1``, plus the
+        new->old list.
+
+        ``S`` is ``vertices`` without duplicates, numbered in first-seen
+        order; ``back[new_id] = old_id``.  The pairs come in the order
+        :meth:`induced_subgraph` inserts them, so ``Graph(len(back),
+        pairs)`` is that subgraph, row iteration order included.
+        """
+        index = {old: new for new, old in enumerate(dict.fromkeys(vertices))}
+        pairs = [(index[u], index[v]) for u, v in self._induced_edges(index)]
+        return pairs, list(index)
 
     def induced_subgraph(self, vertices: Sequence[int]) -> Tuple["Graph", Dict[int, int]]:
         """Return ``G[S]`` relabelled to ``0..|S|-1`` plus the new->old map.
@@ -391,10 +454,8 @@ class Graph:
         (subgraph, back_map):
             ``back_map[new_id] = old_id``.
         """
-        index = {old: new for new, old in enumerate(dict.fromkeys(vertices))}
-        sub = Graph(len(index), ((index[u], index[v])
-                                 for u, v in self._induced_edges(index)))
-        return sub, dict(enumerate(index))
+        pairs, back = self.relabelled_edges(vertices)
+        return Graph(len(back), pairs), dict(enumerate(back))
 
     def subgraph_edges(self, vertices: Iterable[int]) -> List[Edge]:
         """Edges of ``G[S]`` in the *original* labelling."""
@@ -457,9 +518,3 @@ class Graph:
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self._n:
             raise ValueError(f"vertex {v} out of range [0, {self._n})")
-
-    def _check_edge(self, u: int, v: int) -> None:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        if u == v:
-            raise ValueError(f"self-loop ({u}, {v}) not allowed in a simple graph")

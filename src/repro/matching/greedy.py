@@ -6,20 +6,15 @@ the baseline the framework boosts.  Both a deterministic edge-order greedy and
 a random-order greedy (used when an oblivious/adaptive adversary matters) are
 provided, plus a degree-bounded variant used by some weak-oracle constructions.
 
-Determinism and the fast path
------------------------------
-* The random-order variants take either a ``seed`` or an explicit
-  ``random.Random`` instance (``rng=``); callers that run sweeps thread one
-  ``rng`` through every call so whole benchmark runs replay bit-for-bit.
-  The edge list is sorted canonically before shuffling, so a fixed seed
-  produces the *same* matching whatever order the graph stores its edges in.
-* When the edge list is large, the sequential scan is replaced by a
-  vectorized round-based selection that provably returns the exact same
-  matching (an edge is greedy-selected iff it is the earliest-remaining
-  edge at both endpoints; repeatedly selecting all such edges at once
-  reproduces the sequential order).  A round cap guards the
-  adversarial case (e.g. a path scanned end-to-end needs Theta(n) rounds);
-  leftovers fall back to the sequential scan.
+Determinism
+-----------
+The random-order variants take either a ``seed`` or an explicit
+``random.Random`` instance (``rng=``); callers that run sweeps thread one
+``rng`` through every call so whole benchmark runs replay bit-for-bit.  The
+edge list is sorted canonically before shuffling, so a fixed seed produces
+the *same* matching whatever order the graph stores its edges in.
+:func:`greedy_scan` and :func:`shuffled_greedy` take ``(n, edges)`` for the
+``Amatching`` oracles, which are handed edge lists, not graphs.
 """
 
 from __future__ import annotations
@@ -27,18 +22,10 @@ from __future__ import annotations
 import random
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.graph.graph import Graph, edge_endpoint_arrays
+from repro.graph.graph import Graph
 from repro.matching.matching import Matching
 
 Edge = Tuple[int, int]
-
-#: below this many edges the plain Python scan wins over array set-up costs
-_VECTORIZE_MIN_EDGES = 2048
-
-#: rounds of vectorized selection before falling back to the sequential scan
-_MAX_VECTOR_ROUNDS = 32
 
 
 def _resolve_rng(rng: Optional[random.Random], seed: Optional[int]) -> random.Random:
@@ -46,55 +33,22 @@ def _resolve_rng(rng: Optional[random.Random], seed: Optional[int]) -> random.Ra
     return rng if rng is not None else random.Random(seed)
 
 
-def _greedy_select_vectorized(edges: Sequence[Edge], n: int,
-                              blocked: Optional[set]) -> List[Edge]:
-    """The edges sequential greedy would pick from ``edges``, in that order.
+def greedy_scan(n: int, edges: Iterable[Edge],
+                forbidden: Optional[Iterable[int]] = None) -> Matching:
+    """Greedy maximal matching of the edges on ``0..n-1``, scanned in the
+    order given: an edge goes in when both its endpoints are still free.
 
-    Round-based equivalent of the sequential scan: every round selects the
-    edges that are the earliest remaining edge at both endpoints (those are
-    exactly the edges sequential greedy commits to before any conflicting
-    edge), drops everything touching a matched vertex, and repeats.
-    Returns the picked edges in sequential pick order.
+    ``forbidden`` vertices stay unmatched.
     """
-    orig_u, orig_v = edge_endpoint_arrays(edges)
-    us, vs = orig_u, orig_v
-    pos = np.arange(us.size, dtype=np.int64)
-    if blocked:
-        blocked_mask = np.zeros(n, dtype=bool)
-        blocked_mask[sorted(blocked)] = True
-        keep = ~(blocked_mask[us] | blocked_mask[vs])
-        us, vs, pos = us[keep], vs[keep], pos[keep]
-    matched = np.zeros(n, dtype=bool)
-    winner_pos: List[int] = []
-    rounds = 0
-    while pos.size and rounds < _MAX_VECTOR_ROUNDS:
-        rounds += 1
-        rank = np.arange(pos.size, dtype=np.int64)
-        # Scatter-min of rank per endpoint: fancy assignment keeps the *last*
-        # write per index, so assigning in reverse rank order leaves the
-        # minimum (ranks ascend).  Far faster than np.minimum.at.
-        first_u = np.full(n, pos.size, dtype=np.int64)
-        first_u[us[::-1]] = rank[::-1]
-        first_v = np.full(n, pos.size, dtype=np.int64)
-        first_v[vs[::-1]] = rank[::-1]
-        first = np.minimum(first_u, first_v)
-        win = (first[us] == rank) & (first[vs] == rank)
-        wu, wv = us[win], vs[win]
-        matched[wu] = True
-        matched[wv] = True
-        winner_pos.extend(pos[win].tolist())
-        keep = ~(matched[us] | matched[vs])
-        us, vs, pos = us[keep], vs[keep], pos[keep]
-    wp = np.asarray(sorted(winner_pos), dtype=np.int64)
-    out = list(zip(orig_u[wp].tolist(), orig_v[wp].tolist()))
-    if pos.size:  # round cap hit: finish the tail sequentially
-        taken = matched
-        for u, v in zip(orig_u[pos].tolist(), orig_v[pos].tolist()):
-            if not taken[u] and not taken[v]:
-                taken[u] = True
-                taken[v] = True
-                out.append((u, v))
-    return out
+    matching = Matching(n)
+    blocked = set(forbidden) if forbidden is not None else None
+    mate = matching._mate
+    for u, v in edges:
+        if blocked is not None and (u in blocked or v in blocked):
+            continue
+        if mate[u] is None and mate[v] is None:
+            matching.add(u, v)
+    return matching
 
 
 def greedy_maximal_matching(graph: Graph,
@@ -112,27 +66,18 @@ def greedy_maximal_matching(graph: Graph,
         Vertices that must remain unmatched (used when peeling already-matched
         vertices, Lemma 5.3 / Lemma 6.7).
     """
-    matching = Matching(graph.n)
-    blocked = set(forbidden) if forbidden is not None else None
-    if edge_order is None:
-        edges: Sequence[Edge] = graph.edge_list()
-    elif isinstance(edge_order, (list, tuple)):
-        edges = edge_order
-    else:
-        edges = list(edge_order)
+    edges = graph.edge_list() if edge_order is None else edge_order
+    return greedy_scan(graph.n, edges, forbidden)
 
-    if len(edges) >= _VECTORIZE_MIN_EDGES:
-        matching.add_disjoint_edges(
-            _greedy_select_vectorized(edges, graph.n, blocked))
-        return matching
 
-    mate = matching._mate
-    for u, v in edges:
-        if blocked is not None and (u in blocked or v in blocked):
-            continue
-        if mate[u] is None and mate[v] is None:
-            matching.add(u, v)
-    return matching
+def shuffled_greedy(n: int, edges: Iterable[Edge], rng: random.Random,
+                    forbidden: Optional[Iterable[int]] = None) -> Matching:
+    """:func:`greedy_scan` over the canonically sorted ``edges`` shuffled by
+    ``rng``, so the result does not depend on the order they come in.
+    ``edges`` are canonical ``(u, v)`` pairs, ``u < v``, each edge once."""
+    order = sorted(edges)
+    rng.shuffle(order)
+    return greedy_scan(n, order, forbidden)
 
 
 def random_greedy_matching(graph: Graph, seed: Optional[int] = None,
@@ -145,10 +90,8 @@ def random_greedy_matching(graph: Graph, seed: Optional[int] = None,
     edge list is canonically sorted before shuffling, so the result for a
     fixed seed does not depend on the graph's edge storage order.
     """
-    rng = _resolve_rng(rng, seed)
-    edges = sorted(graph.edge_list())
-    rng.shuffle(edges)
-    return greedy_maximal_matching(graph, edge_order=edges, forbidden=forbidden)
+    return shuffled_greedy(graph.n, graph.edge_list(), _resolve_rng(rng, seed),
+                           forbidden)
 
 
 def greedy_on_vertex_subset(graph: Graph, subset: Sequence[int],
@@ -165,8 +108,6 @@ def greedy_on_vertex_subset(graph: Graph, subset: Sequence[int],
     s = set(subset)
     sub_edges = sorted(graph.subgraph_edges(s))
     rng.shuffle(sub_edges)
-    if len(sub_edges) >= _VECTORIZE_MIN_EDGES:
-        return _greedy_select_vectorized(sub_edges, graph.n, None)
     used = set()
     out: List[Edge] = []
     for u, v in sub_edges:

@@ -134,25 +134,6 @@ class Matching:
         self._mate[v] = u
         self._size += 1
 
-    def add_disjoint_edges(self, edges: Iterable[Edge]) -> int:
-        """Bulk :meth:`add` for a batch of vertex-disjoint edges.
-
-        The caller guarantees the batch is endpoint-disjoint and touches only
-        free vertices (as the vectorized greedy selection does by
-        construction); validation is a single debug assertion instead of a
-        per-edge check.  Returns the number of edges added.
-        """
-        mate = self._mate
-        count = 0
-        for u, v in edges:
-            assert mate[u] is None and mate[v] is None and u != v, \
-                f"add_disjoint_edges: ({u}, {v}) conflicts with the matching"
-            mate[u] = v
-            mate[v] = u
-            count += 1
-        self._size += count
-        return count
-
     def load_mate_array(self, mate) -> None:
         """Replace the matching with the one ``mate`` describes, in one pass.
 

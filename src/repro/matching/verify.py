@@ -1,11 +1,10 @@
 """Verification and certification utilities for matchings.
 
-Used throughout the test-suite and by the benchmark harness to certify that a
-returned matching is (a) a valid matching of the input graph, (b) within the
-advertised approximation factor of the optimum, and (c) (for the (1+eps)
-analysis) free of short augmenting paths -- the classical certificate that a
-matching is a (1 + 2/(k+1))-approximation when no augmenting path of length
-<= k exists.
+Used throughout the test-suite to certify that a returned matching is (a) a
+valid matching of the input graph, (b) within the advertised approximation
+factor of the optimum, and (c) (for the (1+eps) analysis) free of short
+augmenting paths -- the classical certificate that a matching is a
+(1 + 2/(k+1))-approximation when no augmenting path of length <= k exists.
 """
 
 from __future__ import annotations

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import random
 from operator import itemgetter
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.graph.graph import Graph
+from repro.graph.graph import edge_list_of
 from repro.instrumentation.counters import Counters
 from repro.core.oracles import MatchingOracle
 from repro.mpc.simulator import MPCSimulator
@@ -35,21 +35,22 @@ from repro.mpc.simulator import MPCSimulator
 Edge = Tuple[int, int]
 
 
-def mpc_approx_matching(graph: Graph, simulator: MPCSimulator,
+def mpc_approx_matching(n: int, edges: List[Edge], simulator: MPCSimulator,
                         seed: Optional[int] = None,
                         max_repetitions: Optional[int] = None) -> List[Edge]:
-    """Compute a maximal (2-approximate) matching of ``graph`` on ``simulator``.
+    """Compute a maximal (2-approximate) matching on ``simulator`` of the
+    graph on ``0..n-1`` with the edges ``edges``.
 
-    Returns the matched edges; rounds are charged to the simulator's counters.
+    ``edges`` holds each edge once, in the order it is scattered across the
+    machines: the draws depend on it.  Returns the matched edges; rounds are
+    charged to the simulator's counters.
     """
     rng = random.Random(seed)
     draw = rng.random
-    edges = graph.edge_list()
     simulator.scatter(edges)
 
     matched: Set[int] = set()
     matching: List[Edge] = []
-    n = graph.n
     reps = max_repetitions if max_repetitions is not None else 4 * max(1, n).bit_length() + 8
 
     for _rep in range(reps):
@@ -130,10 +131,12 @@ class MPCMatchingOracle(MatchingOracle):
         self.memory_per_machine = memory_per_machine
         self._rng = random.Random(seed)
 
-    def find_matching(self, graph: Graph) -> List[Edge]:
+    def find_matching(self, n: int, edges: Sequence[Edge]) -> List[Edge]:
+        # scatter the edges in the order Graph(n, edges) lists them
+        edges = edge_list_of(n, edges)
         machines = MPCSimulator.default_machine_count(
-            graph.n, graph.m, self.memory_per_machine)
+            n, len(edges), self.memory_per_machine)
         simulator = MPCSimulator(machines, memory_per_machine=None,
                                  counters=self.counters, strict=False)
-        return mpc_approx_matching(graph, simulator,
+        return mpc_approx_matching(n, edges, simulator,
                                    seed=self._rng.randrange(2 ** 31))

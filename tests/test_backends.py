@@ -1,8 +1,8 @@
 """Graph storage suite: :class:`Graph`'s lazily allocated adjacency rows
 must reproduce eagerly allocated sets, rows loaded from canonical edge
 columns must reproduce key-order insertion, bulk insertion must equal
-per-edge insertion, and the vectorized greedy fast path must reproduce the
-sequential scan exactly.
+per-edge insertion, and the edge lists the ``Amatching`` oracles are handed
+must stand for the graphs they replace, row order included.
 
 Property-based (hypothesis) over random edge/removal scripts.
 """
@@ -18,10 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dynamic.fully_dynamic import FullyDynamicMatching
 from repro.graph.dynamic_graph import DynamicGraph, Update
-from repro.graph.generators import random_edge_list
-from repro.graph.graph import Graph
-from repro.matching.greedy import (_greedy_select_vectorized,
-                                  greedy_maximal_matching)
+from repro.graph.graph import Graph, edge_list_of
+from repro.matching.greedy import greedy_maximal_matching
 
 
 # ---------------------------------------------------------------------------
@@ -332,40 +330,89 @@ class TestLazyAdjacencyRows:
 
 
 # ---------------------------------------------------------------------------
-# matching parity
+# edge lists handed to the oracles
 # ---------------------------------------------------------------------------
 
-class TestMatchingParity:
-    def test_vectorized_greedy_equals_sequential(self):
-        # adversarial-for-the-round-cap orders (paths scanned end to end)
-        # and random orders, well past the vectorization threshold
-        cases = []
-        n = 6000
-        cases.append((n, [(i, i + 1) for i in range(n - 1)]))  # path order
-        cases.append((n, sorted(random_edge_list(n, 3 * n, seed=1))))
-        cases.append((n, random_edge_list(n, 3 * n, seed=2)))  # random order
-        for n, edges in cases:
-            sequential = []
-            used = set()
-            for u, v in edges:
-                if u not in used and v not in used:
-                    used.add(u)
-                    used.add(v)
-                    sequential.append((u, v))
-            assert _greedy_select_vectorized(edges, n, None) == sequential
+def rows(graph):
+    """Every row of ``graph`` in its iteration order."""
+    return [list(graph.neighbor_list(v)) for v in range(graph.n)]
 
-    def test_vectorized_greedy_respects_forbidden(self):
-        n = 5000
-        edges = random_edge_list(n, 3 * n, seed=3)
-        blocked = set(range(0, n, 7))
-        sequential = []
-        used = set(blocked)
-        for u, v in edges:
-            if u not in used and v not in used:
-                used.add(u)
-                used.add(v)
-                sequential.append((u, v))
-        assert _greedy_select_vectorized(edges, n, blocked) == sequential
+
+@st.composite
+def oracle_edge_lists(draw, max_n=400):
+    """``(n, edges)`` as a Section 5 builder could hand them to an oracle,
+    and worse: either orientation, repeated pairs, and hubs of 30 to 60
+    neighbours whose ids pass a small set's table size, so the rows probe
+    and resize."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    pairs = [(u, v) for u, v in draw(st.lists(st.tuples(vertex, vertex),
+                                              max_size=80)) if u != v]
+    if n > 64:
+        for hub in draw(st.lists(vertex, max_size=3)):
+            pairs += [(hub, v) for v in draw(st.lists(vertex, min_size=30,
+                                                      max_size=60))
+                      if v != hub]
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=10))
+    flips = draw(st.lists(st.booleans(), min_size=len(pairs),
+                          max_size=len(pairs)))
+    pairs = [(v, u) if flip else (u, v) for (u, v), flip in zip(pairs, flips)]
+    return n, draw(st.permutations(pairs))
+
+
+class TestEdgeLists:
+    @given(oracle_edge_lists())
+    @settings(max_examples=150, deadline=None)
+    def test_edge_list_of_is_the_graphs_edge_list(self, case):
+        n, edges = case
+        assert edge_list_of(n, edges) == Graph(n, edges).edge_list()
+
+    def test_edge_list_of_reads_the_rows_of_smaller_ends(self):
+        # vertex 150's row takes two smaller neighbours, then 40 larger
+        # ones in scrambled order: the row resizes twice, and the order of
+        # its larger neighbours is neither sorted nor what a set of the
+        # larger ones alone would give
+        larger = [(151 + 11 * k) % 249 + 151 for k in range(40)]
+        edges = [(150, 3), (42, 150)] + [(150, v) for v in larger]
+        edges += [(v, 150) for v in larger[:5]] + [(3, 42)]
+        expected = Graph(400, edges).edge_list()
+        assert edge_list_of(400, edges) == expected
+        row = [v for u, v in expected if u == 150]
+        assert row != sorted(larger) and row != list(set(larger))
+
+    @pytest.mark.parametrize("bad", [(1, 1), (0, 5), (5, 0), (-1, 2),
+                                     (2, -1)])
+    def test_edge_list_of_raises_the_graphs_error(self, bad):
+        with pytest.raises(ValueError) as graph_error:
+            Graph(5, [(0, 1), bad])
+        with pytest.raises(ValueError) as list_error:
+            edge_list_of(5, [(0, 1), bad])
+        assert str(list_error.value) == str(graph_error.value)
+
+    @given(edge_scripts(max_n=24, max_ops=80),
+           st.lists(st.integers(min_value=0, max_value=23), max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_induced_subgraph_is_the_graph_of_its_pairs(self, script,
+                                                         vertices):
+        n, ops = script
+        g = Graph(n)
+        for insert, u, v in ops:
+            if insert:
+                g.add_edge(u, v)
+            else:
+                g.remove_edge(u, v)
+        vertices = [v for v in vertices if v < n]
+        pairs, back = g.relabelled_edges(vertices)
+        sub, back_map = g.induced_subgraph(vertices)
+        assert back == list(dict.fromkeys(vertices))
+        assert back_map == dict(enumerate(back))
+        assert rows(sub) == rows(Graph(len(back), pairs))
+        # the pairs are G[S]'s edges, walked in S's first-seen order
+        new = {old: i for i, old in enumerate(back)}
+        assert pairs == [(new[u], new[v]) for u in back
+                         for v in g.neighbor_list(u)
+                         if u < v and v in new]
 
 
 # ---------------------------------------------------------------------------

@@ -659,7 +659,8 @@ def test_static_analysis_gate():
 
 # ------------------------------------------------ determinism sanitizer
 @pytest.mark.parametrize("scenario",
-                         ["table2_dynamic", "table2_latency", "table2_omv"])
+                         ["table1_mpc", "table1_congest", "table2_dynamic",
+                          "table2_latency", "table2_omv"])
 def test_hash_seed_and_jobs_sanitizer(scenario):
     """BENCH records are byte-identical across PYTHONHASHSEED and --jobs.
 
@@ -668,10 +669,14 @@ def test_hash_seed_and_jobs_sanitizer(scenario):
     and a worker-count variant (--jobs 2) -- and byte-compares the records
     minus the honest wall-clock fields.  This is the runtime complement of
     the static hash-order rules: it checks the determinism *property*, not
-    just the patterns that broke it before.  ``table2_dynamic`` runs the
-    full dynamic stack; ``table2_latency`` adds a ``latency`` section and a
-    wall-clock ratio counter, which normalization must drop; ``table2_omv``
-    runs the maintainer on the OMv-backed weak oracle.
+    just the patterns that broke it before.  ``table1_mpc`` and
+    ``table1_congest`` run the Section 5 framework, whose oracles are
+    handed the derived graphs as edge lists (the MPC oracle scans their
+    row order, the CONGEST oracle builds its network from them);
+    ``table2_dynamic`` runs the full dynamic stack; ``table2_latency`` adds
+    a ``latency`` section and a wall-clock ratio counter, which
+    normalization must drop; ``table2_omv`` runs the maintainer on the
+    OMv-backed weak oracle.
     """
     from repro.analysis.sanitizer import run_sanitizer
 

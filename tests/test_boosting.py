@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.graph.generators import blossom_gadget, disjoint_paths, erdos_renyi
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, edge_list_of
 from repro.matching.blossom import maximum_matching_size
 from repro.matching.matching import Matching
 from repro.matching.verify import certify_approximation
@@ -31,6 +31,11 @@ def eligible_working_nodes(state, stage):
     """The left part of ``H'_s``: eligible working nodes, structure order."""
     return [structure.working for structure in state.structures.values()
             if state.eligible_stage(structure) == stage]
+
+
+def rows(graph):
+    """Every row of ``graph`` in its iteration order."""
+    return [list(graph.neighbor_list(v)) for v in range(graph.n)]
 
 
 def reference_stage_graph(state, stage):
@@ -98,30 +103,33 @@ class TestDerivedGraphs:
 
     def test_structure_graph_h_prime(self):
         state = self._grown_state()
-        hprime, witness = build_structure_graph(state)
-        assert hprime.n == 2           # two structures
-        assert hprime.m == 1           # connected by the type-2 arc (2, 3)
+        n, witness = build_structure_graph(state)
+        assert n == 2                  # two structures
+        # connected by the type-2 arc (2, 3)
         ((key, (u, v)),) = witness.items()
-        assert state.arc_type(u, v) == 2
+        assert key == (0, 1) and state.arc_type(u, v) == 2
 
     def test_stage_graph_h_s(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
         m = Matching(4, [(1, 2)])
         state = PhaseState(g, m, ell_max=8)
         state.init_structures()
-        hs, witness, num_left = build_stage_graph(
+        n, witness, num_left = build_stage_graph(
             state, 0, eligible_working_nodes(state, 0))
         # left: the two singleton structures 0 and 3; right: vertices 1 and 2
-        assert num_left == 2
-        assert hs.m == 2  # (0,1) and (3,2) are both 0-feasible
+        assert (n, num_left) == (4, 2)
+        # (0,1) and (3,2) are both 0-feasible
+        assert list(witness) == [(0, 2), (1, 3)]
         for key, (x, y) in witness.items():
             assert state.arc_type(x, y) == 3
+        ref, ref_witness, ref_left = reference_stage_graph(state, 0)
+        assert rows(Graph(n, witness)) == rows(ref)
 
     def test_stage_graph_excludes_wrong_stage(self):
         state = self._grown_state()
-        hs, witness, num_left = build_stage_graph(
+        n, witness, num_left = build_stage_graph(
             state, 5, eligible_working_nodes(state, 5))
-        assert hs.m == 0
+        assert witness == {}
 
     def test_stage_graph_skips_the_working_nodes_ancestors(self):
         """P2: an inner ancestor on the right side gets no edge."""
@@ -144,10 +152,10 @@ class TestDerivedGraphs:
         left = eligible_working_nodes(state, 2)
         assert left == [structure.working]
         assert 1 in stage_right_vertices(state, 2)
-        hs, witness, num_left = build_stage_graph(state, 2, left)
+        n, witness, num_left = build_stage_graph(state, 2, left)
         ref, ref_witness, ref_left = reference_stage_graph(state, 2)
-        assert (hs.n, hs.edge_list(), witness, num_left) == (
-            ref.n, ref.edge_list(), ref_witness, ref_left)
+        assert (n, rows(Graph(n, witness)), witness, num_left) == (
+            ref.n, rows(ref), ref_witness, ref_left)
         assert [y for _, y in witness.values()] == [5]
 
 
@@ -156,8 +164,11 @@ class TestStageGraphReference:
 
     At every ``H'_s`` build of seeded Section 5 runs, the new builder (fed
     by the eligibility index) must return the reference's vertex count,
-    edge insertion order, witness map and left size; after every overtake
-    the index must equal a fresh :meth:`PhaseState.eligible_stage` scan.
+    edge insertion order, witness map and left size: the graph its edge
+    list stands for, ``Graph(n, edges)``, has the reference graph's rows in
+    the same order, and the order the MPC and greedy oracles scan is the
+    reference's ``edge_list()``.  After every overtake the index must equal
+    a fresh :meth:`PhaseState.eligible_stage` scan.
     """
 
     @pytest.fixture
@@ -169,17 +180,18 @@ class TestStageGraphReference:
         stages = ParameterProfile.practical(0.25).stages()
 
         def checked_build(state, stage, left_nodes):
-            hs, witness, num_left = build(state, stage, left_nodes)
+            n, witness, num_left = build(state, stage, left_nodes)
             ref, ref_witness, ref_left = reference_stage_graph(state, stage)
-            assert hs.n == ref.n
-            assert hs.edge_list() == ref.edge_list()
+            assert n == ref.n
+            assert rows(Graph(n, witness)) == rows(ref)
+            assert edge_list_of(n, list(witness)) == ref.edge_list()
             assert list(witness.items()) == list(ref_witness.items())
             assert num_left == ref_left
             tally["builds"] += 1
             if not all(node.is_trivial for node in left_nodes):
                 tally["blossom_builds"] += 1
-            tally["edges"] += hs.m
-            return hs, witness, num_left
+            tally["edges"] += len(witness)
+            return n, witness, num_left
 
         def checked_overtake(self, x, y, stage):
             overtake(self, x, y, stage)

@@ -203,7 +203,7 @@ class TestCongestMatching:
         counters = Counters()
         oracle = CongestMatchingOracle(counters=counters, seed=2)
         g = erdos_renyi(30, 0.15, seed=2)
-        edges = oracle.find_matching(g)
+        edges = oracle.find_matching(g.n, g.edge_list())
         Matching(g.n, edges).validate(g)
         assert counters.get("congest_rounds") > 0
 

@@ -277,7 +277,7 @@ class TestMPCMatching:
         for seed in range(3):
             g = erdos_renyi(40, 0.1, seed=seed)
             sim = MPCSimulator(4, counters=Counters())
-            edges = mpc_approx_matching(g, sim, seed=seed)
+            edges = mpc_approx_matching(g.n, g.edge_list(), sim, seed=seed)
             m = Matching(g.n, edges)
             m.validate(g)
             # 2-approximation (maximality may be probabilistic, approximation must hold)
@@ -289,8 +289,8 @@ class TestMPCMatching:
         # the same draws in the same order: equal matchings (order
         # included) and equal round and word charges, on any machine count
         counters = Counters()
-        edges = mpc_approx_matching(graph, MPCSimulator(machines,
-                                                        counters=counters),
+        edges = mpc_approx_matching(graph.n, graph.edge_list(),
+                                    MPCSimulator(machines, counters=counters),
                                     seed=seed)
         expected, (rounds, words) = _object_round_matching(graph, machines,
                                                            seed)
@@ -302,14 +302,14 @@ class TestMPCMatching:
         g = erdos_renyi(40, 0.1, seed=3)
         counters = Counters()
         sim = MPCSimulator(4, counters=counters)
-        mpc_approx_matching(g, sim, seed=3)
+        mpc_approx_matching(g.n, g.edge_list(), sim, seed=3)
         assert counters.get("mpc_rounds") >= 2
 
     def test_oracle_interface(self):
         counters = Counters()
         oracle = MPCMatchingOracle(counters=counters, seed=0)
         g = path_graph(8)
-        edges = oracle.find_matching(g)
+        edges = oracle.find_matching(g.n, g.edge_list())
         m = Matching(g.n, edges)
         m.validate(g)
         assert 2 * m.size >= maximum_matching_size(g)

@@ -1,9 +1,21 @@
 """Tests for the oracle protocols (Amatching / Aweak) and counting wrappers."""
 
+import random
+
+import pytest
+
+from repro.congest.matching_congest import (CongestMatchingOracle,
+                                            congest_approx_matching)
+from repro.congest.simulator import CongestSimulator
 from repro.graph.generators import erdos_renyi, path_graph
-from repro.matching.blossom import maximum_matching_size
+from repro.graph.graph import Graph
+from repro.matching.blossom import maximum_matching, maximum_matching_size
+from repro.matching.greedy import (greedy_maximal_matching,
+                                   random_greedy_matching)
 from repro.matching.matching import Matching
 from repro.instrumentation.counters import Counters
+from repro.mpc.matching_mpc import MPCMatchingOracle, mpc_approx_matching
+from repro.mpc.simulator import MPCSimulator
 from repro.core.oracles import (
     CountingOracle,
     CountingWeakOracle,
@@ -22,7 +34,7 @@ class TestMatchingOracles:
         oracle = GreedyMatchingOracle()
         for seed in range(3):
             g = erdos_renyi(30, 0.15, seed=seed)
-            edges = oracle.find_matching(g)
+            edges = oracle.find_matching(g.n, g.edge_list())
             m = Matching(g.n, edges)
             m.validate(g)
             assert oracle.c * m.size >= maximum_matching_size(g)
@@ -30,7 +42,7 @@ class TestMatchingOracles:
     def test_random_greedy_oracle(self):
         oracle = RandomGreedyMatchingOracle(seed=1)
         g = erdos_renyi(30, 0.15, seed=1)
-        edges = oracle.find_matching(g)
+        edges = oracle.find_matching(g.n, g.edge_list())
         m = Matching(g.n, edges)
         m.validate(g)
         assert 2 * m.size >= maximum_matching_size(g)
@@ -38,14 +50,15 @@ class TestMatchingOracles:
     def test_exact_oracle(self):
         oracle = ExactMatchingOracle()
         g = erdos_renyi(25, 0.2, seed=2)
-        assert len(oracle.find_matching(g)) == maximum_matching_size(g)
+        assert len(oracle.find_matching(g.n, g.edge_list())) == \
+            maximum_matching_size(g)
 
     def test_counting_wrapper_charges_calls(self):
         counters = Counters()
         oracle = CountingOracle(GreedyMatchingOracle(), counters)
         g = path_graph(6)
-        oracle.find_matching(g)
-        oracle.find_matching(g)
+        oracle.find_matching(g.n, g.edge_list())
+        oracle.find_matching(g.n, g.edge_list())
         assert counters.get("oracle_calls") == 2
         assert counters.get("oracle_vertices_seen") == 12
         assert counters.get("oracle_edges_seen") == 10
@@ -58,6 +71,55 @@ class TestMatchingOracles:
         assert ensure_counting(counted, counters) is counted
         other = Counters()
         assert ensure_counting(counted, other) is not counted
+
+
+def _graph_oracles(seed):
+    """Each stock oracle beside what it computes on the graph its edge list
+    stands for: a function of that ``Graph`` and a counter bag."""
+
+    def mpc_on_graph(graph, counters):
+        machines = MPCSimulator.default_machine_count(graph.n, graph.m, 4096)
+        simulator = MPCSimulator(machines, memory_per_machine=None,
+                                 counters=counters, strict=False)
+        return mpc_approx_matching(
+            graph.n, graph.edge_list(), simulator,
+            seed=random.Random(seed).randrange(2 ** 31))
+
+    def congest_on_graph(graph, counters):
+        return congest_approx_matching(
+            graph, CongestSimulator(graph, counters=counters, strict=True),
+            seed=random.Random(seed).randrange(2 ** 31))
+
+    return [
+        (lambda c: GreedyMatchingOracle(),
+         lambda g, c: greedy_maximal_matching(g).edge_list()),
+        (lambda c: RandomGreedyMatchingOracle(seed=seed),
+         lambda g, c: random_greedy_matching(
+             g, rng=random.Random(seed)).edge_list()),
+        (lambda c: ExactMatchingOracle(),
+         lambda g, c: maximum_matching(g).edge_list()),
+        (lambda c: MPCMatchingOracle(counters=c, seed=seed), mpc_on_graph),
+        (lambda c: CongestMatchingOracle(counters=c, seed=seed),
+         congest_on_graph),
+    ]
+
+
+@pytest.mark.parametrize("which", range(5))
+def test_oracle_sees_the_graph_its_edges_stand_for(which):
+    """An oracle handed ``(n, edges)`` returns, and charges, what it
+    computes on ``Graph(n, edges)``: edges in builder order (either
+    orientation, any order) reach the same draws as the graph would."""
+    for seed in range(6):
+        g = erdos_renyi(40, 0.12, seed=seed)
+        edges = g.edge_list()
+        rng = random.Random(seed)
+        rng.shuffle(edges)
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+        make, on_graph = _graph_oracles(seed)[which]
+        handed, built = Counters(), Counters()
+        got = make(handed).find_matching(g.n, edges)
+        assert got == on_graph(Graph(g.n, edges), built)
+        assert handed.as_dict() == built.as_dict()
 
 
 class TestWeakOracles:

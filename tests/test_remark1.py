@@ -36,9 +36,10 @@ class WeakerOracle(MatchingOracle):
         self.c = 2.0 * drop
         self._rng = random.Random(seed)
 
-    def find_matching(self, graph: Graph) -> List:
+    def find_matching(self, n: int, edges: List) -> List:
         from repro.matching.greedy import random_greedy_matching
 
+        graph = Graph(n, edges)
         edges = random_greedy_matching(graph, seed=self._rng.randrange(2 ** 31)).edge_list()
         kept = [e for i, e in enumerate(edges) if i % self.drop == 0]
         return kept if kept or not edges else edges[:1]
@@ -53,9 +54,10 @@ class RecordingOracle(MatchingOracle):
     def __init__(self) -> None:
         self.max_degrees: List[int] = []
 
-    def find_matching(self, graph: Graph) -> List:
+    def find_matching(self, n: int, edges: List) -> List:
         from repro.matching.greedy import greedy_maximal_matching
 
+        graph = Graph(n, edges)
         self.max_degrees.append(graph.max_degree())
         return greedy_maximal_matching(graph).edge_list()
 
@@ -93,8 +95,8 @@ class TestRemark1:
             c = 4.0
             name = "sloppy"
 
-            def find_matching(self, graph: Graph) -> List:
-                return graph.edge_list()[:1]  # at most one edge, never maximal
+            def find_matching(self, n: int, edges: List) -> List:
+                return list(edges[:1])  # at most one edge, never maximal
 
         g = disjoint_paths(3, 5)
         m = boost_matching(g, 0.25, oracle=SloppyOracle(), seed=2)

@@ -8,6 +8,9 @@ framework's RNG state must equal the values recorded in
 ``tests/data/golden_stream.json``.
 
 The Section 6 runs are dynamic churn streams and one cold weak-oracle run;
+one of the streams (``planted_matching_churn(40, rounds=2)``) makes
+cross-structure overtakes, so the sampling driver's restaging of the
+overtaken structure is pinned as well;
 the Section 5 runs solve one small Table-1-shaped graph with
 ``mpc_boosted_matching`` and ``congest_boosted_matching`` (whose oracle
 RNGs are pinned too), with ``boost_matching`` on the default greedy
@@ -65,10 +68,11 @@ def _record(matching, counters, rng) -> dict:
     }
 
 
-def churn_run(seed: int, repair: str, engine: str = "array") -> dict:
+def churn_run(seed: int, repair: str, engine: str = "array",
+              pairs: int = 16, rounds: int = 3) -> dict:
     profile = dataclasses.replace(ParameterProfile.practical(EPS),
                                   repair=repair, engine=engine)
-    stream = planted_matching_churn(16, rounds=3, seed=seed)
+    stream = planted_matching_churn(pairs, rounds=rounds, seed=seed)
     counters = Counters()
     alg = FullyDynamicMatching(stream.n, EPS, profile=profile,
                                counters=counters, seed=seed)
@@ -138,6 +142,12 @@ def static_run(wrapper: str, engine: str = "array") -> dict:
 
 CHURN_RUNS = [(seed, repair) for seed in (0, 1)
               for repair in ("rebuild", "incremental")]
+#: the churn stream whose rebuilds make cross-structure overtakes
+CROSS_KEY = "churn40-seed0-incremental"
+
+
+def cross_churn_run(engine: str = "array") -> dict:
+    return churn_run(0, "incremental", engine, pairs=40, rounds=2)
 STATIC_RUNS = tuple(STATIC_MODULES)
 
 
@@ -152,6 +162,7 @@ def _static_key(wrapper: str) -> str:
 def compute_all() -> dict:
     runs = {_key(seed, repair): churn_run(seed, repair)
             for seed, repair in CHURN_RUNS}
+    runs[CROSS_KEY] = cross_churn_run()
     runs["cold-er40"] = cold_run()
     for wrapper in STATIC_RUNS:
         runs[_static_key(wrapper)] = static_run(wrapper)
@@ -171,6 +182,11 @@ def test_churn_stream_matches_golden(golden, seed, repair, engine):
 
 
 @pytest.mark.parametrize("engine", ENGINES)
+def test_cross_structure_churn_matches_golden(golden, engine):
+    assert cross_churn_run(engine) == golden[CROSS_KEY]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
 def test_cold_run_matches_golden(golden, engine):
     assert cold_run(engine) == golden["cold-er40"]
 
@@ -183,7 +199,7 @@ def test_static_run_matches_golden(golden, wrapper, engine):
 
 def test_fixture_is_not_trivial(golden):
     """The pinned runs must exercise the oracle, overtakes and
-    augmentations."""
+    augmentations, and some Section 6 run a cross-structure overtake."""
     assert {_static_key(wrapper) for wrapper in STATIC_RUNS} <= set(golden)
     for name, record in golden.items():
         counters = record["counters"]
@@ -192,6 +208,9 @@ def test_fixture_is_not_trivial(golden):
         assert counters[calls] > 0, name
         assert counters["overtakes"] > 0, name
         assert counters["augmentations"] > 0, name
+    assert any(record["counters"].get("cross_structure_overtakes", 0) > 0
+               for name, record in golden.items()
+               if not name.startswith("static-"))
 
 
 if __name__ == "__main__":

@@ -48,8 +48,12 @@ class SamplingOracleDriver:
 
     Every structure consumes one uniform draw per sampling iteration, in
     structure order, whether or not its draw can be used -- the draws *are*
-    the random stream, so the cached tables of :class:`EligibilityIndex`
-    only change what a draw costs, never which draws are made.
+    the random stream.  A draw is classified against the live phase state
+    (the structure's stage in :class:`EligibilityIndex`, its working node
+    and the drawn vertex's node and label), so no per-iteration table is
+    built and the bookkeeping never decides which draws are made.  The
+    samplers read a structure's vertex memos directly, calling the method
+    that fills one only when it is empty.
 
     A uniform index below ``n`` is drawn the way ``random.Random`` draws it
     for ``random.choice``: ``getrandbits(n.bit_length())`` until the value is
@@ -82,6 +86,7 @@ class SamplingOracleDriver:
         state.counters.add("stages", len(stages))
         index = EligibilityIndex(state)
         counts = index.counts
+        iterations = 0
         for stage in stages:
             # a stage no working vertex is eligible at is a guaranteed no-op
             # (the in-structure sweep and the sampler both need one)
@@ -93,7 +98,7 @@ class SamplingOracleDriver:
                 left, right = self._stage_sample(index, stage)
                 if not left or not right:
                     break
-                state.counters.add("iterations")
+                iterations += 1
                 result = self.weak_oracle.query_bipartite(left, right,
                                                           self.profile.delta)
                 performed = 0
@@ -114,6 +119,9 @@ class SamplingOracleDriver:
                         break
                 else:
                     misses = 0
+        # charged once per call: nothing reads the counter inside it
+        if iterations:
+            state.counters.add("iterations", iterations)
 
     def _in_structure_overtakes(self, state: PhaseState,
                                 index: EligibilityIndex, stage: int) -> None:
@@ -152,48 +160,74 @@ class SamplingOracleDriver:
                       stage: int) -> Tuple[List[int], List[int]]:
         """Build the sampled query sets (outer side, inner side) for a stage.
 
-        One uniform vertex per structure, classified by the structure's
-        cached sample table.
+        One uniform vertex per structure, drawn from its sorted vertices and
+        classified against the live phase state: an inner vertex labelled
+        beyond ``stage + 1`` joins the right side, a vertex of the working
+        node of a structure eligible at ``stage`` the left side.
         """
+        state = index.state
         getrandbits = self.rng.getrandbits
+        node_of = state.node_of
+        vlabel = state.vlabel
         beyond = stage + 1
-        working = -stage - 2
         left: List[int] = []
         right: List[int] = []
-        for verts, n, k, codes in index.sample_tables():
+        for structure, at in zip(index.order, index.stage_of):
+            verts = structure._sorted_cache or structure.sorted_vertices()
+            n = len(verts)
+            if n == 1:
+                # a lone root, eligible exactly when its root is working;
+                # the loop consumes what _randbelow(1) does
+                while getrandbits(1):
+                    pass
+                if at == stage:
+                    left.append(verts[0])
+                continue
+            k = n.bit_length()
             r = getrandbits(k)
             while r >= n:
                 r = getrandbits(k)
-            code = codes[r]
-            if code > beyond:
-                right.append(verts[r])
-            elif code == working:
-                left.append(verts[r])
+            v = verts[r]
+            node = node_of[v]
+            if node.outer:
+                if at == stage and node is structure.working:
+                    left.append(v)
+            elif vlabel[v] > beyond:
+                right.append(v)
         if not left:
             # the caller stops on an empty side; skip the bulk below
             return left, right
         # unvisited matched vertices are not covered by per-structure
         # sampling; they join the right side in bulk
-        right.extend(index.unvisited_right(stage))
+        right.extend(state.unvisited_right(stage))
         return left, right
 
     # -- Section 6.5 ---------------------------------------------------------
     def contract_and_augment(self, state: PhaseState) -> None:
         contract_pass(state)
         getrandbits = self.rng.getrandbits
-        outer = self._outer_tables(state)
+        structures = state.live_structures()
         misses = 0
+        iterations = 0
         for _it in range(self.iterations):
             # one uniform outer vertex per structure
             sampled = []
-            for outs, n, k in outer:
+            for structure in structures:
+                outs = structure._outer_cache or structure.outer_vertices()
+                n = len(outs)
+                if n == 1:
+                    while getrandbits(1):
+                        pass
+                    sampled.append(outs[0])
+                    continue
+                k = n.bit_length()
                 r = getrandbits(k)
                 while r >= n:
                     r = getrandbits(k)
                 sampled.append(outs[r])
             if len(sampled) < 2:
                 break
-            state.counters.add("iterations")
+            iterations += 1
             result = self.weak_oracle.query(sampled, self.profile.delta)
             performed = 0
             if result:
@@ -212,20 +246,11 @@ class SamplingOracleDriver:
                 misses = 0
                 # Augment removed the two structures of every augmentation
                 # and touched no other
-                outer = self._outer_tables(state)
+                structures = state.live_structures()
+        if iterations:
+            state.counters.add("iterations", iterations)
         # No closing contract pass: the one above exhausted every type-1 arc,
         # and Augment only deletes whole structures, which cannot create one.
-
-    @staticmethod
-    def _outer_tables(state: PhaseState) -> List[Tuple[List[int], int, int]]:
-        """``(outer vertices, their count, its bit length)`` per structure."""
-        tables = []
-        for structure in state.structures.values():
-            outs = structure.outer_vertices()
-            if outs:
-                n = len(outs)
-                tables.append((outs, n, n.bit_length()))
-        return tables
 
 
 class WeakOracleBoostingFramework:

@@ -239,6 +239,11 @@ def overtake_op(state: PhaseState, u: int, v: int, k: int) -> None:
         state.register_node(inner)
         state.register_node(outer)
         state.set_label(v, t, k)
+        unvisited = state.unvisited
+        if unvisited is not None:
+            # the pair left the unvisited right side
+            unvisited.remove(v)
+            unvisited.remove(t)
         sa.working = outer
         sa.modified = True
         sa.extended = True

@@ -170,20 +170,20 @@ class WeakOracle(ABC):
         # here would tie seeded runs to how the graph was built -- the same
         # kind of determinism contract violation as iterating in
         # address-hash order (see "Execution layer" in ARCHITECTURE.md).
-        left_set = set(left)
-        right_set = set(right) - left_set
-        matched_left = set()
-        matched_right = set()
+        #
+        # Each left vertex takes its smallest free right neighbour -- what
+        # an ascending scan of its row would pick -- found by one set
+        # intersection; only the (few) hits are sorted, not the row.
+        neighbor_list = self.graph.neighbor_list
+        free = set(right)
+        free.difference_update(left)
         result: List[Edge] = []
-        for u in sorted(left_set):
-            if u in matched_left:
-                continue
-            for v in sorted(self.graph.neighbor_list(u)):
-                if v in right_set and v not in matched_right:
-                    matched_left.add(u)
-                    matched_right.add(v)
-                    result.append((u, v))
-                    break
+        for u in sorted(set(left)):
+            hits = free.intersection(neighbor_list(u))
+            if hits:
+                v = sorted(hits)[0]
+                free.remove(v)
+                result.append((u, v))
         return result if result else None
 
 

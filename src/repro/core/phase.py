@@ -209,14 +209,11 @@ def backtrack_pass(state: PhaseState) -> int:
         w = structure.working
         if w is None:
             continue
-        if w.is_root:
-            structure.working = None
-        else:
-            parent = w.parent
-            assert parent is not None
-            structure.working = parent.parent
-        state.counters.add("backtracks")
+        parent = w.parent
+        structure.working = None if parent is None else parent.parent
         total += 1
+    if total:
+        state.counters.add("backtracks", total)
     return total
 
 
@@ -324,3 +321,4 @@ def run_phase(graph: Graph, matching: Matching, profile: ParameterProfile,
     finally:
         if context is not None:
             context.detach()
+        state.release()

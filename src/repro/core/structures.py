@@ -150,15 +150,14 @@ class Structure:
 
     def __init__(self, alpha: int) -> None:
         self.alpha = alpha
-        self.root = StructNode([alpha], alpha, outer=True, structure=self)
-        self.working: Optional[StructNode] = self.root
-        self.nodes: OrderedNodeSet = OrderedNodeSet((self.root,))
+        root = self.root = StructNode([alpha], alpha, True, self)
+        self.working: Optional[StructNode] = root
+        self.nodes: OrderedNodeSet = OrderedNodeSet((root,))
         self.g_vertices: Set[int] = {alpha}
-        self.on_hold = False
-        self.modified = False
-        self.extended = False
-        self._outer_cache: Optional[List[int]] = None
-        self._sorted_cache: Optional[List[int]] = None
+        self.on_hold = self.modified = self.extended = False
+        # a lone root's two vertex views are the same read-only list
+        self._outer_cache: Optional[List[int]] = [alpha]
+        self._sorted_cache: Optional[List[int]] = self._outer_cache
 
     @property
     def size(self) -> int:
@@ -181,8 +180,8 @@ class Structure:
     def outer_vertices(self) -> List[int]:
         """All G-vertices lying in outer nodes of the structure.
 
-        Memoised between mutations (the sampling drivers call this once per
-        oracle iteration); treat the returned list as read-only.
+        Memoised between mutations (the Section 6.5 sampler reads the memo
+        on every draw); treat the returned list as read-only.
         """
         out = self._outer_cache
         if out is None:
@@ -209,7 +208,7 @@ class Structure:
 
     def reset_marks(self, limit: int) -> None:
         """Per-pass-bundle initialisation (Algorithm 2, lines 6-9)."""
-        self.on_hold = self.size >= limit
+        self.on_hold = len(self.g_vertices) >= limit
         self.modified = False
         self.extended = False
 
@@ -294,6 +293,8 @@ class PhaseState:
         self.context = context
         self.structures: Dict[int, Structure] = {}
         self.records: List[AugmentationRecord] = []
+        # see unvisited_right; built on first use, shrunk by Overtake
+        self.unvisited: Optional[List[int]] = None
         # frozen-graph derived views (edge pairs, CSR, sorted neighbours),
         # possibly shared across the phases of one rebuild -- see
         # FrozenViews.  Context-attached phases always get a private
@@ -350,6 +351,14 @@ class PhaseState:
         self.sid_arr[free] = free
         if self.context is not None:
             self.context._touched.extend(free)
+
+    def release(self) -> None:
+        """End the phase: cut each live node's links to its structure and
+        parent, so the structures are freed by reference counting instead
+        of the cyclic collector.  The state is unusable afterwards."""
+        for structure in self.structures.values():
+            for node in structure.nodes:
+                node.structure = node.parent = None
 
     # -------------------------------------------------- state mutation funnel
     def register_node(self, node: StructNode) -> None:
@@ -516,6 +525,32 @@ class PhaseState:
     def live_structures(self) -> List[Structure]:
         return list(self.structures.values())
 
+    def unvisited_right(self, stage: int) -> List[int]:
+        """The unvisited part of the right side at ``stage`` (see
+        :func:`~repro.core.eligibility.stage_right_vertices`): matched,
+        unremoved vertices outside every structure, ascending.
+
+        Only Overtake and Contract relabel a matched pair, and only a pair
+        they place in a structure, so an unvisited matched vertex keeps the
+        default label ``ell_max + 1``: the part is one list (:attr:`unvisited`)
+        at every stage below ``ell_max`` and empty from ``ell_max`` on.  It
+        is built on first use (by a scalar scan on the reference engine),
+        and only Overtake changes it, by dropping the pair it visits.
+        """
+        if stage >= self.ell_max:
+            return []
+        if self.unvisited is None:
+            self.unvisited = (
+                _np.flatnonzero(self.matched_arr & ~self.removed_arr
+                                & (self.sid_arr < 0)).tolist()
+                if self.engine == "array" else self._scan_unvisited())
+        return self.unvisited
+
+    def _scan_unvisited(self) -> List[int]:
+        return [v for v in range(self.graph.n)
+                if self.node_of[v] is None and not self.removed[v]
+                and not self.matching.is_free(v)]
+
     # ----------------------------------------------------------------- labels
     def label_of_edge(self, u: int, v: int) -> int:
         """Label of the matched edge {u, v} (default ``l_max + 1``).
@@ -629,7 +664,8 @@ class PhaseState:
         (root outer and free; parent/child alternation; inner nodes trivial
         and matched into their unique child), node_of consistency, label 0
         on every matched pair inside a blossom whose base is matched outside
-        it, and the memoised node arcs.
+        it, the default label on every unvisited matched vertex, the
+        memoised node arcs and the phase's unvisited list.
         """
         seen: Set[int] = set()
         for structure in self.structures.values():
@@ -685,6 +721,13 @@ class PhaseState:
             node = self.node_of[v]
             if node is not None:
                 assert v in node.vertices
+            elif not self.removed[v] and not self.matching.is_free(v):
+                # what the phase-long unvisited list rests on
+                assert self.vlabel[v] == self.label_default, \
+                    f"unvisited vertex {v} relabelled"
+        if self.unvisited is not None:
+            assert self.unvisited == self._scan_unvisited(), \
+                "stale unvisited right side"
 
         # memoised per-structure views must agree with a fresh walk
         for structure in self.structures.values():

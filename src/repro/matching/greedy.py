@@ -105,8 +105,10 @@ def greedy_on_vertex_subset(graph: Graph, subset: Sequence[int],
     ``subgraph_edges`` call).
     """
     rng = _resolve_rng(rng, seed)
-    s = set(subset)
-    sub_edges = sorted(graph.subgraph_edges(s))
+    sub_edges = graph.subgraph_edges(set(subset))
+    if len(sub_edges) < 2:
+        return sub_edges  # shuffling fewer than two edges draws nothing
+    sub_edges.sort()
     rng.shuffle(sub_edges)
     used = set()
     out: List[Edge] = []

@@ -660,7 +660,7 @@ def test_static_analysis_gate():
 # ------------------------------------------------ determinism sanitizer
 @pytest.mark.parametrize("scenario",
                          ["table1_mpc", "table1_congest", "table2_dynamic",
-                          "table2_latency", "table2_omv"])
+                          "table2_latency", "table2_omv", "table2_realgraph"])
 def test_hash_seed_and_jobs_sanitizer(scenario):
     """BENCH records are byte-identical across PYTHONHASHSEED and --jobs.
 
@@ -676,7 +676,8 @@ def test_hash_seed_and_jobs_sanitizer(scenario):
     ``table2_dynamic`` runs the full dynamic stack; ``table2_latency`` adds
     a ``latency`` section and a wall-clock ratio counter, which
     normalization must drop; ``table2_omv`` runs the maintainer on the
-    OMv-backed weak oracle.
+    OMv-backed weak oracle; ``table2_realgraph``'s Section 6 rebuilds make
+    cross-structure overtakes, the sampling driver's restaging path.
     """
     from repro.analysis.sanitizer import run_sanitizer
 

@@ -1,13 +1,16 @@
-"""The Section 6.6 sampling driver's eligibility index and sample tables.
+"""The Section 6.6 sampling driver's eligibility index and draws.
 
 :class:`~repro.core.eligibility.EligibilityIndex` is built once per
 Extend-Active-Path call and patched after every overtake instead of
-re-scanned.  These tests check, after every single overtake of seeded cold
+re-scanned, and the sampler classifies each draw against it and the live
+phase state.  These tests check, after every single overtake of seeded cold
 runs and churn streams, that the patched index (per-structure stages,
-per-stage counts, cached sample tables, the cached unvisited right side)
-equals a fresh :meth:`PhaseState.eligible_working` scan -- including the one
-case that makes a structure eligible at a new stage in the middle of a call:
-a cross-structure overtake that takes the victim's working vertex.
+per-stage counts) and the phase's unvisited right side equal a fresh scan
+-- including the one case that makes a structure eligible at a new stage in
+the middle of a call: a cross-structure overtake that takes the victim's
+working vertex.  They also pin where draws can land before and after such
+an overtake, and that the inline draws consume exactly what
+``random.Random`` would.
 """
 
 import dataclasses
@@ -71,6 +74,23 @@ def _victim_state():
     return state
 
 
+def _landings(index, stages=PROFILE.stages(), draws=64):
+    """Per stage, the vertices that sampled draws put on the left and on
+    the right side (stages where none lands are left out)."""
+    driver = SamplingOracleDriver(GreedyInducedWeakOracle(index.state.graph),
+                                  PROFILE, rng=random.Random(0))
+    out = {}
+    for stage in stages:
+        left, right = set(), set()
+        for _ in range(draws):
+            drawn_left, drawn_right = driver._stage_sample(index, stage)
+            left.update(drawn_left)
+            right.update(drawn_right)
+        if left or right:
+            out[stage] = (left, right)
+    return out
+
+
 class TestEligibilityIndex:
     def test_cross_structure_overtake_restages_the_victim(self):
         state = _victim_state()
@@ -78,8 +98,10 @@ class TestEligibilityIndex:
         index = EligibilityIndex(state)
         assert index.stage_of == [0, 2]
         assert index.counts == {0: 1, 2: 1}
-        before = index.sample_tables()
-        assert before[1][3] == [-1, 2, -4]  # 1 outer, 2 inner, 3 working
+        # A's lone root works at stage 0, where B's inner 2 (label 2) is
+        # on the right; B's working 3 works at stage 2; B's root 1 never
+        # lands
+        assert _landings(index) == {0: ({0}, {2}), 2: ({3}, set())}
 
         index.overtake(0, 2, 0)
 
@@ -89,23 +111,50 @@ class TestEligibilityIndex:
         assert index.counts.get(2, 0) == 0 and index.counts[0] == 1
         assert index.eligible(0) == [b]
         index.verify(PROFILE.stages())
-        tables = index.sample_tables()
-        assert tables[1] == ([1], 1, 1, [-2])
-        assert tables[0][3] == [-1, 1, -1]  # A: root, inner 2, working 3
+        # B is a lone root working at stage 0; A's 2 (now label 1) and 3
+        # (A has extended) land nowhere
+        assert _landings(index) == {0: ({1}, set())}
         index.verify(PROFILE.stages())
+        state.check_invariants()
 
     def test_unvisited_bulk_loses_overtaken_pair(self):
-        graph = Graph(6, [(0, 2), (2, 3), (0, 4), (4, 5)])
-        matching = Matching(6)
-        matching.add(2, 3)
-        matching.add(4, 5)
-        state = PhaseState(graph, matching, PROFILE.ell_max)
-        state.init_structures()
+        def fresh_state():
+            graph = Graph(6, [(0, 2), (2, 3), (0, 4), (4, 5)])
+            matching = Matching(6)
+            matching.add(2, 3)
+            matching.add(4, 5)
+            state = PhaseState(graph, matching, PROFILE.ell_max)
+            state.init_structures()
+            return state
+
+        ell_max = PROFILE.ell_max
+        state = fresh_state()
         index = EligibilityIndex(state)
-        assert index.unvisited_right(0) == [2, 3, 4, 5]
+        assert state.unvisited is None  # built on first use
+        assert state.unvisited_right(0) == [2, 3, 4, 5]
+        # one list for every stage below ell_max, none at ell_max
+        assert all(state.unvisited_right(stage) is state.unvisited
+                   for stage in range(ell_max))
+        assert state.unvisited_right(ell_max) == []
         index.overtake(0, 4, 0)
-        assert index.unvisited_right(0) == [2, 3]
+        assert state.unvisited == [2, 3]
+        assert state.unvisited_right(0) == [2, 3]
         index.verify(PROFILE.stages())
+        state.check_invariants()
+
+        # A working vertex at distance ell_max gets no bulk: the unvisited
+        # pair (2, 3) keeps label ell_max + 1, not above ell_max + 1
+        state = fresh_state()
+        overtake_op(state, 0, 4, ell_max)
+        for structure in state.structures.values():
+            structure.reset_marks(limit=100)  # a new pass-bundle
+        index = EligibilityIndex(state)
+        assert index.stage_of == [ell_max, 0]
+        stages = (0, ell_max - 1, ell_max)
+        assert _landings(index, stages) == {0: ({1}, {2, 3, 4}),
+                                            ell_max: ({5}, set())}
+        index.verify(PROFILE.stages())
+        state.check_invariants()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_cold_runs(self, checked_overtakes, seed):
@@ -146,7 +195,9 @@ class TestDraws:
             SamplingOracleDriver(oracle, PROFILE, rng=Other(1))
 
     def test_inline_draw_matches_randbelow(self):
-        """The drivers' inlined draw consumes exactly random.choice's draws."""
+        """The drivers' inlined draws consume exactly random.choice's
+        draws: the bounded loop for any n, and the lone-root loop for
+        n == 1."""
         a, b = random.Random(7), random.Random(7)
         for n in [1, 2, 3, 5, 8, 13, 64, 100, 1] * 50:
             k = n.bit_length()
@@ -155,3 +206,8 @@ class TestDraws:
                 r = a.getrandbits(k)
             assert r == b._randbelow(n)
         assert a.getstate() == b.getstate()
+        for _ in range(200):
+            while a.getrandbits(1):
+                pass
+            assert b._randbelow(1) == 0
+            assert a.getstate() == b.getstate()

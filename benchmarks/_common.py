@@ -15,8 +15,6 @@ import sys
 from typing import Dict, Optional, Sequence
 
 from repro.bench import RunSpec
-# Re-exported so modules (and their callers) keep one definition of smoke.
-from repro.bench import smoke_mode  # noqa: F401
 
 
 class BoundViolation(AssertionError):

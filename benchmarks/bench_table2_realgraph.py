@@ -27,12 +27,7 @@ from pathlib import Path
 
 from repro.matching.blossom import maximum_matching_size
 from repro.dynamic.fully_dynamic import FullyDynamicMatching
-from repro.workloads import (
-    Trace,
-    load_edge_list,
-    register_workload,
-    temporal_sliding_window,
-)
+from repro.workloads import Trace, load_edge_list, temporal_sliding_window
 
 from repro.bench import register
 
@@ -77,14 +72,6 @@ def check_trace_parity() -> Trace:
             "the fixture only if the ingestion change is intentional")
     _VERIFIED_TRACE = committed
     return committed
-
-
-@register_workload("karate_window",
-                   "karate-club real graph, sliding-window expiry "
-                   "(committed trace)")
-def _karate_workload(smoke: bool, seed: int):
-    # a trace is its bytes: smoke and seed do not change what is replayed
-    return Trace.load(KARATE_TRACE).stream(name="karate_window")
 
 
 @register("table2_realgraph", suite="table2",

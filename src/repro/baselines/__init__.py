@@ -8,12 +8,11 @@
   comparator this paper improves to O(log(1/eps)) per procedure).
 """
 
-from repro.baselines.mcgregor import mcgregor_boost, mcgregor_scheduled_calls
+from repro.baselines.mcgregor import mcgregor_boost
 from repro.baselines.fmu22 import fmu22_boost, fmu22_scheduled_calls, FMU22Driver
 
 __all__ = [
     "mcgregor_boost",
-    "mcgregor_scheduled_calls",
     "fmu22_boost",
     "fmu22_scheduled_calls",
     "FMU22Driver",

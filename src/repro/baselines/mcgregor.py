@@ -12,9 +12,8 @@ paper's framework removes.
 
 This reproduction implements the layered repetition faithfully but *caps* the
 executed repetitions (running the literal schedule is impossible for any
-eps < 1/4); the scheduled count is exposed via
-:func:`mcgregor_scheduled_calls` so that the Table 2 benchmark can report both
-the theoretical schedule (exponential) and the measured executed calls.
+eps < 1/4); the Table 2 benchmark reports the executed oracle calls of the
+capped runs (``mcgregor_oracle_calls``), not the schedule.
 Blossoms are not handled inside a repetition (McGregor's general-graph version
 pays extra repetitions for that instead), so on non-bipartite inputs the
 capped baseline may also stop short of (1+eps) -- which is exactly the
@@ -34,14 +33,6 @@ from repro.instrumentation.counters import Counters
 from repro.core.oracles import GreedyMatchingOracle, MatchingOracle, ensure_counting
 
 Edge = Tuple[int, int]
-
-
-def mcgregor_scheduled_calls(eps: float) -> float:
-    """The oracle-call schedule of [McG05]: ``(1/eps)^{Theta(1/eps)}``."""
-    if not 0 < eps < 1:
-        raise ValueError("eps must lie in (0, 1)")
-    k = math.ceil(1.0 / eps)
-    return float(k) ** k
 
 
 def _layered_repetition(graph: Graph, matching: Matching, k: int,
@@ -129,9 +120,8 @@ def mcgregor_boost(graph: Graph, eps: float,
     """Boost a maximal matching towards (1+eps) with the layered framework.
 
     ``max_repetitions_per_phase`` caps the executed repetitions (the scheduled
-    count, reported by :func:`mcgregor_scheduled_calls`, is exponential in
-    1/eps and cannot be executed); counters record the executed
-    ``oracle_calls`` and the per-run ``mcgregor_repetitions``.
+    count, ``(1/eps)^{Theta(1/eps)}``, cannot be executed); counters record
+    the executed ``oracle_calls`` and the per-run ``mcgregor_repetitions``.
     """
     counters = counters if counters is not None else Counters()
     oracle = ensure_counting(oracle if oracle is not None else GreedyMatchingOracle(),

@@ -19,7 +19,6 @@ from repro.bench.registry import (
     get_scenario,
     register,
     scenarios,
-    smoke_mode,
     suite_names,
     unregister,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "run_scenario",
     "run_scenarios",
     "scenarios",
-    "smoke_mode",
     "suite_label",
     "suite_names",
     "summarize_ns",

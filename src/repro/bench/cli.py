@@ -9,8 +9,8 @@ Subcommands::
              ``--smoke`` and ``BENCH_paper.json`` without it
              ``--jobs N`` fans independent runs out over N worker processes
              (deterministic record order; exit 1 if any scenario failed);
-             ``--list`` prints the selected scenarios (params, suites,
-             accepted workload specs) and exits without running
+             ``--list`` prints the selected scenarios and their suites and
+             exits without running
     list     show registered scenarios and suites
     compare  diff two suite JSON files and fail on regressions
              e.g. ``python -m repro.bench compare old.json new.json --fail-over 1.2``
@@ -42,35 +42,30 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--list", action="store_true", dest="list_only",
                        help="list the selected scenarios (all registered "
                             "ones when nothing is selected) with their "
-                            "suites and selectors, then exit without "
-                            "running anything")
+                            "suites, then exit without running anything")
     run_p.add_argument("--suite", help="run every scenario of one suite")
     run_p.add_argument("--all", action="store_true",
                        help="run every registered scenario")
     run_p.add_argument("--scenario", action="append", default=[],
                        help="run a specific scenario (repeatable)")
     run_p.add_argument("--smoke", action="store_true",
-                       help="seconds-scale configuration "
-                            "(also REPRO_BENCH_SMOKE=1)")
+                       help="seconds-scale configuration")
     run_p.add_argument("--eps", type=float, nargs="+", default=None,
                        help="pin the approximation parameter; several "
                             "values sweep it, one record per scenario and "
                             "value (default: each scenario's own eps)")
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--repeats", type=int, default=1,
-                       help="timed repetitions; wall_s is their minimum")
+                       help="timed repetitions (>= 1); wall_s is their "
+                            "minimum")
     run_p.add_argument("--warmup", type=int, default=0,
-                       help="untimed warmup executions per spec")
+                       help="untimed warmup executions per spec (>= 0)")
     run_p.add_argument("--jobs", type=int, default=1,
                        help="run specs in N worker processes (default 1 = "
                             "in-process); records are merged in deterministic "
                             "spec order, so output is identical to --jobs 1 "
                             "apart from wall_s/timestamp, and a failing "
                             "scenario only fails itself")
-    run_p.add_argument("--workload", default="default",
-                       help="workload selector for scenarios that offer one")
-    run_p.add_argument("--algorithm", default="default",
-                       help="algorithm selector for scenarios that offer one")
     run_p.add_argument("--profile", action="store_true",
                        help="after the timed runs, cProfile one execution "
                             "per spec and write top-N cumulative hotspots to "
@@ -133,7 +128,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.list_only:
         return _print_scenarios(selected)
 
-    smoke = args.smoke or registry.smoke_mode()
     if args.jobs < 1:
         print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
         return 2
@@ -149,11 +143,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         records = runner.run_scenarios(
             selected, progress=progress, jobs=args.jobs, failures=failures,
             eps=args.eps, seed=args.seed, repeats=args.repeats,
-            warmup=args.warmup, smoke=smoke, workload=args.workload,
-            algorithm=args.algorithm)
+            warmup=args.warmup, smoke=args.smoke)
     except ValueError as exc:
-        # scenarios reject unknown workload/algorithm selectors rather than
-        # silently running (and mislabeling) something else
+        # a RunSpec rejects repeats < 1 and warmup < 0 when the specs are
+        # expanded, before any scenario runs; scenario errors land in
+        # ``failures`` instead
         print(f"error: {exc}", file=sys.stderr)
         return 2
     suite_wall = time.perf_counter() - start
@@ -161,13 +155,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if not args.no_files and records:
         meta = {"jobs": args.jobs, "suite_wall_s": round(suite_wall, 4)}
         path = results.write_suite(
-            records, runner.suite_label(label, smoke, args.eps), meta=meta)
+            records, runner.suite_label(label, args.smoke, args.eps),
+            meta=meta)
         print(f"\nwrote {len(records)} records to {path}")
     if args.profile and not failures:
         # profile separately from the timed repeats (never pollutes wall_s)
-        work = runner.expand_all(
-            selected, eps=args.eps, seed=args.seed,
-            smoke=smoke, workload=args.workload, algorithm=args.algorithm)
+        work = runner.expand_all(selected, eps=args.eps, seed=args.seed,
+                                 smoke=args.smoke)
         paths = runner.profile_specs(work, results.output_root() / "results")
         for p in paths:
             print(f"wrote profile to {p}")
@@ -184,27 +178,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _print_scenarios(selected) -> int:
-    """Render a scenario inspection table (``run --list`` / ``list``).
-
-    Shows everything a ``RunSpec`` can vary per scenario: the suite and
-    which free-form selectors (``workload`` /
-    ``algorithm``) the scenario interprets -- including the registered
-    workload names a ``--workload`` selector accepts.
-    """
+    """Render a scenario inspection table (``run --list`` / ``list``)."""
     table = Table("Registered benchmark scenarios",
-                  ["scenario", "suite", "selectors", "description"])
+                  ["scenario", "suite", "description"])
     for scenario in selected:
-        table.add_row(scenario.name, scenario.suite,
-                      ",".join(scenario.selectors) or "-",
-                      scenario.description)
+        table.add_row(scenario.name, scenario.suite, scenario.description)
     print(table.render())
     suites = sorted({s.suite for s in selected})
     print(f"\nsuites: {', '.join(suites) or '(none)'}")
-    if any("workload" in s.selectors for s in selected):
-        from repro.workloads import workload_names
-
-        names = ", ".join(workload_names() + ["trace:<path>"])
-        print(f"workload specs (--workload): {names}")
     return 0
 
 

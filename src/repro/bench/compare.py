@@ -1,7 +1,7 @@
 """Baseline diffing: flag perf regressions between two suite JSON files.
 
 ``python -m repro.bench compare old.json new.json --fail-over 1.2`` matches
-records by (scenario, eps, workload, algorithm, smoke), computes the
+records by (scenario, eps, smoke), computes the
 ``new / old`` ratio of the chosen metric (wall-clock by default, any counter
 via ``--metric``) and fails when any ratio exceeds the threshold.
 """
@@ -15,10 +15,12 @@ Key = Tuple[object, ...]
 
 
 def record_key(record: Mapping[str, object]) -> Key:
+    """``(scenario, eps, smoke)``: what tells two records of one suite file
+    apart.  Any other ``params`` key a file carries is ignored, so a record
+    still matches its row in a file written with a different ``params``
+    schema."""
     params = record.get("params", {})
-    return (record.get("scenario"), params.get("eps"),
-            params.get("workload"), params.get("algorithm"),
-            params.get("smoke"))
+    return (record.get("scenario"), params.get("eps"), params.get("smoke"))
 
 
 def _by_key(records: Sequence[Mapping[str, object]],

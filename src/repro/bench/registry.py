@@ -2,7 +2,7 @@
 
 A *scenario* is one registered sweep of a benchmark module (``benchmarks/
 bench_*.py``); a :class:`RunSpec` pins one concrete execution of it
-(workload x algorithm x eps x seed x repeats).  The runner
+(eps x seed x repeats x smoke).  The runner
 (:mod:`repro.bench.runner`) times scenario executions and turns them into the
 JSON records that ``python -m repro.bench`` emits.
 
@@ -13,16 +13,10 @@ the registry is populated before a CLI run.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.instrumentation.counters import Counters
-
-
-def smoke_mode() -> bool:
-    """Whether ``REPRO_BENCH_SMOKE=1`` asks for seconds-scale configurations."""
-    return os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
 
 @dataclass(frozen=True)
@@ -30,20 +24,24 @@ class RunSpec:
     """One concrete scenario execution.
 
     ``eps`` is ``None`` when the caller did not pin it; scenarios resolve
-    their own default via :meth:`resolved_eps`.  ``workload`` / ``algorithm``
-    are free-form selectors a scenario may interpret (most have a single
-    natural workload and ignore them).
+    their own default via :meth:`resolved_eps`.  ``repeats`` must be at
+    least 1 and ``warmup`` at least 0, else construction raises
+    :class:`ValueError`.
     """
 
     scenario: str
     suite: str
-    workload: str = "default"
-    algorithm: str = "default"
     eps: Optional[float] = None
     seed: int = 0
     repeats: int = 1
     warmup: int = 0
     smoke: bool = False
+
+    def __post_init__(self) -> None:
+        if self.repeats < 1:
+            raise ValueError(f"repeats must be >= 1, got {self.repeats}")
+        if self.warmup < 0:
+            raise ValueError(f"warmup must be >= 0, got {self.warmup}")
 
     def resolved_eps(self, default: float = 0.25) -> float:
         return default if self.eps is None else self.eps
@@ -52,12 +50,10 @@ class RunSpec:
         """The ``params`` object of the emitted JSON record."""
         return {
             "suite": self.suite,
-            "workload": self.workload,
-            "algorithm": self.algorithm,
             "eps": self.eps,
             "seed": self.seed,
-            "repeats": max(1, self.repeats),
-            "warmup": max(0, self.warmup),
+            "repeats": self.repeats,
+            "warmup": self.warmup,
             "smoke": self.smoke,
         }
 
@@ -76,18 +72,12 @@ class Scenario:
     suite: str
     fn: ScenarioFn
     description: str = ""
-    #: which free-form RunSpec selectors ("workload", "algorithm") the
-    #: scenario interprets; passing a non-default value for an undeclared
-    #: selector is rejected by the runner, because the emitted record carries
-    #: the selector verbatim and running anything else would mislabel it.
-    selectors: Tuple[str, ...] = ()
 
 
 _REGISTRY: Dict[str, Scenario] = {}
 
 
-def register(name: str, suite: str, description: str = "",
-             selectors: Tuple[str, ...] = ()):
+def register(name: str, suite: str, description: str = ""):
     """Decorator registering ``fn`` as scenario ``name`` in ``suite``.
 
     Re-registering a name overwrites the previous entry, so a benchmark
@@ -97,8 +87,7 @@ def register(name: str, suite: str, description: str = "",
 
     def decorator(fn: ScenarioFn) -> ScenarioFn:
         _REGISTRY[name] = Scenario(name=name, suite=suite, fn=fn,
-                                   description=description,
-                                   selectors=tuple(selectors))
+                                   description=description)
         return fn
 
     return decorator

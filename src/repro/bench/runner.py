@@ -37,33 +37,24 @@ from repro.bench.registry import RunSpec, Scenario
 
 def make_spec(scenario: Scenario, *, eps: Optional[float] = None,
               seed: int = 0, repeats: int = 1, warmup: int = 0,
-              smoke: bool = False, workload: str = "default",
-              algorithm: str = "default") -> RunSpec:
+              smoke: bool = False) -> RunSpec:
     """The :class:`RunSpec` of one scenario run.
 
-    Raises :class:`ValueError` for a non-default selector the scenario does
-    not interpret.
+    Raises :class:`ValueError` for ``repeats < 1`` or ``warmup < 0``.
     """
-    for selector, value in (("workload", workload), ("algorithm", algorithm)):
-        if value != "default" and selector not in scenario.selectors:
-            raise ValueError(
-                f"scenario {scenario.name!r} does not interpret the "
-                f"{selector} selector (got {value!r}); the emitted record "
-                "would mislabel what actually ran")
-    return RunSpec(scenario=scenario.name, suite=scenario.suite,
-                   workload=workload, algorithm=algorithm, eps=eps,
+    return RunSpec(scenario=scenario.name, suite=scenario.suite, eps=eps,
                    seed=seed, repeats=repeats, warmup=warmup, smoke=smoke)
 
 
 def run_scenario(scenario: Scenario, spec: RunSpec) -> Dict[str, object]:
     """Execute one spec (warmup + repeats) and return its record."""
-    for _ in range(max(0, spec.warmup)):
+    for _ in range(spec.warmup):
         scenario.fn(spec, Counters())
 
     best_wall: Optional[float] = None
     best_counters: Dict[str, float] = {}
     best_latency: Optional[Dict[str, float]] = None
-    for _ in range(max(1, spec.repeats)):
+    for _ in range(spec.repeats):
         counters = Counters()
         start = time.perf_counter()
         values = scenario.fn(spec, counters)
@@ -204,8 +195,8 @@ def run_scenarios(scens: Iterable[Scenario], progress=None, jobs: int = 1,
     execution raises into an entry (``{"scenario", "error"}``)
     while the rest of the suite completes.  Without it, the first failure
     raises; scenarios must never go missing from the result silently.
-    Spec *expansion* errors (unknown selectors) always raise: they are
-    usage errors, not scenario failures.
+    Spec *expansion* errors (``repeats < 1``, ``warmup < 0``) always
+    raise: they are usage errors, not scenario failures.
 
     A worker that dies outright (``os._exit``, a segfault) breaks its
     pool.  Specs that finished before the break keep their records; every

@@ -29,7 +29,6 @@ from repro.core.oracles import (
     MatchingOracle,
     GreedyMatchingOracle,
     RandomGreedyMatchingOracle,
-    ExactMatchingOracle,
     CountingOracle,
 )
 from repro.core.streaming import semi_streaming_matching
@@ -41,7 +40,6 @@ __all__ = [
     "MatchingOracle",
     "GreedyMatchingOracle",
     "RandomGreedyMatchingOracle",
-    "ExactMatchingOracle",
     "CountingOracle",
     "semi_streaming_matching",
     "BoostingFramework",

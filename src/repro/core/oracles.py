@@ -11,7 +11,7 @@ Two oracle interfaces appear in the paper:
   it must not return ``bottom`` whenever ``mu(G[S]) >= delta * n``.
 
 This module defines both protocols, the stock implementations used in tests
-and benchmarks (greedy, random-greedy, exact), and :class:`CountingOracle` /
+and benchmarks (greedy, random-greedy), and :class:`CountingOracle` /
 :class:`CountingWeakOracle` wrappers that charge every invocation to a
 :class:`~repro.instrumentation.counters.Counters` bag -- the quantity Table 1
 and Table 2 are about.
@@ -26,7 +26,6 @@ from typing import List, Optional, Sequence, Tuple
 from repro.graph.graph import Graph, edge_list_of
 from repro.instrumentation.counters import Counters
 from repro.matching.greedy import greedy_scan, shuffled_greedy
-from repro.matching.blossom import maximum_matching
 
 Edge = Tuple[int, int]
 
@@ -79,17 +78,6 @@ class RandomGreedyMatchingOracle(MatchingOracle):
         # construction reproduces the whole invocation sequence.
         return shuffled_greedy(n, edge_list_of(n, edges),
                                self._rng).edge_list()
-
-
-class ExactMatchingOracle(MatchingOracle):
-    """An exact (1-approximate) oracle; isolates framework behaviour from
-    oracle quality in ablation experiments."""
-
-    c = 1.0
-    name = "exact"
-
-    def find_matching(self, n: int, edges: Sequence[Edge]) -> List[Edge]:
-        return maximum_matching(Graph(n, edges)).edge_list()
 
 
 class CountingOracle(MatchingOracle):

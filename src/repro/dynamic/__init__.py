@@ -2,48 +2,32 @@
 
 Contents:
 
-* :mod:`~repro.dynamic.interfaces` -- Problem 1 (chunked updates + adaptive
-  ``Aweak`` queries) and the dynamic-algorithm protocol;
+* :mod:`~repro.dynamic.interfaces` -- the dynamic-algorithm protocol and
+  its shared update accounting;
 * :mod:`~repro.dynamic.weak_oracles` -- concrete ``Aweak`` implementations
-  (greedy-induced, exact-induced, sampling, OMv-backed);
-* :mod:`~repro.dynamic.omv` -- the online matrix-vector substrate
-  (Definition 7.5/7.6) and the Lemma 7.9-style induced-matching routine;
-* :mod:`~repro.dynamic.ors` -- ordered Ruzsa--Szemerédi graphs (Definition 7.2)
-  and the Theorem 7.4 / [AKK25] update-time formulas;
+  (greedy-induced, OMv-backed);
+* :mod:`~repro.dynamic.omv` -- the exact online matrix-vector substrate
+  (Definition 7.5) and the Lemma 7.9-style induced-matching routine;
 * :mod:`~repro.dynamic.fully_dynamic` -- the Theorem 7.1-style maintainer
   (periodic rebuild through the Section 6 framework);
 * :mod:`~repro.dynamic.offline` -- the offline variant (Theorem 7.15 flavour);
-* :mod:`~repro.dynamic.baselines` -- dynamic baselines for Table 2.
+* :mod:`~repro.dynamic.baselines` -- the McGregor-style comparator of
+  Table 2.
 """
 
-from repro.dynamic.interfaces import Problem1Instance, DynamicMatchingAlgorithm
-from repro.dynamic.weak_oracles import (
-    GreedyInducedWeakOracle,
-    ExactInducedWeakOracle,
-    SamplingWeakOracle,
-    OMvWeakOracle,
-)
-from repro.dynamic.omv import OMvMatrix, ApproximateOMv
+from repro.dynamic.interfaces import DynamicMatchingAlgorithm
+from repro.dynamic.weak_oracles import GreedyInducedWeakOracle, OMvWeakOracle
+from repro.dynamic.omv import OMvMatrix
 from repro.dynamic.fully_dynamic import FullyDynamicMatching
 from repro.dynamic.offline import OfflineDynamicMatching
-from repro.dynamic.baselines import (
-    RecomputeFromScratchDynamic,
-    LazyGreedyDynamic,
-    ExponentialBoostingDynamic,
-)
+from repro.dynamic.baselines import ExponentialBoostingDynamic
 
 __all__ = [
-    "Problem1Instance",
     "DynamicMatchingAlgorithm",
     "GreedyInducedWeakOracle",
-    "ExactInducedWeakOracle",
-    "SamplingWeakOracle",
     "OMvWeakOracle",
     "OMvMatrix",
-    "ApproximateOMv",
     "FullyDynamicMatching",
     "OfflineDynamicMatching",
-    "RecomputeFromScratchDynamic",
-    "LazyGreedyDynamic",
     "ExponentialBoostingDynamic",
 ]

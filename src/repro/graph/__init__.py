@@ -1,4 +1,4 @@
-"""Graph substrates: static graphs, dynamic graphs, bipartite covers, generators.
+"""Graph substrates: static graphs, dynamic graphs, generators.
 
 This sub-package provides every graph container the boosting framework and its
 substrates operate on:
@@ -10,23 +10,15 @@ substrates operate on:
 * :class:`~repro.graph.dynamic_graph.DynamicGraph` -- a fully dynamic graph
   with insert/delete updates and the Problem 1 accounting, used by the
   Section 7 algorithms.
-* :class:`~repro.graph.bipartite.BipartiteDoubleCover` -- the auxiliary graph
-  ``B`` of Definition 6.3 (every vertex split into an outer copy ``v+`` and an
-  inner copy ``v-``).
 * :mod:`~repro.graph.generators` -- synthetic workload generators (random
-  graphs, planted matchings, paths/cycles, blossom gadgets, ORS-style layered
-  induced matchings).
+  graphs, planted matchings, paths/cycles, blossom gadgets).
 """
 
 from repro.graph.graph import Graph
 from repro.graph.dynamic_graph import DynamicGraph, Update
-from repro.graph.bipartite import BipartiteDoubleCover, is_bipartite, bipartition
 
 __all__ = [
     "Graph",
     "DynamicGraph",
     "Update",
-    "BipartiteDoubleCover",
-    "is_bipartite",
-    "bipartition",
 ]

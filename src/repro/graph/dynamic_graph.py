@@ -1,12 +1,10 @@
 """Fully dynamic graph (Section 7 substrate).
 
 The dynamic algorithms of Section 7 operate on a graph that *starts empty* and
-receives an online sequence of edge insertions and deletions, grouped into
-chunks of ``alpha * n`` updates (Problem 1).  :class:`DynamicGraph` is that
-container: a :class:`~repro.graph.graph.Graph` plus the update accounting
-(``num_updates``, ``max_edges_seen``).  Chunking is
-:meth:`~repro.workloads.streams.UpdateStream.chunks`; a sequence that must be
-kept is recorded as a :class:`~repro.workloads.trace.Trace`.
+receives an online sequence of edge insertions and deletions (Problem 1).
+:class:`DynamicGraph` is that container: a :class:`~repro.graph.graph.Graph`
+plus the update accounting (``num_updates``, ``max_edges_seen``).  A sequence
+that must be kept is recorded as a :class:`~repro.workloads.trace.Trace`.
 
 "Empty updates" (Problem 1 allows updates that do not change the graph, used
 when chunk sizes must be padded) are represented by :data:`Update.EMPTY`.

@@ -462,59 +462,6 @@ class Graph:
         s = vertices if isinstance(vertices, (set, frozenset)) else set(vertices)
         return self._induced_edges(s)
 
-    def connected_components(self) -> List[List[int]]:
-        """Connected components as lists of vertices (iterative DFS)."""
-        n = self.n
-        neighbor_list = self.neighbor_list
-        seen = [False] * n
-        comps: List[List[int]] = []
-        for start in range(n):
-            if seen[start]:
-                continue
-            stack = [start]
-            seen[start] = True
-            comp = []
-            while stack:
-                u = stack.pop()
-                comp.append(u)
-                for v in neighbor_list(u):
-                    if not seen[v]:
-                        seen[v] = True
-                        stack.append(v)
-            comps.append(comp)
-        return comps
-
-    def arboricity_upper_bound(self) -> int:
-        """A cheap upper bound on arboricity: ``ceil(max_degeneracy ... )``.
-
-        We use the degeneracy (computed by repeated minimum-degree peeling),
-        which upper bounds arboricity within a factor of 2 and is what
-        Remark 1 of the paper cares about qualitatively.
-        """
-        if self.m == 0:
-            return 0
-        n = self.n
-        adj = [set(self.neighbor_list(v)) for v in range(n)]
-        degree = [len(a) for a in adj]
-        import heapq
-
-        heap = [(degree[v], v) for v in range(n)]
-        heapq.heapify(heap)
-        degeneracy = 0
-        removed = [False] * n
-        while heap:
-            d, v = heapq.heappop(heap)
-            if removed[v] or d != degree[v]:
-                continue
-            removed[v] = True
-            degeneracy = max(degeneracy, d)
-            for w in adj[v]:
-                if not removed[w]:
-                    adj[w].discard(v)
-                    degree[w] -= 1
-                    heapq.heappush(heap, (degree[w], w))
-        return degeneracy
-
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self._n:
             raise ValueError(f"vertex {v} out of range [0, {self._n})")

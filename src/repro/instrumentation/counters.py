@@ -92,21 +92,6 @@ class Counters:
             return NotImplemented
         return dict(self._counts) == dict(other._counts)
 
-    def snapshot(self) -> "Counters":
-        c = Counters()
-        c._counts = defaultdict(float, self._counts)
-        return c
-
-    def diff(self, earlier: "Counters") -> Dict[str, float]:
-        """Per-counter difference ``self - earlier`` (only non-zero entries)."""
-        out: Dict[str, float] = {}
-        keys = set(self._counts) | set(earlier._counts)
-        for key in keys:
-            d = self._counts.get(key, 0) - earlier._counts.get(key, 0)
-            if d:
-                out[key] = d
-        return out
-
     def __iter__(self) -> Iterator[str]:
         return iter(self._counts)
 

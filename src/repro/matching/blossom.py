@@ -171,11 +171,3 @@ def find_augmenting_path(graph: Graph, matching: Matching) -> bool:
                     matching.add(u, w)
                 return True
     return False
-
-
-def augment_to_optimal(graph: Graph, matching: Matching) -> int:
-    """Augment ``matching`` (in place) until it is maximum; returns #augmentations."""
-    count = 0
-    while find_augmenting_path(graph, matching):
-        count += 1
-    return count

@@ -4,7 +4,8 @@ Several tests work on bipartite graphs (the OMv matching tests among them),
 where Hopcroft–Karp gives an exact maximum matching in ``O(E * sqrt(V))``
 time -- much faster than the general blossom algorithm, so it serves as the
 exact reference on bipartite inputs.  The OMv path of Section 7.4 does not
-call it: its matchings come from OMv queries and row probes.
+call it: its matchings come from OMv queries and row probes.  Given no
+sides, :func:`hopcroft_karp` two-colours the graph with :func:`bipartition`.
 """
 
 from __future__ import annotations
@@ -13,10 +14,30 @@ from collections import deque
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.graph.graph import Graph
-from repro.graph.bipartite import bipartition
 from repro.matching.matching import Matching
 
 _INF = float("inf")
+
+
+def bipartition(graph: Graph) -> Optional[Tuple[List[int], List[int]]]:
+    """Return a bipartition ``(L, R)`` or ``None`` if the graph is not bipartite."""
+    colour = [-1] * graph.n
+    for start in graph.vertices():
+        if colour[start] != -1:
+            continue
+        colour[start] = 0
+        queue = [start]
+        while queue:
+            u = queue.pop()
+            for v in graph.neighbor_list(u):
+                if colour[v] == -1:
+                    colour[v] = 1 - colour[u]
+                    queue.append(v)
+                elif colour[v] == colour[u]:
+                    return None
+    left = [v for v in graph.vertices() if colour[v] == 0]
+    right = [v for v in graph.vertices() if colour[v] == 1]
+    return left, right
 
 
 def hopcroft_karp(graph: Graph,

@@ -12,7 +12,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 
 import numpy as np
 
-from repro.graph.graph import Graph, normalize_edge
+from repro.graph.graph import Graph
 
 Edge = Tuple[int, int]
 
@@ -162,14 +162,6 @@ class Matching:
         self._mate[v] = None
         self._size -= 1
 
-    def remove_vertex_edge(self, v: int) -> Optional[Edge]:
-        """If ``v`` is matched, remove its matched edge; return the edge removed."""
-        w = self._mate[v]
-        if w is None:
-            return None
-        self.remove(v, w)
-        return normalize_edge(v, w)
-
     # ---------------------------------------------------------- augmentation
     def augment_along(self, path: Sequence[int]) -> None:
         """Augment along an augmenting path given as a vertex sequence.
@@ -200,17 +192,6 @@ class Matching:
         for i in range(0, len(path) - 1, 2):
             self.add(path[i], path[i + 1])
 
-    def augment_all(self, paths: Iterable[Sequence[int]]) -> int:
-        """Augment along a collection of vertex-disjoint augmenting paths.
-
-        Returns the number of paths applied (= increase in matching size).
-        """
-        count = 0
-        for p in paths:
-            self.augment_along(p)
-            count += 1
-        return count
-
     # ------------------------------------------------------------ validation
     def validate(self, graph: Optional[Graph] = None) -> None:
         """Raise ``AssertionError`` if the internal state is inconsistent or,
@@ -239,14 +220,4 @@ class Matching:
         for u, v in self.edges():
             if graph.has_edge(u, v):
                 m.add(u, v)
-        return m
-
-    @classmethod
-    def from_mate_array(cls, mate: Sequence[Optional[int]]) -> "Matching":
-        """Build a matching from a ``mate`` array, ``None`` marking a free vertex.
-
-        A thin wrapper over :meth:`load_mate_array` (which takes ``-1``).
-        """
-        m = cls(len(mate))
-        m.load_mate_array([-1 if v is None else v for v in mate])
         return m

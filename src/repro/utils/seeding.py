@@ -8,7 +8,7 @@ single definition:
 
 * :func:`rng` -- the root stream: ``random.Random(seed)``, bit-for-bit what
   the per-module helpers produced.
-* :func:`derived_seeds` / :func:`derived_rngs` -- *named substreams*: child
+* :func:`derived_seeds` -- *named substreams*: child
   seeds drawn from the root in the order the names are given, so
   ``derived_seeds(seed, "graph", "churn")`` reproduces the historical
 
@@ -52,9 +52,3 @@ def derived_seeds(seed: Optional[int], *names: str) -> Dict[str, int]:
         raise ValueError(f"duplicate substream names: {names}")
     root = rng(seed)
     return {name: root.randrange(_CHILD_SEED_BOUND) for name in names}
-
-
-def derived_rngs(seed: Optional[int], *names: str) -> Dict[str, random.Random]:
-    """Like :func:`derived_seeds` but instantiates the child streams."""
-    return {name: random.Random(child)
-            for name, child in derived_seeds(seed, *names).items()}

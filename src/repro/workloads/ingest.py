@@ -10,13 +10,12 @@ workloads:
   (sparse ids, strings) onto the contiguous ``0..n-1`` range every
   algorithm here assumes, dropping self-loops and keeping the original
   labels for reverse lookup;
-* :func:`temporal_insertions` replays the edges as an insertion-only
-  stream in timestamp order (file order when no timestamps; ties keep file
-  order -- the sort is stable, so ingestion is deterministic);
-* :func:`temporal_sliding_window` adds expiry: an edge inserted at time
-  ``t`` is deleted once the stream reaches time ``t + window``, turning a
-  static graph with timestamps into a genuinely fully dynamic scenario
-  whose live size is bounded by the window.
+* :func:`temporal_sliding_window` replays the edges in timestamp order
+  (file order when no timestamps; ties keep file order -- the sort is
+  stable, so ingestion is deterministic) and adds expiry: an edge inserted
+  at time ``t`` is deleted once the stream reaches time ``t + window``,
+  turning a static graph with timestamps into a genuinely fully dynamic
+  scenario whose live size is bounded by the window.
 
 Together with :class:`~repro.workloads.trace.Trace` this is the
 record-once/replay-forever path: ingest a public graph, record the stream,
@@ -56,17 +55,14 @@ class EdgeListData:
         return len(self.edges)
 
 
-def load_edge_list(path, comment: str = "#",
-                   remap: bool = True) -> EdgeListData:
+def load_edge_list(path) -> EdgeListData:
     """Parse a SNAP-style edge list: ``u v [timestamp]`` per line.
 
-    Vertex labels may be arbitrary tokens; with ``remap`` (the default)
-    they are assigned contiguous ids in first-seen order.  With
-    ``remap=False`` the tokens must already be integers in ``0..n-1`` and
-    ``n`` is taken as ``max_id + 1``.  Self-loops are dropped (the update
-    protocol rejects them); blank lines and ``comment``-prefixed lines are
-    ignored.  Timestamps must be integers and either every edge line has
-    one or none does.
+    Vertex labels may be arbitrary tokens; they are assigned contiguous ids
+    in first-seen order.  Self-loops are dropped (the update protocol
+    rejects them); blank lines and ``#``-prefixed lines are ignored.
+    Timestamps must be integers and either every edge line has one or none
+    does.
     """
     ids = {}
     labels: List[str] = []
@@ -75,8 +71,6 @@ def load_edge_list(path, comment: str = "#",
     saw_timestamps: Optional[bool] = None
 
     def vertex(token: str) -> int:
-        if not remap:
-            return int(token)
         vid = ids.get(token)
         if vid is None:
             vid = len(ids)
@@ -87,7 +81,7 @@ def load_edge_list(path, comment: str = "#",
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, 1):
             line = line.strip()
-            if not line or line.startswith(comment):
+            if not line or line.startswith("#"):
                 continue
             fields = line.split()
             if len(fields) not in (2, 3):
@@ -103,21 +97,11 @@ def load_edge_list(path, comment: str = "#",
                     "lines")
             if fields[0] == fields[1]:
                 continue  # self-loop: the update protocol rejects them
-            u, v = vertex(fields[0]), vertex(fields[1])
-            if u == v:
-                continue  # distinct tokens mapping to one id (remap=False)
-            edges.append((u, v))
+            edges.append((vertex(fields[0]), vertex(fields[1])))
             if has_ts:
                 timestamps.append(int(fields[2]))
 
-    if remap:
-        n = len(ids)
-    else:
-        n = 1 + max((max(u, v) for u, v in edges), default=-1)
-        if any(u < 0 or v < 0 for u, v in edges):
-            raise ValueError(f"{path}: negative vertex id with remap=False")
-        labels = [str(i) for i in range(n)]
-    return EdgeListData(n=n, edges=edges,
+    return EdgeListData(n=len(ids), edges=edges,
                         timestamps=timestamps if saw_timestamps else None,
                         labels=labels, path=str(path))
 
@@ -132,24 +116,6 @@ def _temporal_order(data: EdgeListData) -> List[int]:
 
 def _time_of(data: EdgeListData, index: int) -> int:
     return index if data.timestamps is None else data.timestamps[index]
-
-
-def temporal_insertions(data: EdgeListData) -> UpdateStream:
-    """Insertion-only replay in temporal order.
-
-    Duplicate edges become duplicate insertions -- legitimate (no-op)
-    updates under the dynamic protocol, charged like any adversarial
-    update.
-    """
-    order = _temporal_order(data)
-
-    def produce() -> Iterator[Update]:
-        for i in order:
-            u, v = data.edges[i]
-            yield Update.insert(u, v)
-
-    name = f"temporal_insertions({data.path or 'edges'})"
-    return UpdateStream(data.n, produce, length=len(order), name=name)
 
 
 def temporal_sliding_window(data: EdgeListData, window: int) -> UpdateStream:

@@ -6,15 +6,10 @@ memory to replay instead of O(stream).
 
 Families:
 
-* :func:`insertion_only` -- distinct random insertions,
 * :func:`sliding_window` -- turnstile stream, live edges bounded by the
   window (the canonical bounded-memory long-stream workload),
 * :func:`planted_matching_churn` -- planted perfect matching churned round
-  by round (``mu(G) = Theta(n)`` throughout),
-* :func:`ors_reveal` -- ORS-style graph revealed matching-by-matching then
-  deleted,
-* :func:`adversarial_matched_edge_deletions` -- adaptive deletions of the
-  *currently maintained* matching, driven through a live callback.
+  by round (``mu(G) = Theta(n)`` throughout).
 
 Parameter validation is eager (a bad call raises at construction, not on
 first iteration); RNG state is created inside the iterator factory, so
@@ -24,41 +19,12 @@ re-iterating a stream replays the identical sequence.
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.graph.dynamic_graph import Update
-from repro.graph.generators import ors_layered_graph, planted_matching
+from repro.graph.generators import planted_matching
 from repro.utils.seeding import derived_seeds, rng
 from repro.workloads.streams import UpdateStream
-
-
-def insertion_only(n: int, m: int, seed: Optional[int] = None) -> UpdateStream:
-    """``min(m, n*(n-1)/2)`` random distinct edge insertions on ``n`` vertices.
-
-    Distinctness requires remembering what was drawn, so this source's
-    iterator holds O(#emitted) state -- inherent to the family, not to the
-    stream API.
-    """
-    max_m = n * (n - 1) // 2
-    target = min(m, max_m)
-
-    def produce() -> Iterator[Update]:
-        stream_rng = rng(seed)
-        seen = set()
-        emitted = 0
-        while emitted < target:
-            u, v = stream_rng.randrange(n), stream_rng.randrange(n)
-            if u == v:
-                continue
-            e = (min(u, v), max(u, v))
-            if e in seen:
-                continue
-            seen.add(e)
-            emitted += 1
-            yield Update.insert(*e)
-
-    return UpdateStream(n, produce, length=target,
-                        name=f"insertion_only(n={n}, m={target})")
 
 
 def sliding_window(n: int, num_updates: int, window: int,
@@ -154,55 +120,3 @@ def planted_matching_churn(n_pairs: int, rounds: int,
     return UpdateStream(
         graph.n, produce, length=len(initial) + 2 * k * rounds,
         name=f"planted_matching_churn(pairs={n_pairs}, rounds={rounds})")
-
-
-def ors_reveal(n: int, matching_size: int, num_matchings: int,
-               seed: Optional[int] = None) -> UpdateStream:
-    """Reveal an ORS-style graph matching-by-matching, then delete it in order."""
-    _, matchings = ors_layered_graph(n, matching_size, num_matchings,
-                                     seed=seed)
-    total = 2 * sum(len(mi) for mi in matchings)
-
-    def produce() -> Iterator[Update]:
-        for mi in matchings:
-            for u, v in mi:
-                yield Update.insert(u, v)
-        for mi in matchings:
-            for u, v in mi:
-                yield Update.delete(u, v)
-
-    return UpdateStream(n, produce, length=total,
-                        name=f"ors_reveal(n={n}, t={num_matchings})")
-
-
-def adversarial_matched_edge_deletions(
-        n_pairs: int, rounds: int,
-        current_matching: Callable[[], Sequence[Tuple[int, int]]],
-        seed: Optional[int] = None) -> UpdateStream:
-    """Adaptive workload: each step deletes an edge of the *current* matching.
-
-    ``current_matching`` is queried at every step, so the stream's content
-    depends on the maintainer it is driving -- it is lazy by necessity, and
-    re-iterating replays the same *decisions* only if the maintainer is
-    reset too.  ``2 * rounds`` updates are produced; when the matching is
-    empty a previously deleted edge is re-inserted instead, and when neither
-    exists the step is EMPTY.
-    """
-
-    def produce() -> Iterator[Update]:
-        stream_rng = rng(seed)
-        deleted: List[Tuple[int, int]] = []
-        for _ in range(2 * rounds):
-            matching = list(current_matching())
-            if matching and (not deleted or stream_rng.random() < 0.6):
-                u, v = matching[stream_rng.randrange(len(matching))]
-                deleted.append((min(u, v), max(u, v)))
-                yield Update.delete(u, v)
-            elif deleted:
-                u, v = deleted.pop(stream_rng.randrange(len(deleted)))
-                yield Update.insert(u, v)
-            else:
-                yield Update.empty()
-
-    return UpdateStream(2 * n_pairs, produce, length=2 * rounds,
-                        name=f"adversarial(pairs={n_pairs}, rounds={rounds})")

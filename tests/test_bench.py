@@ -3,9 +3,8 @@
 Covers the registry, the timing runner and its JSON record schema, emission
 round-trips, the compare mode's exit codes, benchmark-module discovery, the
 ``--eps`` sweep and asserted paper bounds, and the tier-1 smoke gate:
-``REPRO_BENCH_SMOKE=1 python -m repro.bench run --all --smoke`` must keep
-every registered scenario runnable in seconds and every asserted bound
-holding.
+``python -m repro.bench run --all --smoke`` must keep every registered
+scenario runnable in seconds and every asserted bound holding.
 """
 
 import json
@@ -265,6 +264,26 @@ class TestCompare:
         assert cli.main(["compare", str(old), str(new)]) == 2
         assert "share the key" in capsys.readouterr().err
 
+    def test_key_is_scenario_eps_and_smoke(self):
+        # committed rows still carry the retired workload/algorithm params;
+        # a record written without them must match its row, and the two
+        # must not count as distinct keys on one side either
+        committed = {"scenario": "s",
+                     "params": {"suite": "t", "workload": "default",
+                                "algorithm": "default", "eps": None,
+                                "seed": 0, "repeats": 1, "warmup": 0,
+                                "smoke": True},
+                     "wall_s": 1.0, "counters": {}, "python": "3",
+                     "timestamp": "t"}
+        fresh = dict(committed, wall_s=1.1, params={
+            k: v for k, v in committed["params"].items()
+            if k not in ("workload", "algorithm")})
+        rows = compare_records([committed], [fresh])
+        assert [row["status"] for row in rows] == ["compared"]
+        assert rows[0]["ratio"] == pytest.approx(1.1)
+        with pytest.raises(ValueError, match="old records share"):
+            compare_records([committed, fresh], [fresh])
+
     def test_cli_exit_codes(self, tmp_path, capsys):
         old = write_suite(self._records(1.0), "old", root=tmp_path / "a")
         new = write_suite(self._records(1.3), "new", root=tmp_path / "b")
@@ -297,7 +316,6 @@ class TestDiscovery:
         out = capsys.readouterr().out
         for name in ALL_SCENARIOS:
             assert name in out
-        assert "selectors" in out and "workload" in out
         assert cli.main(["run", "--suite", "_toysuite", "--list"]) == 0
         out = capsys.readouterr().out
         assert "_toy" in out and "table2_dynamic" not in out
@@ -315,28 +333,19 @@ class TestDiscovery:
         assert not (tmp_path / "BENCH__toysuite.json").exists()
         capsys.readouterr()
 
-    def test_run_cli_rejects_unknown_workload(self, tmp_path, monkeypatch,
-                                              capsys):
+    @pytest.mark.parametrize("flag,value", [
+        ("--repeats", "-3"), ("--repeats", "0"), ("--warmup", "-2"),
+        ("--jobs", "0")])
+    def test_run_cli_rejects_out_of_range_counts(
+            self, toy_scenario, tmp_path, monkeypatch, capsys, flag, value):
+        # a usage error: nothing runs and nothing is written, instead of a
+        # record that claims values the run did not use
         monkeypatch.setenv("REPRO_BENCH_OUT", str(tmp_path))
-        # the scenario itself raises on the unknown value; that is an
-        # isolated per-scenario failure (exit 1), and nothing gets written
-        assert cli.main(["run", "--scenario", "table2_dynamic", "--smoke",
-                         "--workload", "Churn"]) == 1  # wrong case
-        assert "unknown workload" in capsys.readouterr().err
-        assert not (tmp_path / "BENCH_table2_dynamic.json").exists()
-
-    def test_run_cli_rejects_undeclared_selectors(self, toy_scenario,
-                                                  tmp_path, monkeypatch,
-                                                  capsys):
-        # _toy declares no selectors: any non-default workload/algorithm
-        # would be recorded verbatim without influencing the run
-        monkeypatch.setenv("REPRO_BENCH_OUT", str(tmp_path))
+        _scenario, calls = toy_scenario
         assert cli.main(["run", "--scenario", "_toy", "--smoke",
-                         "--workload", "bogus"]) == 2
-        assert cli.main(["run", "--scenario", "_toy", "--smoke",
-                         "--algorithm", "bogus"]) == 2
-        assert "does not interpret" in capsys.readouterr().err
-        assert not list(tmp_path.glob("BENCH_*.json"))
+                         flag, value]) == 2
+        assert "must be >=" in capsys.readouterr().err
+        assert calls == [] and not list(tmp_path.iterdir())
 
     def test_profile_flag_writes_hotspot_reports(self, toy_scenario,
                                                  tmp_path, monkeypatch,
@@ -465,17 +474,27 @@ class TestOneHarness:
         records = load_records(sweep_scenarios / "BENCH_custom.json")
         assert [r["scenario"] for r in records] == ["_sweep_a"]
 
-    def test_empty_final_graph_meets_the_quality_bound(
-            self, tmp_path, monkeypatch, capsys):
-        # ors_reveal deletes every edge it reveals: the empty matching is
+    def test_empty_final_graph_meets_the_quality_bound(self, monkeypatch):
+        # a stream that deletes every edge it inserts: the empty matching is
         # optimal on the final graph, so the asserted bound must hold
-        monkeypatch.setenv("REPRO_BENCH_OUT", str(tmp_path))
-        assert cli.main(["run", "--scenario", "table2_dynamic",
-                         "--scenario", "table2_offline", "--smoke",
-                         "--workload", "ors_reveal"]) == 0
-        records = load_records(tmp_path / "BENCH_custom.json")
-        assert [r["counters"]["size_over_opt"] for r in records] == [1.0, 1.0]
-        capsys.readouterr()
+        load_benchmark_modules()
+        from repro.graph.dynamic_graph import Update
+        from repro.workloads import UpdateStream
+
+        edges = [(0, 1), (2, 3), (1, 2)]
+        updates = ([Update.insert(*e) for e in edges]
+                   + [Update.delete(*e) for e in edges])
+
+        def vanishing(*_args, **_kwargs):
+            return UpdateStream(4, lambda: iter(updates), len(updates))
+
+        for scenario, source in (("table2_dynamic", "planted_matching_churn"),
+                                 ("table2_offline", "sliding_window")):
+            monkeypatch.setattr(sys.modules[f"bench_{scenario}"], source,
+                                vanishing)
+            spec = RunSpec(scenario=scenario, suite="table2", smoke=True)
+            record = run_scenario(get_scenario(scenario), spec)
+            assert record["counters"]["size_over_opt"] == 1.0, scenario
 
     def test_check_bound_records_the_bound(self):
         load_benchmark_modules()
@@ -516,7 +535,6 @@ def test_smoke_gate_all_scenarios(tmp_path):
     tier-1 run, not just in its unit tests.
     """
     env = dict(os.environ)
-    env["REPRO_BENCH_SMOKE"] = "1"
     env["REPRO_BENCH_OUT"] = str(tmp_path)
     # pin the hash seed: the gate compares records against the committed
     # baseline, and an unpinned subprocess would silently retest under
@@ -660,7 +678,8 @@ def test_static_analysis_gate():
 # ------------------------------------------------ determinism sanitizer
 @pytest.mark.parametrize("scenario",
                          ["table1_mpc", "table1_congest", "table2_dynamic",
-                          "table2_latency", "table2_omv", "table2_realgraph"])
+                          "table2_latency", "table2_offline", "table2_omv",
+                          "table2_realgraph"])
 def test_hash_seed_and_jobs_sanitizer(scenario):
     """BENCH records are byte-identical across PYTHONHASHSEED and --jobs.
 
@@ -675,8 +694,9 @@ def test_hash_seed_and_jobs_sanitizer(scenario):
     row order, the CONGEST oracle builds its network from them);
     ``table2_dynamic`` runs the full dynamic stack; ``table2_latency`` adds
     a ``latency`` section and a wall-clock ratio counter, which
-    normalization must drop; ``table2_omv`` runs the maintainer on the
-    OMv-backed weak oracle; ``table2_realgraph``'s Section 6 rebuilds make
+    normalization must drop; ``table2_offline`` runs the offline epoch
+    planner; ``table2_omv`` runs the maintainer on the OMv-backed weak
+    oracle; ``table2_realgraph``'s Section 6 rebuilds make
     cross-structure overtakes, the sampling driver's restaging path.
     """
     from repro.analysis.sanitizer import run_sanitizer

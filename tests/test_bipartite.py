@@ -1,18 +1,16 @@
-"""Unit tests for repro.graph.bipartite (double cover of Definition 6.3)."""
+"""Unit tests for the BFS two-colouring that Hopcroft--Karp runs on an
+unsplit bipartite input (``repro.matching.hopcroft_karp.bipartition``)."""
 
 from repro.graph.graph import Graph
-from repro.graph.bipartite import BipartiteDoubleCover, bipartition, is_bipartite
-from repro.graph.generators import cycle_graph, erdos_renyi, random_bipartite
-from repro.matching.matching import Matching
+from repro.graph.generators import cycle_graph, random_bipartite
+from repro.matching.hopcroft_karp import bipartition
 
 
 class TestBipartitenessChecks:
     def test_even_cycle_bipartite(self):
-        assert is_bipartite(cycle_graph(6))
         assert bipartition(cycle_graph(6)) is not None
 
     def test_odd_cycle_not_bipartite(self):
-        assert not is_bipartite(cycle_graph(5))
         assert bipartition(cycle_graph(5)) is None
 
     def test_bipartition_is_proper(self):
@@ -24,78 +22,4 @@ class TestBipartitenessChecks:
             assert (u in l) != (v in l)
 
     def test_empty_graph_bipartite(self):
-        assert is_bipartite(Graph(4))
-
-
-class TestDoubleCover:
-    def test_vertex_mapping(self):
-        g = Graph(3, [(0, 1)])
-        cover = BipartiteDoubleCover(g)
-        assert cover.n == 6
-        assert cover.outer_copy(2) == 2
-        assert cover.inner_copy(2) == 5
-        assert cover.base_vertex(5) == 2
-        assert cover.is_outer_copy(1) and not cover.is_outer_copy(4)
-
-    def test_edges_cross_only(self):
-        g = Graph(3, [(0, 1), (1, 2)])
-        cover = BipartiteDoubleCover(g)
-        assert cover.has_edge(cover.outer_copy(0), cover.inner_copy(1))
-        assert cover.has_edge(cover.outer_copy(1), cover.inner_copy(0))
-        # no outer-outer or inner-inner edges
-        assert not cover.has_edge(cover.outer_copy(0), cover.outer_copy(1))
-        assert not cover.has_edge(cover.inner_copy(0), cover.inner_copy(1))
-        # non-adjacent base vertices stay non-adjacent
-        assert not cover.has_edge(cover.outer_copy(0), cover.inner_copy(2))
-
-    def test_cover_tracks_graph_mutations(self):
-        g = Graph(3)
-        cover = BipartiteDoubleCover(g)
-        assert not cover.has_edge(0, cover.inner_copy(1))
-        g.add_edge(0, 1)
-        assert cover.has_edge(0, cover.inner_copy(1))
-
-    def test_induced_subgraph_is_bipartite_and_correct(self):
-        g = erdos_renyi(10, 0.3, seed=2)
-        cover = BipartiteDoubleCover(g)
-        subset = [cover.outer_copy(v) for v in range(5)] + \
-                 [cover.inner_copy(v) for v in range(5, 10)]
-        sub, back = cover.induced_subgraph(subset)
-        assert is_bipartite(sub)
-        for x, y in sub.edges():
-            bx, by = back[x], back[y]
-            u, v = cover.base_vertex(bx), cover.base_vertex(by)
-            assert g.has_edge(u, v)
-            assert cover.is_outer_copy(bx) != cover.is_outer_copy(by)
-
-    def test_cover_matching_at_least_graph_matching(self):
-        # mu(B) >= mu(G) (Lemma 7.8 direction 1): any matching of G lifts.
-        g = erdos_renyi(12, 0.3, seed=5)
-        from repro.matching.blossom import maximum_matching
-        mg = maximum_matching(g)
-        cover = BipartiteDoubleCover(g)
-        lifted = [(cover.outer_copy(u), cover.inner_copy(v)) for u, v in mg.edges()]
-        seen = set()
-        for x, y in lifted:
-            assert cover.has_edge(x, y)
-            assert x not in seen and y not in seen
-            seen.add(x)
-            seen.add(y)
-
-    def test_project_matching_is_matching(self):
-        # Lemma 7.8 direction 2: projecting a B-matching yields a valid
-        # G-matching of comparable size.
-        g = erdos_renyi(14, 0.25, seed=9)
-        cover = BipartiteDoubleCover(g)
-        b_matching = []
-        used = set()
-        for u, v in g.edges():
-            x, y = cover.outer_copy(u), cover.inner_copy(v)
-            if x not in used and y not in used:
-                used.add(x)
-                used.add(y)
-                b_matching.append((x, y))
-        projected = cover.project_matching(b_matching)
-        m = Matching(g.n, projected)
-        m.validate(g)
-        assert m.size >= len(b_matching) / 6  # paper's factor-6 bound
+        assert bipartition(Graph(4)) is not None

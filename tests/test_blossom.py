@@ -15,7 +15,6 @@ from repro.graph.generators import (
 )
 from repro.graph.graph import Graph
 from repro.matching.blossom import (
-    augment_to_optimal,
     find_augmenting_path,
     maximum_matching,
     maximum_matching_size,
@@ -95,15 +94,10 @@ class TestWarmStartAndIncremental:
         m.validate(g)
         assert m.size == 2
 
-    def test_augment_to_optimal_counts(self):
-        g = path_graph(8)
-        m = Matching(8)
-        count = augment_to_optimal(g, m)
-        assert m.size == 4 and count == 4
-
     def test_greedy_then_augment_reaches_optimum(self, medium_graphs):
         for name, g in medium_graphs:
             m = greedy_maximal_matching(g)
-            augment_to_optimal(g, m)
+            while find_augmenting_path(g, m):
+                pass
             assert m.size == maximum_matching_size(g), name
             m.validate(g)

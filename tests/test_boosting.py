@@ -19,7 +19,7 @@ from repro.core.boosting import (
 )
 from repro.core.config import ParameterProfile
 from repro.core.eligibility import EligibilityIndex, stage_right_vertices
-from repro.core.oracles import ExactMatchingOracle, GreedyMatchingOracle, RandomGreedyMatchingOracle
+from repro.core.oracles import GreedyMatchingOracle, RandomGreedyMatchingOracle
 from repro.core.operations import overtake_op
 from repro.core.structures import PhaseState
 from repro.mpc.boost_mpc import mpc_boosted_matching
@@ -235,12 +235,6 @@ class TestEndToEnd:
             ok, ratio = certify_approximation(g, m, eps)
             assert ok, f"{name}: ratio {ratio}"
             assert counters.get("oracle_calls") > 0
-
-    def test_quality_with_exact_oracle(self):
-        g = disjoint_paths(5, 9)
-        m = boost_matching(g, 1 / 8, oracle=ExactMatchingOracle(), seed=2)
-        ok, ratio = certify_approximation(g, m, 1 / 8)
-        assert ok, ratio
 
     def test_quality_with_random_greedy_oracle(self):
         g = blossom_gadget(6, 4)

@@ -33,17 +33,6 @@ class TestCounters:
         assert a["x"] == 5 and a["y"] == 1
         assert b["x"] == 3  # unchanged
 
-    def test_snapshot_and_diff(self):
-        c = Counters()
-        c.add("calls", 4)
-        snap = c.snapshot()
-        c.add("calls", 3)
-        c.add("rounds", 2)
-        diff = c.diff(snap)
-        assert diff == {"calls": 3, "rounds": 2}
-        # snapshot is independent
-        assert snap["calls"] == 4
-
     def test_as_dict_and_iter(self):
         c = Counters()
         c.add("a", 1)

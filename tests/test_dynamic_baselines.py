@@ -1,52 +1,10 @@
-"""Tests for the dynamic baselines used in the Table 2 benchmarks."""
+"""Tests for the dynamic baseline used in the Table 2 benchmarks."""
 
-from repro.workloads import insertion_only, planted_matching_churn
+from repro.workloads import planted_matching_churn
 from repro.matching.blossom import maximum_matching_size
 from repro.instrumentation.counters import Counters
-from repro.dynamic.baselines import (
-    ExponentialBoostingDynamic,
-    LazyGreedyDynamic,
-    RecomputeFromScratchDynamic,
-)
-
-
-class TestRecompute:
-    def test_always_optimal(self):
-        updates = insertion_only(14, 30, seed=1)
-        alg = RecomputeFromScratchDynamic(14)
-        for upd in updates:
-            alg.update(upd)
-            m = alg.current_matching()
-            m.validate(alg.dynamic_graph.graph)
-            assert m.size == maximum_matching_size(alg.dynamic_graph.graph)
-
-    def test_work_charged_per_update(self):
-        counters = Counters()
-        alg = RecomputeFromScratchDynamic(10, counters=counters)
-        for upd in insertion_only(10, 10, seed=2):
-            alg.update(upd)
-        assert counters.get("update_work") >= 10 * 10  # >= n per update
-
-
-class TestLazyGreedy:
-    def test_two_approximation_throughout(self):
-        updates = planted_matching_churn(10, rounds=3, seed=3)
-        alg = LazyGreedyDynamic(updates.n)
-        for upd in updates:
-            alg.update(upd)
-            m = alg.current_matching()
-            m.validate(alg.dynamic_graph.graph)
-        assert 2 * alg.current_matching().size >= maximum_matching_size(
-            alg.dynamic_graph.graph) - 1
-
-    def test_cheap_updates(self):
-        counters = Counters()
-        alg = LazyGreedyDynamic(20, counters=counters)
-        updates = insertion_only(20, 50, seed=4)
-        for upd in updates:
-            alg.update(upd)
-        # work is O(degree) per update, far below n per update
-        assert counters.get("update_work") < 20 * updates.length
+from repro.dynamic.baselines import ExponentialBoostingDynamic
+from repro.dynamic.fully_dynamic import FullyDynamicMatching
 
 
 class TestExponentialBaseline:
@@ -70,8 +28,8 @@ class TestEmptyUpdateConvention:
     def test_empty_excluded_from_both_sides_everywhere(self):
         from repro.graph.dynamic_graph import Update
 
-        for make in (lambda c: RecomputeFromScratchDynamic(8, counters=c),
-                     lambda c: LazyGreedyDynamic(8, counters=c),
+        for make in (lambda c: FullyDynamicMatching(8, 0.25, counters=c,
+                                                    seed=3),
                      lambda c: ExponentialBoostingDynamic(8, 0.25, counters=c,
                                                           seed=3)):
             counters = Counters()

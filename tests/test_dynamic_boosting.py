@@ -7,11 +7,7 @@ from repro.matching.blossom import maximum_matching_size
 from repro.matching.verify import certify_approximation
 from repro.instrumentation.counters import Counters
 from repro.core.dynamic_boosting import WeakOracleBoostingFramework, boost_matching_weak
-from repro.dynamic.weak_oracles import (
-    ExactInducedWeakOracle,
-    GreedyInducedWeakOracle,
-    SamplingWeakOracle,
-)
+from repro.dynamic.weak_oracles import GreedyInducedWeakOracle
 
 
 class TestInitialMatching:
@@ -36,15 +32,16 @@ class TestEndToEnd:
             ok, ratio = certify_approximation(g, m, eps)
             assert ok, f"{name}: ratio {ratio}"
 
-    def test_quality_with_exact_induced_oracle(self):
+    def test_quality_on_long_paths(self):
         g = disjoint_paths(4, 7)
-        m = boost_matching_weak(g, 1 / 8, ExactInducedWeakOracle(g), seed=2)
+        m = boost_matching_weak(g, 1 / 8, GreedyInducedWeakOracle(g, seed=2),
+                                seed=2)
         ok, ratio = certify_approximation(g, m, 1 / 8)
         assert ok, ratio
 
-    def test_quality_with_sampling_oracle(self):
+    def test_quality_with_six_sampling_rounds(self):
         g = erdos_renyi(50, 0.12, seed=3)
-        oracle = SamplingWeakOracle(g, rounds=12, seed=3)
+        oracle = GreedyInducedWeakOracle(g, seed=3)
         m = boost_matching_weak(g, 0.25, oracle, seed=3, sampling_rounds=6)
         m.validate(g)
         ok, ratio = certify_approximation(g, m, 0.25)

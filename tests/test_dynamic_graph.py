@@ -5,7 +5,6 @@ import pytest
 
 from repro.graph.dynamic_graph import DynamicGraph, Update
 from repro.graph.graph import Graph
-from repro.workloads import UpdateStream
 
 
 class TestUpdate:
@@ -55,13 +54,6 @@ class TestDynamicGraph:
         changed = dg.apply_all([Update.insert(0, 1), Update.insert(0, 1),
                                 Update.delete(0, 1)])
         assert changed == 2
-
-    def test_chunking_rejects_bad_size(self):
-        # a dynamic graph's updates are chunked by UpdateStream.chunks
-        updates = [Update.insert(0, 1), Update.insert(1, 2)]
-        for size in (0, -2):
-            with pytest.raises(ValueError, match="chunk_size"):
-                list(UpdateStream.from_updates(4, updates).chunks(size))
 
 
 class TestLogFreeMode:

@@ -3,13 +3,13 @@
 import pytest
 
 from repro.graph.dynamic_graph import Update
-from repro.workloads import insertion_only, planted_matching_churn, sliding_window
+from repro.workloads import planted_matching_churn, sliding_window
 from repro.matching.blossom import maximum_matching_size
 from repro.matching.verify import certify_approximation
 from repro.instrumentation.counters import Counters
 from repro.core.config import ParameterProfile
 from repro.dynamic.fully_dynamic import FullyDynamicMatching
-from repro.dynamic.weak_oracles import ExactInducedWeakOracle, OMvWeakOracle
+from repro.dynamic.weak_oracles import OMvWeakOracle
 
 
 EPS = 0.25
@@ -34,7 +34,8 @@ class TestMaintenance:
                 assert ok, f"update {idx}: ratio {ratio}"
 
     def test_insertion_only_reaches_near_optimum(self):
-        updates = insertion_only(30, 80, seed=3)
+        # a window as long as the stream never expires an edge
+        updates = sliding_window(30, 80, window=80, seed=3)
         alg = FullyDynamicMatching(30, EPS, seed=3)
         for upd in updates:
             alg.update(upd)
@@ -167,18 +168,9 @@ class TestAccounting:
         assert counters.get("weak_oracle_calls") > 0
         assert alg.amortized_update_work() > 0
 
-    def test_exact_oracle_factory(self):
-        updates = insertion_only(16, 40, seed=8)
-        alg = FullyDynamicMatching(16, EPS, seed=8,
-                                   oracle_factory=lambda g: ExactInducedWeakOracle(g))
-        for upd in updates:
-            alg.update(upd)
-        ok, ratio = certify_approximation(alg.graph, alg.current_matching(), EPS)
-        assert ok, ratio
-
     def test_omv_oracle_factory_counts_queries(self):
         counters = Counters()
-        updates = insertion_only(16, 30, seed=9)
+        updates = sliding_window(16, 30, window=30, seed=9)
         alg = FullyDynamicMatching(
             16, EPS, counters=counters, seed=9,
             oracle_factory=lambda g: OMvWeakOracle(g, counters=counters))

@@ -8,15 +8,11 @@ from repro.graph.generators import (
     disjoint_paths,
     erdos_renyi,
     nested_blossom_gadget,
-    ors_layered_graph,
     path_graph,
     planted_matching,
     random_bipartite,
-    random_graph_m,
-    random_regular_like,
-    verify_ors,
 )
-from repro.graph.bipartite import is_bipartite
+from repro.matching.hopcroft_karp import bipartition
 from repro.matching.blossom import maximum_matching_size
 from repro.matching.matching import Matching
 
@@ -33,25 +29,12 @@ class TestRandomFamilies:
         b = erdos_renyi(30, 0.2, seed=42)
         assert sorted(a.edges()) == sorted(b.edges())
 
-    def test_random_graph_m_exact_count(self):
-        g = random_graph_m(20, 30, seed=0)
-        assert g.m == 30
-
-    def test_random_graph_m_caps_at_complete(self):
-        g = random_graph_m(5, 100, seed=0)
-        assert g.m == 10
-
     def test_random_bipartite_is_bipartite(self):
         g, left, right = random_bipartite(10, 12, 0.3, seed=4)
-        assert is_bipartite(g)
+        assert bipartition(g) is not None
         left_set = set(left)
         for u, v in g.edges():
             assert (u in left_set) != (v in left_set)
-
-    def test_random_regular_like_degree_bound(self):
-        g = random_regular_like(20, 3, seed=2)
-        assert g.max_degree() <= 3
-
 
 class TestStructuredFamilies:
     def test_planted_matching_is_certificate(self):
@@ -88,26 +71,3 @@ class TestStructuredFamilies:
         g = nested_blossom_gadget()
         assert g.n == 10
         assert maximum_matching_size(g) == 5
-
-
-class TestORS:
-    def test_layered_ors_verifies(self):
-        graph, matchings = ors_layered_graph(60, 5, 4, seed=1)
-        assert verify_ors(graph, matchings)
-
-    def test_verify_ors_rejects_non_induced(self):
-        from repro.graph.graph import Graph
-
-        g = Graph(4, [(0, 1), (2, 3), (1, 2)])
-        # M1 = {(0,1),(2,3)} is NOT induced because edge (1,2) exists
-        assert not verify_ors(g, [[(0, 1), (2, 3)]])
-
-    def test_verify_ors_rejects_missing_edge(self):
-        from repro.graph.graph import Graph
-
-        g = Graph(4, [(0, 1)])
-        assert not verify_ors(g, [[(2, 3)]])
-
-    def test_ors_rejects_oversized_matching(self):
-        with pytest.raises(ValueError):
-            ors_layered_graph(10, 6, 2, seed=0)

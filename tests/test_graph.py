@@ -98,14 +98,3 @@ class TestDerived:
         with pytest.raises(ValueError, match="out of range"):
             g.induced_subgraph(vertices)
         assert g.subgraph_edges([]) == [] and g.induced_subgraph([])[0].n == 0
-
-    def test_connected_components(self):
-        g = Graph(6, [(0, 1), (1, 2), (3, 4)])
-        comps = sorted(sorted(c) for c in g.connected_components())
-        assert comps == [[0, 1, 2], [3, 4], [5]]
-
-    def test_arboricity_upper_bound(self):
-        g = Graph(4, [(0, 1), (1, 2), (2, 3)])  # a path: degeneracy 1
-        assert g.arboricity_upper_bound() == 1
-        k4 = Graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-        assert k4.arboricity_upper_bound() == 3

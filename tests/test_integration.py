@@ -10,7 +10,7 @@ from repro.instrumentation.counters import Counters
 from repro.core.streaming import semi_streaming_matching
 from repro.core.boosting import boost_matching
 from repro.core.dynamic_boosting import boost_matching_weak
-from repro.core.oracles import ExactMatchingOracle, GreedyMatchingOracle
+from repro.core.oracles import GreedyMatchingOracle
 from repro.dynamic.weak_oracles import GreedyInducedWeakOracle, OMvWeakOracle
 from repro.dynamic.fully_dynamic import FullyDynamicMatching
 from repro.baselines.fmu22 import fmu22_boost
@@ -36,7 +36,6 @@ class TestAllFrameworksAgreeOnQuality:
         runs = {
             "streaming": semi_streaming_matching(graph, EPS, seed=1),
             "boost-greedy": boost_matching(graph, EPS, seed=1),
-            "boost-exact-oracle": boost_matching(graph, EPS, oracle=ExactMatchingOracle(), seed=1),
             "weak-greedy": boost_matching_weak(graph, EPS, GreedyInducedWeakOracle(graph, seed=1), seed=1),
             "fmu22": fmu22_boost(graph, EPS, seed=1),
         }

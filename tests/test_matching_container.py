@@ -36,11 +36,6 @@ class TestBasics:
         with pytest.raises(ValueError):
             m.remove(0, 1)
 
-    def test_remove_vertex_edge(self):
-        m = Matching(4, [(1, 3)])
-        assert m.remove_vertex_edge(3) == (1, 3)
-        assert m.remove_vertex_edge(3) is None
-
     def test_edges_canonical(self):
         m = Matching(4, [(3, 2), (1, 0)])
         assert sorted(m.edges()) == [(0, 1), (2, 3)]
@@ -51,10 +46,6 @@ class TestBasics:
         assert c == m
         c.add(2, 3)
         assert c != m and m.size == 1
-
-    def test_from_mate_array(self):
-        m = Matching.from_mate_array([1, 0, None, None])
-        assert m.size == 1 and m.contains_edge(0, 1)
 
     def test_load_mate_array_equals_adding_each_pair(self):
         m = Matching(6, [(4, 5)])
@@ -111,11 +102,6 @@ class TestAugmentation:
         with pytest.raises(ValueError):
             m.augment_along([0, 1, 2, 2])
         assert m == before
-
-    def test_augment_all(self):
-        m = Matching(8, [(1, 2), (5, 6)])
-        count = m.augment_all([[0, 1, 2, 3], [4, 5, 6, 7]])
-        assert count == 2 and m.size == 4
 
 
 class TestValidation:

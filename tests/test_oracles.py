@@ -9,7 +9,7 @@ from repro.congest.matching_congest import (CongestMatchingOracle,
 from repro.congest.simulator import CongestSimulator
 from repro.graph.generators import erdos_renyi, path_graph
 from repro.graph.graph import Graph
-from repro.matching.blossom import maximum_matching, maximum_matching_size
+from repro.matching.blossom import maximum_matching_size
 from repro.matching.greedy import (greedy_maximal_matching,
                                    random_greedy_matching)
 from repro.matching.matching import Matching
@@ -19,7 +19,6 @@ from repro.mpc.simulator import MPCSimulator
 from repro.core.oracles import (
     CountingOracle,
     CountingWeakOracle,
-    ExactMatchingOracle,
     GreedyMatchingOracle,
     RandomGreedyMatchingOracle,
     WeakOracle,
@@ -46,12 +45,6 @@ class TestMatchingOracles:
         m = Matching(g.n, edges)
         m.validate(g)
         assert 2 * m.size >= maximum_matching_size(g)
-
-    def test_exact_oracle(self):
-        oracle = ExactMatchingOracle()
-        g = erdos_renyi(25, 0.2, seed=2)
-        assert len(oracle.find_matching(g.n, g.edge_list())) == \
-            maximum_matching_size(g)
 
     def test_counting_wrapper_charges_calls(self):
         counters = Counters()
@@ -90,14 +83,21 @@ def _graph_oracles(seed):
             graph, CongestSimulator(graph, counters=counters, strict=True),
             seed=random.Random(seed).randrange(2 ** 31))
 
+    def counted_greedy_on_graph(graph, counters):
+        counters.add("oracle_calls")
+        counters.add("oracle_vertices_seen", graph.n)
+        counters.add("oracle_edges_seen", graph.m)
+        counters.add("oracle_max_vertices", graph.n)
+        return greedy_maximal_matching(graph).edge_list()
+
     return [
         (lambda c: GreedyMatchingOracle(),
          lambda g, c: greedy_maximal_matching(g).edge_list()),
         (lambda c: RandomGreedyMatchingOracle(seed=seed),
          lambda g, c: random_greedy_matching(
              g, rng=random.Random(seed)).edge_list()),
-        (lambda c: ExactMatchingOracle(),
-         lambda g, c: maximum_matching(g).edge_list()),
+        (lambda c: CountingOracle(GreedyMatchingOracle(), c),
+         counted_greedy_on_graph),
         (lambda c: MPCMatchingOracle(counters=c, seed=seed), mpc_on_graph),
         (lambda c: CongestMatchingOracle(counters=c, seed=seed),
          congest_on_graph),

@@ -5,7 +5,6 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from repro.graph.graph import Graph
-from repro.graph.bipartite import BipartiteDoubleCover
 from repro.matching.blossom import maximum_matching, maximum_matching_size
 from repro.matching.greedy import greedy_maximal_matching, random_greedy_matching
 from repro.matching.hopcroft_karp import hopcroft_karp
@@ -95,19 +94,6 @@ class TestMatchingProperties:
     def test_hopcroft_karp_agrees_with_blossom(self, data):
         g, left, right = data
         assert hopcroft_karp(g, left=left, right=right).size == maximum_matching_size(g)
-
-    @given(graphs())
-    @settings(max_examples=40, deadline=None)
-    def test_double_cover_matching_at_least_base(self, g):
-        cover = BipartiteDoubleCover(g)
-        # mu(B) >= mu(G): lift a maximum matching of G edge by edge
-        mg = maximum_matching(g)
-        lifted = [(cover.outer_copy(u), cover.inner_copy(v)) for u, v in mg.edges()]
-        assert len(lifted) == mg.size
-        seen = set()
-        for x, y in lifted:
-            assert x not in seen and y not in seen
-            seen.update((x, y))
 
 
 class TestFrameworkProperties:

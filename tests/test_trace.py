@@ -21,14 +21,10 @@ from repro.instrumentation.counters import Counters
 from repro.dynamic.fully_dynamic import FullyDynamicMatching
 from repro.workloads import (
     Trace,
-    insertion_only,
     load_edge_list,
     planted_matching_churn,
-    resolve_workload,
     sliding_window,
-    temporal_insertions,
     temporal_sliding_window,
-    workload_names,
 )
 
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
@@ -126,7 +122,7 @@ class TestTraceReplay:
                 None if sizes is None else list(sizes))
 
     def test_collect_sizes_false_returns_none(self):
-        trace = Trace.record(insertion_only(10, 15, seed=5))
+        trace = Trace.record(sliding_window(10, 15, window=8, seed=5))
         counters, matching, sizes = self._replay(trace, collect=False)
         assert sizes is None
         with_sizes = self._replay(trace, collect=True)
@@ -166,7 +162,8 @@ class TestIngestion:
         path.write_text("# t graph\nb c 30\na b 10\na c 20\n")
         data = load_edge_list(path)
         assert data.n == 3 and data.timestamps == [30, 10, 20]
-        stream = temporal_insertions(data)
+        # a window past the last timestamp expires nothing
+        stream = temporal_sliding_window(data, window=100)
         # replayed in timestamp order: (a,b) then (a,c) then (b,c)
         kinds = [(u.kind, u.u, u.v) for u in stream]
         ab = (data.labels.index("a"), data.labels.index("b"))
@@ -190,12 +187,6 @@ class TestIngestion:
         path.write_text("a b c d\n")
         with pytest.raises(ValueError, match="expected"):
             load_edge_list(path)
-
-    def test_no_remap_mode(self, tmp_path):
-        path = tmp_path / "ids.txt"
-        path.write_text("0 2\n2 5\n")
-        data = load_edge_list(path, remap=False)
-        assert data.n == 6 and data.edges == [(0, 2), (2, 5)]
 
     def test_sliding_window_expiry(self, tmp_path):
         path = tmp_path / "seq.txt"
@@ -229,24 +220,6 @@ class TestIngestion:
         data = load_edge_list(KARATE_EDGES)
         fresh = Trace.record(temporal_sliding_window(data, window=40))
         assert fresh == Trace.load(KARATE_TRACE)
-
-
-class TestWorkloadRegistry:
-    def test_builtin_names_resolve(self):
-        assert {"churn", "sliding_window", "insertion_only",
-                "ors_reveal"} <= set(workload_names())
-        stream = resolve_workload("churn", smoke=True, seed=3)
-        assert stream.n > 0 and stream.count() > 0
-
-    def test_trace_spec_resolves(self):
-        stream = resolve_workload("trace:" + KARATE_TRACE)
-        assert stream.n == 34 and stream.count() == 116
-
-    def test_unknown_name_and_empty_trace_path(self):
-        with pytest.raises(KeyError, match="unknown workload"):
-            resolve_workload("_no_such_workload")
-        with pytest.raises(ValueError, match="needs a path"):
-            resolve_workload("trace:")
 
 
 def test_long_stream_replay_is_memory_flat():

@@ -4,12 +4,7 @@ from repro.graph.generators import erdos_renyi, planted_matching
 from repro.instrumentation.counters import Counters
 from repro.matching.blossom import maximum_matching_size
 from repro.matching.matching import Matching
-from repro.dynamic.weak_oracles import (
-    ExactInducedWeakOracle,
-    GreedyInducedWeakOracle,
-    OMvWeakOracle,
-    SamplingWeakOracle,
-)
+from repro.dynamic.weak_oracles import GreedyInducedWeakOracle, OMvWeakOracle
 
 
 def _check_is_matching_in_subset(graph, subset, edges):
@@ -37,36 +32,6 @@ class TestGreedyInduced:
         g = erdos_renyi(10, 0.0, seed=0)
         oracle = GreedyInducedWeakOracle(g)
         assert oracle.query(list(range(10)), 0.1) is None
-
-
-class TestExactInduced:
-    def test_exact_on_induced_subgraph(self):
-        g = erdos_renyi(20, 0.3, seed=2)
-        oracle = ExactInducedWeakOracle(g)
-        subset = list(range(12))
-        result = oracle.query(subset, 0.1)
-        sub, _ = g.induced_subgraph(subset)
-        if result is None:
-            assert maximum_matching_size(sub) == 0
-        else:
-            _check_is_matching_in_subset(g, subset, result)
-            assert len(result) == maximum_matching_size(sub)
-
-
-class TestSampling:
-    def test_returns_matching_with_probes_counted(self):
-        g, _ = planted_matching(40, 0.05, seed=3)
-        counters = Counters()
-        oracle = SamplingWeakOracle(g, rounds=16, seed=3, counters=counters)
-        result = oracle.query(list(range(g.n)), delta=0.2)
-        assert result is not None
-        _check_is_matching_in_subset(g, list(range(g.n)), result)
-        assert counters.get("weak_probe_count") > 0
-
-    def test_small_subset_returns_none(self):
-        g = erdos_renyi(10, 0.5, seed=4)
-        oracle = SamplingWeakOracle(g, seed=4)
-        assert oracle.query([3], 0.1) is None
 
 
 class TestOMvOracle:

@@ -4,50 +4,10 @@ Counts, determinism, termination and parameter rejection of each family,
 checked on the materialized update sequence (``list(stream)``).
 """
 
-import itertools
-
 import pytest
 
 from repro.graph.dynamic_graph import DynamicGraph, Update
-from repro.workloads import (
-    adversarial_matched_edge_deletions,
-    insertion_only,
-    ors_reveal,
-    planted_matching_churn,
-    sliding_window,
-)
-
-
-class TestInsertionOnly:
-    def test_counts_and_kinds(self):
-        updates = list(insertion_only(20, 30, seed=1))
-        assert len(updates) == 30
-        assert all(u.kind == Update.INSERT for u in updates)
-
-    def test_no_duplicate_insertions(self):
-        updates = list(insertion_only(10, 40, seed=2))
-        edges = [(u.u, u.v) for u in updates]
-        assert len(edges) == len(set(edges))
-
-    def test_applies_cleanly(self):
-        updates = list(insertion_only(15, 25, seed=3))
-        dg = DynamicGraph(15)
-        changed = dg.apply_all(updates)
-        assert changed == 25
-
-    def test_m_capped_at_possible_edges(self):
-        updates = list(insertion_only(4, 100, seed=10))
-        assert len(updates) == 6  # 4*3/2 distinct edges exist
-
-    def test_degenerate_n_terminates(self):
-        assert list(insertion_only(0, 5, seed=10)) == []
-        assert list(insertion_only(1, 5, seed=10)) == []
-
-    def test_seeded_determinism(self):
-        assert list(insertion_only(12, 20, seed=11)) == \
-            list(insertion_only(12, 20, seed=11))
-        assert list(insertion_only(12, 20, seed=11)) != \
-            list(insertion_only(12, 20, seed=12))
+from repro.workloads import planted_matching_churn, sliding_window
 
 
 class TestSlidingWindow:
@@ -139,40 +99,3 @@ class TestPlantedChurn:
 
         assert run(21) == run(21)
         assert run(21) != run(22)
-
-
-class TestOrsReveal:
-    def test_reveal_then_remove(self):
-        stream = ors_reveal(40, 4, 3, seed=7)
-        dg = DynamicGraph(stream.n)
-        dg.apply_all(list(stream))
-        assert dg.m == 0  # everything inserted is deleted again
-        assert dg.max_edges_seen > 0
-
-    def test_seeded_determinism(self):
-        a = ors_reveal(30, 3, 3, seed=9)
-        b = ors_reveal(30, 3, 3, seed=9)
-        assert (a.n, list(a)) == (b.n, list(b))
-
-
-class TestAdversarial:
-    def test_targets_current_matching(self):
-        from repro.matching.matching import Matching
-
-        matching = Matching(10, [(0, 1), (2, 3)])
-        stream = adversarial_matched_edge_deletions(
-            5, rounds=5, current_matching=matching.edge_list, seed=8)
-        assert stream.n == 10
-        upd = next(iter(stream), None)
-        assert upd is not None
-        if upd.kind == Update.DELETE:
-            assert matching.contains_edge(upd.u, upd.v)
-
-    def test_terminates(self):
-        from repro.matching.matching import Matching
-
-        matching = Matching(10, [(0, 1)])
-        stream = adversarial_matched_edge_deletions(
-            5, rounds=3, current_matching=matching.edge_list, seed=9)
-        # bounded look-ahead: a stream that never ended would yield all 10
-        assert len(list(itertools.islice(stream, 10))) < 10

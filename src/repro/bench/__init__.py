@@ -24,7 +24,6 @@ from repro.bench.registry import (
 )
 from repro.bench.runner import (
     expand_all,
-    make_spec,
     run_scenario,
     run_scenarios,
     suite_label,
@@ -51,7 +50,6 @@ __all__ = [
     "get_scenario",
     "load_benchmark_modules",
     "load_records",
-    "make_spec",
     "register",
     "regressions",
     "run_scenario",

@@ -35,17 +35,6 @@ from repro.instrumentation.counters import Counters
 from repro.bench.registry import RunSpec, Scenario
 
 
-def make_spec(scenario: Scenario, *, eps: Optional[float] = None,
-              seed: int = 0, repeats: int = 1, warmup: int = 0,
-              smoke: bool = False) -> RunSpec:
-    """The :class:`RunSpec` of one scenario run.
-
-    Raises :class:`ValueError` for ``repeats < 1`` or ``warmup < 0``.
-    """
-    return RunSpec(scenario=scenario.name, suite=scenario.suite, eps=eps,
-                   seed=seed, repeats=repeats, warmup=warmup, smoke=smoke)
-
-
 def run_scenario(scenario: Scenario, spec: RunSpec) -> Dict[str, object]:
     """Execute one spec (warmup + repeats) and return its record."""
     for _ in range(spec.warmup):
@@ -97,9 +86,12 @@ def expand_all(scens: Iterable[Scenario],
     every scenario gets one spec with ``eps=None`` (its own default).  This
     order is the merge order of every run mode: serial execution walks it
     directly, and a pooled run reassembles worker results back into it.
+    ``spec_kwargs`` are the other :class:`RunSpec` fields; a ``RunSpec``
+    raises :class:`ValueError` for ``repeats < 1`` or ``warmup < 0``.
     """
     sweep = [None] if eps is None else list(eps)
-    return [(scenario, make_spec(scenario, eps=value, **spec_kwargs))
+    return [(scenario, RunSpec(scenario=scenario.name, suite=scenario.suite,
+                               eps=value, **spec_kwargs))
             for scenario in scens for value in sweep]
 
 
@@ -179,7 +171,7 @@ def run_scenarios(scens: Iterable[Scenario], progress=None, jobs: int = 1,
     """Run every scenario over its expanded specs; returns all records.
 
     ``spec_kwargs`` are :func:`expand_all`'s: ``eps`` (a sequence of values
-    to sweep) and the :func:`make_spec` fields.
+    to sweep) and the other :class:`RunSpec` fields.
 
     ``jobs`` > 1 executes the expanded specs in a ``ProcessPoolExecutor``
     (each worker returns its record with the spec's ``Counters`` snapshot

@@ -7,8 +7,9 @@ that the 1/eps dependence of the amortized update time drops from exponential
 ORS-dependence is unchanged.
 
 The scenario runs the periodic-rebuild maintainer with this paper's
-weak-oracle framework on a planted-matching churn workload and asserts ``size_over_opt`` >= 1/(1+eps) at the end of the stream.  Beside it,
-on its own counters, runs the same maintainer with the McGregor-style
+weak-oracle framework on a planted-matching churn workload and asserts
+``size_over_opt`` >= 1/(1+eps) at the end of the stream.  Beside it, on its
+own counters, runs the same maintainer with the McGregor-style
 rebuild engine (exponential schedule, executed capped) on the same stream:
 ``mcgregor_oracle_calls`` and ``mcgregor_amortized_update_work``.
 
@@ -53,7 +54,7 @@ def _table2_dynamic_scenario(spec, counters):
     mcgregor = ExponentialBoostingDynamic(stream.n, eps, counters=mcg_counters,
                                           seed=spec.seed)
     mcgregor.process(stream, collect_sizes=False)
-    # a stream may end on an empty graph, whose optimum the empty matching is
+    # a stream may end on an empty graph: its optimum is the empty matching
     values = {"amortized_update_work": alg.amortized_update_work(),
               "size_over_opt":
                   alg.current_matching().size / opt if opt else 1.0,

@@ -40,7 +40,7 @@ def _table2_offline_scenario(spec, counters):
     final_graph = DynamicGraph(n)
     final_graph.apply_all(updates)
     opt = maximum_matching_size(final_graph.graph)
-    # a stream may end on an empty graph, whose optimum the empty matching is
+    # a stream may end on an empty graph: its optimum is the empty matching
     values = {"amortized_update_work": offline.amortized_update_work(),
               "size_over_opt": int(sizes[-1]) / opt if opt else 1.0}
     check_bound(spec, values, "size_over_opt", 1 / (1 + eps))

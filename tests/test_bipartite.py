@@ -1,5 +1,5 @@
-"""Unit tests for the BFS two-colouring that Hopcroft--Karp runs on an
-unsplit bipartite input (``repro.matching.hopcroft_karp.bipartition``)."""
+"""Unit tests for the BFS two-colouring that Hopcroft--Karp runs when it is
+given no sides (``repro.matching.hopcroft_karp.bipartition``)."""
 
 from repro.graph.graph import Graph
 from repro.graph.generators import cycle_graph, random_bipartite

@@ -6,8 +6,8 @@ Contents:
   its shared update accounting;
 * :mod:`~repro.dynamic.weak_oracles` -- concrete ``Aweak`` implementations
   (greedy-induced, OMv-backed);
-* :mod:`~repro.dynamic.omv` -- the exact online matrix-vector substrate
-  (Definition 7.5) and the Lemma 7.9-style induced-matching routine;
+* :mod:`~repro.dynamic.omv` -- the online matrix-vector substrate
+  (Definition 7.5/7.6) and the Lemma 7.9-style induced-matching routine;
 * :mod:`~repro.dynamic.fully_dynamic` -- the Theorem 7.1-style maintainer
   (periodic rebuild through the Section 6 framework);
 * :mod:`~repro.dynamic.offline` -- the offline variant (Theorem 7.15 flavour);
@@ -17,7 +17,7 @@ Contents:
 
 from repro.dynamic.interfaces import DynamicMatchingAlgorithm
 from repro.dynamic.weak_oracles import GreedyInducedWeakOracle, OMvWeakOracle
-from repro.dynamic.omv import OMvMatrix
+from repro.dynamic.omv import OMvMatrix, ApproximateOMv
 from repro.dynamic.fully_dynamic import FullyDynamicMatching
 from repro.dynamic.offline import OfflineDynamicMatching
 from repro.dynamic.baselines import ExponentialBoostingDynamic
@@ -27,6 +27,7 @@ __all__ = [
     "GreedyInducedWeakOracle",
     "OMvWeakOracle",
     "OMvMatrix",
+    "ApproximateOMv",
     "FullyDynamicMatching",
     "OfflineDynamicMatching",
     "ExponentialBoostingDynamic",

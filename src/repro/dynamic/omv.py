@@ -11,6 +11,10 @@ outside the scope of a reproduction; per substitution 4 we provide
   Python int bitsets (bit ``j`` of row ``i`` is ``M[i, j]``), so a row
   product is word-parallel int arithmetic rather than a bit-by-bit scan,
   with query/update counting;
+* :class:`ApproximateOMv` -- the (1 - lambda)-approximate wrapper of
+  Definition 7.6: it may leave up to ``lambda * n`` coordinates stale between
+  expensive refreshes, trading accuracy for cheaper amortized work exactly as
+  the reduction permits;
 * :func:`maximal_matching_via_omv` -- the Lemma 7.9-flavoured routine: find an
   (almost) maximal matching of an induced bipartite subgraph using only OMv
   queries and row probes.
@@ -24,7 +28,7 @@ as substituted.
 from __future__ import annotations
 
 from operator import index
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -144,6 +148,61 @@ class OMvMatrix:
         if graph.m:
             omv.counters.add("omv_updates", 2 * graph.m)
         return omv
+
+
+class ApproximateOMv:
+    """(1 - lambda)-approximate dynamic OMv (Definition 7.6).
+
+    Updates are buffered; a query answers from the last materialised matrix
+    plus the buffered rows, and is allowed to be stale on at most
+    ``lambda * n`` coordinates, which lets it skip refreshing rows whose
+    buffered updates are few.  This mirrors the error budget the reduction of
+    Theorem 7.10 grants the OMv algorithm.
+    """
+
+    def __init__(self, n: int, lam: float,
+                 counters: Optional[Counters] = None) -> None:
+        if not 0 <= lam < 1:
+            raise ValueError("lambda must lie in [0, 1)")
+        self.n = n
+        self.lam = lam
+        self.counters = counters if counters is not None else Counters()
+        self._exact = OMvMatrix(n, counters=self.counters)
+        self._dirty_rows: Set[int] = set()
+        self._pending: Dict[Tuple[int, int], bool] = {}
+
+    def update(self, i: int, j: int, bit: bool) -> None:
+        """Buffer ``M[i, j] = bit``; an entry outside the matrix raises
+        ``ValueError`` here, before anything is buffered or charged."""
+        i, j = self._exact._index(i), self._exact._index(j)
+        self._pending[(i, j)] = bit
+        self._dirty_rows.add(i)
+        self.counters.add("omv_approx_updates")
+
+    def _flush_if_needed(self) -> None:
+        budget = int(self.lam * self.n)
+        if len(self._dirty_rows) > budget:
+            for (i, j), bit in self._pending.items():
+                self._exact.update(i, j, bit)
+            self._pending.clear()
+            self._dirty_rows.clear()
+            self.counters.add("omv_flushes")
+
+    def query(self, v: Sequence[bool]) -> np.ndarray:
+        """Return a vector within Hamming distance ``lambda * n`` of ``M v``."""
+        self._flush_if_needed()
+        self.counters.add("omv_approx_queries")
+        return self._exact.query(v)
+
+    def force_flush(self) -> None:
+        for (i, j), bit in self._pending.items():
+            self._exact.update(i, j, bit)
+        self._pending.clear()
+        self._dirty_rows.clear()
+
+    @property
+    def exact(self) -> OMvMatrix:
+        return self._exact
 
 
 def maximal_matching_via_omv(omv: OMvMatrix, left: Sequence[int],

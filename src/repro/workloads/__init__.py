@@ -17,7 +17,11 @@ See the "Workload & trace layer" section of ARCHITECTURE.md.
 """
 
 from repro.workloads.streams import UpdateStream, interleave
-from repro.workloads.sources import planted_matching_churn, sliding_window
+from repro.workloads.sources import (
+    insertion_only,
+    planted_matching_churn,
+    sliding_window,
+)
 from repro.workloads.trace import Trace
 from repro.workloads.ingest import (
     EdgeListData,
@@ -29,6 +33,7 @@ __all__ = [
     "EdgeListData",
     "Trace",
     "UpdateStream",
+    "insertion_only",
     "interleave",
     "load_edge_list",
     "planted_matching_churn",

@@ -6,6 +6,7 @@ memory to replay instead of O(stream).
 
 Families:
 
+* :func:`insertion_only` -- distinct random insertions,
 * :func:`sliding_window` -- turnstile stream, live edges bounded by the
   window (the canonical bounded-memory long-stream workload),
 * :func:`planted_matching_churn` -- planted perfect matching churned round
@@ -25,6 +26,35 @@ from repro.graph.dynamic_graph import Update
 from repro.graph.generators import planted_matching
 from repro.utils.seeding import derived_seeds, rng
 from repro.workloads.streams import UpdateStream
+
+
+def insertion_only(n: int, m: int, seed: Optional[int] = None) -> UpdateStream:
+    """``min(m, n*(n-1)/2)`` random distinct edge insertions on ``n`` vertices.
+
+    Distinctness requires remembering what was drawn, so this source's
+    iterator holds O(#emitted) state -- inherent to the family, not to the
+    stream API.
+    """
+    max_m = n * (n - 1) // 2
+    target = min(m, max_m)
+
+    def produce() -> Iterator[Update]:
+        stream_rng = rng(seed)
+        seen = set()
+        emitted = 0
+        while emitted < target:
+            u, v = stream_rng.randrange(n), stream_rng.randrange(n)
+            if u == v:
+                continue
+            e = (min(u, v), max(u, v))
+            if e in seen:
+                continue
+            seen.add(e)
+            emitted += 1
+            yield Update.insert(*e)
+
+    return UpdateStream(n, produce, length=target,
+                        name=f"insertion_only(n={n}, m={target})")
 
 
 def sliding_window(n: int, num_updates: int, window: int,

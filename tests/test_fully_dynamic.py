@@ -3,7 +3,7 @@
 import pytest
 
 from repro.graph.dynamic_graph import Update
-from repro.workloads import planted_matching_churn, sliding_window
+from repro.workloads import insertion_only, planted_matching_churn, sliding_window
 from repro.matching.blossom import maximum_matching_size
 from repro.matching.verify import certify_approximation
 from repro.instrumentation.counters import Counters
@@ -34,8 +34,7 @@ class TestMaintenance:
                 assert ok, f"update {idx}: ratio {ratio}"
 
     def test_insertion_only_reaches_near_optimum(self):
-        # a window as long as the stream never expires an edge
-        updates = sliding_window(30, 80, window=80, seed=3)
+        updates = insertion_only(30, 80, seed=3)
         alg = FullyDynamicMatching(30, EPS, seed=3)
         for upd in updates:
             alg.update(upd)
@@ -170,7 +169,7 @@ class TestAccounting:
 
     def test_omv_oracle_factory_counts_queries(self):
         counters = Counters()
-        updates = sliding_window(16, 30, window=30, seed=9)
+        updates = insertion_only(16, 30, seed=9)
         alg = FullyDynamicMatching(
             16, EPS, counters=counters, seed=9,
             oracle_factory=lambda g: OMvWeakOracle(g, counters=counters))

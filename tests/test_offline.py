@@ -1,7 +1,7 @@
 """Tests for the offline dynamic algorithm (Theorem 7.15 flavour)."""
 
 from repro.graph.dynamic_graph import DynamicGraph
-from repro.workloads import planted_matching_churn, sliding_window
+from repro.workloads import insertion_only, planted_matching_churn, sliding_window
 from repro.matching.blossom import maximum_matching_size
 from repro.instrumentation.counters import Counters
 from repro.dynamic.offline import OfflineDynamicMatching
@@ -12,7 +12,7 @@ EPS = 0.25
 
 class TestOffline:
     def test_sizes_reported_per_update(self):
-        updates = sliding_window(20, 40, window=40, seed=1)
+        updates = insertion_only(20, 40, seed=1)
         alg = OfflineDynamicMatching(20, EPS, seed=1)
         sizes = alg.run(updates)
         assert len(sizes) == updates.length
@@ -36,7 +36,7 @@ class TestOffline:
         assert all(a < b for a, b in zip(boundaries, boundaries[1:]))
 
     def test_accounting(self):
-        updates = sliding_window(20, 50, window=50, seed=4)
+        updates = insertion_only(20, 50, seed=4)
         counters = Counters()
         alg = OfflineDynamicMatching(20, EPS, counters=counters, seed=4)
         alg.run(updates)
@@ -115,7 +115,7 @@ def test_empty_updates_excluded_from_amortization():
     """Offline runs share the Table 2 EMPTY-padding accounting convention."""
     from repro.graph.dynamic_graph import Update
 
-    updates = sliding_window(12, 20, window=20, seed=5).materialize()
+    updates = insertion_only(12, 20, seed=5).materialize()
     padded = []
     for upd in updates:
         padded.append(upd)

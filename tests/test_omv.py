@@ -7,7 +7,7 @@ import pytest
 
 from repro.graph.generators import erdos_renyi, random_bipartite
 from repro.instrumentation.counters import Counters
-from repro.dynamic.omv import OMvMatrix, maximal_matching_via_omv
+from repro.dynamic.omv import ApproximateOMv, OMvMatrix, maximal_matching_via_omv
 from repro.matching.hopcroft_karp import hopcroft_karp
 
 
@@ -90,6 +90,57 @@ class TestOMvMatrix:
         with pytest.raises(ValueError):
             call(omv)
         assert omv.row_neighbors(0) == [9]
+
+
+class TestApproximateOMv:
+    def test_rejects_bad_lambda(self):
+        with pytest.raises(ValueError):
+            ApproximateOMv(4, 1.0)
+
+    def test_buffers_then_flushes(self):
+        counters = Counters()
+        aomv = ApproximateOMv(10, lam=0.2, counters=counters)
+        # up to lam*n = 2 dirty rows may stay stale
+        aomv.update(0, 1, True)
+        aomv.update(1, 2, True)
+        v = np.zeros(10, dtype=bool)
+        v[1] = True
+        aomv.query(v)
+        # exceeding the budget forces a flush
+        aomv.update(2, 3, True)
+        aomv.update(3, 4, True)
+        result = aomv.query(v)
+        assert counters.get("omv_flushes") >= 1
+        assert result[0]  # the flushed entry is now visible
+
+    def test_force_flush(self):
+        aomv = ApproximateOMv(5, lam=0.5)
+        aomv.update(0, 1, True)
+        aomv.force_flush()
+        assert aomv.exact.get(0, 1)
+
+    @pytest.mark.parametrize("flush", [
+        lambda aomv: aomv.query(np.zeros(10, dtype=bool)),
+        lambda aomv: aomv.force_flush()], ids=["query", "force_flush"])
+    @pytest.mark.parametrize("bad", [(0, 12), (-1, 3), (np.int64(10), 0)],
+                             ids=["column-past-n", "negative-row", "numpy-row"])
+    def test_bad_update_raises_before_buffering(self, flush, bad):
+        counters = Counters()
+        aomv = ApproximateOMv(10, lam=0.0, counters=counters)
+        aomv.update(0, 1, True)
+        with pytest.raises(ValueError, match="outside"):
+            aomv.update(*bad, True)
+        assert counters.get("omv_approx_updates") == 1
+        flush(aomv)
+        assert aomv.exact.get(0, 1) and counters.get("omv_updates") == 1
+        # nothing is left pending: the next query applies nothing
+        flushes = counters.get("omv_flushes")
+        aomv.query(np.zeros(10, dtype=bool))
+        assert counters.get("omv_flushes") == flushes
+        assert counters.get("omv_updates") == 1
+        aomv.update(np.int64(2), np.int64(3), True)  # NumPy ids are entries
+        aomv.force_flush()
+        assert aomv.exact.row_neighbors(2) == [3]
 
 
 class TestOMvMatching:

@@ -21,6 +21,7 @@ from repro.instrumentation.counters import Counters
 from repro.dynamic.fully_dynamic import FullyDynamicMatching
 from repro.workloads import (
     Trace,
+    insertion_only,
     load_edge_list,
     planted_matching_churn,
     sliding_window,
@@ -122,7 +123,7 @@ class TestTraceReplay:
                 None if sizes is None else list(sizes))
 
     def test_collect_sizes_false_returns_none(self):
-        trace = Trace.record(sliding_window(10, 15, window=8, seed=5))
+        trace = Trace.record(insertion_only(10, 15, seed=5))
         counters, matching, sizes = self._replay(trace, collect=False)
         assert sizes is None
         with_sizes = self._replay(trace, collect=True)

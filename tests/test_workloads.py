@@ -7,7 +7,39 @@ checked on the materialized update sequence (``list(stream)``).
 import pytest
 
 from repro.graph.dynamic_graph import DynamicGraph, Update
-from repro.workloads import planted_matching_churn, sliding_window
+from repro.workloads import insertion_only, planted_matching_churn, sliding_window
+
+
+class TestInsertionOnly:
+    def test_counts_and_kinds(self):
+        updates = list(insertion_only(20, 30, seed=1))
+        assert len(updates) == 30
+        assert all(u.kind == Update.INSERT for u in updates)
+
+    def test_no_duplicate_insertions(self):
+        updates = list(insertion_only(10, 40, seed=2))
+        edges = [(u.u, u.v) for u in updates]
+        assert len(edges) == len(set(edges))
+
+    def test_applies_cleanly(self):
+        updates = list(insertion_only(15, 25, seed=3))
+        dg = DynamicGraph(15)
+        changed = dg.apply_all(updates)
+        assert changed == 25
+
+    def test_m_capped_at_possible_edges(self):
+        updates = list(insertion_only(4, 100, seed=10))
+        assert len(updates) == 6  # 4*3/2 distinct edges exist
+
+    def test_degenerate_n_terminates(self):
+        assert list(insertion_only(0, 5, seed=10)) == []
+        assert list(insertion_only(1, 5, seed=10)) == []
+
+    def test_seeded_determinism(self):
+        assert list(insertion_only(12, 20, seed=11)) == \
+            list(insertion_only(12, 20, seed=11))
+        assert list(insertion_only(12, 20, seed=11)) != \
+            list(insertion_only(12, 20, seed=12))
 
 
 class TestSlidingWindow:
